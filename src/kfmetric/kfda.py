@@ -4,11 +4,13 @@ From a square training Gram matrix K and a class index we form two n x n
 scatter surrogates: a between-class matrix P built from per-class mean
 kernel columns, and a within-class matrix Q built from class-centered
 kernel blocks. The discriminant expansion coefficients are the leading
-eigenvectors of the pencil ``P a = lambda (Q + eps I) a``, solved in
-symmetric-definite form so eigenvalues stay real.
+eigenvectors of the pencil ``P a = lambda (Q + eps I) a``.
 
-With ``eps == 0`` (diagnostic path only) Q is singular whenever n > rank,
-so the pencil is solved restricted to the numerical range of Q.
+P = M M^T has rank at most c - 1 for c classes, so the pencil is reduced
+to a c x c symmetric eigenproblem after whitening M by Q + eps I; the cost
+is one Cholesky factorization plus O(n^2 c + c^3), not a dense n x n
+generalized eigensolve. With ``eps == 0`` (diagnostic path only) Q is
+singular whenever n > rank, so M is whitened over the numerical range of Q.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ class ScatterPair:
 
     P: np.ndarray
     Q: np.ndarray
+    M: np.ndarray  # (n, c) between-class factor, P = M M^T
     class_means: np.ndarray  # (n, c), column i is the class-i mean kernel column
     global_mean: np.ndarray  # (n,)
     counts: tuple[int, ...]
@@ -46,8 +49,11 @@ class ScatterPair:
         n = self.P.shape[0]
         if self.P.shape != (n, n) or self.Q.shape != (n, n):
             raise NumericError("scatter matrices must be square and equal-sized")
-        for M, name in ((self.P, "P"), (self.Q, "Q")):
-            if not np.allclose(M, M.T, atol=1e-10, rtol=0):
+        if self.M.shape != (n, self.class_means.shape[1]):
+            raise NumericError("between-class factor M must be n x c")
+        for S, name in ((self.P, "P"), (self.Q, "Q")):
+            # negated so that NaN entries fail the check too
+            if not np.abs(S - S.T).max() <= 1e-10:
                 raise NumericError(f"{name} not symmetric within 1e-10")
         weighted = self.class_means @ (np.asarray(self.counts, dtype=np.float64) / sum(self.counts))
         if not np.allclose(weighted, self.global_mean, atol=1e-10, rtol=0):
@@ -119,75 +125,74 @@ def build_scatter(K, idx: ClassIndex) -> ScatterPair:
     if any(c == 0 for c in idx.counts):
         raise InputError("class with zero samples")
     c = idx.n_classes
-    means = np.empty((n, c))
-    Q = np.zeros((n, n))
-    for i, members in enumerate(idx.members):
-        block = K[:, list(members)]
-        mi = block.mean(axis=1)
-        means[:, i] = mi
-        centered = block - mi[:, None]
-        Q += centered @ centered.T
     counts = np.asarray(idx.counts, dtype=np.float64)
+    labels = np.empty(n, dtype=np.intp)
+    labels[np.concatenate(idx.members)] = np.repeat(np.arange(c), idx.counts)
+    S = np.zeros((n, c))
+    S[np.arange(n), labels] = 1.0 / counts[labels]
+    means = K @ S
+    # center before multiplying: K K^T minus a rank-c correction would cancel
+    Kc = K - means[:, labels]
+    Q = Kc @ Kc.T  # A @ A.T runs as one syrk, which fills an exactly symmetric result
     gm = means @ (counts / n)
-    dev = means - gm[:, None]
-    P = (dev * counts[None, :]) @ dev.T
-    P = 0.5 * (P + P.T)
-    Q = 0.5 * (Q + Q.T)
-    return ScatterPair(P=P, Q=Q, class_means=means, global_mean=gm, counts=idx.counts)
-
-
-def _range_restricted_eigh(P: np.ndarray, Q: np.ndarray):
-    """Eigenpairs of the pencil (P, Q) restricted to the numerical range of Q."""
-    s, U = scipy.linalg.eigh(Q)
-    smax = float(s[-1])
-    if smax <= 0:
-        raise NumericError("Q has no positive spectrum; cannot solve with eps=0")
-    keep = s > RANGE_RTOL * smax
-    W = U[:, keep] / np.sqrt(s[keep])  # whitening basis for range(Q)
-    T = W.T @ P @ W
-    T = 0.5 * (T + T.T)
-    vals, V = scipy.linalg.eigh(T)
-    return vals, W @ V
+    M = (means - gm[:, None]) * np.sqrt(counts)
+    P = M @ M.T
+    return ScatterPair(P=P, Q=Q, M=M, class_means=means, global_mean=gm, counts=idx.counts)
 
 
 def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaModel:
     """Leading discriminants of the regularized between/within pencil.
 
-    Solves ``P a = lambda (Q + eps I) a`` as a symmetric-definite problem and
-    keeps the p largest eigenpairs. Columns of A are normalized to unit
-    Euclidean norm with the largest-magnitude entry positive; ties in
-    eigenvalue order keep the underlying solver's output order.
+    Solves ``P a = lambda (Q + eps I) a`` through the factor P = M M^T:
+    whiten M by the within-class metric (Y = L^-1 M for the Cholesky factor
+    L of Q + eps I, or Y = W^T M for a whitening basis W of range(Q) when
+    eps == 0), take eigenpairs (lambda, v) of the c x c matrix Y^T Y, and
+    map them back to a = L^-T Y v (or W Y v). Keeps the p largest
+    eigenpairs. Columns of A are normalized to unit Euclidean norm with the
+    largest-magnitude entry positive; ties in eigenvalue order keep the
+    underlying solver's output order.
     """
     c = sc.n_classes
     if not 1 <= p <= c - 1:
         raise InputError(f"p must be in 1..c-1 = 1..{c - 1}, got {p}")
     if eps < 0:
         raise InputError(f"regularizer must be non-negative, got {eps}")
-    n = sc.P.shape[0]
+    n = sc.Q.shape[0]
     try:
         if eps > 0:
-            B = sc.Q + eps * np.eye(n)
-            vals, vecs = scipy.linalg.eigh(sc.P, B)
+            L = scipy.linalg.cholesky(
+                sc.Q + eps * np.eye(n), lower=True, overwrite_a=True, check_finite=False
+            )
+            Y = scipy.linalg.solve_triangular(L, sc.M, lower=True, check_finite=False)
         else:
-            vals, vecs = _range_restricted_eigh(sc.P, sc.Q)
+            s, U = scipy.linalg.eigh(sc.Q)
+            smax = float(s[-1])
+            if smax <= 0:
+                raise NumericError("Q has no positive spectrum; cannot solve with eps=0")
+            keep = s > RANGE_RTOL * smax
+            W = U[:, keep] / np.sqrt(s[keep])  # whitening basis for range(Q)
+            if p > W.shape[1]:
+                raise NumericError(
+                    f"only {W.shape[1]} directions available in the range of Q, "
+                    f"cannot extract p={p}"
+                )
+            Y = W.T @ sc.M
+        vals, V = scipy.linalg.eigh(Y.T @ Y, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NumericError(f"generalized eigensolver failed: {exc}") from exc
-    if p > vals.shape[0]:
-        raise NumericError(
-            f"only {vals.shape[0]} directions available in the range of Q, "
-            f"cannot extract p={p}"
-        )
     # eigh returns ascending order; reverse for descending eigenvalues
     vals = vals[::-1][:p]
-    A = vecs[:, ::-1][:, :p].copy()
+    Z = Y @ V[:, ::-1][:, :p]
+    if eps > 0:
+        A = scipy.linalg.solve_triangular(L, Z, lower=True, trans="T", check_finite=False)
+    else:
+        A = W @ Z
     norms = np.linalg.norm(A, axis=0)
     if np.any(norms == 0):
         raise NumericError("eigensolver returned a zero eigenvector")
     A /= norms
-    for k in range(p):
-        j = int(np.argmax(np.abs(A[:, k])))
-        if A[j, k] < 0:
-            A[:, k] = -A[:, k]
+    peak = A[np.argmax(np.abs(A), axis=0), np.arange(p)]
+    A[:, peak < 0] *= -1.0
     return KfdaModel(
         A=A,
         eigvals=np.maximum(vals, 0.0),
@@ -244,8 +249,39 @@ def save_model(model: KfdaModel, path, meta: dict | None = None) -> None:
         fh.write("\n")
 
 
+# required top-level fields of a model document and the JSON types they take
+_MODEL_FIELDS = {
+    "n": int,
+    "d": int,
+    "p": int,
+    "regularizer": (int, float),
+    "eigvals": list,
+    "A": list,
+    "train_features": list,
+    "kernel_config": dict,
+    "meta": dict,
+}
+
+
+def _model_array(doc: dict, key: str, shape: tuple, path) -> np.ndarray:
+    """A model-document array of the expected shape with finite entries."""
+    try:
+        arr = np.array(doc[key], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: {key!r} is not a numeric array: {exc}") from None
+    if arr.shape != shape:
+        raise InputError(f"{path}: {key!r} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise InputError(f"{path}: {key!r} has non-finite entries")
+    return arr
+
+
 def load_model(path) -> tuple[KfdaModel, dict]:
-    """Load a persisted model; returns (model, meta)."""
+    """Load a persisted model; returns (model, meta).
+
+    A document that is not a model of this format and version, lacks a
+    field, or holds a field of the wrong type or shape raises InputError.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -253,27 +289,40 @@ def load_model(path) -> tuple[KfdaModel, dict]:
         raise InputError(f"cannot open model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not a valid model file: {exc}") from exc
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise InputError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_VERSION:
         raise InputError(f"{path}: unsupported model version {doc.get('version')}")
+    doc.setdefault("meta", {})
+    for key, kind in _MODEL_FIELDS.items():
+        if key not in doc:
+            raise InputError(f"{path}: model file lacks field {key!r}")
+        if isinstance(doc[key], bool) or not isinstance(doc[key], kind):
+            raise InputError(f"{path}: field {key!r} has the wrong type")
+    n, d, p = doc["n"], doc["d"], doc["p"]
     cfg_doc = doc["kernel_config"]
-    if cfg_doc["type"] == "kernel":
-        kernel = KernelSpec.from_dict(cfg_doc)
-    elif cfg_doc["type"] == "mkl":
+    if cfg_doc.get("type") == "kernel":
+        parse = KernelSpec.from_dict
+    elif cfg_doc.get("type") == "mkl":
         from .mkl import MklConfig  # deferred: mkl depends on this module
 
-        kernel = MklConfig.from_dict(cfg_doc)
+        parse = MklConfig.from_dict
     else:
-        raise InputError(f"{path}: unknown kernel config type {cfg_doc['type']!r}")
+        raise InputError(f"{path}: unknown kernel config type {cfg_doc.get('type')!r}")
+    try:
+        kernel = parse(cfg_doc)
+    except InputError:  # a ValueError subclass that already names the problem
+        raise
+    except KeyError as exc:
+        raise InputError(f"{path}: kernel_config lacks field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed kernel_config: {exc}") from None
     model = KfdaModel(
-        A=np.array(doc["A"], dtype=np.float64),
-        eigvals=np.array(doc["eigvals"], dtype=np.float64),
+        A=_model_array(doc, "A", (n, p), path),
+        eigvals=_model_array(doc, "eigvals", (p,), path),
         regularizer=doc["regularizer"],
-        p=doc["p"],
-        train_basis=np.array(doc["train_features"], dtype=np.float64),
+        p=p,
+        train_basis=_model_array(doc, "train_features", (n, d), path),
         kernel_config=kernel,
     )
-    if model.n_train != doc["n"] or model.train_basis.shape[1] != doc["d"]:
-        raise InputError(f"{path}: dimension fields disagree with stored arrays")
-    return model, doc.get("meta", {})
+    return model, doc["meta"]

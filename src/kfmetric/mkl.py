@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, default_cameras, index_classes
+from .data import ClassIndex, Dataset, default_cameras, index_classes
 from .errors import InputError
 from .kernels import (
     KernelSpec,
@@ -237,7 +237,7 @@ def select_sm_pair(acc) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _Fold:
-    train_subset: tuple[int, ...]  # dataset indices, sorted
+    idx: ClassIndex  # classes of the fold's training samples, in train_pos order
     train_pos: tuple[int, ...]  # positions in the CV pool
     probe_pos: tuple[int, ...]
     gallery_pos: tuple[int, ...]
@@ -297,7 +297,7 @@ def _make_folds(
             continue
         built.append(
             _Fold(
-                train_subset=train_subset,
+                idx=index_classes(ds, train_subset),
                 train_pos=tuple(pos[i] for i in train_subset),
                 probe_pos=tuple(pos[i] for i in probe),
                 gallery_pos=tuple(pos[i] for i in galry),
@@ -310,10 +310,9 @@ def _make_folds(
     return _FoldPlan(pool_idx=tuple(pool_idx), folds=tuple(built))
 
 
-def _fold_rank1(ds, fold: _Fold, K_tr, K_probe, K_gal, eps: float) -> float:
+def _fold_rank1(fold: _Fold, K_tr, K_probe, K_gal, eps: float) -> float:
     """Rank-1 accuracy of one fold given its sliced kernel blocks."""
-    idx = index_classes(ds, fold.train_subset)
-    model = solve_kfda(build_scatter(K_tr, idx), idx.n_classes - 1, eps)
+    model = solve_kfda(build_scatter(K_tr, fold.idx), fold.idx.n_classes - 1, eps)
     dists = squared_distances(K_probe @ model.A, K_gal @ model.A)
     nearest = np.argmin(dists, axis=1)  # first minimum: lowest gallery index on ties
     hits = [fold.probe_ids[u] == fold.gallery_ids[v] for u, v in enumerate(nearest)]
@@ -361,7 +360,7 @@ def cv_kernel_accuracies(
     for r, spec in enumerate(bank):
         K_pool = gram(spec, X_pool).values
         for f, fold in enumerate(plan.folds):
-            per_fold[r, f] = _fold_rank1(ds, fold, *_fold_blocks(K_pool, fold), eps)
+            per_fold[r, f] = _fold_rank1(fold, *_fold_blocks(K_pool, fold), eps)
     pis = tuple(float(v) for v in np.nanmean(per_fold, axis=1))
     return KernelAccuracies(pis=pis, folds=folds, fold_seed=seed, per_fold=per_fold)
 
@@ -394,7 +393,7 @@ def select_tau(
     best_tau, best_score = taus[0], -1.0
     for tau in taus:
         scores = [
-            _fold_rank1(ds, fold, *_sm_blocks(K1_pool, K2_pool, fold, tau), eps)
+            _fold_rank1(fold, *_sm_blocks(K1_pool, K2_pool, fold, tau), eps)
             for fold in plan.folds
         ]
         mean = float(np.mean(scores))
@@ -433,7 +432,7 @@ def select_n(
         # convex combination commutes with block slicing, so combine once
         K_pool = sum(b * K for b, K in zip(beta, K_pools) if b != 0)
         scores = [
-            _fold_rank1(ds, fold, *_fold_blocks(K_pool, fold), eps) for fold in plan.folds
+            _fold_rank1(fold, *_fold_blocks(K_pool, fold), eps) for fold in plan.folds
         ]
         mean = float(np.mean(scores))
         if mean > best_score:

@@ -351,3 +351,44 @@ class TestModelFileFormat:
         assert len(doc["A"]) == doc["n"]
         assert len(doc["A"][0]) == doc["p"]
         assert len(doc["train_features"][0]) == doc["d"]
+
+
+def _without(doc, *keys):
+    """Copy of a model document with the field at the nested ``keys`` path removed."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    del node[keys[-1]]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def model_doc(fixture_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("model")
+    assert main(
+        [
+            "train", "--method", "kfda", "--features", str(fixture_csv),
+            "--out", str(out), "--seed", "1",
+        ]
+    ) == 0
+    return json.loads((out / "model.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda doc: _without(doc, "kernel_config", "width"), "lacks field 'width'"),
+        (lambda doc: [doc], "not a kfmetric-model file"),
+        (lambda doc: _without(doc, "A"), "lacks field 'A'"),
+        (lambda doc: {**doc, "p": doc["p"] + 1}, "'A' has shape"),
+    ],
+    ids=["no-kernel-width", "json-list", "no-A", "p-mismatch"],
+)
+def test_malformed_model_file_exit_2(model_doc, fixture_csv, tmp_path, corrupt, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(model_doc)))
+    proc = run_cli("evaluate", "--features", fixture_csv, "--out", tmp_path / "ev", "--model", bad)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr

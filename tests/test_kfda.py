@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kfmetric.data import Dataset, SplitPlan, index_classes
 from kfmetric.errors import InputError
 from kfmetric.kernels import KernelSpec, gram, squared_distances
 from kfmetric.kfda import (
+    RANGE_RTOL,
     KfdaModel,
     build_scatter,
     load_model,
@@ -134,8 +136,6 @@ class TestSolveKfda:
         assert np.all(model.eigvals >= 0)
 
     def test_rank_bound_on_full_spectrum(self):
-        import scipy.linalg
-
         labels = ["a"] * 5 + ["b"] * 5 + ["c"] * 5
         K, idx, _ = labeled_gram(15, labels, seed=10)
         sc = build_scatter(K, idx)
@@ -153,6 +153,56 @@ class TestSolveKfda:
             col = model.A[:, k]
             assert np.linalg.norm(col) == pytest.approx(1.0, abs=1e-12)
             assert col[int(np.argmax(np.abs(col)))] > 0
+
+
+def _dense_pencil(sc, p, eps):
+    """Top-p eigenpairs from a dense n x n generalized solve of (P, Q + eps I).
+
+    With eps == 0 the pencil is restricted to the numerical range of Q.
+    """
+    if eps > 0:
+        vals, vecs = scipy.linalg.eigh(sc.P, sc.Q + eps * np.eye(sc.Q.shape[0]))
+    else:
+        s, U = scipy.linalg.eigh(sc.Q)
+        keep = s > RANGE_RTOL * s[-1]
+        W = U[:, keep] / np.sqrt(s[keep])
+        vals, V = scipy.linalg.eigh(W.T @ sc.P @ W)
+        vecs = W @ V
+    return vals[::-1][:p], vecs[:, ::-1][:, :p]
+
+
+class TestLowRankMatchesDense:
+    @pytest.mark.parametrize(
+        "sizes, kind, eps",
+        [
+            ((3, 5, 2, 7, 4), "rbf", 1e-7),  # unequal class sizes
+            ((1, 1, 4, 3, 1, 6), "rbf", 1e-7),  # singleton classes
+            ((1,) * 5 + (3,) * 5, "rbf", 1e-7),
+            ((6, 9), "rbf", 1e-7),  # c = 2
+            ((1, 2), "rbf", 1e-3),  # c = 2 with a singleton, larger eps
+            ((2,) * 20, "rbf", 1e-7),
+            ((3, 4, 5, 2, 3, 4, 3, 2), "linear", 0.0),  # range-restricted path
+        ],
+    )
+    def test_matches_dense_generalized_eigh(self, sizes, kind, eps):
+        rng = np.random.default_rng(sum(sizes) * len(sizes))
+        n, c, d = sum(sizes), len(sizes), 5
+        cls = rng.permutation(np.repeat(np.arange(c), sizes))
+        X = rng.normal(size=(n, d)) + rng.normal(size=(c, d))[cls]
+        ds = Dataset(X, tuple(f"c{k:02d}" for k in cls), tuple(k % 2 for k in range(n)))
+        spec = KernelSpec("linear") if kind == "linear" else KernelSpec("rbf", 2.0)
+        sc = build_scatter(gram(spec, X).values, index_classes(ds, range(n)))
+        p = min(c - 1, d) if kind == "linear" else c - 1
+        model = solve_kfda(sc, p, eps)
+        vals, vecs = _dense_pencil(sc, p, eps)
+
+        np.testing.assert_allclose(model.eigvals, vals, rtol=1e-6)
+        assert scipy.linalg.subspace_angles(model.A, vecs).max() <= 1e-5
+        B = sc.Q + eps * np.eye(n)
+        bound = 1e-8 * np.linalg.norm(sc.P, 2)
+        for k in range(p):
+            resid = sc.P @ model.A[:, k] - model.eigvals[k] * (B @ model.A[:, k])
+            assert np.linalg.norm(resid) <= bound
 
 
 def _two_view_dataset(n_ids, d, seed, spread=4.0, noise=0.5):
