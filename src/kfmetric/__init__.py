@@ -9,9 +9,8 @@ rank-K / CMC reporting.
 from .config import RunConfig
 from .data import ClassIndex, Dataset, SplitPlan, index_classes, load_features, make_split
 from .errors import InputError, NumericError
-from .evaluation import CmcReport, RankedResult, cmc, dimension_sweep, rank_probe, run_trials
+from .evaluation import CmcReport, cmc_from_ranks, dimension_sweep, run_trials, true_ranks
 from .kernels import (
-    KernelBank,
     KernelMatrix,
     KernelSpec,
     combine_convex,
@@ -34,19 +33,17 @@ __all__ = [
     "Dataset",
     "InputError",
     "KernelAccuracies",
-    "KernelBank",
     "KernelMatrix",
     "KernelSpec",
     "KfdaModel",
     "MklConfig",
     "NumericError",
     "Projection",
-    "RankedResult",
     "RunConfig",
     "ScatterPair",
     "SplitPlan",
     "build_scatter",
-    "cmc",
+    "cmc_from_ranks",
     "combine_convex",
     "combine_sm",
     "cv_kernel_accuracies",
@@ -62,7 +59,6 @@ __all__ = [
     "make_split",
     "make_synthetic",
     "np_weights",
-    "rank_probe",
     "rms_width",
     "run_trials",
     "save_model",
@@ -70,5 +66,6 @@ __all__ = [
     "select_sm_pair",
     "solve_kfda",
     "train",
+    "true_ranks",
     "width_grid",
 ]

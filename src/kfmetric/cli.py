@@ -166,16 +166,22 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _meta_value(meta: dict, key: str, default, kind, path):
+    """A model file's ``meta[key]`` if present, checked to be a ``kind`` and not a bool."""
+    value = meta.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InputError(f"{path}: meta field {key!r} has the wrong type: {value!r}")
+    return value
+
+
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     ds = load_features(cfg.features)
     if args.model:
         model, meta = load_model(args.model)
-        plan = make_split(
-            ds,
-            int(meta.get("trial_seed", cfg.base_seed)),
-            float(meta.get("train_fraction", cfg.train_fraction)),
-        )
+        seed = _meta_value(meta, "trial_seed", cfg.base_seed, int, args.model)
+        fraction = _meta_value(meta, "train_fraction", cfg.train_fraction, (int, float), args.model)
+        plan = make_split(ds, seed, float(fraction))
         report = evaluate_model(ds, model, plan, cfg)
     else:
         report = run_trials(ds, cfg.method, cfg.trials, cfg.base_seed, cfg)

@@ -3,10 +3,12 @@
 Each trial draws its own identity split from ``base_seed + t``, trains the
 requested method on the training identities, and ranks every test probe
 against the full gallery from the other camera. Ties in matching score are
-broken by ascending gallery index. Probes whose identity is absent from the
-gallery are excluded from accuracy with a warning (distractor galleries make
-this legitimate). Rank-K accuracies are averaged over trials at full
-precision.
+broken by ascending gallery index: a true match g* with score s* ranks
+1 + #{g: s_g < s*} + #{g < g*: s_g = s*}, and a probe ranks at its
+best-placed match (see :func:`true_ranks`, the one ranking routine). Probes
+whose identity is absent from the gallery are excluded from accuracy with a
+warning (distractor galleries make this legitimate). Rank-K accuracies are
+averaged over trials at full precision.
 """
 
 from __future__ import annotations
@@ -26,22 +28,6 @@ from .kfda import KfdaModel, train
 from .metric import euclidean_score_matrix, embed_batch, score_matrix
 from .mkl import build_config as build_mkl_config
 from .mkl import cv_kernel_accuracies
-
-
-@dataclass(frozen=True)
-class RankedResult:
-    """Gallery ordering for one probe and the 1-based rank of its true match."""
-
-    probe_index: int
-    ordered_gallery: tuple[int, ...]
-    true_rank: int
-
-    def __post_init__(self):
-        m = len(self.ordered_gallery)
-        if sorted(self.ordered_gallery) != list(range(m)):
-            raise InputError("ordered_gallery must be a permutation of 0..m-1")
-        if not 1 <= self.true_rank <= m:
-            raise InputError(f"true_rank must be in 1..{m}, got {self.true_rank}")
 
 
 @dataclass(frozen=True)
@@ -77,65 +63,34 @@ class CmcReport:
         return float(self.mean_accuracy[self.ranks.index(k)])
 
 
-def rank_scores(probe_index, scores, probe_identity, gallery_identities) -> RankedResult | None:
-    """Order a gallery by ascending score; ties fall back to gallery index.
+def true_ranks(dists, probe_ids, gallery_ids) -> np.ndarray:
+    """1-based rank of each probe's true match in its row of ``dists``; 0 if absent.
 
-    Returns None with a warning when the probe's identity does not appear
-    in the gallery at all.
+    Row u of the (probes, gallery) matrix ``dists`` holds probe u's scores,
+    lower meaning closer. The gallery is ordered by ascending score with ties
+    broken by ascending gallery index, so a true match g* with score s* lands
+    at 1 + #{g: s_g < s*} + #{g < g*: s_g = s*}; the best-placed match
+    counts. Scores must be finite. Pass the identities as arrays when ranking
+    many small sets, so they are not converted on every call.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.shape[0] != len(gallery_identities):
-        raise InputError(
-            f"need one score per gallery item: {scores.shape} vs {len(gallery_identities)}"
-        )
-    if scores.shape[0] == 0:
+    dists = np.asarray(dists, dtype=np.float64)
+    probe_ids = np.asarray(probe_ids)
+    gallery_ids = np.asarray(gallery_ids)
+    m, g = len(probe_ids), len(gallery_ids)
+    if dists.shape != (m, g):
+        raise InputError(f"need a {m} x {g} score matrix, got shape {dists.shape}")
+    if g == 0:
         raise InputError("empty gallery")
-    order = np.argsort(scores, kind="stable")
-    for rank0, g in enumerate(order):
-        if gallery_identities[g] == probe_identity:
-            return RankedResult(
-                probe_index=probe_index,
-                ordered_gallery=tuple(int(g) for g in order),
-                true_rank=rank0 + 1,
-            )
-    warnings.warn(
-        f"probe {probe_index} (identity {probe_identity!r}) absent from gallery; "
-        "excluded from accuracy",
-        stacklevel=2,
+    match = probe_ids[:, None] == gallery_ids[None, :]
+    # first minimum over the matches: the lowest-scored, then lowest-index, match
+    best = np.argmin(np.where(match, dists, np.inf), axis=1)
+    s_best = dists[np.arange(m), best][:, None]
+    ranks = (
+        1
+        + np.count_nonzero(dists < s_best, axis=1)
+        + np.count_nonzero((dists == s_best) & (np.arange(g) < best[:, None]), axis=1)
     )
-    return None
-
-
-def rank_probe(
-    model: KfdaModel | None,
-    probe,
-    probe_identity,
-    gallery,
-    gallery_identities,
-    probe_index: int = 0,
-) -> RankedResult | None:
-    """Rank one probe against a gallery; model=None means the raw-feature baseline."""
-    probe = np.atleast_2d(np.asarray(probe, dtype=np.float64))
-    gallery = np.atleast_2d(np.asarray(gallery, dtype=np.float64))
-    if model is None:
-        scores = euclidean_score_matrix(probe, gallery)[0]
-    else:
-        scores = score_matrix(model, probe, gallery)[0]
-    return rank_scores(probe_index, scores, probe_identity, gallery_identities)
-
-
-def cmc(results, R: int) -> np.ndarray:
-    """accuracy[k] = fraction of results whose true match lands in the top k+1."""
-    results = list(results)
-    if not results:
-        raise InputError("no ranked results")
-    if R < 1:
-        raise InputError(f"R must be >= 1, got {R}")
-    if R > min(len(r.ordered_gallery) for r in results):
-        raise InputError("R exceeds the smallest gallery size")
-    ranks = np.array([r.true_rank for r in results])
-    counts = np.bincount(ranks, minlength=R + 1)[1 : R + 1]
-    return np.cumsum(counts) / len(results)
+    return np.where(match.any(axis=1), ranks, 0)
 
 
 def fit_for_trial(ds: Dataset, plan: SplitPlan, method: str, cfg: RunConfig) -> KfdaModel | None:
@@ -187,24 +142,23 @@ def _trial_sets(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> tuple[list[int]
 def score_plan(ds: Dataset, model: KfdaModel | None, plan: SplitPlan, cfg: RunConfig):
     """Rank every probe of a plan's test set. Returns (true_ranks, gallery size)."""
     probe_idx, gallery_idx = _trial_sets(ds, plan, cfg)
-    gal_ids = [ds.identities[i] for i in gallery_idx]
     if model is None:
         dists = euclidean_score_matrix(ds.features[probe_idx], ds.features[gallery_idx])
     else:
         dists = score_matrix(model, ds.features[probe_idx], ds.features[gallery_idx])
-    true_ranks = []
-    excluded = 0
-    for u, pi in enumerate(probe_idx):
-        result = rank_scores(u, dists[u], ds.identities[pi], gal_ids)
-        if result is None:
-            excluded += 1
-        else:
-            true_ranks.append(result.true_rank)
-    if not true_ranks:
+    ranks = true_ranks(
+        dists,
+        [ds.identities[i] for i in probe_idx],
+        [ds.identities[i] for i in gallery_idx],
+    )
+    found = ranks[ranks > 0]
+    if found.size == 0:
         raise InputError("every probe's identity was absent from the gallery")
-    if excluded:
-        warnings.warn(f"excluded {excluded} probes without a gallery match", stacklevel=2)
-    return true_ranks, len(gallery_idx)
+    if found.size < ranks.size:
+        warnings.warn(
+            f"excluded {ranks.size - found.size} probes without a gallery match", stacklevel=2
+        )
+    return found.tolist(), len(gallery_idx)
 
 
 def _run_single_trial(ds, method, seed, cfg) -> tuple[list[int], int]:
@@ -301,9 +255,13 @@ def dimension_sweep(
         probe_idx, gallery_idx = _trial_sets(ds, plan, cfg)
         emb_probe = embed_batch(model, ds.features[probe_idx])
         emb_gal = embed_batch(model, ds.features[gallery_idx])
-        gal_ids = np.array([ds.identities[i] for i in gallery_idx])
         probe_ids = np.array([ds.identities[i] for i in probe_idx])
-        valid = np.isin(probe_ids, gal_ids)
+        gal_ids = np.array([ds.identities[i] for i in gallery_idx])
+        ranks = [
+            true_ranks(squared_distances(emb_probe[:, :p], emb_gal[:, :p]), probe_ids, gal_ids)
+            for p in p_values
+        ]
+        valid = ranks[0] > 0
         if not valid.any():
             raise InputError(f"trial {t}: every probe's identity absent from the gallery")
         if not valid.all():
@@ -311,10 +269,8 @@ def dimension_sweep(
                 f"trial {t}: excluded {int((~valid).sum())} probes without a gallery match",
                 stacklevel=2,
             )
-        for p in p_values:
-            dists = squared_distances(emb_probe[valid, :p], emb_gal[:, :p])
-            nearest = np.argmin(dists, axis=1)
-            sums[p] += float(np.mean(gal_ids[nearest] == probe_ids[valid]))
+        for p, r in zip(p_values, ranks):
+            sums[p] += float(np.mean(r[valid] == 1))
     return [(p, sums[p] / trials) for p in p_values]
 
 

@@ -57,9 +57,9 @@ class KernelSpec:
         """Symmetrized square Gram over the rows of X."""
         return gram(self, X).values
 
-    def cross_gram(self, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Cross Gram: entry (u, v) = k(Y[u], X[v])."""
-        return gram(self, Y, X).values
+    def fold(self, X: np.ndarray, A: np.ndarray) -> tuple:
+        """Embedding terms over basis X: embed(Y) = k(Y, X) A."""
+        return ((self, A),)
 
     def to_dict(self) -> dict:
         return {"type": "kernel", "kind": self.kind, "width": self.width}
@@ -71,16 +71,9 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Realized kernel values with the sample-index bases they were built on.
-
-    A matrix whose row and column bases coincide is a square Gram and must be
-    symmetric; a square *cross* matrix (distinct or unrecorded bases) carries
-    no such obligation.
-    """
+    """Realized kernel values: a finite 2-D matrix, stored read-only."""
 
     values: np.ndarray
-    row_basis: tuple[int, ...] | None = None
-    col_basis: tuple[int, ...] | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -88,50 +81,12 @@ class KernelMatrix:
             raise InputError(f"kernel matrix must be 2-D, got shape {vals.shape}")
         if not np.isfinite(vals).all():
             raise NumericError("kernel matrix contains non-finite entries")
-        if self.row_basis is not None and self.row_basis == self.col_basis:
-            if vals.shape[0] != vals.shape[1]:
-                raise NumericError("equal bases require a square matrix")
-            if not np.allclose(vals, vals.T, atol=1e-12, rtol=0):
-                raise NumericError("square kernel matrix is not symmetric within 1e-12")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
-    def is_square_basis(self) -> bool:
-        if self.row_basis is not None and self.row_basis == self.col_basis:
-            return True
-        # without recorded bases, only an actually-symmetric square matrix
-        # is treated as a single-basis Gram
-        return (
-            self.row_basis is None
-            and self.col_basis is None
-            and self.values.shape[0] == self.values.shape[1]
-            and bool(np.allclose(self.values, self.values.T, atol=1e-12, rtol=0))
-        )
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
-
-
-@dataclass(frozen=True)
-class KernelBank:
-    """An ordered list of kernels realized over one common basis."""
-
-    specs: tuple[KernelSpec, ...]
-    matrices: tuple[KernelMatrix, ...]
-
-    def __post_init__(self):
-        if len(self.specs) < 1 or len(self.specs) != len(self.matrices):
-            raise InputError("bank needs q >= 1 specs with matching matrices")
-        first = self.matrices[0]
-        for m in self.matrices[1:]:
-            if m.shape != first.shape or m.row_basis != first.row_basis or m.col_basis != first.col_basis:
-                raise InputError("bank matrices must share one basis")
-
-    @property
-    def q(self) -> int:
-        return len(self.specs)
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
@@ -148,13 +103,7 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
     return float((x @ y + 1.0) ** 2)
 
 
-def gram(
-    spec: KernelSpec,
-    rows: np.ndarray,
-    cols: np.ndarray | None = None,
-    row_basis=None,
-    col_basis=None,
-) -> KernelMatrix:
+def gram(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray | None = None) -> KernelMatrix:
     """Kernel matrix with entry (u, v) = k(rows[u], cols[v]).
 
     When cols is omitted the matrix is treated as a square Gram over one
@@ -177,24 +126,14 @@ def gram(
         K = rows @ cols_arr.T
     else:
         K = (rows @ cols_arr.T + 1.0) ** 2
-    if K.shape[0] == K.shape[1] and (
-        same or (row_basis is not None and row_basis == col_basis)
-    ):
+    if same:
         K = 0.5 * (K + K.T)
-    if same and col_basis is None:
-        col_basis = row_basis
-    return KernelMatrix(
-        K,
-        tuple(row_basis) if row_basis is not None else None,
-        tuple(col_basis) if col_basis is not None else None,
-    )
+    return KernelMatrix(K)
 
 
-def bank_over(specs, X: np.ndarray, basis=None) -> KernelBank:
-    """Realize a list of kernel specs over one sample matrix."""
-    basis_t = tuple(basis) if basis is not None else None
-    mats = tuple(gram(s, X, row_basis=basis_t, col_basis=basis_t) for s in specs)
-    return KernelBank(tuple(specs), mats)
+def bank_over(specs, X: np.ndarray) -> tuple[KernelMatrix, ...]:
+    """Square Grams of a list of kernel specs over one sample matrix."""
+    return tuple(gram(s, X) for s in specs)
 
 
 def rms_width(ds, subset) -> float:
@@ -228,40 +167,36 @@ def width_grid(base: float, q: int, lo: float = 0.1, hi: float = 10.0) -> list[f
     return [float(base * m) for m in np.geomspace(lo, hi, q)]
 
 
-def combine_convex(bank: KernelBank, weights) -> KernelMatrix:
-    """Convex combination sum_t beta_t * K_t of the bank's matrices."""
+def combine_convex(mats, weights) -> KernelMatrix:
+    """Convex combination sum_t beta_t * K_t of equally shaped kernel matrices."""
+    mats = tuple(mats)
     beta = np.asarray(list(weights), dtype=np.float64)
-    if beta.shape != (bank.q,):
-        raise InputError(f"expected {bank.q} weights, got shape {beta.shape}")
+    if beta.shape != (len(mats),):
+        raise InputError(f"expected {len(mats)} weights, got shape {beta.shape}")
     if np.any(beta < 0):
         raise InputError("weights must be non-negative")
     if abs(float(beta.sum()) - 1.0) > WEIGHT_TOL:
         raise InputError(f"weights must sum to 1 within {WEIGHT_TOL}, got {beta.sum()!r}")
-    out = np.zeros(bank.matrices[0].shape)
-    for b, m in zip(beta, bank.matrices):
+    if any(m.shape != mats[0].shape for m in mats):
+        raise InputError("kernel matrices must share one shape")
+    out = np.zeros(mats[0].shape)
+    for b, m in zip(beta, mats):
         if b != 0.0:
             out += b * m.values
-    first = bank.matrices[0]
-    if first.is_square_basis:
-        out = 0.5 * (out + out.T)
-    return KernelMatrix(out, first.row_basis, first.col_basis)
+    return KernelMatrix(out)
 
 
 def combine_sm(K1: KernelMatrix, K2: KernelMatrix, tau: float) -> KernelMatrix:
     """Squared-matrix fusion 0.5*(K1+K2) + tau*(K1-K2)@(K1-K2).
 
     The square of the symmetric difference is PSD, so the result is PSD
-    whenever K1 and K2 are symmetric PSD over the same basis.
+    whenever K1 and K2 are symmetric PSD Grams over the same samples.
     """
     if tau < 0:
         raise InputError(f"tau must be non-negative, got {tau}")
     if K1.shape != K2.shape or K1.shape[0] != K1.shape[1]:
         raise InputError(f"need square matrices of equal shape, got {K1.shape} and {K2.shape}")
-    if K1.row_basis != K2.row_basis or K1.col_basis != K2.col_basis:
-        raise InputError("basis mismatch between K1 and K2")
-    if not (K1.is_square_basis and K2.is_square_basis):
-        raise InputError("squared-matrix combination needs square symmetric inputs")
     D = K1.values - K2.values
     out = 0.5 * (K1.values + K2.values) + tau * (D @ D)
     out = 0.5 * (out + out.T)
-    return KernelMatrix(out, K1.row_basis, K1.col_basis)
+    return KernelMatrix(out)

@@ -2,9 +2,10 @@
 
 From a square training Gram matrix K and a class index we form two n x n
 scatter surrogates: a between-class matrix P built from per-class mean
-kernel columns, and a within-class matrix Q built from class-centered
-kernel blocks. The discriminant expansion coefficients are the leading
-eigenvectors of the pencil ``P a = lambda (Q + eps I) a``.
+kernel columns (kept as its n x c factor M), and a within-class matrix Q
+built from class-centered kernel blocks. The discriminant expansion
+coefficients are the leading eigenvectors of the pencil
+``P a = lambda (Q + eps I) a``.
 
 P = M M^T has rank at most c - 1 for c classes, so the pencil is reduced
 to a c x c symmetric eigenproblem after whitening M by Q + eps I; the cost
@@ -16,7 +17,7 @@ singular whenever n > rank, so M is whitened over the numerical range of Q.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -36,9 +37,8 @@ MODEL_VERSION = 1
 
 @dataclass(frozen=True)
 class ScatterPair:
-    """Between-class (P) and within-class (Q) scatter surrogates over a Gram."""
+    """Between-class (P = M M^T) and within-class (Q) scatter surrogates over a Gram."""
 
-    P: np.ndarray
     Q: np.ndarray
     M: np.ndarray  # (n, c) between-class factor, P = M M^T
     class_means: np.ndarray  # (n, c), column i is the class-i mean kernel column
@@ -46,18 +46,22 @@ class ScatterPair:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.P.shape[0]
-        if self.P.shape != (n, n) or self.Q.shape != (n, n):
-            raise NumericError("scatter matrices must be square and equal-sized")
+        n = self.Q.shape[0]
+        if self.Q.shape != (n, n):
+            raise NumericError("within-class scatter Q must be square")
         if self.M.shape != (n, self.class_means.shape[1]):
             raise NumericError("between-class factor M must be n x c")
-        for S, name in ((self.P, "P"), (self.Q, "Q")):
-            # negated so that NaN entries fail the check too
-            if not np.abs(S - S.T).max() <= 1e-10:
-                raise NumericError(f"{name} not symmetric within 1e-10")
+        # negated so that NaN entries fail the check too
+        if not np.abs(self.Q - self.Q.T).max() <= 1e-10:
+            raise NumericError("Q not symmetric within 1e-10")
         weighted = self.class_means @ (np.asarray(self.counts, dtype=np.float64) / sum(self.counts))
         if not np.allclose(weighted, self.global_mean, atol=1e-10, rtol=0):
             raise NumericError("class means inconsistent with global mean")
+
+    @property
+    def P(self) -> np.ndarray:
+        """The n x n between-class scatter, formed on demand; the solver needs only M."""
+        return self.M @ self.M.T
 
     @property
     def n_classes(self) -> int:
@@ -70,9 +74,11 @@ class KfdaModel:
 
     A holds one unit-norm expansion-coefficient column per discriminant,
     sign-fixed so each column's largest-magnitude entry is positive.
-    ``train_basis`` (the retained training feature rows) and
-    ``kernel_config`` are attached by :func:`train`; a bare eigen solution
-    from :func:`solve_kfda` leaves them as None.
+    :func:`train` and :func:`load_model` attach ``train_basis`` X (the
+    retained training feature rows), ``kernel_config``, and ``terms``: the
+    configuration folded into pairs (kernel spec k_t, A_t) so that every
+    model embeds as ``sum_t k_t(Y, X) A_t``. A bare eigen solution from
+    :func:`solve_kfda` leaves all three unset.
     """
 
     A: np.ndarray
@@ -81,6 +87,7 @@ class KfdaModel:
     p: int
     train_basis: np.ndarray | None = None
     kernel_config: object | None = None
+    terms: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=np.float64)
@@ -106,17 +113,28 @@ class KfdaModel:
         """Model restricted to the p leading discriminants."""
         if not 1 <= p <= self.p:
             raise InputError(f"p must be in 1..{self.p}, got {p}")
-        return replace(self, A=self.A[:, :p], eigvals=self.eigvals[:p], p=p)
+        return replace(
+            self,
+            A=self.A[:, :p],
+            eigvals=self.eigvals[:p],
+            p=p,
+            terms=tuple((spec, A_t[:, :p]) for spec, A_t in self.terms),
+        )
+
+
+def _with_kernel(model: KfdaModel, X: np.ndarray, kernel) -> KfdaModel:
+    """Attach the training basis and kernel config, folded into embedding terms."""
+    return replace(model, train_basis=X, kernel_config=kernel, terms=kernel.fold(X, model.A))
 
 
 def build_scatter(K, idx: ClassIndex) -> ScatterPair:
-    """Form P, Q, and mean kernel columns from a square training Gram.
+    """Form the factor M of P, Q, and mean kernel columns from a square training Gram.
 
     K rows/columns must follow exactly the subset order the ClassIndex was
     built over. The class-i mean column is the average of K's columns for
-    class i; P is the count-weighted outer-product spread of those columns
-    around the global mean, and Q sums the class-centered column blocks
-    multiplied by their transposes.
+    class i; P = M M^T is the count-weighted outer-product spread of those
+    columns around the global mean, and Q sums the class-centered column
+    blocks multiplied by their transposes.
     """
     K = K.values if isinstance(K, KernelMatrix) else np.asarray(K, dtype=np.float64)
     n = idx.n_total
@@ -136,8 +154,7 @@ def build_scatter(K, idx: ClassIndex) -> ScatterPair:
     Q = Kc @ Kc.T  # A @ A.T runs as one syrk, which fills an exactly symmetric result
     gm = means @ (counts / n)
     M = (means - gm[:, None]) * np.sqrt(counts)
-    P = M @ M.T
-    return ScatterPair(P=P, Q=Q, M=M, class_means=means, global_mean=gm, counts=idx.counts)
+    return ScatterPair(Q=Q, M=M, class_means=means, global_mean=gm, counts=idx.counts)
 
 
 def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaModel:
@@ -210,7 +227,7 @@ def train(
 ) -> KfdaModel:
     """Fit a discriminant model on the plan's training identities.
 
-    ``kernel`` is anything exposing train_gram/cross_gram (a KernelSpec or a
+    ``kernel`` is anything exposing train_gram/fold (a KernelSpec or a
     learned multi-kernel configuration). ``p`` defaults to c - 1.
     """
     train_idx = sorted(ds.samples_of(plan.train_ids))
@@ -223,8 +240,7 @@ def train(
     X = ds.features[train_idx]
     K = kernel.train_gram(X)
     sc = build_scatter(K, idx)
-    model = solve_kfda(sc, p_eff, eps)
-    return replace(model, train_basis=X, kernel_config=kernel)
+    return _with_kernel(solve_kfda(sc, p_eff, eps), X, kernel)
 
 
 def save_model(model: KfdaModel, path, meta: dict | None = None) -> None:
@@ -317,12 +333,8 @@ def load_model(path) -> tuple[KfdaModel, dict]:
         raise InputError(f"{path}: kernel_config lacks field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed kernel_config: {exc}") from None
-    model = KfdaModel(
-        A=_model_array(doc, "A", (n, p), path),
-        eigvals=_model_array(doc, "eigvals", (p,), path),
-        regularizer=doc["regularizer"],
-        p=p,
-        train_basis=_model_array(doc, "train_features", (n, d), path),
-        kernel_config=kernel,
-    )
-    return model, doc["meta"]
+    A = _model_array(doc, "A", (n, p), path)
+    eigvals = _model_array(doc, "eigvals", (p,), path)
+    X = _model_array(doc, "train_features", (n, d), path)
+    model = KfdaModel(A=A, eigvals=eigvals, regularizer=doc["regularizer"], p=p)
+    return _with_kernel(model, X, kernel), doc["meta"]

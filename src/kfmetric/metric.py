@@ -1,10 +1,13 @@
 """Matching scores in the learned discriminative subspace.
 
 A sample y embeds as ``A.T k_y`` where k_y holds kernel evaluations of y
-against the retained training samples. The matching score between two
-samples is the squared Euclidean distance between their embeddings, which
-equals the learned Mahalanobis distance between the mapped samples; lower
-means closer. Scores stay squared since ranking is monotone-invariant.
+against the retained training samples X. Every trained model carries that
+map folded into terms (k_t, A_t), so single-kernel and multiple-kernel
+models embed by one rule, ``embed(Y) = sum_t k_t(Y, X) A_t``. The matching
+score between two samples is the squared Euclidean distance between their
+embeddings, which equals the learned Mahalanobis distance between the
+mapped samples; lower means closer. Scores stay squared since ranking is
+monotone-invariant.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .kernels import squared_distances
+from .kernels import gram, squared_distances
 from .kfda import KfdaModel
 
 
@@ -39,7 +42,7 @@ class Projection:
 
 
 def _check_trained(model: KfdaModel) -> None:
-    if model.train_basis is None or model.kernel_config is None:
+    if model.train_basis is None or not model.terms:
         raise InputError("model has no training basis; use a model from train()")
 
 
@@ -50,8 +53,7 @@ def embed_batch(model: KfdaModel, Y) -> np.ndarray:
     d = model.train_basis.shape[1]
     if Y.shape[1] != d:
         raise InputError(f"sample dimension {Y.shape[1]} != training dimension {d}")
-    Ky = model.kernel_config.cross_gram(Y, model.train_basis)
-    return Ky @ model.A
+    return sum(gram(spec, Y, model.train_basis).values @ A_t for spec, A_t in model.terms)
 
 
 def embed(model: KfdaModel, y) -> Projection:

@@ -111,22 +111,21 @@ class MklConfig:
         K2 = gram(self.bank_specs[j], X)
         return combine_sm(K1, K2, self.tau).values
 
-    def cross_gram(self, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
+    def fold(self, X: np.ndarray, A: np.ndarray) -> tuple:
+        """Embedding terms (spec_t, A_t) over basis X: embed(Y) = sum_t k_t(Y, X) A_t.
+
+        np: one term per active kernel, A_t = beta_t A. sm: the fused cross
+        kernel 0.5 (C_i + C_j) + tau (C_i - C_j) D, with D = K_i(X) - K_j(X),
+        applied to A splits into C_i (A/2 + tau D A) + C_j (A/2 - tau D A).
+        """
         if self.variant == "np":
-            out = None
-            for t, b in enumerate(self.weights):
-                if b == 0.0:
-                    continue
-                term = b * gram(self.bank_specs[t], Y, X).values
-                out = term if out is None else out + term
-            return out
-        # fused kernel of a test row against a training sample sums the
-        # per-sample kernel differences over the training basis
+            return tuple(
+                (spec, b * A) for spec, b in zip(self.bank_specs, self.weights) if b != 0.0
+            )
         i, j = self.pair
-        C1 = gram(self.bank_specs[i], Y, X).values
-        C2 = gram(self.bank_specs[j], Y, X).values
         D = gram(self.bank_specs[i], X).values - gram(self.bank_specs[j], X).values
-        return 0.5 * (C1 + C2) + self.tau * ((C1 - C2) @ D)
+        tDA = self.tau * (D @ A)
+        return ((self.bank_specs[i], 0.5 * A + tDA), (self.bank_specs[j], 0.5 * A - tDA))
 
     def to_dict(self) -> dict:
         doc = {
@@ -207,25 +206,6 @@ def np_weights(acc, N: int) -> list:
     return weights
 
 
-def pwmk_weights(acc, delta=None) -> list:
-    """Reference proportional rule without truncation: all kernels weighted.
-
-    ``delta`` defaults to the minimum accuracy, so the worst kernel gets
-    weight zero. Kept as a comparison path; the shipped method is the
-    truncated rule in :func:`np_weights`.
-    """
-    pis = list(acc.pis) if isinstance(acc, KernelAccuracies) else list(acc)
-    if delta is None:
-        delta = min(pis)
-    if delta > min(pis):
-        raise InputError("delta must not exceed the minimum accuracy")
-    total = sum(v - delta for v in pis)
-    if total <= 0:
-        warnings.warn("all kernel accuracies equal; using uniform weights", stacklevel=2)
-        return [1 / len(pis)] * len(pis)
-    return [(v - delta) / total for v in pis]
-
-
 def select_sm_pair(acc) -> tuple[int, int]:
     """Indices of the two best-performing kernels (stable on ties)."""
     pis = list(acc.pis) if isinstance(acc, KernelAccuracies) else list(acc)
@@ -241,8 +221,8 @@ class _Fold:
     train_pos: tuple[int, ...]  # positions in the CV pool
     probe_pos: tuple[int, ...]
     gallery_pos: tuple[int, ...]
-    probe_ids: tuple[str, ...]
-    gallery_ids: tuple[str, ...]
+    probe_ids: np.ndarray  # identities, built once so ranking does not convert them
+    gallery_ids: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -301,8 +281,8 @@ def _make_folds(
                 train_pos=tuple(pos[i] for i in train_subset),
                 probe_pos=tuple(pos[i] for i in probe),
                 gallery_pos=tuple(pos[i] for i in galry),
-                probe_ids=tuple(ds.identities[i] for i in probe),
-                gallery_ids=tuple(ds.identities[i] for i in galry),
+                probe_ids=np.array([ds.identities[i] for i in probe]),
+                gallery_ids=np.array([ds.identities[i] for i in galry]),
             )
         )
     if not built:
@@ -312,11 +292,12 @@ def _make_folds(
 
 def _fold_rank1(fold: _Fold, K_tr, K_probe, K_gal, eps: float) -> float:
     """Rank-1 accuracy of one fold given its sliced kernel blocks."""
+    from .evaluation import true_ranks  # deferred: evaluation depends on this module
+
     model = solve_kfda(build_scatter(K_tr, fold.idx), fold.idx.n_classes - 1, eps)
     dists = squared_distances(K_probe @ model.A, K_gal @ model.A)
-    nearest = np.argmin(dists, axis=1)  # first minimum: lowest gallery index on ties
-    hits = [fold.probe_ids[u] == fold.gallery_ids[v] for u, v in enumerate(nearest)]
-    return float(np.mean(hits))
+    # a probe without a match ranks 0, so it counts as a miss
+    return float(np.mean(true_ranks(dists, fold.probe_ids, fold.gallery_ids) == 1))
 
 
 def _fold_blocks(K_pool: np.ndarray, fold: _Fold):

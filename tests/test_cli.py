@@ -382,8 +382,15 @@ def model_doc(fixture_csv, tmp_path_factory):
         (lambda doc: [doc], "not a kfmetric-model file"),
         (lambda doc: _without(doc, "A"), "lacks field 'A'"),
         (lambda doc: {**doc, "p": doc["p"] + 1}, "'A' has shape"),
+        (lambda doc: {**doc, "meta": {**doc["meta"], "trial_seed": "x"}},
+         "meta field 'trial_seed' has the wrong type"),
+        (lambda doc: {**doc, "meta": {**doc["meta"], "trial_seed": True}},
+         "meta field 'trial_seed' has the wrong type"),
+        (lambda doc: {**doc, "meta": {**doc["meta"], "train_fraction": [0.5]}},
+         "meta field 'train_fraction' has the wrong type"),
     ],
-    ids=["no-kernel-width", "json-list", "no-A", "p-mismatch"],
+    ids=["no-kernel-width", "json-list", "no-A", "p-mismatch", "seed-string", "seed-bool",
+         "fraction-list"],
 )
 def test_malformed_model_file_exit_2(model_doc, fixture_csv, tmp_path, corrupt, message):
     bad = tmp_path / "bad.json"

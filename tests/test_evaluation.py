@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,127 +11,125 @@ from kfmetric.data import Dataset, make_split
 from kfmetric.errors import InputError
 from kfmetric.evaluation import (
     CmcReport,
-    RankedResult,
-    cmc,
+    cmc_from_ranks,
     dimension_sweep,
     evaluate_model,
     fit_for_trial,
-    rank_probe,
-    rank_scores,
     run_trials,
+    true_ranks,
     write_cmc_csv,
     write_sweep_csv,
 )
+from kfmetric.metric import euclidean_score_matrix, score_matrix
+from kfmetric.synthetic import make_synthetic
 
 QUIET = RunConfig(trials=3, folds=4, q=4, base_seed=0)
 
 
+def argsort_ranks(dists, probe_ids, gallery_ids):
+    """Reference: position of the first true match in a stable ascending sort; 0 if none."""
+    out = []
+    for u, row in enumerate(np.asarray(dists)):
+        order = np.argsort(row, kind="stable")
+        hits = [k for k, g in enumerate(order) if gallery_ids[g] == probe_ids[u]]
+        out.append(hits[0] + 1 if hits else 0)
+    return out
+
+
+def rank_one(scores, probe_id, gallery_ids) -> int:
+    return int(true_ranks(np.asarray([scores], dtype=float), [probe_id], gallery_ids)[0])
+
+
 class TestRankScores:
     def test_hand_sorted_example_with_tie(self):
+        # order (1, 3, 0, 4, 2): x is gallery item 3, tied with item 1 ahead of it
         scores = [0.3, 0.1, 0.9, 0.1, 0.5]
-        gallery_ids = ["u", "v", "w", "x", "y"]
-        result = rank_scores(0, scores, "x", gallery_ids)
-        assert result.ordered_gallery == (1, 3, 0, 4, 2)
-        assert result.true_rank == 2
+        assert rank_one(scores, "x", ["u", "v", "w", "x", "y"]) == 2
 
     def test_single_item_gallery(self):
-        result = rank_scores(0, [0.4], "a", ["a"])
-        assert result.true_rank == 1
+        assert rank_one([0.4], "a", ["a"]) == 1
 
     def test_all_tied_scores_keep_gallery_order(self):
-        result = rank_scores(0, [0.5, 0.5, 0.5], "c", ["a", "b", "c"])
-        assert result.ordered_gallery == (0, 1, 2)
-        assert result.true_rank == 3
+        assert rank_one([0.5, 0.5, 0.5], "c", ["a", "b", "c"]) == 3
 
-    def test_absent_identity_warns_and_returns_none(self):
-        with pytest.warns(UserWarning, match="absent"):
-            assert rank_scores(0, [0.1, 0.2], "zz", ["a", "b"]) is None
+    def test_absent_identity_ranks_zero(self):
+        assert rank_one([0.1, 0.2], "zz", ["a", "b"]) == 0
 
     def test_score_count_mismatch(self):
-        with pytest.raises(InputError, match="one score per gallery"):
-            rank_scores(0, [0.1], "a", ["a", "b"])
+        with pytest.raises(InputError, match="score matrix"):
+            true_ranks(np.array([[0.1]]), ["a"], ["a", "b"])
 
     def test_monotone_transform_leaves_result_unchanged(self):
         rng = np.random.default_rng(0)
-        scores = rng.uniform(size=8)
+        scores = rng.uniform(size=(5, 8))
         ids = [f"g{k}" for k in range(8)]
-        base = rank_scores(0, scores, "g3", ids)
+        probes = ["g3", "g0", "g7", "g3", "zz"]
+        base = true_ranks(scores, probes, ids)
         for transform in (lambda s: 2 * s + 1, np.exp, lambda s: s**3 + s):
-            again = rank_scores(0, transform(scores), "g3", ids)
-            assert again.ordered_gallery == base.ordered_gallery
-            assert again.true_rank == base.true_rank
+            np.testing.assert_array_equal(true_ranks(transform(scores), probes, ids), base)
 
     def test_permutation_invariance_with_distinct_scores(self):
         rng = np.random.default_rng(1)
         scores = rng.permutation(np.linspace(0.1, 0.9, 7))
         ids = [f"g{k}" for k in range(7)]
-        base = rank_scores(0, scores, "g2", ids)
         perm = rng.permutation(7)
-        shuffled = rank_scores(0, scores[perm], "g2", [ids[j] for j in perm])
-        assert shuffled.true_rank == base.true_rank
+        assert rank_one(scores[perm], "g2", [ids[j] for j in perm]) == rank_one(scores, "g2", ids)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_stable_argsort_reference(self, data):
+        # integer scores force ties; ids drawn from a small pool repeat in the
+        # gallery and leave some probes without a match
+        m = data.draw(st.integers(1, 6), label="probes")
+        g = data.draw(st.integers(1, 9), label="gallery")
+        pool = st.integers(0, 4)
+        probe_ids = data.draw(st.lists(pool, min_size=m, max_size=m), label="probe_ids")
+        gallery_ids = data.draw(st.lists(pool, min_size=g, max_size=g), label="gallery_ids")
+        scores = data.draw(
+            st.lists(st.integers(0, 3), min_size=m * g, max_size=m * g), label="scores"
+        )
+        dists = np.array(scores, dtype=float).reshape(m, g)
+        got = true_ranks(dists, np.array(probe_ids), np.array(gallery_ids))
+        assert got.tolist() == argsort_ranks(dists, probe_ids, gallery_ids)
 
 
 class TestRankProbe:
     def test_euclidean_baseline(self):
         gallery = np.array([[0.0, 0.0], [5.0, 5.0], [1.0, 1.0]])
-        result = rank_probe(None, [0.9, 0.9], "b", gallery, ["a", "c", "b"])
-        assert result.ordered_gallery == (2, 0, 1)
-        assert result.true_rank == 1
+        dists = euclidean_score_matrix(np.array([[0.9, 0.9]]), gallery)
+        assert true_ranks(dists, ["b"], ["a", "c", "b"]).tolist() == [1]
 
     def test_with_trained_model(self, separable_ds):
         plan = make_split(separable_ds, 0)
         model = fit_for_trial(separable_ds, plan, "kfda", QUIET)
         probe_idx = sorted(separable_ds.samples_of(plan.test_ids, 0))
         gallery_idx = sorted(separable_ds.samples_of(plan.test_ids, 1))
-        gal_ids = [separable_ds.identities[i] for i in gallery_idx]
-        probe = separable_ds.features[probe_idx[0]]
-        result = rank_probe(
-            model, probe, separable_ds.identities[probe_idx[0]],
-            separable_ds.features[gallery_idx], gal_ids,
+        dists = score_matrix(
+            model, separable_ds.features[probe_idx[:1]], separable_ds.features[gallery_idx]
         )
-        assert result.true_rank == 1
+        ranks = true_ranks(
+            dists,
+            [separable_ds.identities[probe_idx[0]]],
+            [separable_ds.identities[i] for i in gallery_idx],
+        )
+        assert ranks.tolist() == [1]
 
 
 class TestCmc:
     def test_all_rank_one(self):
-        results = [
-            RankedResult(i, tuple(range(4)), 1) for i in range(5)
-        ]
-        np.testing.assert_array_equal(cmc(results, 4), np.ones(4))
+        np.testing.assert_array_equal(cmc_from_ranks([1] * 5, 4), np.ones(4))
 
     def test_hand_counts(self):
-        results = [
-            RankedResult(0, (0, 1, 2), 1),
-            RankedResult(1, (2, 1, 0), 3),
-        ]
-        np.testing.assert_allclose(cmc(results, 3), [0.5, 0.5, 1.0])
-
-    def test_rejects_empty_and_oversized_r(self):
-        with pytest.raises(InputError, match="no ranked results"):
-            cmc([], 3)
-        results = [RankedResult(0, (0, 1), 1)]
-        with pytest.raises(InputError, match="exceeds"):
-            cmc(results, 3)
+        np.testing.assert_allclose(cmc_from_ranks([1, 3], 3), [0.5, 0.5, 1.0])
 
     @given(
         ranks=st.lists(st.integers(1, 6), min_size=1, max_size=30),
     )
     @settings(max_examples=60, deadline=None)
     def test_non_decreasing_for_any_input(self, ranks):
-        results = [RankedResult(i, tuple(range(6)), r) for i, r in enumerate(ranks)]
-        curve = cmc(results, 6)
+        curve = cmc_from_ranks(ranks, 6)
         assert np.all(np.diff(curve) >= 0)
-        assert curve[-1] == 1.0  # every true_rank <= gallery size
-
-
-class TestRankedResultValidation:
-    def test_rejects_non_permutation(self):
-        with pytest.raises(InputError, match="permutation"):
-            RankedResult(0, (0, 0, 2), 1)
-
-    def test_rejects_out_of_range_rank(self):
-        with pytest.raises(InputError, match="true_rank"):
-            RankedResult(0, (0, 1), 3)
+        assert curve[-1] == 1.0  # every true rank <= gallery size
 
 
 class TestRunTrials:
@@ -179,14 +178,20 @@ class TestRunTrials:
         with pytest.raises(InputError, match="trial 0"):
             run_trials(ds_small, "np-mfml", 1, 0, cfg)
 
-    def test_threaded_matches_serial(self, separable_ds):
-        serial = run_trials(separable_ds, "kfda", 3, 2, QUIET)
-        import dataclasses
-
+    def test_threaded_matches_serial(self, tmp_path):
+        # 80 identities at noise 0.6: rank-1 is well below 100% here, so a
+        # thread-dependent ranking would show in the CMC bytes
+        ds = make_synthetic(identities=80, dim=20, noise=0.6, view_offset=30.0, seed=0)
         threaded_cfg = dataclasses.replace(QUIET, threads=3)
-        threaded = run_trials(separable_ds, "kfda", 3, 2, threaded_cfg)
-        np.testing.assert_array_equal(serial.per_trial, threaded.per_trial)
-        assert serial.config_digest == threaded.config_digest
+        for method in ("kfda", "np-mfml", "sm-mfml"):
+            serial = run_trials(ds, method, 3, 2, QUIET)
+            threaded = run_trials(ds, method, 3, 2, threaded_cfg)
+            write_cmc_csv(serial, tmp_path / f"{method}-serial.csv")
+            write_cmc_csv(threaded, tmp_path / f"{method}-threaded.csv")
+            assert (tmp_path / f"{method}-serial.csv").read_bytes() == (
+                tmp_path / f"{method}-threaded.csv"
+            ).read_bytes(), method
+            assert serial.config_digest == threaded.config_digest
 
 
 class TestDistractors:
@@ -211,8 +216,6 @@ class TestDistractors:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with_d = run_trials(ds, "euclidean", 1, 0, cfg)
-            import dataclasses
-
             without = run_trials(
                 ds, "euclidean", 1, 0, dataclasses.replace(cfg, include_distractors=False)
             )

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kfmetric.data import Dataset
 from kfmetric.errors import InputError, NumericError
 from kfmetric.kernels import (
-    KernelBank,
     KernelMatrix,
     KernelSpec,
     bank_over,
@@ -109,13 +108,6 @@ class TestGram:
         with pytest.raises(InputError, match="empty"):
             gram(KernelSpec("linear"), np.empty((0, 3)))
 
-    def test_basis_tracking(self):
-        X = np.eye(3)
-        K = gram(KernelSpec("linear"), X, row_basis=(4, 5, 6))
-        assert K.row_basis == (4, 5, 6)
-        assert K.col_basis == (4, 5, 6)
-        assert K.is_square_basis
-
 
 class TestRmsWidth:
     def _ds(self, rows):
@@ -177,8 +169,7 @@ class TestWidthGrid:
 
 class TestCombineConvex:
     def _bank(self, mats):
-        specs = tuple(KernelSpec("rbf", float(k + 1)) for k in range(len(mats)))
-        return KernelBank(specs, tuple(KernelMatrix(np.asarray(m, dtype=float)) for m in mats))
+        return tuple(KernelMatrix(np.asarray(m, dtype=float)) for m in mats)
 
     def test_one_hot_returns_that_kernel(self):
         mats = [np.eye(2), [[2.0, 0.5], [0.5, 2.0]], [[3.0, 0.0], [0.0, 1.0]]]
@@ -209,6 +200,10 @@ class TestCombineConvex:
         with pytest.raises(InputError, match="expected 2"):
             combine_convex(bank, [1.0])
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(InputError, match="one shape"):
+            combine_convex(self._bank([np.eye(2), np.eye(3)]), [0.5, 0.5])
+
 
 class TestCombineSm:
     def test_equal_inputs_vanishing_difference(self):
@@ -229,15 +224,14 @@ class TestCombineSm:
         np.testing.assert_allclose(out.values, [[2.5, 0.0], [0.0, 1.0]], atol=1e-15)
 
     def test_errors(self):
-        K1 = KernelMatrix(np.eye(2), row_basis=(0, 1), col_basis=(0, 1))
-        K2 = KernelMatrix(np.eye(2), row_basis=(2, 3), col_basis=(2, 3))
-        with pytest.raises(InputError, match="basis"):
-            combine_sm(K1, K2, tau=0.1)
+        K1 = KernelMatrix(np.eye(2))
         with pytest.raises(InputError, match="non-negative"):
             combine_sm(K1, K1, tau=-0.5)
         K3 = KernelMatrix(np.ones((2, 3)))
         with pytest.raises(InputError, match="square"):
             combine_sm(K3, K3, tau=0.1)
+        with pytest.raises(InputError, match="equal shape"):
+            combine_sm(K1, KernelMatrix(np.eye(3)), tau=0.1)
 
 
 class TestPsdProperties:
@@ -276,25 +270,6 @@ class TestPsdProperties:
 
 
 class TestKernelMatrixValidation:
-    def test_asymmetric_with_equal_bases_rejected(self):
-        with pytest.raises(NumericError, match="symmetric"):
-            KernelMatrix(
-                np.array([[1.0, 0.5], [0.6, 1.0]]), row_basis=(0, 1), col_basis=(0, 1)
-            )
-
-    def test_square_cross_matrix_is_not_a_gram(self):
-        # square but asymmetric with no bases: a cross matrix, accepted
-        cross = KernelMatrix(np.array([[1.0, 0.5], [0.6, 1.0]]))
-        assert not cross.is_square_basis
-        with pytest.raises(InputError, match="symmetric"):
-            combine_sm(cross, cross, tau=0.1)
-
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericError, match="non-finite"):
             KernelMatrix(np.array([[1.0, np.inf], [np.inf, 1.0]]))
-
-    def test_bank_requires_common_basis(self):
-        K1 = KernelMatrix(np.eye(2), row_basis=(0, 1), col_basis=(0, 1))
-        K2 = KernelMatrix(np.eye(2), row_basis=(5, 6), col_basis=(5, 6))
-        with pytest.raises(InputError, match="basis"):
-            KernelBank((KernelSpec("linear"), KernelSpec("linear")), (K1, K2))

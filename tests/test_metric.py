@@ -6,6 +6,7 @@ from kfmetric.data import Dataset, SplitPlan, index_classes
 from kfmetric.errors import InputError
 from kfmetric.kernels import KernelSpec, gram
 from kfmetric.kfda import build_scatter, solve_kfda, train
+from kfmetric.mkl import MklConfig
 from kfmetric.metric import (
     Projection,
     embed,
@@ -19,7 +20,8 @@ from kfmetric.metric import (
 from oracles import poly2_map
 
 
-def small_model(n_ids=4, per_id=3, d=3, seed=0, kind="rbf", width=2.0, eps=1e-7, p=None):
+def small_problem(n_ids=4, per_id=3, d=3, seed=0):
+    """A few clustered identities, all of them training identities."""
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(n_ids, d)) * 3.0
     rows, ids, cams = [], [], []
@@ -36,18 +38,42 @@ def small_model(n_ids=4, per_id=3, d=3, seed=0, kind="rbf", width=2.0, eps=1e-7,
         probe_camera=0,
         gallery_camera=1,
     )
+    return ds, plan
+
+
+def small_model(n_ids=4, per_id=3, d=3, seed=0, kind="rbf", width=2.0, eps=1e-7, p=None):
+    ds, plan = small_problem(n_ids, per_id, d, seed)
     spec = KernelSpec(kind, width if kind == "rbf" else None)
     return ds, train(ds, plan, spec, eps=eps, p=p)
 
 
 class TestEmbed:
     def test_training_sample_reproduces_gram_column(self):
-        ds, model = small_model(seed=1)
-        K = model.kernel_config.train_gram(model.train_basis)
-        for j in (0, 4, 7):
-            proj = embed(model, model.train_basis[j])
-            expected = model.A.T @ K[:, j]
-            np.testing.assert_allclose(proj.coords, expected, atol=1e-12)
+        # every kernel config, folded into terms, embeds a basis row j as A^T K[:, j]
+        ds, plan = small_problem(seed=1)
+        bank = tuple(KernelSpec("rbf", w) for w in (0.7, 2.0, 5.0))
+        configs = (
+            bank[1],
+            MklConfig("np", bank, weights=(0.5, 0.0, 0.5), n_top=2),
+            MklConfig("sm", bank, pair=(2, 0), tau=0.3),
+        )
+        for kernel in configs:
+            model = train(ds, plan, kernel)
+            K = kernel.train_gram(model.train_basis)
+            for j in (0, 4, 7):
+                proj = embed(model, model.train_basis[j])
+                np.testing.assert_allclose(proj.coords, model.A.T @ K[:, j], rtol=0, atol=1e-10)
+
+    def test_truncated_model_embeds_leading_columns(self):
+        ds, plan = small_problem(seed=2)
+        bank = tuple(KernelSpec("rbf", w) for w in (0.7, 2.0, 5.0))
+        Y = ds.features[:5]
+        for kernel in (bank[0], MklConfig("sm", bank, pair=(0, 1), tau=0.2)):
+            model = train(ds, plan, kernel)
+            np.testing.assert_allclose(
+                embed_batch(model.truncated(2), Y), embed_batch(model, Y)[:, :2],
+                rtol=0, atol=1e-12,
+            )
 
     def test_single_discriminant_scalar_shape(self):
         ds, model = small_model(n_ids=2, seed=2)

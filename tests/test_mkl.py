@@ -14,7 +14,6 @@ from kfmetric.mkl import (
     build_config,
     cv_kernel_accuracies,
     np_weights,
-    pwmk_weights,
     select_n,
     select_sm_pair,
     select_tau,
@@ -94,23 +93,6 @@ class TestNpWeights:
     def test_accepts_accuracy_object(self):
         acc = KernelAccuracies((0.9, 0.8, 0.5), folds=10, fold_seed=0)
         assert np_weights(acc, 2) == pytest.approx([4 / 7, 3 / 7, 0.0], abs=1e-12)
-
-
-class TestPwmkReference:
-    def test_proportional_with_min_threshold(self):
-        beta = pwmk_weights([0.9, 0.8, 0.5])
-        # numerators 0.4, 0.3, 0.0 -> same selected ratios as the truncated rule
-        assert beta == pytest.approx([4 / 7, 3 / 7, 0.0], abs=1e-12)
-        assert sum(beta) == pytest.approx(1.0, abs=1e-12)
-
-    def test_spreads_weight_over_all_kernels(self):
-        beta = pwmk_weights([0.9, 0.8, 0.5], delta=0.4)
-        assert all(b > 0 for b in beta)
-
-    def test_all_equal_uniform(self):
-        with pytest.warns(UserWarning, match="uniform"):
-            beta = pwmk_weights([0.5, 0.5])
-        assert beta == [0.5, 0.5]
 
 
 class TestSelectSmPair:
@@ -306,14 +288,6 @@ class TestMklConfig:
         cfg = MklConfig("np", bank, weights=(0.25, 0.75, 0.0), n_top=2)
         expected = 0.25 * bank[0].train_gram(X) + 0.75 * bank[1].train_gram(X)
         np.testing.assert_allclose(cfg.train_gram(X), expected, atol=1e-13)
-
-    def test_sm_cross_gram_reduces_to_train_gram_on_basis(self, rng):
-        bank = self._bank(2)
-        X = rng.normal(size=(7, 3))
-        cfg = MklConfig("sm", bank, pair=(0, 1), tau=0.3)
-        K_train = cfg.train_gram(X)
-        K_cross = cfg.cross_gram(X, X)
-        np.testing.assert_allclose(K_cross, K_train, atol=1e-10)
 
     def test_np_combined_gram_is_psd(self, rng):
         bank = self._bank(4)
