@@ -19,11 +19,12 @@ from .evaluation import (
     dimension_sweep,
     evaluate_model,
     fit_for_trial,
+    rbf_bank,
     run_trials,
     write_cmc_csv,
     write_sweep_csv,
 )
-from .kernels import KernelSpec, rms_width, width_grid
+from .kernels import KernelSpec
 from .kfda import load_model, save_model
 from .mkl import cv_kernel_accuracies, select_n, select_sm_pair, select_tau, write_cv_csv
 
@@ -119,13 +120,6 @@ def _print_summary(report) -> None:
             print(f"rank-{k} {100.0 * report.rank_accuracy(k):.2f}%")
 
 
-def _bank_for(ds, train_idx, cfg: RunConfig) -> list[KernelSpec]:
-    base = rms_width(ds, train_idx)
-    if cfg.q == 1:
-        return [KernelSpec("rbf", base)]
-    return [KernelSpec("rbf", w) for w in width_grid(base, cfg.q, cfg.width_lo, cfg.width_hi)]
-
-
 def _describe_kernel(kernel) -> str:
     if isinstance(kernel, KernelSpec):
         return f"{kernel.kind} width={kernel.width!r}"
@@ -198,7 +192,7 @@ def cmd_cv(args) -> int:
     ds = load_features(cfg.features)
     plan = make_split(ds, cfg.base_seed, cfg.train_fraction)
     train_idx = sorted(ds.samples_of(plan.train_ids))
-    bank = _bank_for(ds, train_idx, cfg)
+    bank = rbf_bank(ds, train_idx, cfg)
     acc = cv_kernel_accuracies(
         ds, plan.train_ids, bank, cfg.folds, plan.trial_seed, cfg.eps,
         plan.probe_camera, plan.gallery_camera,

@@ -18,6 +18,12 @@ METHODS = ("euclidean", "kfda", "np-mfml", "sm-mfml")
 
 DEFAULT_TAU_GRID = (0.0, 1e-3, 1e-2, 1e-1, 1.0)
 
+
+def default_n_grid(q: int) -> tuple[int, ...]:
+    """The N values searched over a q-kernel bank: 1..min(5, q-1), or (1,) when q = 1."""
+    return tuple(range(1, min(5, q - 1) + 1)) if q > 1 else (1,)
+
+
 # fields hashed into the config digest, in canonical order
 _DIGEST_FIELDS = (
     "method",
@@ -89,9 +95,7 @@ class RunConfig:
                 raise InputError(f"feature file does not exist: {self.features}")
 
     def effective_n_grid(self) -> tuple[int, ...]:
-        if self.n_grid is not None:
-            return tuple(self.n_grid)
-        return tuple(range(1, min(5, self.q - 1) + 1)) if self.q > 1 else (1,)
+        return tuple(self.n_grid) if self.n_grid is not None else default_n_grid(self.q)
 
     def digest(self) -> str:
         """sha256 over the protocol fields; stable across file locations."""

@@ -93,19 +93,29 @@ def true_ranks(dists, probe_ids, gallery_ids) -> np.ndarray:
     return np.where(match.any(axis=1), ranks, 0)
 
 
+def rbf_bank(ds: Dataset, train_idx, cfg: RunConfig) -> tuple[KernelSpec, ...]:
+    """The run's cfg.q rbf kernels, with widths on a log grid around the training rms width.
+
+    q = 1 gives the single kernel at the rms width itself.
+    """
+    base = rms_width(ds, train_idx)
+    if cfg.q == 1:
+        return (KernelSpec("rbf", base),)
+    return tuple(KernelSpec("rbf", w) for w in width_grid(base, cfg.q, cfg.width_lo, cfg.width_hi))
+
+
 def fit_for_trial(ds: Dataset, plan: SplitPlan, method: str, cfg: RunConfig) -> KfdaModel | None:
     """Train the model one trial needs; None for the raw-feature baseline."""
     if method == "euclidean":
         return None
     train_idx = sorted(ds.samples_of(plan.train_ids))
-    base_width = rms_width(ds, train_idx)
     if method == "kfda":
-        return train(ds, plan, KernelSpec("rbf", base_width), cfg.eps, cfg.p)
+        return train(ds, plan, KernelSpec("rbf", rms_width(ds, train_idx)), cfg.eps, cfg.p)
     if method not in ("np-mfml", "sm-mfml"):
         raise InputError(f"unknown method {method!r}")
     if cfg.q < 2:
         raise InputError(f"multi-kernel methods need q >= 2 kernels, got {cfg.q}")
-    bank = [KernelSpec("rbf", w) for w in width_grid(base_width, cfg.q, cfg.width_lo, cfg.width_hi)]
+    bank = rbf_bank(ds, train_idx, cfg)
     acc = cv_kernel_accuracies(
         ds, plan.train_ids, bank, cfg.folds, plan.trial_seed, cfg.eps,
         plan.probe_camera, plan.gallery_camera,

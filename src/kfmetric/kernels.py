@@ -53,6 +53,15 @@ class KernelSpec:
             if self.width is None or not np.isfinite(self.width) or self.width <= 0:
                 raise InputError(f"rbf kernel needs width > 0, got {self.width}")
 
+    @property
+    def specs(self) -> tuple["KernelSpec", ...]:
+        """The base kernels this kernel is built from: itself."""
+        return (self,)
+
+    def fuse(self, grams, crosses=()):
+        """The Gram and cross blocks of :attr:`specs`, unchanged (see ``MklConfig.fuse``)."""
+        return grams[0], tuple(blocks[0] for blocks in crosses)
+
     def train_gram(self, X: np.ndarray) -> np.ndarray:
         """Symmetrized square Gram over the rows of X."""
         return gram(self, X).values

@@ -3,6 +3,8 @@
 Identities (not samples) are partitioned into folds, so each held-out fold
 contains classes unseen by that fold's model, mirroring the probe/gallery
 protocol. Each kernel's accuracy pi_r is its mean held-out rank-1 score.
+Every cross-validated choice (pi_r, N and tau) is scored by one loop that
+runs each candidate kernel configuration on the same folds.
 
 Two combination strategies are supported:
 
@@ -21,12 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT_TAU_GRID, default_n_grid
 from .data import ClassIndex, Dataset, default_cameras, index_classes
 from .errors import InputError
 from .kernels import (
+    KernelMatrix,
     KernelSpec,
-    bank_over,
-    combine_convex,
     combine_sm,
     gram,
     squared_distances,
@@ -101,15 +103,32 @@ class MklConfig:
             raise InputError(f"unknown mkl variant {self.variant!r}")
         object.__setattr__(self, "bank_specs", tuple(self.bank_specs))
 
-    def train_gram(self, X: np.ndarray) -> np.ndarray:
+    @property
+    def specs(self) -> tuple[KernelSpec, ...]:
+        """The bank kernels this config fuses: the nonzero-weight np kernels, or the sm pair."""
         if self.variant == "np":
-            active = [t for t, b in enumerate(self.weights) if b != 0.0]
-            bank = bank_over([self.bank_specs[t] for t in active], X)
-            return combine_convex(bank, [self.weights[t] for t in active]).values
-        i, j = self.pair
-        K1 = gram(self.bank_specs[i], X)
-        K2 = gram(self.bank_specs[j], X)
-        return combine_sm(K1, K2, self.tau).values
+            return tuple(s for s, b in zip(self.bank_specs, self.weights) if b != 0.0)
+        return tuple(self.bank_specs[t] for t in self.pair)
+
+    def fuse(self, grams, crosses=()):
+        """The fused Gram and fused cross blocks over one basis, as (K, (C, ...)).
+
+        ``grams[t]`` is the square Gram of ``specs[t]`` over the basis; each
+        entry of ``crosses`` holds one cross block per spec against it. np
+        sums with the nonzero weights; sm fuses the Grams by :func:`combine_sm`
+        and a cross block as 0.5 (C_i + C_j) + tau (C_i - C_j) (K_i - K_j).
+        """
+        if self.variant == "np":
+            beta = [b for b in self.weights if b != 0.0]
+            K, *C = (sum(b * B for b, B in zip(beta, blocks)) for blocks in (grams, *crosses))
+            return K, tuple(C)
+        Ki, Kj = grams
+        D = Ki - Kj
+        K = combine_sm(KernelMatrix(Ki), KernelMatrix(Kj), self.tau).values
+        return K, tuple(0.5 * (Ci + Cj) + self.tau * ((Ci - Cj) @ D) for Ci, Cj in crosses)
+
+    def train_gram(self, X: np.ndarray) -> np.ndarray:
+        return self.fuse([gram(s, X).values for s in self.specs])[0]
 
     def fold(self, X: np.ndarray, A: np.ndarray) -> tuple:
         """Embedding terms (spec_t, A_t) over basis X: embed(Y) = sum_t k_t(Y, X) A_t.
@@ -122,10 +141,10 @@ class MklConfig:
             return tuple(
                 (spec, b * A) for spec, b in zip(self.bank_specs, self.weights) if b != 0.0
             )
-        i, j = self.pair
-        D = gram(self.bank_specs[i], X).values - gram(self.bank_specs[j], X).values
+        spec_i, spec_j = self.specs
+        D = gram(spec_i, X).values - gram(spec_j, X).values
         tDA = self.tau * (D @ A)
-        return ((self.bank_specs[i], 0.5 * A + tDA), (self.bank_specs[j], 0.5 * A - tDA))
+        return ((spec_i, 0.5 * A + tDA), (spec_j, 0.5 * A - tDA))
 
     def to_dict(self) -> dict:
         doc = {
@@ -217,6 +236,7 @@ def select_sm_pair(acc) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _Fold:
+    number: int  # position among the planned folds, skipped ones included
     idx: ClassIndex  # classes of the fold's training samples, in train_pos order
     train_pos: tuple[int, ...]  # positions in the CV pool
     probe_pos: tuple[int, ...]
@@ -225,20 +245,8 @@ class _Fold:
     gallery_ids: np.ndarray
 
 
-@dataclass(frozen=True)
-class _FoldPlan:
-    pool_idx: tuple[int, ...]
-    folds: tuple[_Fold, ...]
-
-
-def _make_folds(
-    ds: Dataset,
-    train_ids,
-    folds: int,
-    seed: int,
-    probe_camera: int,
-    gallery_camera: int,
-) -> _FoldPlan:
+def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gallery_camera):
+    """The CV pool's sample indices and the folds that are used, each with its blocks' positions."""
     ids = sorted(train_ids)
     if folds < 2:
         raise InputError(f"need at least 2 folds, got {folds}")
@@ -257,26 +265,29 @@ def _make_folds(
     pool_idx = sorted(ds.samples_of(ids))
     pos = {i: k for k, i in enumerate(pool_idx)}
     built = []
+    # a skip warning points past _cv_rank1 and the function that called it: at the
+    # caller of cv_kernel_accuracies, or at a selector's call of _first_best
     for f, held in enumerate(groups):
         if len(held) < 2:
             warnings.warn(
                 f"fold {f} holds out {len(held)} identity; rank-1 is degenerate, skipping",
-                stacklevel=3,
+                stacklevel=4,
             )
             continue
         held_set = set(held)
         fit_ids = [i for i in ids if i not in held_set]
         if len(fit_ids) < 2:
-            warnings.warn(f"fold {f} leaves fewer than 2 training classes, skipping", stacklevel=3)
+            warnings.warn(f"fold {f} leaves fewer than 2 training classes, skipping", stacklevel=4)
             continue
         train_subset = tuple(sorted(ds.samples_of(fit_ids)))
         probe = sorted(ds.samples_of(held_set, probe_camera))
         galry = sorted(ds.samples_of(held_set, gallery_camera))
         if not probe or not galry:
-            warnings.warn(f"fold {f} has an empty probe or gallery set, skipping", stacklevel=3)
+            warnings.warn(f"fold {f} has an empty probe or gallery set, skipping", stacklevel=4)
             continue
         built.append(
             _Fold(
+                number=f,
                 idx=index_classes(ds, train_subset),
                 train_pos=tuple(pos[i] for i in train_subset),
                 probe_pos=tuple(pos[i] for i in probe),
@@ -287,38 +298,55 @@ def _make_folds(
         )
     if not built:
         raise InputError("every cross-validation fold was skipped")
-    return _FoldPlan(pool_idx=tuple(pool_idx), folds=tuple(built))
+    return pool_idx, built
 
 
-def _fold_rank1(fold: _Fold, K_tr, K_probe, K_gal, eps: float) -> float:
-    """Rank-1 accuracy of one fold given its sliced kernel blocks."""
+def _cv_rank1(kernels, ds, train_ids, folds, seed, eps, probe_camera, gallery_camera):
+    """Held-out rank-1 of every kernel config on every fold: a (configs, folds) array.
+
+    All configs are scored on the same folds. Each base kernel's Gram over
+    the CV pool is computed once; per fold every config slices its own
+    kernels' pool Grams and fuses the slices. Skipped folds stay NaN.
+    """
     from .evaluation import true_ranks  # deferred: evaluation depends on this module
 
-    model = solve_kfda(build_scatter(K_tr, fold.idx), fold.idx.n_classes - 1, eps)
-    dists = squared_distances(K_probe @ model.A, K_gal @ model.A)
-    # a probe without a match ranks 0, so it counts as a miss
-    return float(np.mean(true_ranks(dists, fold.probe_ids, fold.gallery_ids) == 1))
+    if probe_camera is None or gallery_camera is None:
+        probe_camera, gallery_camera = default_cameras(ds)
+    pool_idx, used = _make_folds(ds, train_ids, folds, seed, probe_camera, gallery_camera)
+    X_pool = ds.features[pool_idx]
+    specs = dict.fromkeys(s for kernel in kernels for s in kernel.specs)
+    pools = {s: gram(s, X_pool).values for s in specs}
+    rank1 = np.full((len(kernels), folds), np.nan)
+    for fold in used:
+        tr = list(fold.train_pos)
+        T, P, G = (np.ix_(rows, tr) for rows in (tr, list(fold.probe_pos), list(fold.gallery_pos)))
+        for c, kernel in enumerate(kernels):
+            Ks = [pools[s] for s in kernel.specs]
+            K_tr, (K_probe, K_gal) = kernel.fuse(
+                [K[T] for K in Ks], ([K[P] for K in Ks], [K[G] for K in Ks])
+            )
+            model = solve_kfda(build_scatter(K_tr, fold.idx), fold.idx.n_classes - 1, eps)
+            dists = squared_distances(K_probe @ model.A, K_gal @ model.A)
+            # a probe without a match ranks 0, so it counts as a miss
+            ranks = true_ranks(dists, fold.probe_ids, fold.gallery_ids)
+            rank1[c, fold.number] = np.mean(ranks == 1)
+    return rank1
 
 
-def _fold_blocks(K_pool: np.ndarray, fold: _Fold):
-    tr = list(fold.train_pos)
-    return (
-        K_pool[np.ix_(tr, tr)],
-        K_pool[np.ix_(list(fold.probe_pos), tr)],
-        K_pool[np.ix_(list(fold.gallery_pos), tr)],
-    )
+def _first_best(name: str, grid: list, kernels: list, *cv):
+    """The first grid value whose kernel config has the best mean CV rank-1.
 
-
-def _sm_blocks(K1_pool, K2_pool, fold: _Fold, tau: float):
-    """Fused-kernel blocks of one fold, basis = the fold's training samples."""
-    T1, P1, G1 = _fold_blocks(K1_pool, fold)
-    T2, P2, G2 = _fold_blocks(K2_pool, fold)
-    D = T1 - T2
-    K_tr = 0.5 * (T1 + T2) + tau * (D @ D)
-    K_tr = 0.5 * (K_tr + K_tr.T)
-    K_probe = 0.5 * (P1 + P2) + tau * ((P1 - P2) @ D)
-    K_gal = 0.5 * (G1 + G2) + tau * ((G1 - G2) @ D)
-    return K_tr, K_probe, K_gal
+    ``cv`` is the CV setting as :func:`_cv_rank1` takes it after ``kernels``.
+    A single value needs no cross-validation. The mean runs over the folds
+    that were used, in fold order.
+    """
+    if not grid:
+        raise InputError(f"empty {name} grid")
+    if len(grid) == 1:
+        return grid[0]
+    rank1 = _cv_rank1(kernels, *cv)
+    means = [np.mean(row[~np.isnan(row)]) for row in rank1]
+    return grid[int(np.argmax(means))]
 
 
 def cv_kernel_accuracies(
@@ -332,16 +360,7 @@ def cv_kernel_accuracies(
     gallery_camera: int | None = None,
 ) -> KernelAccuracies:
     """Mean held-out rank-1 accuracy of each kernel spec in ``bank``."""
-    if probe_camera is None or gallery_camera is None:
-        probe_camera, gallery_camera = default_cameras(ds)
-    plan = _make_folds(ds, train_ids, folds, seed, probe_camera, gallery_camera)
-    X_pool = ds.features[list(plan.pool_idx)]
-    q = len(bank)
-    per_fold = np.full((q, folds), np.nan)
-    for r, spec in enumerate(bank):
-        K_pool = gram(spec, X_pool).values
-        for f, fold in enumerate(plan.folds):
-            per_fold[r, f] = _fold_rank1(fold, *_fold_blocks(K_pool, fold), eps)
+    per_fold = _cv_rank1(bank, ds, train_ids, folds, seed, eps, probe_camera, gallery_camera)
     pis = tuple(float(v) for v in np.nanmean(per_fold, axis=1))
     return KernelAccuracies(pis=pis, folds=folds, fold_seed=seed, per_fold=per_fold)
 
@@ -360,27 +379,10 @@ def select_tau(
 ) -> float:
     """The tau maximizing mean CV rank-1 of the fused pair; ties pick the smallest."""
     taus = sorted(set(float(t) for t in tau_grid))
-    if not taus:
-        raise InputError("empty tau grid")
-    if any(t < 0 for t in taus):
-        raise InputError("tau grid must be non-negative")
-    if probe_camera is None or gallery_camera is None:
-        probe_camera, gallery_camera = default_cameras(ds)
-    plan = _make_folds(ds, train_ids, folds, seed, probe_camera, gallery_camera)
-    X_pool = ds.features[list(plan.pool_idx)]
-    i, j = pair
-    K1_pool = gram(bank[i], X_pool).values
-    K2_pool = gram(bank[j], X_pool).values
-    best_tau, best_score = taus[0], -1.0
-    for tau in taus:
-        scores = [
-            _fold_rank1(fold, *_sm_blocks(K1_pool, K2_pool, fold, tau), eps)
-            for fold in plan.folds
-        ]
-        mean = float(np.mean(scores))
-        if mean > best_score:
-            best_tau, best_score = tau, mean
-    return best_tau
+    configs = [MklConfig("sm", bank, pair=pair, tau=t) for t in taus]
+    return _first_best(
+        "tau", taus, configs, ds, train_ids, folds, seed, eps, probe_camera, gallery_camera
+    )
 
 
 def select_n(
@@ -396,29 +398,11 @@ def select_n(
     gallery_camera: int | None = None,
 ) -> int:
     """The N maximizing mean CV rank-1 of the weighted bank; ties pick the smallest."""
-    q = len(bank)
-    candidates = sorted(set(int(N) for N in n_grid))
-    if not candidates:
-        raise InputError("empty N grid")
-    if any(not 1 <= N < q for N in candidates):
-        raise InputError(f"every N must be in 1..q-1 = 1..{q - 1}, got {candidates}")
-    if probe_camera is None or gallery_camera is None:
-        probe_camera, gallery_camera = default_cameras(ds)
-    plan = _make_folds(ds, train_ids, folds, seed, probe_camera, gallery_camera)
-    X_pool = ds.features[list(plan.pool_idx)]
-    K_pools = [gram(spec, X_pool).values for spec in bank]
-    best_n, best_score = candidates[0], -1.0
-    for N in candidates:
-        beta = np_weights(acc, N)
-        # convex combination commutes with block slicing, so combine once
-        K_pool = sum(b * K for b, K in zip(beta, K_pools) if b != 0)
-        scores = [
-            _fold_rank1(fold, *_fold_blocks(K_pool, fold), eps) for fold in plan.folds
-        ]
-        mean = float(np.mean(scores))
-        if mean > best_score:
-            best_n, best_score = N, mean
-    return best_n
+    grid = sorted(set(int(N) for N in n_grid))
+    configs = [MklConfig("np", bank, weights=tuple(np_weights(acc, N)), n_top=N) for N in grid]
+    return _first_best(
+        "N", grid, configs, ds, train_ids, folds, seed, eps, probe_camera, gallery_camera
+    )
 
 
 def build_config(
@@ -429,7 +413,7 @@ def build_config(
     bank,
     eps: float,
     n_grid=None,
-    tau_grid=(0.0, 1e-3, 1e-2, 1e-1, 1.0),
+    tau_grid=DEFAULT_TAU_GRID,
     folds: int | None = None,
     seed: int | None = None,
     probe_camera: int | None = None,
@@ -440,35 +424,19 @@ def build_config(
     folds = acc.folds if folds is None else folds
     seed = acc.fold_seed if seed is None else seed
     if variant == "np":
-        q = len(bank)
-        if n_grid is None:
-            n_grid = range(1, min(5, q - 1) + 1)
-        candidates = sorted(set(int(N) for N in n_grid))
-        if len(candidates) == 1:
-            N = candidates[0]
-            if not 1 <= N < q:
-                raise InputError(f"N must be in 1..q-1 = 1..{q - 1}, got {N}")
-        else:
-            N = select_n(
-                ds, train_ids, acc, bank, candidates, folds, seed, eps,
-                probe_camera, gallery_camera,
-            )
+        n_grid = default_n_grid(len(bank)) if n_grid is None else n_grid
+        N = select_n(
+            ds, train_ids, acc, bank, n_grid, folds, seed, eps, probe_camera, gallery_camera
+        )
         beta = tuple(float(b) for b in np_weights(acc, N))
         return MklConfig(
             variant="np", bank_specs=bank, weights=beta, n_top=N, accuracies=acc
         )
     if variant == "sm":
         pair = select_sm_pair(acc)
-        taus = sorted(set(float(t) for t in tau_grid))
-        if len(taus) == 1:
-            tau = taus[0]
-            if tau < 0:
-                raise InputError(f"tau must be non-negative, got {tau}")
-        else:
-            tau = select_tau(
-                ds, train_ids, bank, pair, taus, folds, seed, eps,
-                probe_camera, gallery_camera,
-            )
+        tau = select_tau(
+            ds, train_ids, bank, pair, tau_grid, folds, seed, eps, probe_camera, gallery_camera
+        )
         return MklConfig(
             variant="sm", bank_specs=bank, pair=pair, tau=tau, accuracies=acc
         )

@@ -64,6 +64,24 @@ class TestEmbed:
                 proj = embed(model, model.train_basis[j])
                 np.testing.assert_allclose(proj.coords, model.A.T @ K[:, j], rtol=0, atol=1e-10)
 
+    def test_fused_cross_block_matches_folded_embedding(self):
+        # cross-validation scores a probe by fuse's cross block times A; serving
+        # embeds it through the folded terms; both must be the same kernel
+        ds, plan = small_problem(seed=3)
+        bank = tuple(KernelSpec("rbf", w) for w in (0.7, 2.0, 5.0))
+        Y = np.random.default_rng(5).normal(size=(6, 3)) * 2.0
+        for kernel in (
+            MklConfig("np", bank, weights=(0.25, 0.0, 0.75), n_top=2),
+            MklConfig("sm", bank, pair=(2, 0), tau=0.3),
+        ):
+            model = train(ds, plan, kernel)
+            X = model.train_basis
+            _, (C,) = kernel.fuse(
+                [gram(s, X).values for s in kernel.specs],
+                [[gram(s, Y, X).values for s in kernel.specs]],
+            )
+            np.testing.assert_allclose(C @ model.A, embed_batch(model, Y), rtol=0, atol=1e-10)
+
     def test_truncated_model_embeds_leading_columns(self):
         ds, plan = small_problem(seed=2)
         bank = tuple(KernelSpec("rbf", w) for w in (0.7, 2.0, 5.0))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfmetric.data import Dataset
 from kfmetric.errors import InputError
 from kfmetric.kernels import KernelSpec, rms_width
 from kfmetric.mkl import (
@@ -21,7 +22,7 @@ from kfmetric.mkl import (
 )
 from kfmetric.synthetic import make_synthetic
 
-from oracles import cv_rank1_oracle
+from oracles import cv_fold_groups, cv_rank1_oracle
 
 
 class TestNpWeights:
@@ -164,6 +165,29 @@ class TestCvKernelAccuracies:
         assert len(lines) == 1 + 2 * 4 + 2  # header + per-fold rows + mean rows
         assert sum(1 for l in lines if ",mean," in l) == 2
 
+    def test_skipped_fold_keeps_its_column(self, tmp_path):
+        # 12 identities in 3 folds; fold 1's identities lose their gallery samples
+        full = make_synthetic(12, 2, 4, noise=0.05, view_offset=0.0, seed=2)
+        ids = sorted(set(full.identities))
+        held = set(cv_fold_groups(ids, 3, 0)[1])
+        keep = [
+            k for k in range(full.n_samples)
+            if not (full.identities[k] in held and full.cameras[k] == 1)
+        ]
+        ds = Dataset(
+            full.features[keep],
+            tuple(full.identities[k] for k in keep),
+            tuple(full.cameras[k] for k in keep),
+        )
+        bank = [KernelSpec("rbf", rms_width(ds, range(ds.n_samples)))]
+        with pytest.warns(UserWarning, match="fold 1 has an empty probe or gallery set"):
+            acc = cv_kernel_accuracies(ds, ids, bank, 3, 0, 1e-7, 0, 1)
+        assert np.isnan(acc.per_fold[0, 1])
+        assert not np.isnan(acc.per_fold[0, [0, 2]]).any()
+        write_cv_csv(acc, tmp_path / "cv.csv")
+        rows = (tmp_path / "cv.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0", "2", "mean"]
+
 
 @pytest.fixture
 def noisy_ds():
@@ -176,10 +200,18 @@ def _noisy_bank(ds):
     return tuple(KernelSpec("rbf", width * m) for m in (0.15, 0.5, 1.0, 4.0))
 
 
+def _forbid_fold_solves(monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("a single-value grid ran a fold solve")
+
+    monkeypatch.setattr("kfmetric.mkl.solve_kfda", solve)
+
+
 class TestSelectTau:
-    def test_singleton_grid(self, noisy_ds):
+    def test_singleton_grid(self, noisy_ds, monkeypatch):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)
+        _forbid_fold_solves(monkeypatch)
         assert select_tau(noisy_ds, ids, bank, (0, 1), [0.0], 4, 9, 1e-7) == 0.0
 
     def test_deterministic(self, noisy_ds):
@@ -218,10 +250,11 @@ class TestSelectTau:
 
 
 class TestSelectN:
-    def test_singleton_grid(self, noisy_ds):
+    def test_singleton_grid(self, noisy_ds, monkeypatch):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)
         acc = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
+        _forbid_fold_solves(monkeypatch)
         assert select_n(noisy_ds, ids, acc, bank, [2], 4, 9, 1e-7) == 2
 
     def test_strictly_dominant_n_wins(self):
@@ -308,10 +341,11 @@ class TestMklConfig:
 
 
 class TestBuildConfig:
-    def test_np_with_fixed_n_has_two_active_kernels(self, noisy_ds):
+    def test_np_with_fixed_n_has_two_active_kernels(self, noisy_ds, monkeypatch):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)[:3]
         acc = KernelAccuracies((0.9, 0.8, 0.5), folds=4, fold_seed=9)
+        _forbid_fold_solves(monkeypatch)
         cfg = build_config("np", acc, noisy_ds, ids, bank, 1e-7, n_grid=[2])
         assert cfg.variant == "np"
         assert cfg.n_top == 2
