@@ -26,7 +26,7 @@ from .evaluation import (
 )
 from .kernels import KernelSpec
 from .kfda import load_model, save_model
-from .mkl import cv_kernel_accuracies, select_n, select_sm_pair, select_tau, write_cv_csv
+from .mkl import build_config, cv_kernel_accuracies, write_cv_csv
 
 SUMMARY_RANKS = (1, 5, 10, 20)
 
@@ -204,18 +204,11 @@ def cmd_cv(args) -> int:
     for r, pi in enumerate(acc.pis):
         print(f"kernel {r} width={bank[r].width!r} rank1 {pi!r}")
     if acc.q >= 2:
-        chosen_n = select_n(
-            ds, plan.train_ids, acc, bank, cfg.effective_n_grid(), cfg.folds,
-            plan.trial_seed, cfg.eps, plan.probe_camera, plan.gallery_camera,
-        )
-        pair = select_sm_pair(acc)
-        chosen_tau = select_tau(
-            ds, plan.train_ids, bank, pair, cfg.tau_grid, cfg.folds,
-            plan.trial_seed, cfg.eps, plan.probe_camera, plan.gallery_camera,
-        )
-        print(f"chosen_N {chosen_n}")
-        print(f"chosen_pair {pair[0]},{pair[1]}")
-        print(f"chosen_tau {chosen_tau!r}")
+        np_cfg = build_config("np", acc, n_grid=cfg.effective_n_grid())
+        sm_cfg = build_config("sm", acc, tau_grid=cfg.tau_grid)
+        print(f"chosen_N {np_cfg.n_top}")
+        print(f"chosen_pair {sm_cfg.pair[0]},{sm_cfg.pair[1]}")
+        print(f"chosen_tau {sm_cfg.tau!r}")
     else:
         print("chosen_N n/a (q=1)")
         print("chosen_tau n/a (q=1)")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -76,8 +77,8 @@ class RunConfig:
             raise InputError(
                 f"need 0 < width_lo < width_hi, got {self.width_lo}, {self.width_hi}"
             )
-        if self.eps <= 0:
-            raise InputError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise InputError(f"eps must be positive and finite, got {self.eps}")
         if self.p is not None and self.p < 1:
             raise InputError(f"p must be >= 1 or 'full', got {self.p}")
         if self.folds < 2:
@@ -86,8 +87,8 @@ class RunConfig:
             raise InputError(f"threads must be >= 1, got {self.threads}")
         if self.n_grid is not None and any(N < 1 for N in self.n_grid):
             raise InputError("every N in n_grid must be >= 1")
-        if any(t < 0 for t in self.tau_grid):
-            raise InputError("tau_grid values must be non-negative")
+        if not all(0 <= t < math.inf for t in self.tau_grid):
+            raise InputError("tau_grid values must be finite and non-negative")
         if check_files:
             if self.features is None:
                 raise InputError("no feature file configured")

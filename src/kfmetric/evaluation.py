@@ -120,20 +120,8 @@ def fit_for_trial(ds: Dataset, plan: SplitPlan, method: str, cfg: RunConfig) -> 
         ds, plan.train_ids, bank, cfg.folds, plan.trial_seed, cfg.eps,
         plan.probe_camera, plan.gallery_camera,
     )
-    mkl_cfg = build_mkl_config(
-        "np" if method == "np-mfml" else "sm",
-        acc,
-        ds,
-        plan.train_ids,
-        bank,
-        cfg.eps,
-        n_grid=cfg.effective_n_grid(),
-        tau_grid=cfg.tau_grid,
-        folds=cfg.folds,
-        seed=plan.trial_seed,
-        probe_camera=plan.probe_camera,
-        gallery_camera=plan.gallery_camera,
-    )
+    variant = "np" if method == "np-mfml" else "sm"
+    mkl_cfg = build_mkl_config(variant, acc, cfg.effective_n_grid(), cfg.tau_grid)
     return train(ds, plan, mkl_cfg, cfg.eps, cfg.p)
 
 

@@ -3,8 +3,9 @@
 Identities (not samples) are partitioned into folds, so each held-out fold
 contains classes unseen by that fold's model, mirroring the probe/gallery
 protocol. Each kernel's accuracy pi_r is its mean held-out rank-1 score.
-Every cross-validated choice (pi_r, N and tau) is scored by one loop that
-runs each candidate kernel configuration on the same folds.
+Every cross-validated choice of a trial (pi_r, then N or tau) is scored on
+one fold plan, built once with its pool Grams, by one loop that runs each
+candidate kernel configuration on the same folds.
 
 Two combination strategies are supported:
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,6 +46,8 @@ class KernelAccuracies:
     fold_seed: int
     # (q, folds) raw fold scores, NaN for skipped folds; report detail only
     per_fold: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # the fold plan that scored them, for build_config's search; never persisted
+    plan: _FoldPlan | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.pis) < 1:
@@ -81,8 +84,8 @@ class MklConfig:
             if self.weights is None or self.n_top is None:
                 raise InputError("np variant needs weights and n_top")
             w = np.asarray(self.weights, dtype=np.float64)
-            if w.shape != (q,) or np.any(w < 0):
-                raise InputError("np weights must be length-q and non-negative")
+            if w.shape != (q,) or not np.all(np.isfinite(w) & (w >= 0)):
+                raise InputError("np weights must be length-q, finite and non-negative")
             if abs(float(w.sum()) - 1.0) > 1e-12:
                 raise InputError(f"np weights must sum to 1, got {w.sum()!r}")
             if int(np.count_nonzero(w)) != min(self.n_top, q):
@@ -96,8 +99,8 @@ class MklConfig:
             i, j = self.pair
             if i == j or not (0 <= i < q and 0 <= j < q):
                 raise InputError(f"sm pair must be two distinct bank indices, got {self.pair}")
-            if self.tau < 0:
-                raise InputError(f"tau must be non-negative, got {self.tau}")
+            if not 0 <= self.tau < np.inf:
+                raise InputError(f"tau must be finite and non-negative, got {self.tau}")
             object.__setattr__(self, "pair", (int(i), int(j)))
         else:
             raise InputError(f"unknown mkl variant {self.variant!r}")
@@ -265,25 +268,24 @@ def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gal
     pool_idx = sorted(ds.samples_of(ids))
     pos = {i: k for k, i in enumerate(pool_idx)}
     built = []
-    # a skip warning points past _cv_rank1 and the function that called it: at the
-    # caller of cv_kernel_accuracies, or at a selector's call of _first_best
+    # a skip warning points at the caller of cv_kernel_accuracies
     for f, held in enumerate(groups):
         if len(held) < 2:
             warnings.warn(
                 f"fold {f} holds out {len(held)} identity; rank-1 is degenerate, skipping",
-                stacklevel=4,
+                stacklevel=3,
             )
             continue
         held_set = set(held)
         fit_ids = [i for i in ids if i not in held_set]
         if len(fit_ids) < 2:
-            warnings.warn(f"fold {f} leaves fewer than 2 training classes, skipping", stacklevel=4)
+            warnings.warn(f"fold {f} leaves fewer than 2 training classes, skipping", stacklevel=3)
             continue
         train_subset = tuple(sorted(ds.samples_of(fit_ids)))
         probe = sorted(ds.samples_of(held_set, probe_camera))
         galry = sorted(ds.samples_of(held_set, gallery_camera))
         if not probe or not galry:
-            warnings.warn(f"fold {f} has an empty probe or gallery set, skipping", stacklevel=4)
+            warnings.warn(f"fold {f} has an empty probe or gallery set, skipping", stacklevel=3)
             continue
         built.append(
             _Fold(
@@ -301,52 +303,70 @@ def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gal
     return pool_idx, built
 
 
-def _cv_rank1(kernels, ds, train_ids, folds, seed, eps, probe_camera, gallery_camera):
-    """Held-out rank-1 of every kernel config on every fold: a (configs, folds) array.
+@dataclass(eq=False)
+class _FoldPlan:
+    """One trial's CV setting, built once: its used folds, eps and the bank.
 
-    All configs are scored on the same folds. Each base kernel's Gram over
-    the CV pool is computed once; per fold every config slices its own
-    kernels' pool Grams and fuses the slices. Skipped folds stay NaN.
+    Each base kernel's Gram over the CV pool is computed on first use and
+    kept, so every stage of the trial (pi_r, then N or tau) scores its
+    candidates on the same folds without recomputing a pool Gram.
     """
-    from .evaluation import true_ranks  # deferred: evaluation depends on this module
 
-    if probe_camera is None or gallery_camera is None:
-        probe_camera, gallery_camera = default_cameras(ds)
-    pool_idx, used = _make_folds(ds, train_ids, folds, seed, probe_camera, gallery_camera)
-    X_pool = ds.features[pool_idx]
-    specs = dict.fromkeys(s for kernel in kernels for s in kernel.specs)
-    pools = {s: gram(s, X_pool).values for s in specs}
-    rank1 = np.full((len(kernels), folds), np.nan)
-    for fold in used:
-        tr = list(fold.train_pos)
-        T, P, G = (np.ix_(rows, tr) for rows in (tr, list(fold.probe_pos), list(fold.gallery_pos)))
-        for c, kernel in enumerate(kernels):
-            Ks = [pools[s] for s in kernel.specs]
-            K_tr, (K_probe, K_gal) = kernel.fuse(
-                [K[T] for K in Ks], ([K[P] for K in Ks], [K[G] for K in Ks])
+    folds: int  # planned folds, skipped ones included
+    used: list[_Fold]
+    eps: float
+    bank: tuple[KernelSpec, ...]
+    X_pool: np.ndarray
+    grams: dict = field(default_factory=dict)
+
+    def pool_gram(self, spec: KernelSpec) -> np.ndarray:
+        if spec not in self.grams:
+            self.grams[spec] = gram(spec, self.X_pool).values
+        return self.grams[spec]
+
+    def rank1(self, kernels) -> np.ndarray:
+        """Held-out rank-1 of every kernel config on every fold: a (configs, folds) array.
+
+        Per fold every config slices its own kernels' pool Grams and fuses
+        the slices. Skipped folds stay NaN.
+        """
+        from .evaluation import true_ranks  # deferred: evaluation depends on this module
+
+        pools = [[self.pool_gram(s) for s in kernel.specs] for kernel in kernels]
+        rank1 = np.full((len(kernels), self.folds), np.nan)
+        for fold in self.used:
+            tr = list(fold.train_pos)
+            T, P, G = (
+                np.ix_(rows, tr) for rows in (tr, list(fold.probe_pos), list(fold.gallery_pos))
             )
-            model = solve_kfda(build_scatter(K_tr, fold.idx), fold.idx.n_classes - 1, eps)
-            dists = squared_distances(K_probe @ model.A, K_gal @ model.A)
-            # a probe without a match ranks 0, so it counts as a miss
-            ranks = true_ranks(dists, fold.probe_ids, fold.gallery_ids)
-            rank1[c, fold.number] = np.mean(ranks == 1)
-    return rank1
+            for c, (kernel, Ks) in enumerate(zip(kernels, pools)):
+                K_tr, (K_probe, K_gal) = kernel.fuse(
+                    [K[T] for K in Ks], ([K[P] for K in Ks], [K[G] for K in Ks])
+                )
+                model = solve_kfda(build_scatter(K_tr, fold.idx), fold.idx.n_classes - 1, self.eps)
+                dists = squared_distances(K_probe @ model.A, K_gal @ model.A)
+                # a probe without a match ranks 0, so it counts as a miss
+                ranks = true_ranks(dists, fold.probe_ids, fold.gallery_ids)
+                rank1[c, fold.number] = np.mean(ranks == 1)
+        return rank1
 
 
-def _first_best(name: str, grid: list, kernels: list, *cv):
-    """The first grid value whose kernel config has the best mean CV rank-1.
+def _mean_rank1(rank1: np.ndarray) -> np.ndarray:
+    """Each row's mean rank-1 over the folds that were used (NaN marks a skipped fold)."""
+    return np.nanmean(rank1, axis=1)
 
-    ``cv`` is the CV setting as :func:`_cv_rank1` takes it after ``kernels``.
-    A single value needs no cross-validation. The mean runs over the folds
-    that were used, in fold order.
+
+def _first_best(name: str, candidates: list, rank1) -> MklConfig:
+    """The first candidate with the best mean CV rank-1; one candidate needs no CV.
+
+    ``rank1`` maps the candidate list to its (candidates, folds) scores and
+    is only called for two or more candidates.
     """
-    if not grid:
+    if not candidates:
         raise InputError(f"empty {name} grid")
-    if len(grid) == 1:
-        return grid[0]
-    rank1 = _cv_rank1(kernels, *cv)
-    means = [np.mean(row[~np.isnan(row)]) for row in rank1]
-    return grid[int(np.argmax(means))]
+    if len(candidates) == 1:
+        return candidates[0]
+    return candidates[int(np.argmax(_mean_rank1(rank1(candidates))))]
 
 
 def cv_kernel_accuracies(
@@ -359,88 +379,69 @@ def cv_kernel_accuracies(
     probe_camera: int | None = None,
     gallery_camera: int | None = None,
 ) -> KernelAccuracies:
-    """Mean held-out rank-1 accuracy of each kernel spec in ``bank``."""
-    per_fold = _cv_rank1(bank, ds, train_ids, folds, seed, eps, probe_camera, gallery_camera)
-    pis = tuple(float(v) for v in np.nanmean(per_fold, axis=1))
-    return KernelAccuracies(pis=pis, folds=folds, fold_seed=seed, per_fold=per_fold)
+    """Mean held-out rank-1 accuracy of each kernel spec in ``bank``.
+
+    The result carries the trial's fold plan, so :func:`build_config` runs
+    its N or tau search on the same folds and pool Grams.
+    """
+    if probe_camera is None or gallery_camera is None:
+        probe_camera, gallery_camera = default_cameras(ds)
+    pool_idx, used = _make_folds(ds, train_ids, folds, seed, probe_camera, gallery_camera)
+    plan = _FoldPlan(folds, used, eps, tuple(bank), ds.features[pool_idx])
+    per_fold = plan.rank1(plan.bank)
+    pis = tuple(float(v) for v in _mean_rank1(per_fold))
+    return KernelAccuracies(pis=pis, folds=folds, fold_seed=seed, per_fold=per_fold, plan=plan)
 
 
-def select_tau(
-    ds: Dataset,
-    train_ids,
-    bank,
-    pair: tuple[int, int],
-    tau_grid,
-    folds: int,
-    seed: int,
-    eps: float,
-    probe_camera: int | None = None,
-    gallery_camera: int | None = None,
-) -> float:
-    """The tau maximizing mean CV rank-1 of the fused pair; ties pick the smallest."""
-    taus = sorted(set(float(t) for t in tau_grid))
-    configs = [MklConfig("sm", bank, pair=pair, tau=t) for t in taus]
-    return _first_best(
-        "tau", taus, configs, ds, train_ids, folds, seed, eps, probe_camera, gallery_camera
-    )
+def _select_n(acc: KernelAccuracies, plan: _FoldPlan, n_grid) -> MklConfig:
+    """The np config whose N maximizes mean CV rank-1; ties pick the smallest N.
+
+    N = 1 is the best bank kernel at weight 1.0, whose fused blocks are that
+    kernel's own, so its fold row is taken from ``acc.per_fold`` unsolved.
+    """
+    configs = [
+        MklConfig("np", plan.bank, weights=tuple(np_weights(acc, N)), n_top=N, accuracies=acc)
+        for N in sorted(set(int(N) for N in n_grid))
+    ]
+
+    def rank1(configs):
+        rows = iter(plan.rank1([c for c in configs if c.n_top != 1]))
+        top = acc.per_fold[_ranked_indices(acc.pis)[0]]
+        return np.array([top if c.n_top == 1 else next(rows) for c in configs])
+
+    return _first_best("N", configs, rank1)
 
 
-def select_n(
-    ds: Dataset,
-    train_ids,
-    acc: KernelAccuracies,
-    bank,
-    n_grid,
-    folds: int,
-    seed: int,
-    eps: float,
-    probe_camera: int | None = None,
-    gallery_camera: int | None = None,
-) -> int:
-    """The N maximizing mean CV rank-1 of the weighted bank; ties pick the smallest."""
-    grid = sorted(set(int(N) for N in n_grid))
-    configs = [MklConfig("np", bank, weights=tuple(np_weights(acc, N)), n_top=N) for N in grid]
-    return _first_best(
-        "N", grid, configs, ds, train_ids, folds, seed, eps, probe_camera, gallery_camera
-    )
+def _select_tau(acc: KernelAccuracies, plan: _FoldPlan, tau_grid) -> MklConfig:
+    """The sm config of the two best kernels whose tau maximizes mean CV rank-1.
+
+    Ties pick the smallest tau.
+    """
+    pair = select_sm_pair(acc)
+    configs = [
+        MklConfig("sm", plan.bank, pair=pair, tau=t, accuracies=acc)
+        for t in sorted(set(float(t) for t in tau_grid))
+    ]
+    return _first_best("tau", configs, plan.rank1)
 
 
 def build_config(
-    variant: str,
-    acc: KernelAccuracies,
-    ds: Dataset,
-    train_ids,
-    bank,
-    eps: float,
-    n_grid=None,
-    tau_grid=DEFAULT_TAU_GRID,
-    folds: int | None = None,
-    seed: int | None = None,
-    probe_camera: int | None = None,
-    gallery_camera: int | None = None,
+    variant: str, acc: KernelAccuracies, n_grid=None, tau_grid=DEFAULT_TAU_GRID
 ) -> MklConfig:
-    """Assemble an MklConfig from CV accuracies, running the grid searches."""
-    bank = tuple(bank)
-    folds = acc.folds if folds is None else folds
-    seed = acc.fold_seed if seed is None else seed
+    """The np or sm config chosen by cross-validation on the fold plan ``acc`` carries.
+
+    ``acc`` comes from :func:`cv_kernel_accuracies`. The returned config keeps
+    the accuracies without their fold plan, so it holds no pool Gram.
+    """
+    if variant not in ("np", "sm"):
+        raise InputError(f"unknown mkl variant {variant!r}")
+    plan = acc.plan
+    if plan is None:
+        raise InputError("accuracies without a fold plan; compute them by cv_kernel_accuracies")
+    acc = replace(acc, plan=None)
     if variant == "np":
-        n_grid = default_n_grid(len(bank)) if n_grid is None else n_grid
-        N = select_n(
-            ds, train_ids, acc, bank, n_grid, folds, seed, eps, probe_camera, gallery_camera
-        )
-        beta = tuple(float(b) for b in np_weights(acc, N))
-        return MklConfig(
-            variant="np", bank_specs=bank, weights=beta, n_top=N, accuracies=acc
-        )
-    if variant == "sm":
-        pair = select_sm_pair(acc)
-        tau = select_tau(
-            ds, train_ids, bank, pair, tau_grid, folds, seed, eps, probe_camera, gallery_camera
-        )
-        return MklConfig(
-            variant="sm", bank_specs=bank, pair=pair, tau=tau, accuracies=acc
-        )
-    raise InputError(f"unknown mkl variant {variant!r}")
+        return _select_n(acc, plan, default_n_grid(acc.q) if n_grid is None else n_grid)
+    return _select_tau(acc, plan, tau_grid)
 
 
 def write_cv_csv(acc: KernelAccuracies, path) -> None:

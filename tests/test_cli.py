@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kfmetric.cli import main
 from kfmetric.data import load_features
@@ -325,6 +330,25 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "eps" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--eps", "nan"], "eps"),
+            (["--eps", "inf"], "eps"),
+            (["--tau-grid", "0,nan"], "tau_grid"),
+            (["--tau-grid", "0,inf"], "tau_grid"),
+        ],
+        ids=["eps-nan", "eps-inf", "tau-nan", "tau-inf"],
+    )
+    def test_non_finite_flag_exit_2(self, fixture_csv, tmp_path, flags, message):
+        proc = run_cli(
+            "evaluate", "--method", "sm-mfml", "--features", fixture_csv,
+            "--out", tmp_path / "x", "--trials", "1", "--q", "3", "--folds", "4", *flags,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+        assert proc.stdout == ""
+
     def test_stdout_clean_on_error(self, tmp_path):
         proc = run_cli(
             "evaluate", "--method", "kfda", "--features", tmp_path / "none.csv",
@@ -399,3 +423,73 @@ def test_malformed_model_file_exit_2(model_doc, fixture_csv, tmp_path, corrupt, 
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def mkl_model_paths(fixture_csv, tmp_path_factory):
+    paths = {}
+    for method in ("np-mfml", "sm-mfml"):
+        out = tmp_path_factory.mktemp(method)
+        assert main(
+            [
+                "train", "--method", method, "--features", str(fixture_csv), "--out", str(out),
+                "--seed", "1", "--q", "4", "--folds", "4", "--n-grid", "2",
+            ]
+        ) == 0
+        paths[method] = out / "model.json"
+    return paths
+
+
+def _nan_tau(cfg):
+    cfg["tau"] = float("nan")
+
+
+def _nan_weight(cfg):
+    cfg["weights"][cfg["weights"].index(max(cfg["weights"]))] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "method, corrupt, message",
+    [("sm-mfml", _nan_tau, "tau must be finite"), ("np-mfml", _nan_weight, "finite")],
+    ids=["sm-tau-nan", "np-weight-nan"],
+)
+def test_non_finite_mkl_model_exit_2(mkl_model_paths, fixture_csv, tmp_path, method, corrupt,
+                                     message):
+    doc = json.loads(mkl_model_paths[method].read_text())
+    corrupt(doc["kernel_config"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # writes the NaN literal that json.loads accepts
+    proc = run_cli("evaluate", "--features", fixture_csv, "--out", tmp_path / "ev", "--model", bad)
+    assert proc.returncode == 2, proc.stdout
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# each draw mixes values a run accepts with nan, inf, 0, negatives and out-of-range ones
+_BAD = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0])
+
+
+@given(
+    command=st.sampled_from(["cv", "kfda", "np-mfml", "sm-mfml"]),
+    eps=st.one_of(st.floats(1e-9, 10.0), _BAD),
+    taus=st.lists(st.one_of(st.floats(0.0, 10.0), _BAD), min_size=1, max_size=3),
+    n_grid=st.lists(st.one_of(st.integers(1, 3), st.integers(-2, 6)), min_size=1, max_size=3),
+    folds=st.one_of(st.integers(2, 4), st.integers(-1, 8)),
+    q=st.one_of(st.integers(2, 4), st.integers(-1, 4)),
+)
+@settings(max_examples=100, deadline=None)
+def test_numeric_flags_fuzz(fixture_csv, tmp_path_factory, command, eps, taus, n_grid, folds, q):
+    """cv and one-trial evaluate exit 0, 2 or 3 on any numeric flag, never with a traceback."""
+    argv = ["cv"] if command == "cv" else ["evaluate", "--method", command, "--trials", "1"]
+    argv += [
+        "--features", str(fixture_csv), "--out", str(tmp_path_factory.getbasetemp() / "fuzz"),
+        f"--eps={eps!r}", f"--tau-grid={','.join(map(repr, taus))}",
+        f"--n-grid={','.join(map(str, n_grid))}", f"--folds={folds}", f"--q={q}",
+    ]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in stderr.getvalue()
+    if not all(math.isfinite(v) for v in (eps, *taus)):
+        assert code == 2, argv

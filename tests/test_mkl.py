@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfmetric.data import Dataset
+from kfmetric import mkl
+from kfmetric.config import RunConfig
+from kfmetric.data import Dataset, make_split
 from kfmetric.errors import InputError
+from kfmetric.evaluation import fit_for_trial, rbf_bank
 from kfmetric.kernels import KernelSpec, rms_width
 from kfmetric.mkl import (
     KernelAccuracies,
@@ -15,9 +18,7 @@ from kfmetric.mkl import (
     build_config,
     cv_kernel_accuracies,
     np_weights,
-    select_n,
     select_sm_pair,
-    select_tau,
     write_cv_csv,
 )
 from kfmetric.synthetic import make_synthetic
@@ -208,18 +209,20 @@ def _forbid_fold_solves(monkeypatch):
 
 
 class TestSelectTau:
+    """The tau search, run through build_config("sm", ...)."""
+
+    def _acc(self, ds):
+        return cv_kernel_accuracies(ds, sorted(set(ds.identities)), _noisy_bank(ds), 4, 9, 1e-7)
+
     def test_singleton_grid(self, noisy_ds, monkeypatch):
-        ids = sorted(set(noisy_ds.identities))
-        bank = _noisy_bank(noisy_ds)
+        acc = self._acc(noisy_ds)
         _forbid_fold_solves(monkeypatch)
-        assert select_tau(noisy_ds, ids, bank, (0, 1), [0.0], 4, 9, 1e-7) == 0.0
+        assert build_config("sm", acc, tau_grid=[0.0]).tau == 0.0
 
     def test_deterministic(self, noisy_ds):
-        ids = sorted(set(noisy_ds.identities))
-        bank = _noisy_bank(noisy_ds)
         grid = [0.0, 0.5, 2.0]
-        t1 = select_tau(noisy_ds, ids, bank, (0, 1), grid, 4, 9, 1e-7)
-        t2 = select_tau(noisy_ds, ids, bank, (0, 1), grid, 4, 9, 1e-7)
+        t1 = build_config("sm", self._acc(noisy_ds), tau_grid=grid).tau
+        t2 = build_config("sm", self._acc(noisy_ds), tau_grid=grid).tau
         assert t1 == t2
 
     def test_strictly_dominant_tau_wins(self, noisy_ds):
@@ -238,24 +241,27 @@ class TestSelectTau:
         ranked = sorted(oracle.values(), reverse=True)
         assert ranked[0] > ranked[1], "fixture regressed: no strict winner"
         best = min(t for t in grid if oracle[t] == ranked[0])
-        assert select_tau(ds, ids, bank, pair, grid, 4, 9, 1e-7) == best
+        cfg = build_config("sm", acc, tau_grid=grid)
+        assert cfg.pair == pair
+        assert cfg.tau == best
 
     def test_bad_grid(self, noisy_ds):
-        ids = sorted(set(noisy_ds.identities))
-        bank = _noisy_bank(noisy_ds)
+        acc = self._acc(noisy_ds)
         with pytest.raises(InputError, match="empty"):
-            select_tau(noisy_ds, ids, bank, (0, 1), [], 4, 9, 1e-7)
+            build_config("sm", acc, tau_grid=[])
         with pytest.raises(InputError, match="non-negative"):
-            select_tau(noisy_ds, ids, bank, (0, 1), [-1.0], 4, 9, 1e-7)
+            build_config("sm", acc, tau_grid=[-1.0])
 
 
 class TestSelectN:
+    """The N search, run through build_config("np", ...)."""
+
     def test_singleton_grid(self, noisy_ds, monkeypatch):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)
         acc = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
         _forbid_fold_solves(monkeypatch)
-        assert select_n(noisy_ds, ids, acc, bank, [2], 4, 9, 1e-7) == 2
+        assert build_config("np", acc, n_grid=[2]).n_top == 2
 
     def test_strictly_dominant_n_wins(self):
         ds = make_synthetic(14, 2, 4, noise=0.6, view_offset=6.0, seed=1)
@@ -272,25 +278,116 @@ class TestSelectN:
         ranked = sorted(oracle.values(), reverse=True)
         assert ranked[0] > ranked[1], "fixture regressed: no strict winner"
         best = min(N for N in grid if oracle[N] == ranked[0])
-        assert select_n(ds, ids, acc, bank, grid, 4, 9, 1e-7) == best
+        cfg = build_config("np", acc, n_grid=grid)
+        assert cfg.n_top == best
+        assert cfg.weights == tuple(np_weights(acc, best))
 
     def test_deterministic(self, noisy_ds):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)
-        acc = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
         grid = [1, 2, 3]
-        assert select_n(noisy_ds, ids, acc, bank, grid, 4, 9, 1e-7) == select_n(
-            noisy_ds, ids, acc, bank, grid, 4, 9, 1e-7
+        one, two = (
+            build_config("np", cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7), grid)
+            for _ in range(2)
         )
+        assert one == two
 
     def test_invalid_grid(self, noisy_ds):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)
         acc = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
         with pytest.raises(InputError, match="must be in 1"):
-            select_n(noisy_ds, ids, acc, bank, [0, 2], 4, 9, 1e-7)
+            build_config("np", acc, n_grid=[0, 2])
         with pytest.raises(InputError, match="must be in 1"):
-            select_n(noisy_ds, ids, acc, bank, [4], 4, 9, 1e-7)
+            build_config("np", acc, n_grid=[4])
+        with pytest.raises(InputError, match="empty N grid"):
+            build_config("np", acc, n_grid=[])
+
+    def test_tie_at_the_boundary_warns_once(self, separable_cv_setup):
+        ds, ids, width = separable_cv_setup
+        bank = [KernelSpec("rbf", width * m) for m in (0.9, 1.0, 1.1)]
+        acc = cv_kernel_accuracies(ds, ids, bank, 4, 3, 1e-7)
+        assert acc.pis[0] == acc.pis[1], "fixture regressed: no tie at the top-1 boundary"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build_config("np", acc, n_grid=[1])
+        assert [str(w.message).split(";")[0] for w in caught] == [
+            f"accuracy tie at the top-1 boundary (pi = {acc.pis[0]})"
+        ]
+
+    def test_n1_score_is_the_top_kernel_pi(self, monkeypatch):
+        # 14 identities in 10 folds: 4 used folds of 2 identities, 6 skipped;
+        # 3 probes per identity make fold scores sixths, so the reduction matters
+        full = make_synthetic(14, 6, 4, noise=1.0, view_offset=4.0, seed=4)
+        ds = Dataset(full.features, full.identities, tuple(c // 3 for c in full.cameras))
+        ids = sorted(set(ds.identities))
+        width = rms_width(ds, range(ds.n_samples))
+        bank = tuple(KernelSpec("rbf", width * m) for m in (0.3, 1.0, 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            acc = cv_kernel_accuracies(ds, ids, bank, 10, 4, 1e-7, 0, 1)
+        top = int(np.argmax(acc.pis))
+        row = acc.per_fold[top]
+        assert np.count_nonzero(~np.isnan(row)) == 4
+        assert np.mean(row[~np.isnan(row)]) != acc.pis[top], (
+            "fixture regressed: the mean of the used folds equals pi in every bit"
+        )
+        seen = []
+        reduce = mkl._mean_rank1
+
+        def recorded(rank1):
+            seen.append(reduce(rank1))
+            return seen[-1]
+
+        monkeypatch.setattr(mkl, "_mean_rank1", recorded)
+        assert build_config("np", acc, n_grid=[1, 2]).n_top in (1, 2)
+        [scores] = seen  # the N search's candidate scores, N = 1 first
+        assert scores[0].hex() == acc.pis[top].hex()
+
+
+class TestFoldPlan:
+    """One fold plan per trial: folds, fold class indexes and pool Grams built once."""
+
+    @pytest.fixture
+    def trial(self, monkeypatch):
+        from kfmetric import kfda
+
+        ds = make_synthetic(80, 2, 20, noise=0.6, view_offset=30.0, seed=0)
+        calls = {"_make_folds": [], "index_classes": [], "solve_kfda": [], "gram": []}
+        for module, name in ((mkl, "_make_folds"), (mkl, "index_classes"),
+                             (kfda, "index_classes"), (mkl, "solve_kfda"), (mkl, "gram")):
+            fn = getattr(module, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name].append(_fn(*args, **kwargs))
+                return calls[_name][-1]
+
+            monkeypatch.setattr(module, name, counted)
+        return ds, make_split(ds, 0, 0.5), calls
+
+    @pytest.mark.parametrize("method", ["np-mfml", "sm-mfml"])
+    def test_one_fold_plan_per_trial(self, trial, method):
+        ds, split, calls = trial
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = fit_for_trial(ds, split, method, RunConfig())
+        [(_, used)] = calls["_make_folds"]
+        assert len(calls["index_classes"]) == len(used) + 1
+        assert model.kernel_config.accuracies.plan is None
+
+    def test_n_search_reuses_the_n1_row_and_pool_grams(self, trial):
+        ds, split, calls = trial
+        cfg = RunConfig()
+        bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
+        acc = cv_kernel_accuracies(ds, split.train_ids, bank, cfg.folds, split.trial_seed, cfg.eps)
+        [(_, used)] = calls["_make_folds"]
+        calls["solve_kfda"].clear()
+        calls["gram"].clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            build_config("np", acc, n_grid=[1, 2, 3])
+        assert len(calls["solve_kfda"]) == 2 * len(used)
+        assert calls["gram"] == []  # the search reuses the bank's pool Grams
 
 
 class TestMklConfig:
@@ -344,9 +441,11 @@ class TestBuildConfig:
     def test_np_with_fixed_n_has_two_active_kernels(self, noisy_ds, monkeypatch):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)[:3]
-        acc = KernelAccuracies((0.9, 0.8, 0.5), folds=4, fold_seed=9)
+        acc = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
         _forbid_fold_solves(monkeypatch)
-        cfg = build_config("np", acc, noisy_ds, ids, bank, 1e-7, n_grid=[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = build_config("np", acc, n_grid=[2])
         assert cfg.variant == "np"
         assert cfg.n_top == 2
         assert sum(1 for b in cfg.weights if b != 0) == 2
@@ -355,9 +454,7 @@ class TestBuildConfig:
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)[:2]
         acc = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
-        cfg = build_config(
-            "sm", acc, noisy_ds, ids, bank, 1e-7, tau_grid=(0.0, 0.5)
-        )
+        cfg = build_config("sm", acc, tau_grid=(0.0, 0.5))
         assert cfg.variant == "sm"
         assert set(cfg.pair) == {0, 1}
         assert cfg.tau in (0.0, 0.5)
@@ -368,11 +465,25 @@ class TestBuildConfig:
         acc = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            one = build_config("np", acc, noisy_ds, ids, bank, 1e-7, n_grid=[1, 2, 3])
-            two = build_config("np", acc, noisy_ds, ids, bank, 1e-7, n_grid=[1, 2, 3])
+            one = build_config("np", acc, n_grid=[1, 2, 3])
+            two = build_config("np", acc, n_grid=[1, 2, 3])
         assert one == two
 
-    def test_unknown_variant(self, noisy_ds):
+    def test_config_keeps_accuracies_without_the_fold_plan(self, noisy_ds):
+        ids = sorted(set(noisy_ds.identities))
+        acc = cv_kernel_accuracies(noisy_ds, ids, _noisy_bank(noisy_ds), 4, 9, 1e-7)
+        cfg = build_config("sm", acc, tau_grid=[0.0])
+        assert acc.plan is not None
+        assert cfg.accuracies == acc
+        assert cfg.accuracies.plan is None
+        np.testing.assert_array_equal(cfg.accuracies.per_fold, acc.per_fold)
+
+    def test_needs_a_fold_plan(self):
+        acc = KernelAccuracies((0.9, 0.8, 0.5), folds=4, fold_seed=9)
+        with pytest.raises(InputError, match="fold plan"):
+            build_config("np", acc, n_grid=[2])
+
+    def test_unknown_variant(self):
         acc = KernelAccuracies((0.9, 0.8), folds=4, fold_seed=9)
         with pytest.raises(InputError, match="variant"):
-            build_config("other", acc, noisy_ds, [], _noisy_bank(noisy_ds)[:2], 1e-7)
+            build_config("other", acc)
