@@ -110,6 +110,8 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
 _PARSERS = {
     "method": str,
     "features": str,
@@ -126,7 +128,7 @@ _PARSERS = {
     "n_grid": lambda v: tuple(int(x) for x in v.split(",") if x.strip()),
     "tau_grid": lambda v: tuple(float(x) for x in v.split(",") if x.strip()),
     "threads": int,
-    "include_distractors": lambda v: v.strip().lower() in ("1", "true", "yes"),
+    "include_distractors": lambda v: _BOOLS[v.strip().lower()],
 }
 
 
@@ -137,6 +139,8 @@ def load_config_file(path) -> dict:
             lines = fh.readlines()
     except OSError as exc:
         raise InputError(f"cannot open config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: unreadable config file: {exc}") from None
     known = {f.name for f in fields(RunConfig)}
     out: dict = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -151,7 +155,7 @@ def load_config_file(path) -> dict:
             raise InputError(f"{path}: line {lineno}: unknown config key {key!r}")
         try:
             out[key] = _PARSERS[key](value.strip())
-        except ValueError as exc:
+        except (ValueError, KeyError) as exc:
             raise InputError(f"{path}: line {lineno}: bad value for {key}: {exc}") from exc
     return out
 

@@ -121,6 +121,14 @@ class SplitPlan:
         object.__setattr__(self, "test_ids", frozenset(self.test_ids))
 
 
+def _csv_rows(fh, path):
+    """The rows of an open CSV file; undecodable bytes or malformed CSV raise InputError."""
+    try:
+        yield from csv.reader(fh)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: unreadable feature file: {exc}") from None
+
+
 def load_features(path, format: str = "csv") -> Dataset:
     """Read a feature CSV into a validated Dataset, preserving row order.
 
@@ -133,7 +141,7 @@ def load_features(path, format: str = "csv") -> Dataset:
     except OSError as exc:
         raise InputError(f"cannot open feature file {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -247,6 +255,8 @@ def make_split(
     """
     if not 0.0 < train_fraction < 1.0:
         raise InputError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    if trial_seed < 0:
+        raise InputError(f"seed must be non-negative, got {trial_seed}")
     if probe_camera is None or gallery_camera is None:
         probe_camera, gallery_camera = default_cameras(ds)
     if probe_camera == gallery_camera:

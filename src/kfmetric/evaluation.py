@@ -70,8 +70,9 @@ def true_ranks(dists, probe_ids, gallery_ids) -> np.ndarray:
     lower meaning closer. The gallery is ordered by ascending score with ties
     broken by ascending gallery index, so a true match g* with score s* lands
     at 1 + #{g: s_g < s*} + #{g < g*: s_g = s*}; the best-placed match
-    counts. Scores must be finite. Pass the identities as arrays when ranking
-    many small sets, so they are not converted on every call.
+    counts. A non-finite score raises NumericError. Pass the identities as
+    arrays when ranking many small sets, so they are not converted on every
+    call.
     """
     dists = np.asarray(dists, dtype=np.float64)
     probe_ids = np.asarray(probe_ids)
@@ -81,6 +82,8 @@ def true_ranks(dists, probe_ids, gallery_ids) -> np.ndarray:
         raise InputError(f"need a {m} x {g} score matrix, got shape {dists.shape}")
     if g == 0:
         raise InputError("empty gallery")
+    if not np.isfinite(dists).all():
+        raise NumericError("non-finite matching score")
     match = probe_ids[:, None] == gallery_ids[None, :]
     # first minimum over the matches: the lowest-scored, then lowest-index, match
     best = np.argmin(np.where(match, dists, np.inf), axis=1)

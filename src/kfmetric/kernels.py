@@ -50,7 +50,8 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise InputError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf":
-            if self.width is None or not np.isfinite(self.width) or self.width <= 0:
+            w = self.width
+            if w is None or isinstance(w, bool) or not np.isfinite(w) or w <= 0:
                 raise InputError(f"rbf kernel needs width > 0, got {self.width}")
 
     @property
@@ -58,17 +59,13 @@ class KernelSpec:
         """The base kernels this kernel is built from: itself."""
         return (self,)
 
-    def fuse(self, grams, crosses=()):
-        """The Gram and cross blocks of :attr:`specs`, unchanged (see ``MklConfig.fuse``)."""
-        return grams[0], tuple(blocks[0] for blocks in crosses)
+    def fuse(self, grams):
+        """The Gram of :attr:`specs` over a basis, unchanged (see ``MklConfig.fuse``)."""
+        return grams[0]
 
-    def train_gram(self, X: np.ndarray) -> np.ndarray:
-        """Symmetrized square Gram over the rows of X."""
-        return gram(self, X).values
-
-    def fold(self, X: np.ndarray, A: np.ndarray) -> tuple:
-        """Embedding terms over basis X: embed(Y) = k(Y, X) A."""
-        return ((self, A),)
+    def fold(self, A: np.ndarray, grams) -> tuple:
+        """The coefficient block of :attr:`specs` over a basis X: embed(Y) = k(Y, X) A."""
+        return (A,)
 
     def to_dict(self) -> dict:
         return {"type": "kernel", "kind": self.kind, "width": self.width}

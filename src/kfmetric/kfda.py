@@ -24,7 +24,7 @@ import scipy.linalg
 
 from .data import ClassIndex, Dataset, SplitPlan, index_classes
 from .errors import InputError, NumericError
-from .kernels import KernelMatrix, KernelSpec
+from .kernels import KernelMatrix, KernelSpec, gram
 
 DEFAULT_EPS = 1e-7
 
@@ -122,9 +122,10 @@ class KfdaModel:
         )
 
 
-def _with_kernel(model: KfdaModel, X: np.ndarray, kernel) -> KfdaModel:
-    """Attach the training basis and kernel config, folded into embedding terms."""
-    return replace(model, train_basis=X, kernel_config=kernel, terms=kernel.fold(X, model.A))
+def _with_kernel(model: KfdaModel, X: np.ndarray, kernel, grams) -> KfdaModel:
+    """Attach the training basis and kernel config, folded over X's ``grams`` into terms."""
+    terms = tuple(zip(kernel.specs, kernel.fold(model.A, grams)))
+    return replace(model, train_basis=X, kernel_config=kernel, terms=terms)
 
 
 def build_scatter(K, idx: ClassIndex) -> ScatterPair:
@@ -227,7 +228,7 @@ def train(
 ) -> KfdaModel:
     """Fit a discriminant model on the plan's training identities.
 
-    ``kernel`` is anything exposing train_gram/fold (a KernelSpec or a
+    ``kernel`` is anything exposing specs/fuse/fold (a KernelSpec or a
     learned multi-kernel configuration). ``p`` defaults to c - 1.
     """
     train_idx = sorted(ds.samples_of(plan.train_ids))
@@ -238,9 +239,9 @@ def train(
         raise InputError(f"training needs at least 2 classes, got {idx.n_classes}")
     p_eff = idx.n_classes - 1 if p is None else p
     X = ds.features[train_idx]
-    K = kernel.train_gram(X)
-    sc = build_scatter(K, idx)
-    return _with_kernel(solve_kfda(sc, p_eff, eps), X, kernel)
+    grams = [gram(s, X).values for s in kernel.specs]
+    sc = build_scatter(kernel.fuse(grams), idx)
+    return _with_kernel(solve_kfda(sc, p_eff, eps), X, kernel, grams)
 
 
 def save_model(model: KfdaModel, path, meta: dict | None = None) -> None:
@@ -316,6 +317,8 @@ def load_model(path) -> tuple[KfdaModel, dict]:
         if isinstance(doc[key], bool) or not isinstance(doc[key], kind):
             raise InputError(f"{path}: field {key!r} has the wrong type")
     n, d, p = doc["n"], doc["d"], doc["p"]
+    if p < 1:
+        raise InputError(f"{path}: field 'p' must be >= 1, got {p}")
     cfg_doc = doc["kernel_config"]
     if cfg_doc.get("type") == "kernel":
         parse = KernelSpec.from_dict
@@ -337,4 +340,5 @@ def load_model(path) -> tuple[KfdaModel, dict]:
     eigvals = _model_array(doc, "eigvals", (p,), path)
     X = _model_array(doc, "train_features", (n, d), path)
     model = KfdaModel(A=A, eigvals=eigvals, regularizer=doc["regularizer"], p=p)
-    return _with_kernel(model, X, kernel), doc["meta"]
+    grams = (gram(s, X).values for s in kernel.specs)  # lazy: fold reads only sm's pair
+    return _with_kernel(model, X, kernel, grams), doc["meta"]

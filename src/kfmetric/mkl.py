@@ -19,6 +19,7 @@ Two combination strategies are supported:
 from __future__ import annotations
 
 import csv
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -60,6 +61,11 @@ class KernelAccuracies:
         return len(self.pis)
 
 
+def _is_int(v) -> bool:
+    """An integer that is not a bool (JSON true/false would pass int())."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class MklConfig:
     """A learned multi-kernel combination over a fixed bank of specs.
@@ -83,6 +89,8 @@ class MklConfig:
         if self.variant == "np":
             if self.weights is None or self.n_top is None:
                 raise InputError("np variant needs weights and n_top")
+            if not _is_int(self.n_top):
+                raise InputError(f"np n_top must be an integer, got {self.n_top!r}")
             w = np.asarray(self.weights, dtype=np.float64)
             if w.shape != (q,) or not np.all(np.isfinite(w) & (w >= 0)):
                 raise InputError("np weights must be length-q, finite and non-negative")
@@ -96,9 +104,13 @@ class MklConfig:
         elif self.variant == "sm":
             if self.pair is None or self.tau is None:
                 raise InputError("sm variant needs a kernel pair and tau")
+            if len(self.pair) != 2 or not all(_is_int(t) for t in self.pair):
+                raise InputError(f"sm pair must be two integer bank indices, got {self.pair}")
             i, j = self.pair
             if i == j or not (0 <= i < q and 0 <= j < q):
                 raise InputError(f"sm pair must be two distinct bank indices, got {self.pair}")
+            if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
+                raise InputError(f"tau must be a number, got {self.tau!r}")
             if not 0 <= self.tau < np.inf:
                 raise InputError(f"tau must be finite and non-negative, got {self.tau}")
             object.__setattr__(self, "pair", (int(i), int(j)))
@@ -113,41 +125,31 @@ class MklConfig:
             return tuple(s for s, b in zip(self.bank_specs, self.weights) if b != 0.0)
         return tuple(self.bank_specs[t] for t in self.pair)
 
-    def fuse(self, grams, crosses=()):
-        """The fused Gram and fused cross blocks over one basis, as (K, (C, ...)).
+    def fuse(self, grams) -> np.ndarray:
+        """The fused square Gram over one basis.
 
-        ``grams[t]`` is the square Gram of ``specs[t]`` over the basis; each
-        entry of ``crosses`` holds one cross block per spec against it. np
-        sums with the nonzero weights; sm fuses the Grams by :func:`combine_sm`
-        and a cross block as 0.5 (C_i + C_j) + tau (C_i - C_j) (K_i - K_j).
+        ``grams[t]`` is the square Gram of ``specs[t]`` over the basis. np sums
+        them with the nonzero weights; sm fuses the pair by :func:`combine_sm`.
         """
         if self.variant == "np":
             beta = [b for b in self.weights if b != 0.0]
-            K, *C = (sum(b * B for b, B in zip(beta, blocks)) for blocks in (grams, *crosses))
-            return K, tuple(C)
+            return sum(b * K for b, K in zip(beta, grams))
         Ki, Kj = grams
-        D = Ki - Kj
-        K = combine_sm(KernelMatrix(Ki), KernelMatrix(Kj), self.tau).values
-        return K, tuple(0.5 * (Ci + Cj) + self.tau * ((Ci - Cj) @ D) for Ci, Cj in crosses)
+        return combine_sm(KernelMatrix(Ki), KernelMatrix(Kj), self.tau).values
 
-    def train_gram(self, X: np.ndarray) -> np.ndarray:
-        return self.fuse([gram(s, X).values for s in self.specs])[0]
+    def fold(self, A: np.ndarray, grams) -> tuple:
+        """One coefficient block A_t per spec over basis X: embed(Y) = sum_t k_t(Y, X) A_t.
 
-    def fold(self, X: np.ndarray, A: np.ndarray) -> tuple:
-        """Embedding terms (spec_t, A_t) over basis X: embed(Y) = sum_t k_t(Y, X) A_t.
-
-        np: one term per active kernel, A_t = beta_t A. sm: the fused cross
-        kernel 0.5 (C_i + C_j) + tau (C_i - C_j) D, with D = K_i(X) - K_j(X),
-        applied to A splits into C_i (A/2 + tau D A) + C_j (A/2 - tau D A).
+        np: A_t = beta_t A. sm: the fused cross kernel 0.5 (C_i + C_j) + tau (C_i - C_j) D,
+        with D = K_i - K_j over X, applied to A splits into
+        C_i (A/2 + tau D A) + C_j (A/2 - tau D A). ``grams`` yields the Gram
+        of each spec over X, as for :meth:`fuse`; only sm reads it.
         """
         if self.variant == "np":
-            return tuple(
-                (spec, b * A) for spec, b in zip(self.bank_specs, self.weights) if b != 0.0
-            )
-        spec_i, spec_j = self.specs
-        D = gram(spec_i, X).values - gram(spec_j, X).values
-        tDA = self.tau * (D @ A)
-        return ((spec_i, 0.5 * A + tDA), (spec_j, 0.5 * A - tDA))
+            return tuple(b * A for b in self.weights if b != 0.0)
+        Ki, Kj = grams
+        tDA = self.tau * ((Ki - Kj) @ A)
+        return (0.5 * A + tDA, 0.5 * A - tDA)
 
     def to_dict(self) -> dict:
         doc = {
@@ -327,8 +329,9 @@ class _FoldPlan:
     def rank1(self, kernels) -> np.ndarray:
         """Held-out rank-1 of every kernel config on every fold: a (configs, folds) array.
 
-        Per fold every config slices its own kernels' pool Grams and fuses
-        the slices. Skipped folds stay NaN.
+        Per fold every config slices its own kernels' pool Grams, fuses the
+        training slices and solves, then embeds the held-out rows through
+        ``fold`` as a trained model serves them. Skipped folds stay NaN.
         """
         from .evaluation import true_ranks  # deferred: evaluation depends on this module
 
@@ -340,11 +343,14 @@ class _FoldPlan:
                 np.ix_(rows, tr) for rows in (tr, list(fold.probe_pos), list(fold.gallery_pos))
             )
             for c, (kernel, Ks) in enumerate(zip(kernels, pools)):
-                K_tr, (K_probe, K_gal) = kernel.fuse(
-                    [K[T] for K in Ks], ([K[P] for K in Ks], [K[G] for K in Ks])
+                grams = [K[T] for K in Ks]
+                sc = build_scatter(kernel.fuse(grams), fold.idx)
+                blocks = kernel.fold(solve_kfda(sc, fold.idx.n_classes - 1, self.eps).A, grams)
+                # embed_batch's rule over the fold's training rows: sum_t k_t(Y, X) A_t
+                probe, gallery = (
+                    sum(K[rows] @ A_t for K, A_t in zip(Ks, blocks)) for rows in (P, G)
                 )
-                model = solve_kfda(build_scatter(K_tr, fold.idx), fold.idx.n_classes - 1, self.eps)
-                dists = squared_distances(K_probe @ model.A, K_gal @ model.A)
+                dists = squared_distances(probe, gallery)
                 # a probe without a match ranks 0, so it counts as a miss
                 ranks = true_ranks(dists, fold.probe_ids, fold.gallery_ids)
                 rank1[c, fold.number] = np.mean(ranks == 1)

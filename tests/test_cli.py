@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfmetric.cli import main
-from kfmetric.data import load_features
+from kfmetric.config import load_config_file
+from kfmetric.data import Dataset, load_features, save_features
+from kfmetric.errors import InputError, NumericError
 from kfmetric.kfda import load_model
 
 # digest of (method=np-mfml, trials=2, base_seed=0, q=6, folds=4, defaults
@@ -305,6 +308,24 @@ class TestConfigFile:
         assert proc.returncode == 2
         assert "bogus" in proc.stderr
 
+    @pytest.mark.parametrize("value", ["ture", "2", "", "on", "y"])
+    def test_bad_boolean_exit_2(self, fixture_csv, tmp_path, value):
+        cfg = tmp_path / "bool.cfg"
+        cfg.write_text(f"include_distractors={value}\n")
+        proc = run_cli(
+            "evaluate", "--config", cfg, "--method", "euclidean", "--features", fixture_csv,
+            "--out", tmp_path / "x", "--trials", "1",
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "bad value for include_distractors" in proc.stderr
+
+    def test_boolean_spellings(self, tmp_path):
+        for value, expected in [("1", True), ("TRUE", True), ("Yes", True), ("0", False),
+                                ("false", False), ("NO", False)]:
+            cfg = tmp_path / "bool.cfg"
+            cfg.write_text(f"include_distractors = {value}\n")
+            assert load_config_file(cfg) == {"include_distractors": expected}
+
     def test_p_full_flag(self, fixture_csv, tmp_path):
         out = tmp_path / "pf"
         proc = run_cli(
@@ -348,6 +369,19 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert message in proc.stderr
         assert proc.stdout == ""
+
+    def test_non_finite_scores_exit_3(self, fixture_csv, tmp_path):
+        # squared distances of features near 1e160 overflow to inf - inf = NaN
+        ds = load_features(fixture_csv)
+        scaled = tmp_path / "scaled.csv"
+        save_features(Dataset(ds.features * 1e160, ds.identities, ds.cameras), scaled)
+        proc = run_cli(
+            "evaluate", "--method", "euclidean", "--features", scaled,
+            "--out", tmp_path / "x", "--trials", "1",
+        )
+        assert proc.returncode == 3, proc.stdout
+        assert "non-finite matching score" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_stdout_clean_on_error(self, tmp_path):
         proc = run_cli(
@@ -399,26 +433,43 @@ def model_doc(fixture_csv, tmp_path_factory):
     return json.loads((out / "model.json").read_text())
 
 
+def _with_config(doc, **fields):
+    """Copy of a model document with ``fields`` set in its kernel_config."""
+    return {**doc, "kernel_config": {**doc["kernel_config"], **fields}}
+
+
 @pytest.mark.parametrize(
-    "corrupt, message",
+    "method, corrupt, message",
     [
-        (lambda doc: _without(doc, "kernel_config", "width"), "lacks field 'width'"),
-        (lambda doc: [doc], "not a kfmetric-model file"),
-        (lambda doc: _without(doc, "A"), "lacks field 'A'"),
-        (lambda doc: {**doc, "p": doc["p"] + 1}, "'A' has shape"),
-        (lambda doc: {**doc, "meta": {**doc["meta"], "trial_seed": "x"}},
+        ("kfda", lambda doc: _without(doc, "kernel_config", "width"), "lacks field 'width'"),
+        ("kfda", lambda doc: [doc], "not a kfmetric-model file"),
+        ("kfda", lambda doc: _without(doc, "A"), "lacks field 'A'"),
+        ("kfda", lambda doc: {**doc, "p": doc["p"] + 1}, "'A' has shape"),
+        ("kfda", lambda doc: {**doc, "meta": {**doc["meta"], "trial_seed": "x"}},
          "meta field 'trial_seed' has the wrong type"),
-        (lambda doc: {**doc, "meta": {**doc["meta"], "trial_seed": True}},
+        ("kfda", lambda doc: {**doc, "meta": {**doc["meta"], "trial_seed": True}},
          "meta field 'trial_seed' has the wrong type"),
-        (lambda doc: {**doc, "meta": {**doc["meta"], "train_fraction": [0.5]}},
+        ("kfda", lambda doc: {**doc, "meta": {**doc["meta"], "train_fraction": [0.5]}},
          "meta field 'train_fraction' has the wrong type"),
+        ("kfda", lambda doc: {**doc, "meta": {**doc["meta"], "trial_seed": -1}},
+         "seed must be non-negative"),
+        ("kfda", lambda doc: {**doc, "p": 0, "A": [[] for _ in doc["A"]], "eigvals": []},
+         "'p' must be >= 1"),
+        ("kfda", lambda doc: _with_config(doc, width=True), "rbf kernel needs width"),
+        ("sm-mfml", lambda doc: _with_config(doc, pair=[0, 0.5]), "integer bank indices"),
+        ("sm-mfml", lambda doc: _with_config(doc, pair=[True, 0]), "integer bank indices"),
+        ("sm-mfml", lambda doc: _with_config(doc, tau=True), "tau must be a number"),
+        ("np-mfml", lambda doc: _with_config(doc, n_top=True), "n_top must be an integer"),
     ],
     ids=["no-kernel-width", "json-list", "no-A", "p-mismatch", "seed-string", "seed-bool",
-         "fraction-list"],
+         "fraction-list", "seed-negative", "p-zero", "width-bool", "sm-pair-float", "sm-pair-bool",
+         "sm-tau-bool", "np-n-top-bool"],
 )
-def test_malformed_model_file_exit_2(model_doc, fixture_csv, tmp_path, corrupt, message):
+def test_malformed_model_file_exit_2(model_doc, mkl_model_paths, fixture_csv, tmp_path, method,
+                                     corrupt, message):
+    doc = model_doc if method == "kfda" else json.loads(mkl_model_paths[method].read_text())
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(corrupt(model_doc)))
+    bad.write_text(json.dumps(corrupt(doc)))
     proc = run_cli("evaluate", "--features", fixture_csv, "--out", tmp_path / "ev", "--model", bad)
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
@@ -493,3 +544,152 @@ def test_numeric_flags_fuzz(fixture_csv, tmp_path_factory, command, eps, taus, n
     assert "Traceback" not in stderr.getvalue()
     if not all(math.isfinite(v) for v in (eps, *taus)):
         assert code == 2, argv
+
+
+def _exit_code(argv) -> int:
+    """``main(argv)`` with its output swallowed; any exception it lets out fails the test."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main([str(a) for a in argv])
+
+
+# cells an input file may hold: well-formed values and the malformed kinds a reader must reject
+_CELLS = st.one_of(
+    st.sampled_from(["0", "1", "2", "1.5", "-2e3", "nan", "inf", "-inf", "1e400", "1e160", "",
+                     " ", "x", '"', "-1", "0.5", "full", "true", "ture", "1,2", "9" * 30, "é"]),
+    st.text(max_size=4),
+)
+_NUMBERS = st.floats(-10.0, 10.0, allow_nan=False).map(repr)
+
+
+@st.composite
+def _feature_file(draw) -> bytes:
+    d = draw(st.integers(0, 3))
+    header = draw(st.one_of(st.just(["id", "cam"] + [f"f{j + 1}" for j in range(d)]),
+                            st.lists(_CELLS, max_size=5)))
+    row = st.one_of(
+        st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.sampled_from(["0", "1"]),
+                  st.lists(st.one_of(_NUMBERS, _CELLS), min_size=d, max_size=d))
+        .map(lambda r: [r[0], r[1], *r[2]]),
+        st.lists(_CELLS, max_size=d + 3),
+    )
+    rows = draw(st.lists(row, max_size=10))
+    text = "\n".join(",".join(cells) for cells in [header, *rows]).encode()
+    return draw(st.one_of(st.just(text), st.binary(max_size=40).map(lambda b: text + b)))
+
+
+@given(content=_feature_file())
+@settings(max_examples=150, deadline=None)
+def test_feature_file_fuzz(tmp_path_factory, content):
+    """A feature CSV either loads or raises InputError; evaluate exits 0, 2 or 3."""
+    work = tmp_path_factory.getbasetemp() / "fuzz-features"
+    work.mkdir(exist_ok=True)
+    path = work / "features.csv"
+    path.write_bytes(content)
+    try:
+        load_features(path)
+    except InputError:
+        pass
+    argv = ["evaluate", "--method", "euclidean", "--trials", "1", "--features", path,
+            "--out", work / "out"]
+    assert _exit_code(argv) in (0, 2, 3)
+
+
+_CONFIG_KEYS = st.sampled_from(
+    ["method", "train_fraction", "trials", "base_seed", "q", "width_lo", "width_hi", "eps", "p",
+     "folds", "n_grid", "tau_grid", "threads", "include_distractors", "bogus", ""]
+)
+
+
+@given(
+    lines=st.lists(
+        st.one_of(
+            st.tuples(_CONFIG_KEYS, _CELLS).map(lambda kv: f"{kv[0]}={kv[1]}"),
+            _CELLS,
+            st.just("# comment"),
+        ),
+        max_size=6,
+    ),
+    tail=st.binary(max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_config_file_fuzz(fixture_csv, tmp_path_factory, lines, tail):
+    """A config file either parses or raises InputError; evaluate exits 0, 2 or 3."""
+    work = tmp_path_factory.getbasetemp() / "fuzz-config"
+    work.mkdir(exist_ok=True)
+    path = work / "run.cfg"
+    path.write_bytes("\n".join(lines).encode() + tail)
+    try:
+        load_config_file(path)
+    except InputError:
+        pass
+    # the flags pin a cheap run, so the file's values are parsed and validated only
+    argv = ["evaluate", "--config", path, "--method", "euclidean", "--trials", "1",
+            "--threads", "1", "--features", fixture_csv, "--out", work / "out"]
+    assert _exit_code(argv) in (0, 2, 3)
+
+
+def _doc_paths(node, prefix=()):
+    """Paths of keys and indices into a JSON document, the root included.
+
+    Only the first two entries of a list are entered, so the scalar fields
+    are drawn about as often as the entries of the large arrays.
+    """
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node[:2]):
+            yield from _doc_paths(child, prefix + (key,))
+
+
+_JSON_VALUES = st.sampled_from(
+    [None, True, False, 0, 1, -1, 2, 2.5, 1e308, -1e308, "x", "", [], {}, [1.0], [[1.0]],
+     [0, 1], math.nan, math.inf, -math.inf]
+)
+
+
+def _mutate(doc, path, op, value):
+    """``doc`` with the node at ``path`` dropped, replaced by ``value`` or reshaped."""
+    if not path:
+        return copy.deepcopy(value) if op == "set" else [doc]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, node = path[-1], parent[path[-1]]
+    if op == "drop":
+        del parent[key]
+    elif op == "set":
+        parent[key] = copy.deepcopy(value)  # later mutations must not edit the strategy's value
+    elif isinstance(node, list) and node:
+        parent[key] = [node[1:], node + node[:1], [node]][value]
+    else:
+        parent[key] = [node]
+    return doc
+
+
+@given(
+    method=st.sampled_from(["kfda", "np-mfml", "sm-mfml"]),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_model_file_fuzz(model_doc, mkl_model_paths, fixture_csv, tmp_path_factory, method,
+                         data):
+    """A mutated model.json either loads or raises InputError or NumericError;
+    evaluate --model exits 0, 2 or 3."""
+    doc = model_doc if method == "kfda" else json.loads(mkl_model_paths[method].read_text())
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_doc_paths(doc))))
+        op = data.draw(st.sampled_from(["drop", "set", "reshape"] if path else ["set", "reshape"]))
+        value = data.draw(_JSON_VALUES if op == "set" else st.integers(0, 2))
+        doc = _mutate(doc, path, op, value)
+        if not isinstance(doc, (dict, list)):
+            break
+    work = tmp_path_factory.getbasetemp() / "fuzz-model"
+    work.mkdir(exist_ok=True)
+    path = work / "model.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity go out as the literals json.loads reads
+    try:
+        load_model(path)
+    except (InputError, NumericError):
+        pass
+    argv = ["evaluate", "--features", fixture_csv, "--out", work / "out", "--model", path]
+    assert _exit_code(argv) in (0, 2, 3)

@@ -68,6 +68,18 @@ def test_load_rejects_bad_header(tmp_path):
         load_features(path)
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"id,cam,f1\na,0,1.0\n\xe9,1,2.0\n", b"id,cam,f1\na,0,1.0\n" + b"x" * 200_000 + b",1,2.0\n"],
+    ids=["not-utf8", "field-over-csv-limit"],
+)
+def test_load_rejects_unreadable_csv(tmp_path, content):
+    path = tmp_path / "f.csv"
+    path.write_bytes(content)
+    with pytest.raises(InputError, match="unreadable feature file"):
+        load_features(path)
+
+
 def test_load_missing_file_names_path(tmp_path):
     with pytest.raises(InputError, match="no_such"):
         load_features(tmp_path / "no_such.csv")
@@ -198,6 +210,8 @@ def test_make_split_rejects_bad_fraction_and_tiny_sets():
         make_split(ds, 0, train_fraction=1.5)
     with pytest.raises(InputError, match="no test"):
         make_split(ds, 0, train_fraction=0.99)
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        make_split(ds, -1)
     one_cam = Dataset(np.ones((4, 2)), ("a", "a", "b", "b"), (0, 0, 0, 0))
     with pytest.raises(InputError, match="2 cameras"):
         make_split(one_cam, 0)

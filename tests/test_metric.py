@@ -5,7 +5,7 @@ from dataclasses import replace
 from kfmetric.data import Dataset, SplitPlan, index_classes
 from kfmetric.errors import InputError
 from kfmetric.kernels import KernelSpec, gram
-from kfmetric.kfda import build_scatter, solve_kfda, train
+from kfmetric.kfda import _with_kernel, build_scatter, solve_kfda, train
 from kfmetric.mkl import MklConfig
 from kfmetric.metric import (
     Projection,
@@ -59,28 +59,35 @@ class TestEmbed:
         )
         for kernel in configs:
             model = train(ds, plan, kernel)
-            K = kernel.train_gram(model.train_basis)
+            K = kernel.fuse([gram(s, model.train_basis).values for s in kernel.specs])
             for j in (0, 4, 7):
                 proj = embed(model, model.train_basis[j])
                 np.testing.assert_allclose(proj.coords, model.A.T @ K[:, j], rtol=0, atol=1e-10)
 
-    def test_fused_cross_block_matches_folded_embedding(self):
-        # cross-validation scores a probe by fuse's cross block times A; serving
-        # embeds it through the folded terms; both must be the same kernel
-        ds, plan = small_problem(seed=3)
+    def test_cv_fold_embedding_matches_served_model(self):
+        # cross-validation embeds a fold's held-out rows from pool-Gram slices
+        # through fold; serving embeds them through the terms of the model
+        # folded from the same A over the fold's training rows
+        ds, _ = small_problem(n_ids=5, seed=3)
+        X = ds.features
+        tr, held = list(range(12)), list(range(12, 15))
+        idx = index_classes(ds, tr)
         bank = tuple(KernelSpec("rbf", w) for w in (0.7, 2.0, 5.0))
-        Y = np.random.default_rng(5).normal(size=(6, 3)) * 2.0
         for kernel in (
+            bank[1],
             MklConfig("np", bank, weights=(0.25, 0.0, 0.75), n_top=2),
             MklConfig("sm", bank, pair=(2, 0), tau=0.3),
         ):
-            model = train(ds, plan, kernel)
-            X = model.train_basis
-            _, (C,) = kernel.fuse(
-                [gram(s, X).values for s in kernel.specs],
-                [[gram(s, Y, X).values for s in kernel.specs]],
+            pool = [gram(s, X).values for s in kernel.specs]
+            grams = [K[np.ix_(tr, tr)] for K in pool]
+            solved = solve_kfda(build_scatter(kernel.fuse(grams), idx), idx.n_classes - 1)
+            cv = sum(
+                K[np.ix_(held, tr)] @ A_t for K, A_t in zip(pool, kernel.fold(solved.A, grams))
             )
-            np.testing.assert_allclose(C @ model.A, embed_batch(model, Y), rtol=0, atol=1e-10)
+            served = _with_kernel(
+                solved, X[tr], kernel, [gram(s, X[tr]).values for s in kernel.specs]
+            )
+            np.testing.assert_allclose(cv, embed_batch(served, X[held]), rtol=0, atol=1e-10)
 
     def test_truncated_model_embeds_leading_columns(self):
         ds, plan = small_problem(seed=2)

@@ -11,7 +11,8 @@ from kfmetric.config import RunConfig
 from kfmetric.data import Dataset, make_split
 from kfmetric.errors import InputError
 from kfmetric.evaluation import fit_for_trial, rbf_bank
-from kfmetric.kernels import KernelSpec, rms_width
+from kfmetric.kernels import KernelSpec, gram, rms_width
+from kfmetric.kfda import load_model, save_model
 from kfmetric.mkl import (
     KernelAccuracies,
     MklConfig,
@@ -355,7 +356,8 @@ class TestFoldPlan:
         ds = make_synthetic(80, 2, 20, noise=0.6, view_offset=30.0, seed=0)
         calls = {"_make_folds": [], "index_classes": [], "solve_kfda": [], "gram": []}
         for module, name in ((mkl, "_make_folds"), (mkl, "index_classes"),
-                             (kfda, "index_classes"), (mkl, "solve_kfda"), (mkl, "gram")):
+                             (kfda, "index_classes"), (mkl, "solve_kfda"), (mkl, "gram"),
+                             (kfda, "gram")):
             fn = getattr(module, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -374,6 +376,22 @@ class TestFoldPlan:
         [(_, used)] = calls["_make_folds"]
         assert len(calls["index_classes"]) == len(used) + 1
         assert model.kernel_config.accuracies.plan is None
+
+    @pytest.mark.parametrize(
+        "method, fitted, loaded", [("kfda", 1, 0), ("np-mfml", 22, 0), ("sm-mfml", 22, 2)]
+    )
+    def test_each_base_gram_is_built_once(self, trial, tmp_path, method, fitted, loaded):
+        # 20 pool Grams for CV, then train builds the chosen N=2 or sm pair once;
+        # loading builds only the Grams fold reads: sm's pair
+        ds, split, calls = trial
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = fit_for_trial(ds, split, method, RunConfig())
+        assert len(calls["gram"]) == fitted
+        save_model(model, tmp_path / "model.json")
+        calls["gram"].clear()
+        load_model(tmp_path / "model.json")
+        assert len(calls["gram"]) == loaded
 
     def test_n_search_reuses_the_n1_row_and_pool_grams(self, trial):
         ds, split, calls = trial
@@ -412,18 +430,20 @@ class TestMklConfig:
         with pytest.raises(InputError, match="variant"):
             MklConfig("mix", bank)
 
-    def test_np_train_gram_is_weighted_sum(self, rng):
+    def test_np_fused_gram_is_weighted_sum(self, rng):
         bank = self._bank(3)
         X = rng.normal(size=(6, 4))
         cfg = MklConfig("np", bank, weights=(0.25, 0.75, 0.0), n_top=2)
-        expected = 0.25 * bank[0].train_gram(X) + 0.75 * bank[1].train_gram(X)
-        np.testing.assert_allclose(cfg.train_gram(X), expected, atol=1e-13)
+        expected = 0.25 * gram(bank[0], X).values + 0.75 * gram(bank[1], X).values
+        np.testing.assert_allclose(
+            cfg.fuse([gram(s, X).values for s in cfg.specs]), expected, atol=1e-13
+        )
 
     def test_np_combined_gram_is_psd(self, rng):
         bank = self._bank(4)
         X = rng.normal(size=(10, 3))
         cfg = MklConfig("np", bank, weights=(0.4, 0.3, 0.3, 0.0), n_top=3)
-        vals = np.linalg.eigvalsh(cfg.train_gram(X))
+        vals = np.linalg.eigvalsh(cfg.fuse([gram(s, X).values for s in cfg.specs]))
         assert vals.min() >= -1e-8 * max(vals.max(), 1e-30)
 
     def test_dict_round_trip(self):
