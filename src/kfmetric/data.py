@@ -227,8 +227,9 @@ def eligible_identities(
     probe_ids = {ds.identities[i] for i in range(ds.n_samples) if ds.cameras[i] == probe_camera}
     gal_ids = {ds.identities[i] for i in range(ds.n_samples) if ds.cameras[i] == gallery_camera}
     all_ids = sorted(set(ds.identities))
-    eligible = [i for i in all_ids if i in probe_ids and i in gal_ids]
-    excluded = [i for i in all_ids if i not in eligible]
+    both = probe_ids & gal_ids
+    eligible = [i for i in all_ids if i in both]
+    excluded = [i for i in all_ids if i not in both]
     return eligible, excluded
 
 

@@ -8,6 +8,7 @@ which stays positive semi-definite for symmetric PSD inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,9 @@ from .errors import InputError, NumericError
 KERNEL_KINDS = ("rbf", "linear", "poly2")
 
 WEIGHT_TOL = 1e-12
+
+# the widest rbf width whose 2 sigma^2 is still a finite float
+MAX_RBF_WIDTH = math.sqrt(sys.float_info.max / 2.0)
 
 
 def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -51,8 +55,11 @@ class KernelSpec:
             raise InputError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf":
             w = self.width
-            if w is None or isinstance(w, bool) or not np.isfinite(w) or w <= 0:
-                raise InputError(f"rbf kernel needs width > 0, got {self.width}")
+            if (w is None or isinstance(w, bool) or not np.isfinite(w) or w <= 0
+                    or w > MAX_RBF_WIDTH):
+                raise InputError(
+                    f"rbf kernel needs width in (0, {MAX_RBF_WIDTH:.4g}], got {self.width}"
+                )
 
     @property
     def specs(self) -> tuple["KernelSpec", ...]:
@@ -109,37 +116,65 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
     return float((x @ y + 1.0) ** 2)
 
 
-def gram(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray | None = None) -> KernelMatrix:
-    """Kernel matrix with entry (u, v) = k(rows[u], cols[v]).
+def grams(specs, rows: np.ndarray, cols: np.ndarray | None = None):
+    """Yield the KernelMatrix of each spec over one (rows, cols) pair, in order.
 
-    When cols is omitted the matrix is treated as a square Gram over one
-    basis: the diagonal of an rbf Gram is pinned to exactly 1 and the result
-    is symmetrized as (K + K.T) / 2 to absorb floating-point asymmetry.
+    Entry (u, v) of each block is k(rows[u], cols[v]). Every rbf block is
+    evaluated from one squared-distance matrix, computed when the first block
+    is taken and freed after the last rbf block. Blocks are produced one at
+    a time, so a caller that drops each block before taking the next holds
+    only one.
+
+    When cols is omitted each block is a square Gram over one basis: the
+    diagonal of an rbf Gram is pinned to exactly 1 and the result is
+    symmetrized as (K + K.T) / 2 to absorb floating-point asymmetry.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     same = cols is None
-    cols_arr = rows if same else np.atleast_2d(np.asarray(cols, dtype=np.float64))
-    if rows.shape[0] == 0 or cols_arr.shape[0] == 0:
+    cols = rows if same else np.atleast_2d(np.asarray(cols, dtype=np.float64))
+    if rows.shape[0] == 0 or cols.shape[0] == 0:
         raise InputError("empty sample list")
-    if rows.shape[1] != cols_arr.shape[1]:
-        raise InputError(f"dimension mismatch: {rows.shape[1]} vs {cols_arr.shape[1]}")
-    if spec.kind == "rbf":
-        sq = squared_distances(rows, cols_arr)
+    if rows.shape[1] != cols.shape[1]:
+        raise InputError(f"dimension mismatch: {rows.shape[1]} vs {cols.shape[1]}")
+    specs = list(specs)
+    last_rbf = max((t for t, s in enumerate(specs) if s.kind == "rbf"), default=-1)
+    sq = None
+    if last_rbf >= 0:
+        sq = squared_distances(rows, cols)
         if same:
             np.fill_diagonal(sq, 0.0)
-        K = np.exp(-sq / (2.0 * spec.width**2))
+    for t, spec in enumerate(specs):
+        block = _block(spec, rows, cols, sq, same)
+        if t == last_rbf:
+            sq = None  # no later block reads the distances
+        yield block
+        del block  # a block the caller dropped is freed before the next one is built
+
+
+def _block(spec: KernelSpec, rows, cols, sq, same: bool) -> KernelMatrix:
+    """One spec's kernel block; rbf reads the pair's squared distances ``sq``."""
+    if spec.kind == "rbf":
+        # sq / -(2 w^2) is bit-identical to -sq / (2 w^2); exp then runs in place
+        K = np.divide(sq, -(2.0 * spec.width**2))
+        np.exp(K, out=K)
     elif spec.kind == "linear":
-        K = rows @ cols_arr.T
+        K = rows @ cols.T
     else:
-        K = (rows @ cols_arr.T + 1.0) ** 2
+        K = (rows @ cols.T + 1.0) ** 2
     if same:
-        K = 0.5 * (K + K.T)
+        K += K.T  # numpy buffers the overlapping operand: the bits of 0.5 * (K + K.T)
+        K *= 0.5
     return KernelMatrix(K)
+
+
+def gram(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray | None = None) -> KernelMatrix:
+    """Kernel matrix with entry (u, v) = k(rows[u], cols[v]); see :func:`grams`."""
+    return next(grams((spec,), rows, cols))
 
 
 def bank_over(specs, X: np.ndarray) -> tuple[KernelMatrix, ...]:
     """Square Grams of a list of kernel specs over one sample matrix."""
-    return tuple(gram(s, X) for s in specs)
+    return tuple(grams(specs, X))
 
 
 def rms_width(ds, subset) -> float:

@@ -24,7 +24,7 @@ import scipy.linalg
 
 from .data import ClassIndex, Dataset, SplitPlan, index_classes
 from .errors import InputError, NumericError
-from .kernels import KernelMatrix, KernelSpec, gram
+from .kernels import KernelMatrix, KernelSpec, grams
 
 DEFAULT_EPS = 1e-7
 
@@ -239,9 +239,9 @@ def train(
         raise InputError(f"training needs at least 2 classes, got {idx.n_classes}")
     p_eff = idx.n_classes - 1 if p is None else p
     X = ds.features[train_idx]
-    grams = [gram(s, X).values for s in kernel.specs]
-    sc = build_scatter(kernel.fuse(grams), idx)
-    return _with_kernel(solve_kfda(sc, p_eff, eps), X, kernel, grams)
+    base = [K.values for K in grams(kernel.specs, X)]  # one distance matrix for every rbf
+    sc = build_scatter(kernel.fuse(base), idx)
+    return _with_kernel(solve_kfda(sc, p_eff, eps), X, kernel, base)
 
 
 def save_model(model: KfdaModel, path, meta: dict | None = None) -> None:
@@ -340,5 +340,5 @@ def load_model(path) -> tuple[KfdaModel, dict]:
     eigvals = _model_array(doc, "eigvals", (p,), path)
     X = _model_array(doc, "train_features", (n, d), path)
     model = KfdaModel(A=A, eigvals=eigvals, regularizer=doc["regularizer"], p=p)
-    grams = (gram(s, X).values for s in kernel.specs)  # lazy: fold reads only sm's pair
-    return _with_kernel(model, X, kernel, grams), doc["meta"]
+    base = (K.values for K in grams(kernel.specs, X))  # lazy: fold reads only sm's pair
+    return _with_kernel(model, X, kernel, base), doc["meta"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .kernels import gram, squared_distances
+from .kernels import grams, squared_distances
 from .kfda import KfdaModel
 
 
@@ -53,7 +53,14 @@ def embed_batch(model: KfdaModel, Y) -> np.ndarray:
     d = model.train_basis.shape[1]
     if Y.shape[1] != d:
         raise InputError(f"sample dimension {Y.shape[1]} != training dimension {d}")
-    return sum(gram(spec, Y, model.train_basis).values @ A_t for spec, A_t in model.terms)
+    coefs = iter(A_t for _, A_t in model.terms)
+    total = 0
+    # every term's kernel over (Y, X) comes from one distance matrix; each
+    # block is multiplied into the sum and dropped before the next is built
+    for K in grams([spec for spec, _ in model.terms], Y, model.train_basis):
+        total += K.values @ next(coefs)
+        del K
+    return total
 
 
 def embed(model: KfdaModel, y) -> Projection:

@@ -32,7 +32,7 @@ from .kernels import (
     KernelMatrix,
     KernelSpec,
     combine_sm,
-    gram,
+    grams,
     squared_distances,
 )
 from .kfda import build_scatter, solve_kfda
@@ -53,8 +53,14 @@ class KernelAccuracies:
     def __post_init__(self):
         if len(self.pis) < 1:
             raise InputError("need at least one kernel accuracy")
+        if not all(_is_real(v) for v in self.pis):
+            raise InputError(f"accuracies must be numbers, got {list(self.pis)!r}")
         if any(not 0.0 <= v <= 1.0 for v in self.pis):
             raise InputError("accuracies must lie in [0, 1]")
+        if not (_is_int(self.folds) and _is_int(self.fold_seed)):
+            raise InputError(
+                f"folds and fold_seed must be integers, got {self.folds!r} and {self.fold_seed!r}"
+            )
 
     @property
     def q(self) -> int:
@@ -64,6 +70,11 @@ class KernelAccuracies:
 def _is_int(v) -> bool:
     """An integer that is not a bool (JSON true/false would pass int())."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A real number that is not a bool (JSON true/false and "0.5" would pass float())."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -91,6 +102,8 @@ class MklConfig:
                 raise InputError("np variant needs weights and n_top")
             if not _is_int(self.n_top):
                 raise InputError(f"np n_top must be an integer, got {self.n_top!r}")
+            if not all(_is_real(v) for v in self.weights):
+                raise InputError(f"np weights must be numbers, got {list(self.weights)!r}")
             w = np.asarray(self.weights, dtype=np.float64)
             if w.shape != (q,) or not np.all(np.isfinite(w) & (w >= 0)):
                 raise InputError("np weights must be length-q, finite and non-negative")
@@ -109,7 +122,7 @@ class MklConfig:
             i, j = self.pair
             if i == j or not (0 <= i < q and 0 <= j < q):
                 raise InputError(f"sm pair must be two distinct bank indices, got {self.pair}")
-            if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
+            if not _is_real(self.tau):
                 raise InputError(f"tau must be a number, got {self.tau!r}")
             if not 0 <= self.tau < np.inf:
                 raise InputError(f"tau must be finite and non-negative, got {self.tau}")
@@ -309,9 +322,10 @@ def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gal
 class _FoldPlan:
     """One trial's CV setting, built once: its used folds, eps and the bank.
 
-    Each base kernel's Gram over the CV pool is computed on first use and
-    kept, so every stage of the trial (pi_r, then N or tau) scores its
-    candidates on the same folds without recomputing a pool Gram.
+    The base kernels' Grams over the CV pool are computed on first use, all
+    missing ones from one distance matrix, and kept, so every stage of the
+    trial (pi_r, then N or tau) scores its candidates on the same folds
+    without recomputing a pool Gram.
     """
 
     folds: int  # planned folds, skipped ones included
@@ -319,12 +333,14 @@ class _FoldPlan:
     eps: float
     bank: tuple[KernelSpec, ...]
     X_pool: np.ndarray
-    grams: dict = field(default_factory=dict)
+    pool: dict = field(default_factory=dict)  # spec -> its Gram over X_pool
 
-    def pool_gram(self, spec: KernelSpec) -> np.ndarray:
-        if spec not in self.grams:
-            self.grams[spec] = gram(spec, self.X_pool).values
-        return self.grams[spec]
+    def pool_grams(self, kernels) -> list:
+        """Each kernel config's list of pool Grams, one per spec."""
+        missing = [s for s in dict.fromkeys(s for k in kernels for s in k.specs)
+                   if s not in self.pool]
+        self.pool.update(zip(missing, (K.values for K in grams(missing, self.X_pool))))
+        return [[self.pool[s] for s in kernel.specs] for kernel in kernels]
 
     def rank1(self, kernels) -> np.ndarray:
         """Held-out rank-1 of every kernel config on every fold: a (configs, folds) array.
@@ -335,7 +351,7 @@ class _FoldPlan:
         """
         from .evaluation import true_ranks  # deferred: evaluation depends on this module
 
-        pools = [[self.pool_gram(s) for s in kernel.specs] for kernel in kernels]
+        pools = self.pool_grams(kernels)
         rank1 = np.full((len(kernels), self.folds), np.nan)
         for fold in self.used:
             tr = list(fold.train_pos)

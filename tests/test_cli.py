@@ -438,6 +438,11 @@ def _with_config(doc, **fields):
     return {**doc, "kernel_config": {**doc["kernel_config"], **fields}}
 
 
+def _with_accuracies(doc, **fields):
+    """Copy of an mkl model document with ``fields`` set in its CV accuracies."""
+    return _with_config(doc, accuracies={**doc["kernel_config"]["accuracies"], **fields})
+
+
 @pytest.mark.parametrize(
     "method, corrupt, message",
     [
@@ -456,14 +461,31 @@ def _with_config(doc, **fields):
         ("kfda", lambda doc: {**doc, "p": 0, "A": [[] for _ in doc["A"]], "eigvals": []},
          "'p' must be >= 1"),
         ("kfda", lambda doc: _with_config(doc, width=True), "rbf kernel needs width"),
+        ("kfda", lambda doc: _with_config(doc, width=1e308), "rbf kernel needs width"),
         ("sm-mfml", lambda doc: _with_config(doc, pair=[0, 0.5]), "integer bank indices"),
         ("sm-mfml", lambda doc: _with_config(doc, pair=[True, 0]), "integer bank indices"),
         ("sm-mfml", lambda doc: _with_config(doc, tau=True), "tau must be a number"),
         ("np-mfml", lambda doc: _with_config(doc, n_top=True), "n_top must be an integer"),
+        ("np-mfml", lambda doc: _with_config(
+            doc, weights=[repr(w) for w in doc["kernel_config"]["weights"]]),
+         "np weights must be numbers"),
+        ("np-mfml", lambda doc: _with_config(
+            doc, weights=[True] + [False] * (len(doc["kernel_config"]["weights"]) - 1), n_top=1),
+         "np weights must be numbers"),
+        ("np-mfml", lambda doc: _with_accuracies(
+            doc, pis=[True] + doc["kernel_config"]["accuracies"]["pis"][1:]),
+         "accuracies must be numbers"),
+        ("sm-mfml", lambda doc: _with_accuracies(doc, folds="4"),
+         "folds and fold_seed must be integers"),
+        ("sm-mfml", lambda doc: _with_accuracies(doc, folds=4.0),
+         "folds and fold_seed must be integers"),
+        ("np-mfml", lambda doc: _with_accuracies(doc, fold_seed=True),
+         "folds and fold_seed must be integers"),
     ],
     ids=["no-kernel-width", "json-list", "no-A", "p-mismatch", "seed-string", "seed-bool",
-         "fraction-list", "seed-negative", "p-zero", "width-bool", "sm-pair-float", "sm-pair-bool",
-         "sm-tau-bool", "np-n-top-bool"],
+         "fraction-list", "seed-negative", "p-zero", "width-bool", "width-huge", "sm-pair-float",
+         "sm-pair-bool", "sm-tau-bool", "np-n-top-bool", "np-weights-string", "np-weights-bool",
+         "pis-bool", "folds-string", "folds-float", "fold-seed-bool"],
 )
 def test_malformed_model_file_exit_2(model_doc, mkl_model_paths, fixture_csv, tmp_path, method,
                                      corrupt, message):
@@ -640,9 +662,24 @@ def _doc_paths(node, prefix=()):
             yield from _doc_paths(child, prefix + (key,))
 
 
+def _number_entries(doc) -> list:
+    """(path, value) of every np weight and CV accuracy entry of a model document."""
+    cfg = doc.get("kernel_config") if isinstance(doc, dict) else None
+    if not isinstance(cfg, dict):
+        return []
+    out = []
+    for path in (("kernel_config", "weights"), ("kernel_config", "accuracies", "pis")):
+        node = doc
+        for key in path:
+            node = node.get(key) if isinstance(node, dict) else None
+        if isinstance(node, list):
+            out += [(path + (i,), v) for i, v in enumerate(node)]
+    return out
+
+
 _JSON_VALUES = st.sampled_from(
-    [None, True, False, 0, 1, -1, 2, 2.5, 1e308, -1e308, "x", "", [], {}, [1.0], [[1.0]],
-     [0, 1], math.nan, math.inf, -math.inf]
+    [None, True, False, 0, 1, -1, 2, 2.5, 1e308, -1e308, "x", "", "0.5", "1", [], {}, [1.0],
+     [[1.0]], [0, 1], math.nan, math.inf, -math.inf]
 )
 
 
@@ -673,11 +710,14 @@ def _mutate(doc, path, op, value):
 def test_model_file_fuzz(model_doc, mkl_model_paths, fixture_csv, tmp_path_factory, method,
                          data):
     """A mutated model.json either loads or raises InputError or NumericError;
-    evaluate --model exits 0, 2 or 3."""
+    evaluate --model exits 0, 2 or 3. A retyped np weight or accuracy never loads."""
     doc = model_doc if method == "kfda" else json.loads(mkl_model_paths[method].read_text())
     doc = json.loads(json.dumps(doc))
     for _ in range(data.draw(st.integers(1, 3))):
-        path = data.draw(st.sampled_from(list(_doc_paths(doc))))
+        paths = st.sampled_from(list(_doc_paths(doc)))
+        entries = [q for q, _ in _number_entries(doc)]
+        # half the mutations of an mkl model retype one np weight or CV accuracy
+        path = data.draw(paths | st.sampled_from(entries) if entries else paths)
         op = data.draw(st.sampled_from(["drop", "set", "reshape"] if path else ["set", "reshape"]))
         value = data.draw(_JSON_VALUES if op == "set" else st.integers(0, 2))
         doc = _mutate(doc, path, op, value)
@@ -687,9 +727,13 @@ def test_model_file_fuzz(model_doc, mkl_model_paths, fixture_csv, tmp_path_facto
     work.mkdir(exist_ok=True)
     path = work / "model.json"
     path.write_text(json.dumps(doc))  # NaN and Infinity go out as the literals json.loads reads
-    try:
-        load_model(path)
-    except (InputError, NumericError):
-        pass
+    if any(isinstance(v, (str, bool)) for _, v in _number_entries(doc)):
+        with pytest.raises(InputError):
+            load_model(path)
+    else:
+        try:
+            load_model(path)
+        except (InputError, NumericError):
+            pass
     argv = ["evaluate", "--features", fixture_csv, "--out", work / "out", "--model", path]
     assert _exit_code(argv) in (0, 2, 3)

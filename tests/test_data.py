@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from kfmetric.data import (
     Dataset,
+    eligible_identities,
     index_classes,
     load_features,
     make_split,
@@ -202,6 +203,16 @@ def test_make_split_excludes_one_camera_identity():
     with pytest.warns(UserWarning, match="loner"):
         plan = make_split(lonely, trial_seed=1)
     assert "loner" not in plan.train_ids | plan.test_ids
+
+
+def test_eligible_identities_sorted_groups():
+    # "g*" appear only in the gallery camera 1, "p1" only in the probe camera 0,
+    # "c2" only in a third camera; "b*" in both, one of them also in camera 2
+    ids = ("g2", "b3", "p1", "b1", "g1", "b3", "c2", "b1", "b2", "b2", "g1", "b2")
+    cams = (1, 0, 0, 1, 1, 1, 2, 0, 0, 1, 1, 2)
+    ds = Dataset(np.arange(24.0).reshape(12, 2), ids, cams)
+    assert eligible_identities(ds, 0, 1) == (["b1", "b2", "b3"], ["c2", "g1", "g2", "p1"])
+    assert eligible_identities(ds, 1, 2) == (["b2"], ["b1", "b3", "c2", "g1", "g2", "p1"])
 
 
 def test_make_split_rejects_bad_fraction_and_tiny_sets():

@@ -304,3 +304,35 @@ class TestCmcReportValidation:
                 trials=2,
                 config_digest="x",
             )
+
+
+# sha256 of the per-probe true ranks of one run_trials trial at seed 0 on the
+# 80-identity noise-0.6 fixture, for each method; an optimization that moves a
+# single rank changes its digest
+RANK_DIGESTS = {
+    "kfda": "1a58c57acfd79e9660471bc202d6cd57ca778110a97f980ed5a03db33117fccd",
+    "np-mfml": "4fe35ab101b28d05698b75d07e142e5bc4f40a1bb35d2b602a73557fd321e93d",
+    "sm-mfml": "4fe35ab101b28d05698b75d07e142e5bc4f40a1bb35d2b602a73557fd321e93d",
+}
+
+
+@pytest.mark.parametrize("method", sorted(RANK_DIGESTS))
+def test_rank_decisions_are_locked(monkeypatch, method):
+    import hashlib
+
+    from kfmetric import evaluation
+
+    ds = make_synthetic(80, 2, 20, noise=0.6, view_offset=30.0, seed=0)
+    seen = []
+
+    def recorded(*args, _fn=evaluation.score_plan, **kwargs):
+        seen.append(_fn(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(evaluation, "score_plan", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_trials(ds, method, 1, 0, RunConfig())
+    [(ranks, gallery)] = seen
+    text = f"{gallery}:" + ",".join(map(str, ranks))
+    assert hashlib.sha256(text.encode()).hexdigest() == RANK_DIGESTS[method]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfmetric import kernels
 from kfmetric.data import Dataset
 from kfmetric.errors import InputError, NumericError
 from kfmetric.kernels import (
@@ -15,7 +16,9 @@ from kfmetric.kernels import (
     combine_sm,
     eval_kernel,
     gram,
+    grams,
     rms_width,
+    squared_distances,
     width_grid,
 )
 
@@ -56,6 +59,8 @@ class TestEvalKernel:
     def test_invalid_spec(self):
         with pytest.raises(InputError):
             KernelSpec("rbf", -1.0)
+        with pytest.raises(InputError, match="rbf kernel needs width"):
+            KernelSpec("rbf", 1e308)  # 2 sigma^2 overflows a float
         with pytest.raises(InputError):
             KernelSpec("sigmoid", 1.0)
 
@@ -107,6 +112,76 @@ class TestGram:
     def test_empty_rejected(self):
         with pytest.raises(InputError, match="empty"):
             gram(KernelSpec("linear"), np.empty((0, 3)))
+
+
+def reference_gram(spec, rows, cols=None):
+    """One spec's Gram, each spec from its own distance matrix, by the textbook formula."""
+    same = cols is None
+    cols = rows if same else cols
+    if spec.kind == "rbf":
+        sq = squared_distances(rows, cols)
+        if same:
+            np.fill_diagonal(sq, 0.0)
+        K = np.exp(-sq / (2.0 * spec.width**2))
+    elif spec.kind == "linear":
+        K = rows @ cols.T
+    else:
+        K = (rows @ cols.T + 1.0) ** 2
+    if same:
+        K = 0.5 * (K + K.T)
+    return K
+
+
+_specs = st.lists(
+    st.one_of(
+        st.builds(lambda w: KernelSpec("rbf", w), st.floats(1e-2, 1e3)),
+        st.just(KernelSpec("linear")),
+        st.just(KernelSpec("poly2")),
+    ),
+    max_size=6,
+)
+
+
+class TestGrams:
+    """One distance matrix per (rows, cols) pair feeds every rbf block, bit for bit."""
+
+    @given(specs=_specs, square=st.booleans(), seed=st.integers(0, 2**16),
+           n=st.integers(1, 9), m=st.integers(1, 9), d=st.integers(1, 5))
+    @settings(max_examples=120, deadline=None)
+    def test_every_block_equals_its_own_gram(self, specs, square, seed, n, m, d):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 30.0])
+        cols = None if square else rng.normal(size=(m, d))
+        blocks = list(grams(specs, rows, cols))
+        assert len(blocks) == len(specs)
+        for spec, K in zip(specs, blocks):
+            assert np.array_equal(K.values, reference_gram(spec, rows, cols)), spec
+            assert np.array_equal(gram(spec, rows, cols).values, K.values)
+
+    @pytest.mark.parametrize("square", [True, False])
+    def test_one_distance_matrix_for_every_rbf(self, monkeypatch, square):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return squared_distances(*args)
+
+        monkeypatch.setattr(kernels, "squared_distances", counted)
+        rng = np.random.default_rng(3)
+        rows, cols = rng.normal(size=(7, 3)), None if square else rng.normal(size=(5, 3))
+        specs = [KernelSpec("linear"), KernelSpec("rbf", 0.5), KernelSpec("poly2"),
+                 KernelSpec("rbf", 2.0), KernelSpec("rbf", 9.0)]
+        assert len(list(grams(specs, rows, cols))) == 5
+        assert len(calls) == 1
+        calls.clear()
+        list(grams([specs[0], specs[2]], rows, cols))  # linear and poly2 need no distances
+        assert calls == []
+
+    def test_checks_run_before_any_block(self):
+        with pytest.raises(InputError, match="dimension mismatch"):
+            next(grams([KernelSpec("linear")], np.ones((2, 3)), np.ones((2, 4))))
+        with pytest.raises(InputError, match="empty"):
+            next(grams([KernelSpec("rbf", 1.0)], np.empty((0, 3))))
 
 
 class TestRmsWidth:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from kfmetric.data import Dataset, SplitPlan, index_classes
 from kfmetric.errors import InputError
-from kfmetric.kernels import KernelSpec, gram
+from kfmetric.kernels import KernelSpec, gram, squared_distances
 from kfmetric.kfda import _with_kernel, build_scatter, solve_kfda, train
 from kfmetric.mkl import MklConfig
 from kfmetric.metric import (
@@ -45,6 +45,9 @@ def small_model(n_ids=4, per_id=3, d=3, seed=0, kind="rbf", width=2.0, eps=1e-7,
     ds, plan = small_problem(n_ids, per_id, d, seed)
     spec = KernelSpec(kind, width if kind == "rbf" else None)
     return ds, train(ds, plan, spec, eps=eps, p=p)
+
+
+BANK4 = tuple(KernelSpec("rbf", w) for w in (0.7, 1.4, 2.0, 5.0))
 
 
 class TestEmbed:
@@ -88,6 +91,29 @@ class TestEmbed:
                 solved, X[tr], kernel, [gram(s, X[tr]).values for s in kernel.specs]
             )
             np.testing.assert_allclose(cv, embed_batch(served, X[held]), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("kernel", [
+        MklConfig("np", BANK4, weights=(0.5, 0.0, 0.3, 0.2), n_top=3),
+        MklConfig("sm", BANK4, pair=(3, 1), tau=0.3),
+    ], ids=["np-3", "sm"])
+    def test_one_distance_matrix_per_batch(self, monkeypatch, kernel):
+        from kfmetric import kernels
+
+        ds, plan = small_problem(n_ids=5, seed=4)
+        model = train(ds, plan, kernel)
+        Y = np.random.default_rng(5).normal(size=(7, 3))
+        # the textbook sum over terms, each kernel from its own distance matrix
+        expected = sum(gram(spec, Y, model.train_basis).values @ A_t for spec, A_t in model.terms)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return squared_distances(*args)
+
+        monkeypatch.setattr(kernels, "squared_distances", counted)
+        got = embed_batch(model, Y)
+        assert len(model.terms) == len(kernel.specs) and len(calls) == 1
+        assert np.array_equal(got, expected)
 
     def test_truncated_model_embeds_leading_columns(self):
         ds, plan = small_problem(seed=2)

@@ -351,13 +351,14 @@ class TestFoldPlan:
 
     @pytest.fixture
     def trial(self, monkeypatch):
-        from kfmetric import kfda
+        from kfmetric import kernels, kfda
 
         ds = make_synthetic(80, 2, 20, noise=0.6, view_offset=30.0, seed=0)
-        calls = {"_make_folds": [], "index_classes": [], "solve_kfda": [], "gram": []}
+        calls = {"_make_folds": [], "index_classes": [], "solve_kfda": [],
+                 "squared_distances": [], "grams": []}
         for module, name in ((mkl, "_make_folds"), (mkl, "index_classes"),
-                             (kfda, "index_classes"), (mkl, "solve_kfda"), (mkl, "gram"),
-                             (kfda, "gram")):
+                             (kfda, "index_classes"), (mkl, "solve_kfda"),
+                             (kernels, "squared_distances")):
             fn = getattr(module, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -365,6 +366,14 @@ class TestFoldPlan:
                 return calls[_name][-1]
 
             monkeypatch.setattr(module, name, counted)
+        for module in (mkl, kfda):
+            # every Gram block a caller takes is one built Gram
+            def counted_grams(*args, _fn=module.grams, **kwargs):
+                for K in _fn(*args, **kwargs):
+                    calls["grams"].append(K.shape)
+                    yield K
+
+            monkeypatch.setattr(module, "grams", counted_grams)
         return ds, make_split(ds, 0, 0.5), calls
 
     @pytest.mark.parametrize("method", ["np-mfml", "sm-mfml"])
@@ -377,6 +386,10 @@ class TestFoldPlan:
         assert len(calls["index_classes"]) == len(used) + 1
         assert model.kernel_config.accuracies.plan is None
 
+    # distance matrices (fit, load): one for the CV pool, one for train's basis,
+    # and on load one for sm's pair only
+    DISTANCES = {"kfda": (1, 0), "np-mfml": (2, 0), "sm-mfml": (2, 1)}
+
     @pytest.mark.parametrize(
         "method, fitted, loaded", [("kfda", 1, 0), ("np-mfml", 22, 0), ("sm-mfml", 22, 2)]
     )
@@ -387,11 +400,14 @@ class TestFoldPlan:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             model = fit_for_trial(ds, split, method, RunConfig())
-        assert len(calls["gram"]) == fitted
+        assert len(calls["grams"]) == fitted
+        assert len(calls["squared_distances"]) == self.DISTANCES[method][0]
         save_model(model, tmp_path / "model.json")
-        calls["gram"].clear()
+        calls["grams"].clear()
+        calls["squared_distances"].clear()
         load_model(tmp_path / "model.json")
-        assert len(calls["gram"]) == loaded
+        assert len(calls["grams"]) == loaded
+        assert len(calls["squared_distances"]) == self.DISTANCES[method][1]
 
     def test_n_search_reuses_the_n1_row_and_pool_grams(self, trial):
         ds, split, calls = trial
@@ -399,13 +415,16 @@ class TestFoldPlan:
         bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
         acc = cv_kernel_accuracies(ds, split.train_ids, bank, cfg.folds, split.trial_seed, cfg.eps)
         [(_, used)] = calls["_make_folds"]
+        assert len(calls["squared_distances"]) == 1  # one for all 20 pool Grams
         calls["solve_kfda"].clear()
-        calls["gram"].clear()
+        calls["grams"].clear()
+        calls["squared_distances"].clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             build_config("np", acc, n_grid=[1, 2, 3])
         assert len(calls["solve_kfda"]) == 2 * len(used)
-        assert calls["gram"] == []  # the search reuses the bank's pool Grams
+        # the search reuses the bank's pool Grams
+        assert calls["grams"] == [] and calls["squared_distances"] == []
 
 
 class TestMklConfig:
