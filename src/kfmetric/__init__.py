@@ -10,16 +10,7 @@ from .config import RunConfig
 from .data import ClassIndex, Dataset, SplitPlan, index_classes, load_features, make_split
 from .errors import InputError, NumericError
 from .evaluation import CmcReport, cmc_from_ranks, dimension_sweep, run_trials, true_ranks
-from .kernels import (
-    KernelMatrix,
-    KernelSpec,
-    combine_convex,
-    combine_sm,
-    eval_kernel,
-    gram,
-    rms_width,
-    width_grid,
-)
+from .kernels import KernelSpec, eval_kernel, gram, rms_width, width_grid
 from .kfda import KfdaModel, ScatterPair, build_scatter, load_model, save_model, solve_kfda, train
 from .metric import Projection, embed, embed_batch, euclidean_score, score
 from .mkl import KernelAccuracies, MklConfig, cv_kernel_accuracies, np_weights, select_sm_pair
@@ -33,7 +24,6 @@ __all__ = [
     "Dataset",
     "InputError",
     "KernelAccuracies",
-    "KernelMatrix",
     "KernelSpec",
     "KfdaModel",
     "MklConfig",
@@ -44,8 +34,6 @@ __all__ = [
     "SplitPlan",
     "build_scatter",
     "cmc_from_ranks",
-    "combine_convex",
-    "combine_sm",
     "cv_kernel_accuracies",
     "dimension_sweep",
     "embed",

@@ -129,13 +129,11 @@ def _csv_rows(fh, path):
         raise InputError(f"{path}: unreadable feature file: {exc}") from None
 
 
-def load_features(path, format: str = "csv") -> Dataset:
+def load_features(path) -> Dataset:
     """Read a feature CSV into a validated Dataset, preserving row order.
 
     Errors name the offending file line (1-based, header is line 1).
     """
-    if format != "csv":
-        raise InputError(f"unsupported format {format!r}")
     try:
         fh = open(path, newline="")
     except OSError as exc:

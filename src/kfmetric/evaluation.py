@@ -239,6 +239,8 @@ def dimension_sweep(
     """
     if method == "euclidean":
         raise InputError("dimension sweep needs a learned model, not the raw baseline")
+    if trials < 1:
+        raise InputError(f"trials must be >= 1, got {trials}")
     p_values = [int(p) for p in p_values]
     if not p_values:
         raise InputError("no p values requested")

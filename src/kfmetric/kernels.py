@@ -1,8 +1,9 @@
-"""Kernel definitions, Gram matrices, width heuristics, and kernel combination.
+"""Kernel definitions, Gram matrices and width heuristics.
 
-Two combination rules are provided: a convex weighting of a kernel bank and a
-squared-matrix fusion of two kernels, ``0.5*(K1+K2) + tau*(K1-K2)@(K1-K2)``,
-which stays positive semi-definite for symmetric PSD inputs.
+A Gram is a plain read-only float64 ndarray, checked finite when it is built.
+:func:`grams` builds the blocks of several specs over one (rows, cols) pair
+from one squared-distance matrix. How Grams are combined is not known here:
+``MklConfig.fuse`` and ``MklConfig.fold`` hold both fusion rules.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 from .errors import InputError, NumericError
 
 KERNEL_KINDS = ("rbf", "linear", "poly2")
-
-WEIGHT_TOL = 1e-12
 
 # the widest rbf width whose 2 sigma^2 is still a finite float
 MAX_RBF_WIDTH = math.sqrt(sys.float_info.max / 2.0)
@@ -82,26 +81,6 @@ class KernelSpec:
         return KernelSpec(kind=d["kind"], width=d["width"])
 
 
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Realized kernel values: a finite 2-D matrix, stored read-only."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise InputError(f"kernel matrix must be 2-D, got shape {vals.shape}")
-        if not np.isfinite(vals).all():
-            raise NumericError("kernel matrix contains non-finite entries")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
 def eval_kernel(spec: KernelSpec, x, y) -> float:
     """Evaluate one kernel entry k(x, y)."""
     x = np.asarray(x, dtype=np.float64)
@@ -117,7 +96,7 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 
 
 def grams(specs, rows: np.ndarray, cols: np.ndarray | None = None):
-    """Yield the KernelMatrix of each spec over one (rows, cols) pair, in order.
+    """Yield the Gram of each spec over one (rows, cols) pair, in order.
 
     Entry (u, v) of each block is k(rows[u], cols[v]). Every rbf block is
     evaluated from one squared-distance matrix, computed when the first block
@@ -151,8 +130,8 @@ def grams(specs, rows: np.ndarray, cols: np.ndarray | None = None):
         del block  # a block the caller dropped is freed before the next one is built
 
 
-def _block(spec: KernelSpec, rows, cols, sq, same: bool) -> KernelMatrix:
-    """One spec's kernel block; rbf reads the pair's squared distances ``sq``."""
+def _block(spec: KernelSpec, rows, cols, sq, same: bool) -> np.ndarray:
+    """One spec's kernel block, finite and read-only; rbf reads the pair's distances ``sq``."""
     if spec.kind == "rbf":
         # sq / -(2 w^2) is bit-identical to -sq / (2 w^2); exp then runs in place
         K = np.divide(sq, -(2.0 * spec.width**2))
@@ -164,17 +143,15 @@ def _block(spec: KernelSpec, rows, cols, sq, same: bool) -> KernelMatrix:
     if same:
         K += K.T  # numpy buffers the overlapping operand: the bits of 0.5 * (K + K.T)
         K *= 0.5
-    return KernelMatrix(K)
+    if not np.isfinite(K).all():
+        raise NumericError("kernel matrix contains non-finite entries")
+    K.setflags(write=False)
+    return K
 
 
-def gram(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray | None = None) -> KernelMatrix:
+def gram(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     """Kernel matrix with entry (u, v) = k(rows[u], cols[v]); see :func:`grams`."""
     return next(grams((spec,), rows, cols))
-
-
-def bank_over(specs, X: np.ndarray) -> tuple[KernelMatrix, ...]:
-    """Square Grams of a list of kernel specs over one sample matrix."""
-    return tuple(grams(specs, X))
 
 
 def rms_width(ds, subset) -> float:
@@ -206,38 +183,3 @@ def width_grid(base: float, q: int, lo: float = 0.1, hi: float = 10.0) -> list[f
     if base <= 0:
         raise InputError(f"base width must be positive, got {base}")
     return [float(base * m) for m in np.geomspace(lo, hi, q)]
-
-
-def combine_convex(mats, weights) -> KernelMatrix:
-    """Convex combination sum_t beta_t * K_t of equally shaped kernel matrices."""
-    mats = tuple(mats)
-    beta = np.asarray(list(weights), dtype=np.float64)
-    if beta.shape != (len(mats),):
-        raise InputError(f"expected {len(mats)} weights, got shape {beta.shape}")
-    if np.any(beta < 0):
-        raise InputError("weights must be non-negative")
-    if abs(float(beta.sum()) - 1.0) > WEIGHT_TOL:
-        raise InputError(f"weights must sum to 1 within {WEIGHT_TOL}, got {beta.sum()!r}")
-    if any(m.shape != mats[0].shape for m in mats):
-        raise InputError("kernel matrices must share one shape")
-    out = np.zeros(mats[0].shape)
-    for b, m in zip(beta, mats):
-        if b != 0.0:
-            out += b * m.values
-    return KernelMatrix(out)
-
-
-def combine_sm(K1: KernelMatrix, K2: KernelMatrix, tau: float) -> KernelMatrix:
-    """Squared-matrix fusion 0.5*(K1+K2) + tau*(K1-K2)@(K1-K2).
-
-    The square of the symmetric difference is PSD, so the result is PSD
-    whenever K1 and K2 are symmetric PSD Grams over the same samples.
-    """
-    if tau < 0:
-        raise InputError(f"tau must be non-negative, got {tau}")
-    if K1.shape != K2.shape or K1.shape[0] != K1.shape[1]:
-        raise InputError(f"need square matrices of equal shape, got {K1.shape} and {K2.shape}")
-    D = K1.values - K2.values
-    out = 0.5 * (K1.values + K2.values) + tau * (D @ D)
-    out = 0.5 * (out + out.T)
-    return KernelMatrix(out)

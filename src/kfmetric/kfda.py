@@ -24,7 +24,7 @@ import scipy.linalg
 
 from .data import ClassIndex, Dataset, SplitPlan, index_classes
 from .errors import InputError, NumericError
-from .kernels import KernelMatrix, KernelSpec, grams
+from .kernels import KernelSpec, grams
 
 DEFAULT_EPS = 1e-7
 
@@ -137,7 +137,7 @@ def build_scatter(K, idx: ClassIndex) -> ScatterPair:
     columns around the global mean, and Q sums the class-centered column
     blocks multiplied by their transposes.
     """
-    K = K.values if isinstance(K, KernelMatrix) else np.asarray(K, dtype=np.float64)
+    K = np.asarray(K, dtype=np.float64)
     n = idx.n_total
     if K.shape != (n, n):
         raise InputError(f"Gram shape {K.shape} does not match indexed samples ({n})")
@@ -239,7 +239,7 @@ def train(
         raise InputError(f"training needs at least 2 classes, got {idx.n_classes}")
     p_eff = idx.n_classes - 1 if p is None else p
     X = ds.features[train_idx]
-    base = [K.values for K in grams(kernel.specs, X)]  # one distance matrix for every rbf
+    base = list(grams(kernel.specs, X))  # one distance matrix for every rbf
     sc = build_scatter(kernel.fuse(base), idx)
     return _with_kernel(solve_kfda(sc, p_eff, eps), X, kernel, base)
 
@@ -340,5 +340,5 @@ def load_model(path) -> tuple[KfdaModel, dict]:
     eigvals = _model_array(doc, "eigvals", (p,), path)
     X = _model_array(doc, "train_features", (n, d), path)
     model = KfdaModel(A=A, eigvals=eigvals, regularizer=doc["regularizer"], p=p)
-    base = (K.values for K in grams(kernel.specs, X))  # lazy: fold reads only sm's pair
+    base = grams(kernel.specs, X)  # lazy: fold reads only sm's pair
     return _with_kernel(model, X, kernel, base), doc["meta"]

@@ -58,7 +58,7 @@ def embed_batch(model: KfdaModel, Y) -> np.ndarray:
     # every term's kernel over (Y, X) comes from one distance matrix; each
     # block is multiplied into the sum and dropped before the next is built
     for K in grams([spec for spec, _ in model.terms], Y, model.train_basis):
-        total += K.values @ next(coefs)
+        total += K @ next(coefs)
         del K
     return total
 

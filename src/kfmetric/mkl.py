@@ -14,6 +14,10 @@ Two combination strategies are supported:
   are zero);
 * squared-matrix fusion of the best two kernels with a cross-validated
   scale tau on the squared-difference term.
+
+``MklConfig.fuse`` (the fused Gram over a basis) and ``MklConfig.fold`` (the
+per-kernel coefficient blocks a trained model embeds with) are the only code
+that combines Grams.
 """
 
 from __future__ import annotations
@@ -27,14 +31,8 @@ import numpy as np
 
 from .config import DEFAULT_TAU_GRID, default_n_grid
 from .data import ClassIndex, Dataset, default_cameras, index_classes
-from .errors import InputError
-from .kernels import (
-    KernelMatrix,
-    KernelSpec,
-    combine_sm,
-    grams,
-    squared_distances,
-)
+from .errors import InputError, NumericError
+from .kernels import KernelSpec, grams, squared_distances
 from .kfda import build_scatter, solve_kfda
 
 
@@ -142,13 +140,20 @@ class MklConfig:
         """The fused square Gram over one basis.
 
         ``grams[t]`` is the square Gram of ``specs[t]`` over the basis. np sums
-        them with the nonzero weights; sm fuses the pair by :func:`combine_sm`.
+        them with the nonzero weights. sm fuses the pair as
+        0.5 (K_i + K_j) + tau (K_i - K_j)^2, which is PSD whenever both are
+        symmetric PSD, and symmetrizes it; a tau large enough to overflow raises.
         """
         if self.variant == "np":
             beta = [b for b in self.weights if b != 0.0]
             return sum(b * K for b, K in zip(beta, grams))
         Ki, Kj = grams
-        return combine_sm(KernelMatrix(Ki), KernelMatrix(Kj), self.tau).values
+        D = Ki - Kj
+        out = 0.5 * (Ki + Kj) + self.tau * (D @ D)
+        out = 0.5 * (out + out.T)
+        if not np.isfinite(out).all():
+            raise NumericError("kernel matrix contains non-finite entries")
+        return out
 
     def fold(self, A: np.ndarray, grams) -> tuple:
         """One coefficient block A_t per spec over basis X: embed(Y) = sum_t k_t(Y, X) A_t.
@@ -339,7 +344,7 @@ class _FoldPlan:
         """Each kernel config's list of pool Grams, one per spec."""
         missing = [s for s in dict.fromkeys(s for k in kernels for s in k.specs)
                    if s not in self.pool]
-        self.pool.update(zip(missing, (K.values for K in grams(missing, self.X_pool))))
+        self.pool.update(zip(missing, grams(missing, self.X_pool)))
         return [[self.pool[s] for s in kernel.specs] for kernel in kernels]
 
     def rank1(self, kernels) -> np.ndarray:

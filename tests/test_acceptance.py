@@ -18,18 +18,10 @@ from kfmetric.cli import main
 from kfmetric.config import RunConfig
 from kfmetric.data import Dataset, SplitPlan, index_classes, load_features
 from kfmetric.evaluation import run_trials, dimension_sweep, write_sweep_csv
-from kfmetric.kernels import (
-    KernelMatrix,
-    KernelSpec,
-    bank_over,
-    combine_convex,
-    combine_sm,
-    gram,
-    squared_distances,
-)
+from kfmetric.kernels import KernelSpec, gram, grams, squared_distances
 from kfmetric.kfda import build_scatter, solve_kfda, train
 from kfmetric.metric import embed_batch
-from kfmetric.mkl import np_weights
+from kfmetric.mkl import MklConfig, np_weights
 
 from oracles import (
     input_space_fda_projection,
@@ -131,7 +123,7 @@ def test_criterion_03_scatter_matches_triple_loop():
     X = rng.normal(size=(8, 3))
     labels = ["a", "a", "a", "b", "b", "b", "c", "c"]
     ds = Dataset(X, tuple(labels), tuple(k % 2 for k in range(8)))
-    K = gram(KernelSpec("rbf", 1.3), X).values
+    K = gram(KernelSpec("rbf", 1.3), X)
     sc = build_scatter(K, index_classes(ds, range(8)))
     P_ref, Q_ref, _, _ = naive_scatter(K, labels)
     p_err = np.abs(sc.P - P_ref).max()
@@ -155,7 +147,7 @@ def test_criterion_04_rayleigh_optimality():
         )
         labels = tuple(f"c{i // per}" for i in range(n_ids * per))
         ds = Dataset(X, labels, tuple(i % 2 for i in range(len(labels))))
-        K = gram(KernelSpec("rbf", 2.0), X).values
+        K = gram(KernelSpec("rbf", 2.0), X)
         sc = build_scatter(K, index_classes(ds, range(len(labels))))
         model = solve_kfda(sc, p=1, eps=eps)
         alpha = model.A[:, 0]
@@ -177,7 +169,7 @@ def test_criterion_05_psd_suite():
     for _ in range(100):
         n, d = int(rng.integers(4, 30)), int(rng.integers(2, 8))
         X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10)
-        K = gram(KernelSpec("rbf", float(rng.uniform(0.2, 20))), X).values
+        K = gram(KernelSpec("rbf", float(rng.uniform(0.2, 20))), X)
         worst = min(worst, min_eig_ratio(K))
     assert worst >= -1e-8
 
@@ -185,19 +177,19 @@ def test_criterion_05_psd_suite():
     for _ in range(100):
         n, q = int(rng.integers(3, 15)), int(rng.integers(2, 6))
         X = rng.normal(size=(n, 4))
-        bank = bank_over([KernelSpec("rbf", float(rng.uniform(0.3, 5))) for _ in range(q)], X)
+        specs = [KernelSpec("rbf", float(rng.uniform(0.3, 5))) for _ in range(q)]
         beta = rng.dirichlet(np.ones(q))
-        worst_cc = min(worst_cc, min_eig_ratio(combine_convex(bank, beta).values))
+        out = MklConfig("np", specs, weights=tuple(beta), n_top=q).fuse(list(grams(specs, X)))
+        worst_cc = min(worst_cc, min_eig_ratio(out))
     assert worst_cc >= -1e-8
 
     worst_sm = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 12))
         A1, A2 = rng.normal(size=(2, n, n))
-        out = combine_sm(
-            KernelMatrix(A1 @ A1.T), KernelMatrix(A2 @ A2.T), tau=float(rng.uniform(0, 3))
-        )
-        worst_sm = min(worst_sm, min_eig_ratio(out.values))
+        sm = MklConfig("sm", (KernelSpec("linear"),) * 2, pair=(0, 1), tau=float(rng.uniform(0, 3)))
+        out = sm.fuse([A1 @ A1.T, A2 @ A2.T])
+        worst_sm = min(worst_sm, min_eig_ratio(out))
     assert worst_sm >= -1e-8
     ok(5, f"100x3 randomized PSD checks hold (worst relative eigenvalues "
           f"{worst:.1e}, {worst_cc:.1e}, {worst_sm:.1e})")

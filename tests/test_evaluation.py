@@ -266,6 +266,11 @@ class TestDimensionSweep:
         with pytest.raises(InputError, match="no p values"):
             dimension_sweep(separable_ds, "kfda", [], 1, 0, QUIET)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_fewer_than_one_trial(self, separable_ds, trials):
+        with pytest.raises(InputError, match="trials must be >= 1"):
+            dimension_sweep(separable_ds, "kfda", [1], trials, 0, QUIET)
+
 
 class TestCsvWriters:
     def test_cmc_csv_layout_and_determinism(self, separable_ds, tmp_path):

@@ -9,11 +9,7 @@ from kfmetric import kernels
 from kfmetric.data import Dataset
 from kfmetric.errors import InputError, NumericError
 from kfmetric.kernels import (
-    KernelMatrix,
     KernelSpec,
-    bank_over,
-    combine_convex,
-    combine_sm,
     eval_kernel,
     gram,
     grams,
@@ -21,6 +17,7 @@ from kfmetric.kernels import (
     squared_distances,
     width_grid,
 )
+from kfmetric.mkl import MklConfig
 
 finite_vec = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=6
@@ -77,18 +74,18 @@ class TestEvalKernel:
 class TestGram:
     def test_single_sample_rbf(self):
         K = gram(KernelSpec("rbf", 1.0), np.array([[0.5, 1.5]]))
-        np.testing.assert_array_equal(K.values, [[1.0]])
+        np.testing.assert_array_equal(K, [[1.0]])
 
     def test_square_gram_exactly_symmetric(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(9, 4))
-        K = gram(KernelSpec("rbf", 0.8), X).values
+        K = gram(KernelSpec("rbf", 0.8), X)
         np.testing.assert_array_equal(K, K.T)
 
     def test_three_points_scalar_loop_oracle(self):
         X = np.array([[0.0, 0.0], [1.0, 0.5], [-0.3, 2.0]])
         spec = KernelSpec("rbf", 1.0)
-        K = gram(spec, X).values
+        K = gram(spec, X)
         for u in range(3):
             for v in range(3):
                 assert K[u, v] == pytest.approx(eval_kernel(spec, X[u], X[v]), abs=1e-15)
@@ -97,7 +94,7 @@ class TestGram:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(12, 3)) * 100.0
         # width comparable to the data scale, so no exp underflow to 0
-        K = gram(KernelSpec("rbf", 100.0), X).values
+        K = gram(KernelSpec("rbf", 100.0), X)
         np.testing.assert_array_equal(np.diag(K), np.ones(12))
         assert np.all(K > 0.0) and np.all(K <= 1.0)
 
@@ -105,7 +102,7 @@ class TestGram:
         rng = np.random.default_rng(2)
         X, Y = rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
         spec = KernelSpec("linear")
-        C = gram(spec, Y, X).values
+        C = gram(spec, Y, X)
         assert C.shape == (6, 4)
         assert C[2, 1] == pytest.approx(float(Y[2] @ X[1]))
 
@@ -155,8 +152,8 @@ class TestGrams:
         blocks = list(grams(specs, rows, cols))
         assert len(blocks) == len(specs)
         for spec, K in zip(specs, blocks):
-            assert np.array_equal(K.values, reference_gram(spec, rows, cols)), spec
-            assert np.array_equal(gram(spec, rows, cols).values, K.values)
+            assert np.array_equal(K, reference_gram(spec, rows, cols)), spec
+            assert np.array_equal(gram(spec, rows, cols), K)
 
     @pytest.mark.parametrize("square", [True, False])
     def test_one_distance_matrix_for_every_rbf(self, monkeypatch, square):
@@ -182,6 +179,17 @@ class TestGrams:
             next(grams([KernelSpec("linear")], np.ones((2, 3)), np.ones((2, 4))))
         with pytest.raises(InputError, match="empty"):
             next(grams([KernelSpec("rbf", 1.0)], np.empty((0, 3))))
+
+    @pytest.mark.parametrize("square", [True, False])
+    def test_blocks_are_read_only_arrays(self, square):
+        rng = np.random.default_rng(6)
+        rows, cols = rng.normal(size=(4, 2)), None if square else rng.normal(size=(3, 2))
+        for K in grams([KernelSpec("rbf", 1.0), KernelSpec("linear"), KernelSpec("poly2")],
+                       rows, cols):
+            assert type(K) is np.ndarray and K.dtype == np.float64
+            assert not K.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                K[0, 0] = 0.0
 
 
 class TestRmsWidth:
@@ -242,71 +250,86 @@ class TestWidthGrid:
             width_grid(-1.0, 5, 0.1, 10.0)
 
 
+def np_config(specs, weights):
+    """An np config over ``specs`` with ``weights``; n_top counts the nonzero ones."""
+    return MklConfig("np", tuple(specs), weights=tuple(weights),
+                     n_top=int(np.count_nonzero(weights)))
+
+
+def sm_config(tau):
+    """An sm config over a two-kernel bank; its fuse reads only the Grams it is given."""
+    return MklConfig("sm", (KernelSpec("linear"),) * 2, pair=(0, 1), tau=tau)
+
+
 class TestCombineConvex:
-    def _bank(self, mats):
-        return tuple(KernelMatrix(np.asarray(m, dtype=float)) for m in mats)
+    """np-mfml's weighted sum, by MklConfig.fuse."""
 
     def test_one_hot_returns_that_kernel(self):
-        mats = [np.eye(2), [[2.0, 0.5], [0.5, 2.0]], [[3.0, 0.0], [0.0, 1.0]]]
-        bank = self._bank(mats)
-        out = combine_convex(bank, [0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(out.values, np.asarray(mats[1]))
+        X = np.random.default_rng(3).normal(size=(5, 2))
+        specs = [KernelSpec("rbf", w) for w in (0.5, 1.0, 2.0)]
+        cfg = np_config(specs, [0.0, 1.0, 0.0])
+        out = cfg.fuse(list(grams(cfg.specs, X)))
+        np.testing.assert_array_equal(out, gram(specs[1], X))
 
     def test_equal_kernels_any_weights(self):
-        m = np.array([[1.0, 0.2], [0.2, 1.0]])
-        bank = self._bank([m, m, m])
-        out = combine_convex(bank, [0.2, 0.5, 0.3])
-        np.testing.assert_allclose(out.values, m, atol=1e-15)
+        X = np.random.default_rng(4).normal(size=(5, 2))
+        spec = KernelSpec("rbf", 1.3)
+        cfg = np_config([spec] * 3, [0.2, 0.5, 0.3])
+        out = cfg.fuse(list(grams(cfg.specs, X)))
+        np.testing.assert_allclose(out, gram(spec, X), atol=1e-15)
 
     def test_hand_weighted_sum(self):
         K1 = np.array([[1.0, 0.5], [0.5, 1.0]])
         K2 = np.array([[2.0, 1.0], [1.0, 3.0]])
-        out = combine_convex(self._bank([K1, K2]), [0.25, 0.75])
-        np.testing.assert_allclose(
-            out.values, [[1.75, 0.875], [0.875, 2.5]], atol=1e-15
-        )
+        out = np_config([KernelSpec("linear")] * 2, [0.25, 0.75]).fuse([K1, K2])
+        np.testing.assert_allclose(out, [[1.75, 0.875], [0.875, 2.5]], atol=1e-15)
 
     def test_weight_constraints(self):
-        bank = self._bank([np.eye(2), np.eye(2)])
+        bank = (KernelSpec("linear"),) * 2
         with pytest.raises(InputError, match="non-negative"):
-            combine_convex(bank, [-0.1, 1.1])
+            MklConfig("np", bank, weights=(-0.1, 1.1), n_top=1)
         with pytest.raises(InputError, match="sum to 1"):
-            combine_convex(bank, [0.6, 0.6])
-        with pytest.raises(InputError, match="expected 2"):
-            combine_convex(bank, [1.0])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(InputError, match="one shape"):
-            combine_convex(self._bank([np.eye(2), np.eye(3)]), [0.5, 0.5])
+            MklConfig("np", bank, weights=(0.6, 0.6), n_top=2)
+        with pytest.raises(InputError, match="length-q"):
+            MklConfig("np", bank, weights=(1.0,), n_top=1)
 
 
 class TestCombineSm:
+    """sm-mfml's squared-matrix fusion, by MklConfig.fuse."""
+
     def test_equal_inputs_vanishing_difference(self):
-        K = KernelMatrix(np.array([[2.0, 0.3], [0.3, 1.0]]))
-        out = combine_sm(K, K, tau=5.0)
-        np.testing.assert_allclose(out.values, K.values, atol=1e-15)
+        K = np.array([[2.0, 0.3], [0.3, 1.0]])
+        np.testing.assert_allclose(sm_config(5.0).fuse([K, K]), K, atol=1e-15)
 
     def test_tau_zero_is_average(self):
-        K1 = KernelMatrix(np.array([[2.0, 0.0], [0.0, 4.0]]))
-        K2 = KernelMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
-        out = combine_sm(K1, K2, tau=0.0)
-        np.testing.assert_allclose(out.values, [[1.5, 0.0], [0.0, 3.0]], atol=1e-15)
+        K1 = np.array([[2.0, 0.0], [0.0, 4.0]])
+        K2 = np.array([[1.0, 0.0], [0.0, 2.0]])
+        out = sm_config(0.0).fuse([K1, K2])
+        np.testing.assert_allclose(out, [[1.5, 0.0], [0.0, 3.0]], atol=1e-15)
 
     def test_hand_two_by_two(self):
-        K1 = KernelMatrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
-        K2 = KernelMatrix(np.eye(2))
-        out = combine_sm(K1, K2, tau=1.0)
-        np.testing.assert_allclose(out.values, [[2.5, 0.0], [0.0, 1.0]], atol=1e-15)
+        K1 = np.array([[2.0, 0.0], [0.0, 1.0]])
+        out = sm_config(1.0).fuse([K1, np.eye(2)])
+        np.testing.assert_allclose(out, [[2.5, 0.0], [0.0, 1.0]], atol=1e-15)
 
     def test_errors(self):
-        K1 = KernelMatrix(np.eye(2))
         with pytest.raises(InputError, match="non-negative"):
-            combine_sm(K1, K1, tau=-0.5)
-        K3 = KernelMatrix(np.ones((2, 3)))
-        with pytest.raises(InputError, match="square"):
-            combine_sm(K3, K3, tau=0.1)
-        with pytest.raises(InputError, match="equal shape"):
-            combine_sm(K1, KernelMatrix(np.eye(3)), tau=0.1)
+            sm_config(-0.5)
+
+    def test_equals_reference_expression_bit_for_bit(self):
+        X = np.random.default_rng(5).normal(size=(7, 3))
+        Ki, Kj = grams([KernelSpec("rbf", 0.7), KernelSpec("rbf", 2.5)], X)
+        tau = 0.37
+        D = Ki - Kj
+        ref = 0.5 * (Ki + Kj) + tau * (D @ D)
+        ref = 0.5 * (ref + ref.T)
+        assert np.array_equal(sm_config(tau).fuse([Ki, Kj]), ref)
+
+    def test_overflowing_tau_raises(self):
+        # D = diag(2, 0), so tau * (D @ D) holds 4 * 1e308 = inf
+        K1 = np.array([[3.0, 0.0], [0.0, 1.0]])
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite"):
+            sm_config(1e308).fuse([K1, np.eye(2)])
 
 
 class TestPsdProperties:
@@ -315,7 +338,7 @@ class TestPsdProperties:
         for _ in range(25):
             n, d = rng.integers(4, 30), rng.integers(2, 8)
             X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10)
-            K = gram(KernelSpec("rbf", float(rng.uniform(0.2, 20))), X).values
+            K = gram(KernelSpec("rbf", float(rng.uniform(0.2, 20))), X)
             assert min_eig_ratio(K) >= -1e-8
 
     def test_convex_combination_preserves_psd(self):
@@ -325,11 +348,10 @@ class TestPsdProperties:
             q = int(rng.integers(2, 5))
             X = rng.normal(size=(n, 4))
             specs = [KernelSpec("rbf", float(rng.uniform(0.3, 5))) for _ in range(q)]
-            bank = bank_over(specs, X)
             beta = rng.dirichlet(np.ones(q))
             beta = beta / beta.sum()
-            out = combine_convex(bank, beta)
-            assert min_eig_ratio(out.values) >= -1e-8
+            out = np_config(specs, beta).fuse(list(grams(specs, X)))
+            assert min_eig_ratio(out) >= -1e-8
 
     def test_sm_combination_preserves_psd(self):
         rng = np.random.default_rng(9)
@@ -337,14 +359,15 @@ class TestPsdProperties:
             n = int(rng.integers(2, 12))
             A1 = rng.normal(size=(n, n))
             A2 = rng.normal(size=(n, n))
-            K1 = KernelMatrix(A1 @ A1.T)
-            K2 = KernelMatrix(A2 @ A2.T)
-            out = combine_sm(K1, K2, tau=float(rng.uniform(0, 3)))
-            np.testing.assert_array_equal(out.values, out.values.T)
-            assert min_eig_ratio(out.values) >= -1e-8
+            out = sm_config(float(rng.uniform(0, 3))).fuse([A1 @ A1.T, A2 @ A2.T])
+            np.testing.assert_array_equal(out, out.T)
+            assert min_eig_ratio(out) >= -1e-8
 
 
-class TestKernelMatrixValidation:
+class TestNonFiniteValidation:
     def test_nonfinite_rejected(self):
-        with pytest.raises(NumericError, match="non-finite"):
-            KernelMatrix(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+        # <x, x> = 1e400 overflows; inf - inf leaves a NaN squared distance
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite"):
+            gram(KernelSpec("linear"), np.array([[1e200, 0.0]]))
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite"):
+            gram(KernelSpec("rbf", 1.0), np.array([[np.inf]]), np.array([[0.0]]))

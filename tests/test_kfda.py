@@ -24,7 +24,7 @@ def labeled_gram(n, labels, seed=0, width=1.5):
     X = rng.normal(size=(n, 3))
     ds = Dataset(X, tuple(labels), tuple(k % 2 for k in range(n)))
     idx = index_classes(ds, range(n))
-    return gram(KernelSpec("rbf", width), X).values, idx, ds
+    return gram(KernelSpec("rbf", width), X), idx, ds
 
 
 class TestBuildScatter:
@@ -191,7 +191,7 @@ class TestLowRankMatchesDense:
         X = rng.normal(size=(n, d)) + rng.normal(size=(c, d))[cls]
         ds = Dataset(X, tuple(f"c{k:02d}" for k in cls), tuple(k % 2 for k in range(n)))
         spec = KernelSpec("linear") if kind == "linear" else KernelSpec("rbf", 2.0)
-        sc = build_scatter(gram(spec, X).values, index_classes(ds, range(n)))
+        sc = build_scatter(gram(spec, X), index_classes(ds, range(n)))
         p = min(c - 1, d) if kind == "linear" else c - 1
         model = solve_kfda(sc, p, eps)
         vals, vecs = _dense_pencil(sc, p, eps)

@@ -62,7 +62,7 @@ class TestEmbed:
         )
         for kernel in configs:
             model = train(ds, plan, kernel)
-            K = kernel.fuse([gram(s, model.train_basis).values for s in kernel.specs])
+            K = kernel.fuse([gram(s, model.train_basis) for s in kernel.specs])
             for j in (0, 4, 7):
                 proj = embed(model, model.train_basis[j])
                 np.testing.assert_allclose(proj.coords, model.A.T @ K[:, j], rtol=0, atol=1e-10)
@@ -81,14 +81,14 @@ class TestEmbed:
             MklConfig("np", bank, weights=(0.25, 0.0, 0.75), n_top=2),
             MklConfig("sm", bank, pair=(2, 0), tau=0.3),
         ):
-            pool = [gram(s, X).values for s in kernel.specs]
+            pool = [gram(s, X) for s in kernel.specs]
             grams = [K[np.ix_(tr, tr)] for K in pool]
             solved = solve_kfda(build_scatter(kernel.fuse(grams), idx), idx.n_classes - 1)
             cv = sum(
                 K[np.ix_(held, tr)] @ A_t for K, A_t in zip(pool, kernel.fold(solved.A, grams))
             )
             served = _with_kernel(
-                solved, X[tr], kernel, [gram(s, X[tr]).values for s in kernel.specs]
+                solved, X[tr], kernel, [gram(s, X[tr]) for s in kernel.specs]
             )
             np.testing.assert_allclose(cv, embed_batch(served, X[held]), rtol=0, atol=1e-10)
 
@@ -103,7 +103,7 @@ class TestEmbed:
         model = train(ds, plan, kernel)
         Y = np.random.default_rng(5).normal(size=(7, 3))
         # the textbook sum over terms, each kernel from its own distance matrix
-        expected = sum(gram(spec, Y, model.train_basis).values @ A_t for spec, A_t in model.terms)
+        expected = sum(gram(spec, Y, model.train_basis) @ A_t for spec, A_t in model.terms)
         calls = []
 
         def counted(*args):
@@ -280,7 +280,7 @@ class TestMetricProperties:
         X = rng.normal(size=(6, 2))
         ds = Dataset(X, ("a", "a", "b", "b", "c", "c"), (0, 1, 0, 1, 0, 1))
         idx = index_classes(ds, range(6))
-        K = gram(KernelSpec("rbf", 1.0), X).values
+        K = gram(KernelSpec("rbf", 1.0), X)
         bare = solve_kfda(build_scatter(K, idx), p=1)
         with pytest.raises(InputError, match="training basis"):
             embed(bare, X[0])

@@ -453,16 +453,16 @@ class TestMklConfig:
         bank = self._bank(3)
         X = rng.normal(size=(6, 4))
         cfg = MklConfig("np", bank, weights=(0.25, 0.75, 0.0), n_top=2)
-        expected = 0.25 * gram(bank[0], X).values + 0.75 * gram(bank[1], X).values
+        expected = 0.25 * gram(bank[0], X) + 0.75 * gram(bank[1], X)
         np.testing.assert_allclose(
-            cfg.fuse([gram(s, X).values for s in cfg.specs]), expected, atol=1e-13
+            cfg.fuse([gram(s, X) for s in cfg.specs]), expected, atol=1e-13
         )
 
     def test_np_combined_gram_is_psd(self, rng):
         bank = self._bank(4)
         X = rng.normal(size=(10, 3))
         cfg = MklConfig("np", bank, weights=(0.4, 0.3, 0.3, 0.0), n_top=3)
-        vals = np.linalg.eigvalsh(cfg.fuse([gram(s, X).values for s in cfg.specs]))
+        vals = np.linalg.eigvalsh(cfg.fuse([gram(s, X) for s in cfg.specs]))
         assert vals.min() >= -1e-8 * max(vals.max(), 1e-30)
 
     def test_dict_round_trip(self):
