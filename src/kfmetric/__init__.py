@@ -11,7 +11,7 @@ from .data import ClassIndex, Dataset, SplitPlan, index_classes, load_features, 
 from .errors import InputError, NumericError
 from .evaluation import CmcReport, cmc_from_ranks, dimension_sweep, run_trials, true_ranks
 from .kernels import KernelSpec, eval_kernel, gram, rms_width, width_grid
-from .kfda import KfdaModel, ScatterPair, build_scatter, load_model, save_model, solve_kfda, train
+from .kfda import KfdaModel, build_scatter, load_model, save_model, solve_kfda, train
 from .metric import Projection, embed, embed_batch, euclidean_score, score
 from .mkl import KernelAccuracies, MklConfig, cv_kernel_accuracies, np_weights, select_sm_pair
 from .synthetic import make_synthetic
@@ -30,7 +30,6 @@ __all__ = [
     "NumericError",
     "Projection",
     "RunConfig",
-    "ScatterPair",
     "SplitPlan",
     "build_scatter",
     "cmc_from_ranks",

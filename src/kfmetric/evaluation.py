@@ -27,7 +27,7 @@ from .kernels import KernelSpec, rms_width, squared_distances, width_grid
 from .kfda import KfdaModel, train
 from .metric import euclidean_score_matrix, embed_batch, score_matrix
 from .mkl import build_config as build_mkl_config
-from .mkl import cv_kernel_accuracies
+from .mkl import _is_int, cv_kernel_accuracies
 
 
 @dataclass(frozen=True)
@@ -241,11 +241,16 @@ def dimension_sweep(
         raise InputError("dimension sweep needs a learned model, not the raw baseline")
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
-    p_values = [int(p) for p in p_values]
+    p_values = list(p_values)
     if not p_values:
         raise InputError("no p values requested")
+    if not all(_is_int(p) for p in p_values):
+        raise InputError(f"every p must be an integer, got {p_values}")
+    p_values = [int(p) for p in p_values]
     if any(p < 1 for p in p_values):
         raise InputError("every p must be >= 1")
+    if len(set(p_values)) != len(p_values):
+        raise InputError(f"p values must be distinct, got {p_values}")
     sums = {p: 0.0 for p in p_values}
     for t in range(trials):
         plan = make_split(ds, base_seed + t, cfg.train_fraction)

@@ -1,9 +1,10 @@
 """Fisher discriminant analysis in kernel form.
 
-From a square training Gram matrix K and a class index we form two n x n
-scatter surrogates: a between-class matrix P built from per-class mean
-kernel columns (kept as its n x c factor M), and a within-class matrix Q
-built from class-centered kernel blocks. The discriminant expansion
+From a square training Gram matrix K and a class index we form the two
+scatter surrogates the solver reads: the n x n within-class matrix Q,
+built from class-centered kernel blocks, and the n x c factor M of the
+between-class matrix P = M M^T, the count-weighted spread of the per-class
+mean kernel columns around the global mean. The discriminant expansion
 coefficients are the leading eigenvectors of the pencil
 ``P a = lambda (Q + eps I) a``.
 
@@ -37,26 +38,13 @@ MODEL_VERSION = 1
 
 @dataclass(frozen=True)
 class ScatterPair:
-    """Between-class (P = M M^T) and within-class (Q) scatter surrogates over a Gram."""
+    """Within-class scatter Q and between-class factor M (P = M M^T) over a Gram.
 
-    Q: np.ndarray
-    M: np.ndarray  # (n, c) between-class factor, P = M M^T
-    class_means: np.ndarray  # (n, c), column i is the class-i mean kernel column
-    global_mean: np.ndarray  # (n,)
-    counts: tuple[int, ...]
+    Built only by :func:`build_scatter`, which checks both finite.
+    """
 
-    def __post_init__(self):
-        n = self.Q.shape[0]
-        if self.Q.shape != (n, n):
-            raise NumericError("within-class scatter Q must be square")
-        if self.M.shape != (n, self.class_means.shape[1]):
-            raise NumericError("between-class factor M must be n x c")
-        # negated so that NaN entries fail the check too
-        if not np.abs(self.Q - self.Q.T).max() <= 1e-10:
-            raise NumericError("Q not symmetric within 1e-10")
-        weighted = self.class_means @ (np.asarray(self.counts, dtype=np.float64) / sum(self.counts))
-        if not np.allclose(weighted, self.global_mean, atol=1e-10, rtol=0):
-            raise NumericError("class means inconsistent with global mean")
+    Q: np.ndarray  # (n, n)
+    M: np.ndarray  # (n, c)
 
     @property
     def P(self) -> np.ndarray:
@@ -65,7 +53,7 @@ class ScatterPair:
 
     @property
     def n_classes(self) -> int:
-        return self.class_means.shape[1]
+        return self.M.shape[1]
 
 
 @dataclass(frozen=True)
@@ -129,13 +117,14 @@ def _with_kernel(model: KfdaModel, X: np.ndarray, kernel, grams) -> KfdaModel:
 
 
 def build_scatter(K, idx: ClassIndex) -> ScatterPair:
-    """Form the factor M of P, Q, and mean kernel columns from a square training Gram.
+    """Form M and Q, checked finite, from a square training Gram.
 
     K rows/columns must follow exactly the subset order the ClassIndex was
-    built over. The class-i mean column is the average of K's columns for
-    class i; P = M M^T is the count-weighted outer-product spread of those
-    columns around the global mean, and Q sums the class-centered column
-    blocks multiplied by their transposes.
+    built over. With m_i the class-i mean column (the average of K's
+    columns for class i) and m their count-weighted mean, column i of M is
+    sqrt(n_i) (m_i - m), so P = M M^T; Q sums the class-centered column
+    blocks multiplied by their transposes. A non-finite Gram entry, or a Q
+    that overflows, raises NumericError.
     """
     K = np.asarray(K, dtype=np.float64)
     n = idx.n_total
@@ -155,7 +144,9 @@ def build_scatter(K, idx: ClassIndex) -> ScatterPair:
     Q = Kc @ Kc.T  # A @ A.T runs as one syrk, which fills an exactly symmetric result
     gm = means @ (counts / n)
     M = (means - gm[:, None]) * np.sqrt(counts)
-    return ScatterPair(Q=Q, M=M, class_means=means, global_mean=gm, counts=idx.counts)
+    if not (np.isfinite(Q).all() and np.isfinite(M).all()):
+        raise NumericError("scatter matrices Q and M contain non-finite entries")
+    return ScatterPair(Q=Q, M=M)
 
 
 def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaModel:

@@ -209,8 +209,8 @@ def _ranked_indices(pis) -> list[int]:
     return sorted(range(len(pis)), key=lambda t: pis[t], reverse=True)
 
 
-def np_weights(acc, N: int) -> list:
-    """Truncated proportional weights over the N best kernels.
+def np_weights(pis, N: int) -> list:
+    """Truncated proportional weights over the N best kernels by accuracy ``pis``.
 
     The threshold is the (N+1)-th best accuracy; kernels outside the top N
     get weight zero. A tie between the N-th and (N+1)-th accuracies makes
@@ -218,7 +218,7 @@ def np_weights(acc, N: int) -> list:
     weights (reported via a warning). Arithmetic stays in the input number
     type, so Fraction accuracies yield exact rational weights.
     """
-    pis = list(acc.pis) if isinstance(acc, KernelAccuracies) else list(acc)
+    pis = list(pis)
     q = len(pis)
     if not 1 <= N < q:
         raise InputError(f"N must be in 1..q-1 = 1..{q - 1}, got {N}")
@@ -248,9 +248,8 @@ def np_weights(acc, N: int) -> list:
     return weights
 
 
-def select_sm_pair(acc) -> tuple[int, int]:
+def select_sm_pair(pis) -> tuple[int, int]:
     """Indices of the two best-performing kernels (stable on ties)."""
-    pis = list(acc.pis) if isinstance(acc, KernelAccuracies) else list(acc)
     if len(pis) < 2:
         raise InputError("need at least 2 kernels to pick a pair")
     order = _ranked_indices(pis)
@@ -427,7 +426,7 @@ def _select_n(acc: KernelAccuracies, plan: _FoldPlan, n_grid) -> MklConfig:
     kernel's own, so its fold row is taken from ``acc.per_fold`` unsolved.
     """
     configs = [
-        MklConfig("np", plan.bank, weights=tuple(np_weights(acc, N)), n_top=N, accuracies=acc)
+        MklConfig("np", plan.bank, weights=tuple(np_weights(acc.pis, N)), n_top=N, accuracies=acc)
         for N in sorted(set(int(N) for N in n_grid))
     ]
 
@@ -444,7 +443,7 @@ def _select_tau(acc: KernelAccuracies, plan: _FoldPlan, tau_grid) -> MklConfig:
 
     Ties pick the smallest tau.
     """
-    pair = select_sm_pair(acc)
+    pair = select_sm_pair(acc.pis)
     configs = [
         MklConfig("sm", plan.bank, pair=pair, tau=t, accuracies=acc)
         for t in sorted(set(float(t) for t in tau_grid))

@@ -280,6 +280,18 @@ class TestSweep:
         )
         assert rows[6] >= rows[1]
 
+    def test_repeated_p_exit_2(self, fixture_csv, tmp_path, capsys):
+        out = tmp_path / "sw3"
+        assert main(
+            [
+                "sweep", "--method", "kfda", "--features", str(fixture_csv),
+                "--out", str(out), "--seed", "0", "--trials", "1",
+                "--p-values", "1,1,2",
+            ]
+        ) == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
 
 class TestConfigFile:
     def test_flags_override_file(self, fixture_csv, tmp_path, capsys):

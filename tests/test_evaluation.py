@@ -271,6 +271,21 @@ class TestDimensionSweep:
         with pytest.raises(InputError, match="trials must be >= 1"):
             dimension_sweep(separable_ds, "kfda", [1], trials, 0, QUIET)
 
+    @pytest.mark.parametrize("p_values", [[2, 1, 1, 1], [1, 1, 2]])
+    def test_rejects_repeated_p(self, separable_ds, p_values):
+        with pytest.raises(InputError, match="distinct"):
+            dimension_sweep(separable_ds, "kfda", p_values, 1, 0, QUIET)
+
+    @pytest.mark.parametrize("p", [1.7, 1.0, True])
+    def test_rejects_non_integer_p(self, separable_ds, p):
+        with pytest.raises(InputError, match="integer"):
+            dimension_sweep(separable_ds, "kfda", [p], 1, 0, QUIET)
+
+    def test_numpy_integer_p_accepted(self, separable_ds):
+        rows = dimension_sweep(separable_ds, "kfda", [np.int64(2)], 1, 0, QUIET)
+        assert rows == dimension_sweep(separable_ds, "kfda", [2], 1, 0, QUIET)
+        assert type(rows[0][0]) is int
+
 
 class TestCsvWriters:
     def test_cmc_csv_layout_and_determinism(self, separable_ds, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from kfmetric.data import Dataset, SplitPlan, index_classes
-from kfmetric.errors import InputError
+from kfmetric.errors import InputError, NumericError
 from kfmetric.kernels import KernelSpec, gram, squared_distances
 from kfmetric.kfda import (
     RANGE_RTOL,
@@ -42,12 +42,9 @@ class TestBuildScatter:
         labels = ["a", "a", "a", "b", "b", "b", "c", "c"]
         K, idx, _ = labeled_gram(8, labels, seed=2)
         sc = build_scatter(K, idx)
-        P_ref, Q_ref, means_ref, gm_ref = naive_scatter(K, labels)
+        P_ref, Q_ref, _, _ = naive_scatter(K, labels)
         np.testing.assert_allclose(sc.P, P_ref, atol=1e-10)
         np.testing.assert_allclose(sc.Q, Q_ref, atol=1e-10)
-        np.testing.assert_allclose(sc.global_mean, gm_ref, atol=1e-12)
-        for i, c in enumerate(("a", "b", "c")):
-            np.testing.assert_allclose(sc.class_means[:, i], means_ref[c], atol=1e-12)
 
     def test_scatters_are_psd_with_rank_bounds(self):
         labels = ["a"] * 4 + ["b"] * 3 + ["c"] * 3
@@ -66,9 +63,9 @@ class TestBuildScatter:
         labels = ["a"] * 3 + ["b"] * 4 + ["c"] * 2
         K, idx, _ = labeled_gram(9, labels, seed=4)
         sc = build_scatter(K, idx)
+        _, _, means, gm = naive_scatter(K, labels)
         expected = sum(
-            ni * float(np.sum((sc.class_means[:, i] - sc.global_mean) ** 2))
-            for i, ni in enumerate(idx.counts)
+            labels.count(c) * float(np.sum((means[c] - gm) ** 2)) for c in ("a", "b", "c")
         )
         assert np.trace(sc.P) == pytest.approx(expected, rel=1e-8)
 
@@ -76,6 +73,26 @@ class TestBuildScatter:
         K, idx, _ = labeled_gram(6, ["a", "a", "b", "b", "c", "c"])
         with pytest.raises(InputError, match="does not match"):
             build_scatter(K[:4, :4], idx)
+
+    @pytest.mark.parametrize("fault", ["nan", "inf"])
+    def test_non_finite_gram_rejected(self, fault):
+        K, idx, _ = labeled_gram(6, ["a", "a", "b", "b", "c", "c"])
+        K = np.array(K)
+        K[1, 4] = K[4, 1] = float(fault)
+        with pytest.raises(NumericError, match="scatter"):
+            build_scatter(K, idx)
+
+    def test_overflowing_scatter_rejected(self):
+        # linear Gram entries near 1e200 are finite; Q's squared entries are not
+        X = np.random.default_rng(5).normal(size=(6, 3)) * 1e100
+        ds = Dataset(X, ("a", "a", "b", "b", "c", "c"), (0, 1) * 3)
+        K = gram(KernelSpec("linear"), X)
+        assert np.isfinite(K).all()
+        with pytest.raises(NumericError, match="scatter"):
+            build_scatter(K, index_classes(ds, range(6)))
+        for eps in (0.0, 1e-7):
+            with pytest.raises(NumericError, match="scatter"):
+                train(ds, _full_train_plan(ds), KernelSpec("linear"), eps=eps)
 
 
 class TestSolveKfda:

@@ -95,7 +95,7 @@ class TestNpWeights:
 
     def test_accepts_accuracy_object(self):
         acc = KernelAccuracies((0.9, 0.8, 0.5), folds=10, fold_seed=0)
-        assert np_weights(acc, 2) == pytest.approx([4 / 7, 3 / 7, 0.0], abs=1e-12)
+        assert np_weights(acc.pis, 2) == pytest.approx([4 / 7, 3 / 7, 0.0], abs=1e-12)
 
 
 class TestSelectSmPair:
@@ -231,7 +231,7 @@ class TestSelectTau:
         ids = sorted(set(ds.identities))
         bank = _noisy_bank(ds)
         acc = cv_kernel_accuracies(ds, ids, bank, 4, 9, 1e-7)
-        pair = select_sm_pair(acc)
+        pair = select_sm_pair(acc.pis)
         grid = [0.0, 0.5, 2.0]
         oracle = {
             tau: cv_rank1_oracle(
@@ -273,7 +273,7 @@ class TestSelectN:
         grid = [1, 2, 3]
         oracle = {}
         for N in grid:
-            beta = tuple(float(b) for b in np_weights(acc, N))
+            beta = tuple(float(b) for b in np_weights(acc.pis, N))
             cfg = MklConfig("np", bank, weights=beta, n_top=N)
             oracle[N] = cv_rank1_oracle(ds, ids, cfg, 4, 9, 1e-7)
         ranked = sorted(oracle.values(), reverse=True)
@@ -281,7 +281,7 @@ class TestSelectN:
         best = min(N for N in grid if oracle[N] == ranked[0])
         cfg = build_config("np", acc, n_grid=grid)
         assert cfg.n_top == best
-        assert cfg.weights == tuple(np_weights(acc, best))
+        assert cfg.weights == tuple(np_weights(acc.pis, best))
 
     def test_deterministic(self, noisy_ds):
         ids = sorted(set(noisy_ds.identities))

@@ -1,7 +1,27 @@
+import inspect
+
+import numpy as np
+
 import kfmetric
+from kfmetric import data, evaluation, kernels, kfda, metric
 
 
 def test_every_export_resolves():
     missing = [name for name in kfmetric.__all__ if not hasattr(kfmetric, name)]
     assert missing == []
     assert len(set(kfmetric.__all__)) == len(kfmetric.__all__)
+
+
+def test_parameter_names_read_by_perfbench():
+    """perfbench/run.py binds these parameters by name to count work and read ranks."""
+    def params(fn):
+        return set(inspect.signature(fn).parameters)
+
+    assert "sc" in params(kfda.solve_kfda)
+    ds = data.Dataset(np.arange(8.0).reshape(4, 2), ("a", "a", "b", "b"), (0, 1, 0, 1))
+    K = kernels.gram(kernels.KernelSpec("linear"), ds.features)
+    sc = kfda.build_scatter(K, data.index_classes(ds, range(4)))
+    assert sc.P.shape == (4, 4)
+    assert {"rows", "cols"} <= params(kernels.gram)
+    assert "Y" in params(metric.embed_batch)
+    assert {"ds", "model", "plan", "cfg"} <= params(evaluation.score_plan)
