@@ -14,6 +14,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,32 @@ class ClassIndex:
     @property
     def n_total(self) -> int:
         return sum(self.counts)
+
+    @cached_property
+    def design(self) -> "ClassDesign":
+        """The index as arrays, derived on first use and kept: every scatter over it reads them."""
+        counts = np.asarray(self.counts, dtype=np.float64)
+        labels = np.empty(self.n_total, dtype=np.intp)
+        labels[np.concatenate(self.members)] = np.repeat(np.arange(self.n_classes), self.counts)
+        design = ClassDesign(
+            labels=labels,
+            inv_size=1.0 / counts[labels],
+            sqrt_counts=np.sqrt(counts),
+            weights=counts / len(labels),
+        )
+        for a in vars(design).values():
+            a.setflags(write=False)
+        return design
+
+
+@dataclass(frozen=True)
+class ClassDesign:
+    """A ClassIndex as O(n + c) read-only vectors; no n x c indicator is kept."""
+
+    labels: np.ndarray  # (n,) class position of each indexed sample
+    inv_size: np.ndarray  # (n,) 1 / size of each sample's class
+    sqrt_counts: np.ndarray  # (c,) square roots of the class sizes
+    weights: np.ndarray  # (c,) class sizes / n
 
 
 @dataclass(frozen=True)

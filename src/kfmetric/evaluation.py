@@ -84,16 +84,17 @@ def true_ranks(dists, probe_ids, gallery_ids) -> np.ndarray:
         raise InputError("empty gallery")
     if not np.isfinite(dists).all():
         raise NumericError("non-finite matching score")
-    match = probe_ids[:, None] == gallery_ids[None, :]
-    # first minimum over the matches: the lowest-scored, then lowest-index, match
-    best = np.argmin(np.where(match, dists, np.inf), axis=1)
-    s_best = dists[np.arange(m), best][:, None]
-    ranks = (
-        1
-        + np.count_nonzero(dists < s_best, axis=1)
-        + np.count_nonzero((dists == s_best) & (np.arange(g) < best[:, None]), axis=1)
-    )
-    return np.where(match.any(axis=1), ranks, 0)
+    # first minimum over the matches: the lowest-scored, then lowest-index, match;
+    # scores are finite, so a probe's masked minimum is inf exactly when it has no match
+    masked = np.where(probe_ids[:, None] == gallery_ids, dists, np.inf)
+    best = masked.argmin(axis=1)
+    s_best = masked[np.arange(m), best][:, None]
+    del masked  # a (probes, gallery) float array, freed before the counting below
+    ahead = dists < s_best
+    ahead |= (dists == s_best) & (np.arange(g) < best[:, None])
+    ranks = np.add.reduce(ahead, axis=1) + 1
+    ranks[s_best[:, 0] == np.inf] = 0
+    return ranks
 
 
 def rbf_bank(ds: Dataset, train_idx, cfg: RunConfig) -> tuple[KernelSpec, ...]:

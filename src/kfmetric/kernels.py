@@ -157,18 +157,25 @@ def gram(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray | None = None) -> 
 def rms_width(ds, subset) -> float:
     """Root mean squared pairwise distance among the chosen samples.
 
-    Used as the automatic rbf width; raises when all samples coincide.
+    Used as the automatic rbf width; raises NumericError when all samples
+    coincide or when the distance overflows or exceeds MAX_RBF_WIDTH.
     """
     subset = list(subset)
     if len(subset) < 2:
         raise InputError(f"need at least 2 samples for rms width, got {len(subset)}")
     X = ds.features[subset]
-    centered = X - X.mean(axis=0, keepdims=True)  # translation invariance
     m = len(subset)
-    # sum_{i<j} ||xi-xj||^2 == m * sum_i ||xi - mean||^2
-    pair_sum = m * float(np.sum(centered * centered))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        centered = X - X.mean(axis=0, keepdims=True)  # translation invariance
+        # sum_{i<j} ||xi-xj||^2 == m * sum_i ||xi - mean||^2
+        pair_sum = m * float(np.sum(centered * centered))
     n_pairs = m * (m - 1) // 2
-    width = math.sqrt(pair_sum / n_pairs) if pair_sum > 0 else 0.0
+    width = math.sqrt(pair_sum / n_pairs)  # inf or nan when the features overflow
+    if not width <= MAX_RBF_WIDTH:
+        raise NumericError(
+            f"rms pairwise distance {width:.4g} is too large for an automatic rbf width "
+            f"(at most {MAX_RBF_WIDTH:.4g})"
+        )
     if width <= 0.0:
         raise NumericError("all samples identical: rms pairwise distance is zero")
     return width

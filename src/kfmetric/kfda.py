@@ -13,6 +13,11 @@ to a c x c symmetric eigenproblem after whitening M by Q + eps I; the cost
 is one Cholesky factorization plus O(n^2 c + c^3), not a dense n x n
 generalized eigensolve. With ``eps == 0`` (diagnostic path only) Q is
 singular whenever n > rank, so M is whitened over the numerical range of Q.
+
+The solve calls LAPACK's potrf, trtrs and syevr directly, with the arguments
+scipy.linalg's cholesky, solve_triangular and eigh pass them, so its bits are
+those of the wrappers; only the eps == 0 range basis goes through
+``scipy.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ class KfdaModel:
         vals = np.asarray(self.eigvals, dtype=np.float64)
         if vals.shape != (self.p,):
             raise NumericError(f"need {self.p} eigenvalues, got shape {vals.shape}")
-        if np.any(np.diff(vals) > 0):
+        if (vals[1:] > vals[:-1]).any():
             raise NumericError("eigenvalues must be non-increasing")
         A.setflags(write=False)
         vals.setflags(write=False)
@@ -130,23 +135,42 @@ def build_scatter(K, idx: ClassIndex) -> ScatterPair:
     n = idx.n_total
     if K.shape != (n, n):
         raise InputError(f"Gram shape {K.shape} does not match indexed samples ({n})")
-    if any(c == 0 for c in idx.counts):
+    if 0 in idx.counts:
         raise InputError("class with zero samples")
-    c = idx.n_classes
-    counts = np.asarray(idx.counts, dtype=np.float64)
-    labels = np.empty(n, dtype=np.intp)
-    labels[np.concatenate(idx.members)] = np.repeat(np.arange(c), idx.counts)
-    S = np.zeros((n, c))
-    S[np.arange(n), labels] = 1.0 / counts[labels]
-    means = K @ S
-    # center before multiplying: K K^T minus a rank-c correction would cancel
-    Kc = K - means[:, labels]
-    Q = Kc @ Kc.T  # A @ A.T runs as one syrk, which fills an exactly symmetric result
-    gm = means @ (counts / n)
-    M = (means - gm[:, None]) * np.sqrt(counts)
+    d = idx.design
+    S = np.zeros((n, idx.n_classes))
+    S[np.arange(n), d.labels] = d.inv_size
+    # a non-finite entry or an overflow is reported once, by the check below
+    with np.errstate(all="ignore"):
+        means = K @ S
+        # center before multiplying: K K^T minus a rank-c correction would cancel
+        Kc = K - means[:, d.labels]
+        Q = Kc @ Kc.T  # A @ A.T runs as one syrk, which fills an exactly symmetric result
+        gm = means @ d.weights
+        M = (means - gm[:, None]) * d.sqrt_counts
     if not (np.isfinite(Q).all() and np.isfinite(M).all()):
         raise NumericError("scatter matrices Q and M contain non-finite entries")
     return ScatterPair(Q=Q, M=M)
+
+
+# The LAPACK routines of the Fisher solve, looked up once. Each is called with
+# the arguments scipy.linalg's cholesky, solve_triangular and eigh pass it, so
+# the results are those wrappers' bits without their per-call checks.
+_POTRF, _TRTRS, _SYEVR, _SYEVR_LWORK = scipy.linalg.get_lapack_funcs(
+    ("potrf", "trtrs", "syevr", "syevr_lwork"), dtype=np.float64
+)
+
+
+def _solve_failed(reason) -> NumericError:
+    return NumericError(f"generalized eigensolver failed: {reason}")
+
+
+def _trsm(L: np.ndarray, B: np.ndarray, trans: int) -> np.ndarray:
+    """L^-1 B (trans 0) or L^-T B (trans 1) for the Fortran-ordered lower factor L potrf returns."""
+    X, info = _TRTRS(L, B, lower=1, trans=trans, unitdiag=0, overwrite_b=0)
+    if info:
+        raise _solve_failed(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return X
 
 
 def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaModel:
@@ -160,6 +184,12 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaModel:
     eigenpairs. Columns of A are normalized to unit Euclidean norm with the
     largest-magnitude entry positive; ties in eigenvalue order keep the
     underlying solver's output order.
+
+    LAPACK runs directly: potrf factors Q + eps I (built column-major, so it
+    is factored in place), trtrs solves for Y and for A, and syevr, with
+    range 'A' and the workspace eigh queries, solves the c x c problem. The
+    bits equal those of scipy.linalg's cholesky, solve_triangular and eigh,
+    and a failed factorization raises the same NumericError.
     """
     c = sc.n_classes
     if not 1 <= p <= c - 1:
@@ -167,37 +197,44 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaModel:
     if eps < 0:
         raise InputError(f"regularizer must be non-negative, got {eps}")
     n = sc.Q.shape[0]
-    try:
-        if eps > 0:
-            L = scipy.linalg.cholesky(
-                sc.Q + eps * np.eye(n), lower=True, overwrite_a=True, check_finite=False
-            )
-            Y = scipy.linalg.solve_triangular(L, sc.M, lower=True, check_finite=False)
-        else:
+    if eps > 0:
+        # Q + eps I in potrf's column-major layout, so it is factored in place;
+        # x + 0.0, then eps on the diagonal, gives the bits of Q + eps * eye(n)
+        L = np.add(sc.Q, 0.0, order="F")
+        diag = np.arange(n)
+        L[diag, diag] += eps
+        L, info = _POTRF(L, lower=1, overwrite_a=1, clean=1)
+        if info:
+            raise _solve_failed(f"{info}-th leading minor of the array is not positive definite")
+        Y = _trsm(L, sc.M, trans=0)
+    else:
+        try:
             s, U = scipy.linalg.eigh(sc.Q)
-            smax = float(s[-1])
-            if smax <= 0:
-                raise NumericError("Q has no positive spectrum; cannot solve with eps=0")
-            keep = s > RANGE_RTOL * smax
-            W = U[:, keep] / np.sqrt(s[keep])  # whitening basis for range(Q)
-            if p > W.shape[1]:
-                raise NumericError(
-                    f"only {W.shape[1]} directions available in the range of Q, "
-                    f"cannot extract p={p}"
-                )
-            Y = W.T @ sc.M
-        vals, V = scipy.linalg.eigh(Y.T @ Y, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError(f"generalized eigensolver failed: {exc}") from exc
-    # eigh returns ascending order; reverse for descending eigenvalues
+        except scipy.linalg.LinAlgError as exc:
+            raise _solve_failed(exc) from exc
+        smax = float(s[-1])
+        if smax <= 0:
+            raise NumericError("Q has no positive spectrum; cannot solve with eps=0")
+        keep = s > RANGE_RTOL * smax
+        W = U[:, keep] / np.sqrt(s[keep])  # whitening basis for range(Q)
+        if p > W.shape[1]:
+            raise NumericError(
+                f"only {W.shape[1]} directions available in the range of Q, "
+                f"cannot extract p={p}"
+            )
+        Y = W.T @ sc.M
+    work, iwork, _ = _SYEVR_LWORK(c, lower=1)  # the workspace query eigh makes
+    vals, V, _, _, info = _SYEVR(
+        Y.T @ Y, compute_v=1, range="A", lower=1, lwork=int(work), liwork=iwork, overwrite_a=0
+    )
+    if info:  # a failed workspace query shows here too, as an illegal lwork
+        raise _solve_failed("Internal Error.")
+    # syevr returns ascending order; reverse for descending eigenvalues
     vals = vals[::-1][:p]
     Z = Y @ V[:, ::-1][:, :p]
-    if eps > 0:
-        A = scipy.linalg.solve_triangular(L, Z, lower=True, trans="T", check_finite=False)
-    else:
-        A = W @ Z
+    A = _trsm(L, Z, trans=1) if eps > 0 else W @ Z
     norms = np.linalg.norm(A, axis=0)
-    if np.any(norms == 0):
+    if (norms == 0).any():
         raise NumericError("eigensolver returned a zero eigenvector")
     A /= norms
     peak = A[np.argmax(np.abs(A), axis=0), np.arange(p)]

@@ -260,11 +260,21 @@ def select_sm_pair(pis) -> tuple[int, int]:
 class _Fold:
     number: int  # position among the planned folds, skipped ones included
     idx: ClassIndex  # classes of the fold's training samples, in train_pos order
-    train_pos: tuple[int, ...]  # positions in the CV pool
-    probe_pos: tuple[int, ...]
-    gallery_pos: tuple[int, ...]
+    train_pos: np.ndarray  # positions in the CV pool
+    rows: np.ndarray  # pool positions of the training, then probe, then gallery samples
+    bounds: tuple[int, int]  # where the probe and the gallery rows start in ``rows``
     probe_ids: np.ndarray  # identities, built once so ranking does not convert them
     gallery_ids: np.ndarray
+
+    def cut(self, K: np.ndarray) -> tuple:
+        """A pool Gram's training, probe and gallery rows over the training columns.
+
+        One take per axis; the three blocks are read-only row slices of it.
+        """
+        B = K.take(self.rows, axis=0).take(self.train_pos, axis=1)
+        B.setflags(write=False)
+        a, b = self.bounds
+        return B[:a], B[a:b], B[b:]
 
 
 def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gallery_camera):
@@ -306,13 +316,14 @@ def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gal
         if not probe or not galry:
             warnings.warn(f"fold {f} has an empty probe or gallery set, skipping", stacklevel=3)
             continue
+        train_pos = np.array([pos[i] for i in train_subset], dtype=np.intp)
         built.append(
             _Fold(
                 number=f,
                 idx=index_classes(ds, train_subset),
-                train_pos=tuple(pos[i] for i in train_subset),
-                probe_pos=tuple(pos[i] for i in probe),
-                gallery_pos=tuple(pos[i] for i in galry),
+                train_pos=train_pos,
+                rows=np.array([pos[i] for i in (*train_subset, *probe, *galry)], dtype=np.intp),
+                bounds=(len(train_subset), len(train_subset) + len(probe)),
                 probe_ids=np.array([ds.identities[i] for i in probe]),
                 gallery_ids=np.array([ds.identities[i] for i in galry]),
             )
@@ -339,41 +350,36 @@ class _FoldPlan:
     X_pool: np.ndarray
     pool: dict = field(default_factory=dict)  # spec -> its Gram over X_pool
 
-    def pool_grams(self, kernels) -> list:
-        """Each kernel config's list of pool Grams, one per spec."""
-        missing = [s for s in dict.fromkeys(s for k in kernels for s in k.specs)
-                   if s not in self.pool]
+    def pool_specs(self, kernels) -> list:
+        """The distinct specs of the kernel configs, each with its pool Gram in ``pool``."""
+        specs = list(dict.fromkeys(s for k in kernels for s in k.specs))
+        missing = [s for s in specs if s not in self.pool]
         self.pool.update(zip(missing, grams(missing, self.X_pool)))
-        return [[self.pool[s] for s in kernel.specs] for kernel in kernels]
+        return specs
 
     def rank1(self, kernels) -> np.ndarray:
         """Held-out rank-1 of every kernel config on every fold: a (configs, folds) array.
 
-        Per fold every config slices its own kernels' pool Grams, fuses the
-        training slices and solves, then embeds the held-out rows through
-        ``fold`` as a trained model serves them. Skipped folds stay NaN.
+        Per fold each spec's pool Gram is cut once into training, probe and
+        gallery blocks. Every config fuses its training blocks and solves,
+        then embeds the held-out rows through ``fold`` as a trained model
+        serves them. Skipped folds stay NaN.
         """
         from .evaluation import true_ranks  # deferred: evaluation depends on this module
 
-        pools = self.pool_grams(kernels)
+        specs = self.pool_specs(kernels)
         rank1 = np.full((len(kernels), self.folds), np.nan)
         for fold in self.used:
-            tr = list(fold.train_pos)
-            T, P, G = (
-                np.ix_(rows, tr) for rows in (tr, list(fold.probe_pos), list(fold.gallery_pos))
-            )
-            for c, (kernel, Ks) in enumerate(zip(kernels, pools)):
-                grams = [K[T] for K in Ks]
-                sc = build_scatter(kernel.fuse(grams), fold.idx)
-                blocks = kernel.fold(solve_kfda(sc, fold.idx.n_classes - 1, self.eps).A, grams)
+            cuts = {s: fold.cut(self.pool[s]) for s in specs}
+            for c, kernel in enumerate(kernels):
+                train, probe, gallery = zip(*(cuts[s] for s in kernel.specs))
+                sc = build_scatter(kernel.fuse(train), fold.idx)
+                blocks = kernel.fold(solve_kfda(sc, fold.idx.n_classes - 1, self.eps).A, train)
                 # embed_batch's rule over the fold's training rows: sum_t k_t(Y, X) A_t
-                probe, gallery = (
-                    sum(K[rows] @ A_t for K, A_t in zip(Ks, blocks)) for rows in (P, G)
-                )
-                dists = squared_distances(probe, gallery)
+                Yp, Yg = (sum(K @ A_t for K, A_t in zip(Ks, blocks)) for Ks in (probe, gallery))
                 # a probe without a match ranks 0, so it counts as a miss
-                ranks = true_ranks(dists, fold.probe_ids, fold.gallery_ids)
-                rank1[c, fold.number] = np.mean(ranks == 1)
+                ranks = true_ranks(squared_distances(Yp, Yg), fold.probe_ids, fold.gallery_ids)
+                rank1[c, fold.number] = np.count_nonzero(ranks == 1) / len(ranks)
         return rank1
 
 

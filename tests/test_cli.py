@@ -395,6 +395,20 @@ class TestExitCodes:
         assert "non-finite matching score" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("method", ["kfda", "sm-mfml"])
+    def test_overflowing_rms_width_exit_3(self, fixture_csv, tmp_path, method):
+        # the automatic rbf width of features near 1e160 overflows to inf
+        ds = load_features(fixture_csv)
+        scaled = tmp_path / "scaled.csv"
+        save_features(Dataset(ds.features * 1e160, ds.identities, ds.cameras), scaled)
+        proc = run_cli(
+            "evaluate", "--method", method, "--features", scaled,
+            "--out", tmp_path / "x", "--trials", "1",
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "rms pairwise distance inf" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
     def test_stdout_clean_on_error(self, tmp_path):
         proc = run_cli(
             "evaluate", "--method", "kfda", "--features", tmp_path / "none.csv",

@@ -356,3 +356,41 @@ def test_rank_decisions_are_locked(monkeypatch, method):
     [(ranks, gallery)] = seen
     text = f"{gallery}:" + ",".join(map(str, ranks))
     assert hashlib.sha256(text.encode()).hexdigest() == RANK_DIGESTS[method]
+
+
+# sha256 of the CV scores behind those ranks, on the same fixture and trial:
+# the bank's per-fold rank-1 (acc.per_fold) and the rank-1 rows of the np
+# N-grid and sm tau-grid candidates; a change that moves one fold's rank-1
+# fails here even when the final ranks hide it
+CV_DIGESTS = {
+    "per_fold": "01de71cfd0b83fb430d9bcdc592f2c269e434005302582bbcc135ec8e1eff2ab",
+    "np-mfml": "90fa80acc6f335973d655706f558a30ef6b28885b33919e8a4b5582b8a56d7b1",
+    "sm-mfml": "e5e7f5cccaefcf4ff5dbe33a71a45fd5dadf5735c99fbe7edafb43cd390da959",
+}
+
+
+def _digest(rows) -> str:
+    import hashlib
+
+    text = ";".join(",".join(repr(float(v)) for v in row) for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("method", ["np-mfml", "sm-mfml"])
+def test_cv_scores_are_locked(monkeypatch, method):
+    from kfmetric import mkl
+
+    ds = make_synthetic(80, 2, 20, noise=0.6, view_offset=30.0, seed=0)
+    seen = []
+
+    def recorded(self, kernels, _fn=mkl._FoldPlan.rank1):
+        seen.append(_fn(self, kernels))
+        return seen[-1]
+
+    monkeypatch.setattr(mkl._FoldPlan, "rank1", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_trials(ds, method, 1, 0, RunConfig())
+    [per_fold, grid] = seen
+    assert _digest(per_fold) == CV_DIGESTS["per_fold"]
+    assert _digest(grid) == CV_DIGESTS[method]

@@ -226,6 +226,14 @@ class TestRmsWidth:
         with pytest.raises(InputError, match="at least 2"):
             rms_width(ds, [0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e160, 1e154, 1e307])
+    def test_too_large_for_an_rbf_width(self, scale):
+        # 1e160 and 1e307 overflow to inf and nan; 1e154 is finite but above MAX_RBF_WIDTH
+        ds = self._ds(np.random.default_rng(4).normal(size=(6, 3)) * scale)
+        with pytest.raises(NumericError, match="rms pairwise distance .* too large"):
+            rms_width(ds, range(6))
+
 
 class TestWidthGrid:
     def test_endpoints(self):

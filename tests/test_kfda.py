@@ -4,10 +4,11 @@ import scipy.linalg
 
 from kfmetric.data import Dataset, SplitPlan, index_classes
 from kfmetric.errors import InputError, NumericError
-from kfmetric.kernels import KernelSpec, gram, squared_distances
+from kfmetric.kernels import KernelSpec, gram, rms_width, squared_distances
 from kfmetric.kfda import (
     RANGE_RTOL,
     KfdaModel,
+    ScatterPair,
     build_scatter,
     load_model,
     save_model,
@@ -15,6 +16,7 @@ from kfmetric.kfda import (
     train,
 )
 from kfmetric.metric import embed_batch
+from kfmetric.synthetic import make_synthetic
 
 from oracles import input_space_fda_projection, naive_scatter
 
@@ -74,6 +76,8 @@ class TestBuildScatter:
         with pytest.raises(InputError, match="does not match"):
             build_scatter(K[:4, :4], idx)
 
+    # warnings are errors: the NumericError is the one report, with no numpy warning first
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fault", ["nan", "inf"])
     def test_non_finite_gram_rejected(self, fault):
         K, idx, _ = labeled_gram(6, ["a", "a", "b", "b", "c", "c"])
@@ -82,6 +86,7 @@ class TestBuildScatter:
         with pytest.raises(NumericError, match="scatter"):
             build_scatter(K, idx)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_scatter_rejected(self):
         # linear Gram entries near 1e200 are finite; Q's squared entries are not
         X = np.random.default_rng(5).normal(size=(6, 3)) * 1e100
@@ -220,6 +225,41 @@ class TestLowRankMatchesDense:
         for k in range(p):
             resid = sc.P @ model.A[:, k] - model.eigvals[k] * (B @ model.A[:, k])
             assert np.linalg.norm(resid) <= bound
+
+
+def _scipy_wrapper_solve(sc, p, eps):
+    """The eps > 0 solve through scipy.linalg's cholesky, solve_triangular and eigh."""
+    n = sc.Q.shape[0]
+    L = scipy.linalg.cholesky(
+        sc.Q + eps * np.eye(n), lower=True, overwrite_a=True, check_finite=False
+    )
+    Y = scipy.linalg.solve_triangular(L, sc.M, lower=True, check_finite=False)
+    vals, V = scipy.linalg.eigh(Y.T @ Y, check_finite=False)
+    Z = Y @ V[:, ::-1][:, :p]
+    A = scipy.linalg.solve_triangular(L, Z, lower=True, trans="T", check_finite=False)
+    A /= np.linalg.norm(A, axis=0)
+    peak = A[np.argmax(np.abs(A), axis=0), np.arange(p)]
+    A[:, peak < 0] *= -1.0
+    return A, np.maximum(vals[::-1][:p], 0.0)
+
+
+class TestDirectLapack:
+    @pytest.mark.parametrize("n_ids", [36, 300])  # n = 72, c = 36 (a CV fold) and n = 600
+    def test_bits_match_the_scipy_wrappers(self, n_ids):
+        ds = make_synthetic(n_ids, 2, 20, noise=0.6, view_offset=30.0, seed=n_ids)
+        subset = range(ds.n_samples)
+        K = gram(KernelSpec("rbf", rms_width(ds, subset)), ds.features)
+        sc = build_scatter(K, index_classes(ds, subset))
+        for eps in (1e-7, 1e-3):
+            model = solve_kfda(sc, n_ids - 1, eps)
+            A, vals = _scipy_wrapper_solve(sc, n_ids - 1, eps)
+            assert np.array_equal(model.A, A)
+            assert np.array_equal(model.eigvals, vals)
+
+    def test_indefinite_within_scatter_raises(self):
+        sc = ScatterPair(Q=-np.eye(4), M=np.ones((4, 3)))
+        with pytest.raises(NumericError, match="generalized eigensolver failed"):
+            solve_kfda(sc, p=2)
 
 
 def _two_view_dataset(n_ids, d, seed, spread=4.0, noise=0.5):
