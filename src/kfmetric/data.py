@@ -106,25 +106,42 @@ class ClassIndex:
     def design(self) -> "ClassDesign":
         """The index as arrays, derived on first use and kept: every scatter over it reads them."""
         counts = np.asarray(self.counts, dtype=np.float64)
-        labels = np.empty(self.n_total, dtype=np.intp)
-        labels[np.concatenate(self.members)] = np.repeat(np.arange(self.n_classes), self.counts)
-        design = ClassDesign(
-            labels=labels,
-            inv_size=1.0 / counts[labels],
-            sqrt_counts=np.sqrt(counts),
-            weights=counts / len(labels),
+        by_size: dict[int, list[int]] = {}
+        for c, size in enumerate(self.counts):
+            by_size.setdefault(size, []).append(c)
+        groups = tuple(
+            SizeGroup(
+                classes=_read_only(np.array(cls, dtype=np.intp)),
+                # one row per member rank, so a row is one contiguous take index
+                members=_read_only(np.array([self.members[c] for c in cls], np.intp).T.copy()),
+            )
+            for cls in by_size.values()
         )
-        for a in vars(design).values():
-            a.setflags(write=False)
-        return design
+        return ClassDesign(
+            groups,
+            sqrt_counts=_read_only(np.sqrt(counts)),
+            weights=_read_only(counts / self.n_total),
+        )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
+class SizeGroup:
+    """The classes of one size s: ``members[k]`` holds the k-th sample of each class."""
+
+    classes: np.ndarray  # (m,) positions of the classes of size s
+    members: np.ndarray  # (s, m) their samples, in member order
 
 
 @dataclass(frozen=True)
 class ClassDesign:
-    """A ClassIndex as O(n + c) read-only vectors; no n x c indicator is kept."""
+    """A ClassIndex as O(n + c) read-only arrays; no n x c indicator is kept."""
 
-    labels: np.ndarray  # (n,) class position of each indexed sample
-    inv_size: np.ndarray  # (n,) 1 / size of each sample's class
+    groups: tuple[SizeGroup, ...]  # one per class size
     sqrt_counts: np.ndarray  # (c,) square roots of the class sizes
     weights: np.ndarray  # (c,) class sizes / n
 

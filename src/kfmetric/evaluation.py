@@ -23,7 +23,7 @@ import numpy as np
 from .config import METHODS, RunConfig
 from .data import Dataset, SplitPlan, eligible_identities, make_split
 from .errors import InputError, NumericError
-from .kernels import KernelSpec, rms_width, squared_distances, width_grid
+from .kernels import MAX_RBF_WIDTH, KernelSpec, rms_width, squared_distances, width_grid
 from .kfda import KfdaModel, train
 from .metric import euclidean_score_matrix, embed_batch, score_matrix
 from .mkl import build_config as build_mkl_config
@@ -100,12 +100,20 @@ def true_ranks(dists, probe_ids, gallery_ids) -> np.ndarray:
 def rbf_bank(ds: Dataset, train_idx, cfg: RunConfig) -> tuple[KernelSpec, ...]:
     """The run's cfg.q rbf kernels, with widths on a log grid around the training rms width.
 
-    q = 1 gives the single kernel at the rms width itself.
+    q = 1 gives the single kernel at the rms width itself. A grid width that
+    leaves (0, MAX_RBF_WIDTH] raises NumericError: the data's scale, not a
+    width the user gave, put it there.
     """
     base = rms_width(ds, train_idx)
     if cfg.q == 1:
         return (KernelSpec("rbf", base),)
-    return tuple(KernelSpec("rbf", w) for w in width_grid(base, cfg.q, cfg.width_lo, cfg.width_hi))
+    widths = width_grid(base, cfg.q, cfg.width_lo, cfg.width_hi)
+    if not 0.0 < widths[0] <= widths[-1] <= MAX_RBF_WIDTH:
+        raise NumericError(
+            f"rbf bank widths {widths[0]:.4g}..{widths[-1]:.4g} (the rms pairwise distance "
+            f"{base:.4g} times width_lo..width_hi) leave (0, {MAX_RBF_WIDTH:.4g}]"
+        )
+    return tuple(KernelSpec("rbf", w) for w in widths)
 
 
 def fit_for_trial(ds: Dataset, plan: SplitPlan, method: str, cfg: RunConfig) -> KfdaModel | None:

@@ -2,11 +2,16 @@
 
 From a square training Gram matrix K and a class index we form the two
 scatter surrogates the solver reads: the n x n within-class matrix Q,
-built from class-centered kernel blocks, and the n x c factor M of the
-between-class matrix P = M M^T, the count-weighted spread of the per-class
-mean kernel columns around the global mean. The discriminant expansion
-coefficients are the leading eigenvectors of the pencil
-``P a = lambda (Q + eps I) a``.
+sum_i K_i (I - 1/n_i) K_i^T over each class's Gram columns K_i, and the
+n x c factor M of the between-class matrix P = M M^T, the count-weighted
+spread of the per-class mean kernel columns around the global mean. The
+discriminant expansion coefficients are the leading eigenvectors of the
+pencil ``P a = lambda (Q + eps I) a``.
+
+I - 1/n_i is a projection of rank n_i - 1, so Q = B B^T for the n x (n - c)
+matrix B of orthonormal within-class contrasts of K's columns: one syrk with
+half of a Gram's columns when every class has two samples, and no centered
+n x n copy of K. The class means come from the same column takes.
 
 P = M M^T has rank at most c - 1 for c classes, so the pencil is reduced
 to a c x c symmetric eigenproblem after whitening M by Q + eps I; the cost
@@ -14,15 +19,16 @@ is one Cholesky factorization plus O(n^2 c + c^3), not a dense n x n
 generalized eigensolve. With ``eps == 0`` (diagnostic path only) Q is
 singular whenever n > rank, so M is whitened over the numerical range of Q.
 
-The solve calls LAPACK's potrf, trtrs and syevr directly, with the arguments
-scipy.linalg's cholesky, solve_triangular and eigh pass them, so its bits are
-those of the wrappers; only the eps == 0 range basis goes through
-``scipy.linalg.eigh``.
+The solve calls LAPACK's potrf, trtrs and syevd directly, with the arguments
+scipy.linalg's cholesky, solve_triangular and eigh (on its syevd path) pass
+them, so its bits are those of the wrappers. syevd is the one symmetric
+eigensolver, for the c x c problem and for the eps == 0 range basis.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -127,9 +133,13 @@ def build_scatter(K, idx: ClassIndex) -> ScatterPair:
     K rows/columns must follow exactly the subset order the ClassIndex was
     built over. With m_i the class-i mean column (the average of K's
     columns for class i) and m their count-weighted mean, column i of M is
-    sqrt(n_i) (m_i - m), so P = M M^T; Q sums the class-centered column
-    blocks multiplied by their transposes. A non-finite Gram entry, or a Q
-    that overflows, raises NumericError.
+    sqrt(n_i) (m_i - m), so P = M M^T. Q = sum_i K_i (I - 1/n_i) K_i^T over
+    each class's columns K_i is formed as B B^T, where B holds n - c
+    orthonormal (Helmert) contrasts of the class columns: for members
+    k_0 .. k_{s-1} of a class, h_j = (k_0 + ... + k_{j-1} - j k_j) / sqrt(j (j + 1))
+    for j = 1 .. s - 1, so a singleton class adds none. One column take per
+    member rank feeds both the class sums and the contrasts. A non-finite
+    Gram entry, or a Q that overflows, raises NumericError.
     """
     K = np.asarray(K, dtype=np.float64)
     n = idx.n_total
@@ -138,26 +148,40 @@ def build_scatter(K, idx: ClassIndex) -> ScatterPair:
     if 0 in idx.counts:
         raise InputError("class with zero samples")
     d = idx.design
-    S = np.zeros((n, idx.n_classes))
-    S[np.arange(n), d.labels] = d.inv_size
+    means = np.empty((n, idx.n_classes)) if len(d.groups) > 1 else None
+    B = np.empty((n, n - idx.n_classes))
+    start = 0
     # a non-finite entry or an overflow is reported once, by the check below
     with np.errstate(all="ignore"):
-        means = K @ S
-        # center before multiplying: K K^T minus a rank-c correction would cancel
-        Kc = K - means[:, d.labels]
-        Q = Kc @ Kc.T  # A @ A.T runs as one syrk, which fills an exactly symmetric result
-        gm = means @ d.weights
-        M = (means - gm[:, None]) * d.sqrt_counts
+        for g in d.groups:
+            size, m = g.members.shape
+            total = K.take(g.members[0], axis=1)  # running class sums
+            for j in range(1, size):
+                col = K.take(g.members[j], axis=1)  # each class's j-th member column
+                h = B[:, start : start + m]  # h_j = (total - j col) / sqrt(j (j + 1))
+                np.subtract(total, col if j == 1 else j * col, out=h)
+                h *= 1.0 / math.sqrt(j * (j + 1))
+                total += col
+                start += m
+            total /= size
+            if means is None:  # one class size: the group holds every class, in order
+                means = total
+            else:
+                means[:, g.classes] = total
+        Q = B @ B.T  # A @ A.T runs as one syrk, which fills an exactly symmetric result
+        M = means - (means @ d.weights)[:, None]
+        M *= d.sqrt_counts
     if not (np.isfinite(Q).all() and np.isfinite(M).all()):
         raise NumericError("scatter matrices Q and M contain non-finite entries")
     return ScatterPair(Q=Q, M=M)
 
 
 # The LAPACK routines of the Fisher solve, looked up once. Each is called with
-# the arguments scipy.linalg's cholesky, solve_triangular and eigh pass it, so
-# the results are those wrappers' bits without their per-call checks.
-_POTRF, _TRTRS, _SYEVR, _SYEVR_LWORK = scipy.linalg.get_lapack_funcs(
-    ("potrf", "trtrs", "syevr", "syevr_lwork"), dtype=np.float64
+# the arguments scipy.linalg's cholesky, solve_triangular and eigh (on its
+# syevd path) pass it, so the results are those wrappers' bits without their
+# per-call checks.
+_POTRF, _TRTRS, _SYEVD, _SYEVD_LWORK = scipy.linalg.get_lapack_funcs(
+    ("potrf", "trtrs", "syevd", "syevd_lwork"), dtype=np.float64
 )
 
 
@@ -173,6 +197,22 @@ def _trsm(L: np.ndarray, B: np.ndarray, trans: int) -> np.ndarray:
     return X
 
 
+def _eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of a symmetric S, which is overwritten.
+
+    LAPACK syevd, lower triangle, with the workspace scipy.linalg.eigh
+    queries for it. A Fortran-ordered S is used in place.
+    """
+    n = S.shape[0]
+    work, iwork, _ = _SYEVD_LWORK(n, compute_v=1, lower=1)
+    vals, V, info = _SYEVD(
+        S, compute_v=1, lower=1, lwork=int(work), liwork=iwork, overwrite_a=1
+    )
+    if info:  # a failed workspace query shows here too, as an illegal lwork
+        raise _solve_failed(f"syevd did not converge (info {info})")
+    return vals, V
+
+
 def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaModel:
     """Leading discriminants of the regularized between/within pencil.
 
@@ -186,10 +226,10 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaModel:
     underlying solver's output order.
 
     LAPACK runs directly: potrf factors Q + eps I (built column-major, so it
-    is factored in place), trtrs solves for Y and for A, and syevr, with
-    range 'A' and the workspace eigh queries, solves the c x c problem. The
-    bits equal those of scipy.linalg's cholesky, solve_triangular and eigh,
-    and a failed factorization raises the same NumericError.
+    is factored in place), trtrs solves for Y and for A, and syevd, with the
+    workspace eigh queries, solves the c x c problem in place. The bits equal
+    those of scipy.linalg's cholesky, solve_triangular and eigh on its
+    syevd path, and a failed factorization raises the same NumericError.
     """
     c = sc.n_classes
     if not 1 <= p <= c - 1:
@@ -208,10 +248,7 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaModel:
             raise _solve_failed(f"{info}-th leading minor of the array is not positive definite")
         Y = _trsm(L, sc.M, trans=0)
     else:
-        try:
-            s, U = scipy.linalg.eigh(sc.Q)
-        except scipy.linalg.LinAlgError as exc:
-            raise _solve_failed(exc) from exc
+        s, U = _eigh(np.array(sc.Q, order="F"))
         smax = float(s[-1])
         if smax <= 0:
             raise NumericError("Q has no positive spectrum; cannot solve with eps=0")
@@ -223,13 +260,10 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaModel:
                 f"cannot extract p={p}"
             )
         Y = W.T @ sc.M
-    work, iwork, _ = _SYEVR_LWORK(c, lower=1)  # the workspace query eigh makes
-    vals, V, _, _, info = _SYEVR(
-        Y.T @ Y, compute_v=1, range="A", lower=1, lwork=int(work), liwork=iwork, overwrite_a=0
-    )
-    if info:  # a failed workspace query shows here too, as an illegal lwork
-        raise _solve_failed("Internal Error.")
-    # syevr returns ascending order; reverse for descending eigenvalues
+    # Y^T Y is one exactly symmetric syrk result, so its transpose is the same
+    # matrix in the Fortran order syevd overwrites without a copy
+    vals, V = _eigh((Y.T @ Y).T)
+    # syevd returns ascending order; reverse for descending eigenvalues
     vals = vals[::-1][:p]
     Z = Y @ V[:, ::-1][:, :p]
     A = _trsm(L, Z, trans=1) if eps > 0 else W @ Z

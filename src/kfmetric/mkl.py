@@ -81,6 +81,7 @@ class MklConfig:
 
     variant 'np': convex weights over the bank, exactly n_top nonzero.
     variant 'sm': squared-matrix fusion of bank kernels ``pair`` with scale tau.
+    The other variant's fields must be None.
     """
 
     variant: str
@@ -95,6 +96,12 @@ class MklConfig:
         q = len(self.bank_specs)
         if q < 1:
             raise InputError("bank must contain at least one kernel")
+        if self.variant not in ("np", "sm"):
+            raise InputError(f"unknown mkl variant {self.variant!r}")
+        other = ("pair", "tau") if self.variant == "np" else ("weights", "n_top")
+        extra = {f: getattr(self, f) for f in other if getattr(self, f) is not None}
+        if extra:
+            raise InputError(f"{self.variant} variant fields {other} must be None, got {extra}")
         if self.variant == "np":
             if self.weights is None or self.n_top is None:
                 raise InputError("np variant needs weights and n_top")
@@ -125,8 +132,6 @@ class MklConfig:
             if not 0 <= self.tau < np.inf:
                 raise InputError(f"tau must be finite and non-negative, got {self.tau}")
             object.__setattr__(self, "pair", (int(i), int(j)))
-        else:
-            raise InputError(f"unknown mkl variant {self.variant!r}")
         object.__setattr__(self, "bank_specs", tuple(self.bank_specs))
 
     @property

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from kfmetric.cli import main
 from kfmetric.config import load_config_file
-from kfmetric.data import Dataset, load_features, save_features
+from kfmetric.data import Dataset, load_features, make_split, save_features
 from kfmetric.errors import InputError, NumericError
+from kfmetric.kernels import MAX_RBF_WIDTH, rms_width
 from kfmetric.kfda import load_model
 
 # digest of (method=np-mfml, trials=2, base_seed=0, q=6, folds=4, defaults
@@ -409,6 +410,25 @@ class TestExitCodes:
         assert "rms pairwise distance inf" in proc.stderr
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_overflowing_bank_width_exit_3(self, fixture_csv, tmp_path):
+        # the rms width is usable, but width_hi (10) times it passes MAX_RBF_WIDTH
+        ds = load_features(fixture_csv)
+        train_idx = sorted(ds.samples_of(make_split(ds, 0, 0.5).train_ids))
+        scaled_ds = Dataset(
+            ds.features * (1.2e153 / rms_width(ds, train_idx)), ds.identities, ds.cameras
+        )
+        width = rms_width(scaled_ds, train_idx)
+        assert width <= MAX_RBF_WIDTH < 10.0 * width
+        scaled = tmp_path / "scaled.csv"
+        save_features(scaled_ds, scaled)
+        proc = run_cli(
+            "evaluate", "--method", "np-mfml", "--features", scaled,
+            "--out", tmp_path / "x", "--trials", "1", "--q", "3", "--folds", "4",
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "rbf bank widths" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
     def test_stdout_clean_on_error(self, tmp_path):
         proc = run_cli(
             "evaluate", "--method", "kfda", "--features", tmp_path / "none.csv",
@@ -507,11 +527,16 @@ def _with_accuracies(doc, **fields):
          "folds and fold_seed must be integers"),
         ("np-mfml", lambda doc: _with_accuracies(doc, fold_seed=True),
          "folds and fold_seed must be integers"),
+        ("sm-mfml", lambda doc: _with_config(doc, weights=[True]),
+         "sm variant fields ('weights', 'n_top') must be None"),
+        ("np-mfml", lambda doc: _with_config(doc, pair=[True, "y"], tau="x"),
+         "np variant fields ('pair', 'tau') must be None"),
     ],
     ids=["no-kernel-width", "json-list", "no-A", "p-mismatch", "seed-string", "seed-bool",
          "fraction-list", "seed-negative", "p-zero", "width-bool", "width-huge", "sm-pair-float",
          "sm-pair-bool", "sm-tau-bool", "np-n-top-bool", "np-weights-string", "np-weights-bool",
-         "pis-bool", "folds-string", "folds-float", "fold-seed-bool"],
+         "pis-bool", "folds-string", "folds-float", "fold-seed-bool", "sm-with-np-weights",
+         "np-with-sm-pair-tau"],
 )
 def test_malformed_model_file_exit_2(model_doc, mkl_model_paths, fixture_csv, tmp_path, method,
                                      corrupt, message):

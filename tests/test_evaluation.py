@@ -336,13 +336,12 @@ RANK_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("method", sorted(RANK_DIGESTS))
-def test_rank_decisions_are_locked(monkeypatch, method):
+def _trial_ranks_digest(monkeypatch, ds, method) -> str:
+    """sha256 of the per-probe true ranks of one run_trials trial at seed 0."""
     import hashlib
 
     from kfmetric import evaluation
 
-    ds = make_synthetic(80, 2, 20, noise=0.6, view_offset=30.0, seed=0)
     seen = []
 
     def recorded(*args, _fn=evaluation.score_plan, **kwargs):
@@ -355,7 +354,13 @@ def test_rank_decisions_are_locked(monkeypatch, method):
         run_trials(ds, method, 1, 0, RunConfig())
     [(ranks, gallery)] = seen
     text = f"{gallery}:" + ",".join(map(str, ranks))
-    assert hashlib.sha256(text.encode()).hexdigest() == RANK_DIGESTS[method]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("method", sorted(RANK_DIGESTS))
+def test_rank_decisions_are_locked(monkeypatch, method):
+    ds = make_synthetic(80, 2, 20, noise=0.6, view_offset=30.0, seed=0)
+    assert _trial_ranks_digest(monkeypatch, ds, method) == RANK_DIGESTS[method]
 
 
 # sha256 of the CV scores behind those ranks, on the same fixture and trial:
@@ -376,11 +381,10 @@ def _digest(rows) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("method", ["np-mfml", "sm-mfml"])
-def test_cv_scores_are_locked(monkeypatch, method):
+def _cv_rows(monkeypatch, ds, method) -> tuple:
+    """The bank's per-fold CV rank-1 and the N or tau grid's rows of one trial at seed 0."""
     from kfmetric import mkl
 
-    ds = make_synthetic(80, 2, 20, noise=0.6, view_offset=30.0, seed=0)
     seen = []
 
     def recorded(self, kernels, _fn=mkl._FoldPlan.rank1):
@@ -392,5 +396,42 @@ def test_cv_scores_are_locked(monkeypatch, method):
         warnings.simplefilter("ignore")
         run_trials(ds, method, 1, 0, RunConfig())
     [per_fold, grid] = seen
+    return per_fold, grid
+
+
+@pytest.mark.parametrize("method", ["np-mfml", "sm-mfml"])
+def test_cv_scores_are_locked(monkeypatch, method):
+    ds = make_synthetic(80, 2, 20, noise=0.6, view_offset=30.0, seed=0)
+    per_fold, grid = _cv_rows(monkeypatch, ds, method)
     assert _digest(per_fold) == CV_DIGESTS["per_fold"]
     assert _digest(grid) == CV_DIGESTS[method]
+
+
+# The same locks on a three-view fixture (60 identities, every training class
+# of three samples, where a class mean is no exact power-of-two scaling):
+# the trial's ranks per method, then the CV rows as for CV_DIGESTS
+THREE_VIEW_DIGESTS = {
+    "kfda": "1eb38a34a00e05afda9bc2ddb87fd1a6170840503c7bef7a9273fb77e88e25e8",
+    "np-mfml": "fe2407ab99ae57af33e5d4a83809396dd17a34839f05fb226d210971de3ccfed",
+    "sm-mfml": "481719f436821d74c3e446a95e9d92d18b8ba3de5a65c86319c0599ca8d25db6",
+    "per_fold": "ce97228a2879074d5096ac0db5f67a1dc7843c1192e4634ff4726e12bf6ffb4a",
+    "np-mfml grid": "890bf5c136a00d098952e1daa7cff70e90e990aef0cee5ebd769645b8eb8e5d9",
+    "sm-mfml grid": "308f5d0cc0571d7473cbb07d77e5225b29c739e598813fcc4dccc4474826db21",
+}
+
+
+def _three_view_ds():
+    return make_synthetic(60, 3, 20, noise=0.6, view_offset=30.0, seed=0)
+
+
+@pytest.mark.parametrize("method", ["kfda", "np-mfml", "sm-mfml"])
+def test_three_view_rank_decisions_are_locked(monkeypatch, method):
+    digest = _trial_ranks_digest(monkeypatch, _three_view_ds(), method)
+    assert digest == THREE_VIEW_DIGESTS[method]
+
+
+@pytest.mark.parametrize("method", ["np-mfml", "sm-mfml"])
+def test_three_view_cv_scores_are_locked(monkeypatch, method):
+    per_fold, grid = _cv_rows(monkeypatch, _three_view_ds(), method)
+    assert _digest(per_fold) == THREE_VIEW_DIGESTS["per_fold"]
+    assert _digest(grid) == THREE_VIEW_DIGESTS[f"{method} grid"]

@@ -48,6 +48,34 @@ class TestBuildScatter:
         np.testing.assert_allclose(sc.P, P_ref, atol=1e-10)
         np.testing.assert_allclose(sc.Q, Q_ref, atol=1e-10)
 
+    def test_mixed_class_sizes_match_oracle(self):
+        # shuffled classes of 1, 2, 3 and 5 samples: every contrast length, and none
+        rng = np.random.default_rng(19)
+        labels = list(rng.permutation(["a"] + ["b"] * 2 + ["c"] * 3 + ["d"] * 5))
+        K, idx, _ = labeled_gram(11, labels, seed=19)
+        sc = build_scatter(K, idx)
+        P_ref, Q_ref, _, _ = naive_scatter(K, labels)
+        np.testing.assert_allclose(sc.P, P_ref, atol=1e-10)
+        np.testing.assert_allclose(sc.Q, Q_ref, atol=1e-10)
+        assert np.array_equal(sc.Q, sc.Q.T)
+
+    @pytest.mark.parametrize("sizes", [(1, 2) * 15, (2,) * 30], ids=["sizes-1-2", "sizes-2"])
+    def test_m_matches_dense_indicator_product_bits(self, sizes):
+        # with one or two samples per class the class sums scale by 1 or 0.5,
+        # which is exact, so M equals the dense K @ S form bit for bit
+        rng = np.random.default_rng(20)
+        names = [f"c{k:02d}" for k in range(len(sizes))]
+        labels = list(rng.permutation(np.repeat(names, sizes)))
+        K, idx, _ = labeled_gram(len(labels), labels, seed=20)
+        n, c = len(labels), idx.n_classes
+        S = np.zeros((n, c))
+        for i, members in enumerate(idx.members):
+            S[list(members), i] = 1.0 / len(members)
+        counts = np.asarray(idx.counts, dtype=np.float64)
+        means = K @ S
+        M = (means - (means @ (counts / n))[:, None]) * np.sqrt(counts)
+        assert np.array_equal(build_scatter(K, idx).M, M)
+
     def test_scatters_are_psd_with_rank_bounds(self):
         labels = ["a"] * 4 + ["b"] * 3 + ["c"] * 3
         K, idx, _ = labeled_gram(10, labels, seed=3)
@@ -228,13 +256,13 @@ class TestLowRankMatchesDense:
 
 
 def _scipy_wrapper_solve(sc, p, eps):
-    """The eps > 0 solve through scipy.linalg's cholesky, solve_triangular and eigh."""
+    """The eps > 0 solve through scipy.linalg's cholesky, solve_triangular and eigh (syevd)."""
     n = sc.Q.shape[0]
     L = scipy.linalg.cholesky(
         sc.Q + eps * np.eye(n), lower=True, overwrite_a=True, check_finite=False
     )
     Y = scipy.linalg.solve_triangular(L, sc.M, lower=True, check_finite=False)
-    vals, V = scipy.linalg.eigh(Y.T @ Y, check_finite=False)
+    vals, V = scipy.linalg.eigh(Y.T @ Y, check_finite=False, driver="evd")
     Z = Y @ V[:, ::-1][:, :p]
     A = scipy.linalg.solve_triangular(L, Z, lower=True, trans="T", check_finite=False)
     A /= np.linalg.norm(A, axis=0)
