@@ -10,9 +10,9 @@ from .config import RunConfig
 from .data import ClassIndex, Dataset, SplitPlan, index_classes, load_features, make_split
 from .errors import InputError, NumericError
 from .evaluation import CmcReport, cmc_from_ranks, dimension_sweep, run_trials, true_ranks
-from .kernels import KernelSpec, eval_kernel, gram, rms_width, width_grid
+from .kernels import KernelSpec, gram, rms_width, width_grid
 from .kfda import KfdaModel, build_scatter, load_model, save_model, solve_kfda, train
-from .metric import Projection, embed, embed_batch, euclidean_score, score
+from .metric import embed_batch, score_matrix
 from .mkl import KernelAccuracies, MklConfig, cv_kernel_accuracies, np_weights, select_sm_pair
 from .synthetic import make_synthetic
 
@@ -28,17 +28,13 @@ __all__ = [
     "KfdaModel",
     "MklConfig",
     "NumericError",
-    "Projection",
     "RunConfig",
     "SplitPlan",
     "build_scatter",
     "cmc_from_ranks",
     "cv_kernel_accuracies",
     "dimension_sweep",
-    "embed",
     "embed_batch",
-    "euclidean_score",
-    "eval_kernel",
     "gram",
     "index_classes",
     "load_features",
@@ -49,7 +45,7 @@ __all__ = [
     "rms_width",
     "run_trials",
     "save_model",
-    "score",
+    "score_matrix",
     "select_sm_pair",
     "solve_kfda",
     "train",

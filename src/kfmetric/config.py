@@ -73,9 +73,9 @@ class RunConfig:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.q < 1:
             raise InputError(f"q must be >= 1, got {self.q}")
-        if not 0.0 < self.width_lo < self.width_hi:
+        if not 0.0 < self.width_lo < self.width_hi < math.inf:
             raise InputError(
-                f"need 0 < width_lo < width_hi, got {self.width_lo}, {self.width_hi}"
+                f"need 0 < width_lo < width_hi < inf, got {self.width_lo}, {self.width_hi}"
             )
         if not 0 < self.eps < math.inf:
             raise InputError(f"eps must be positive and finite, got {self.eps}")

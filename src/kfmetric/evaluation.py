@@ -243,8 +243,8 @@ def dimension_sweep(
     """Mean rank-1 accuracy with the model truncated to each requested p.
 
     The model is trained once per trial with all c-1 discriminants; a run at
-    p keeps the p leading columns, which matches training at that p exactly
-    because leading eigenpairs nest.
+    p keeps the p leading columns, which matches training at that p up to
+    rounding because leading eigenpairs nest.
     """
     if method == "euclidean":
         raise InputError("dimension sweep needs a learned model, not the raw baseline")

@@ -81,20 +81,6 @@ class KernelSpec:
         return KernelSpec(kind=d["kind"], width=d["width"])
 
 
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Evaluate one kernel entry k(x, y)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise InputError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if spec.kind == "rbf":
-        diff = x - y
-        return float(np.exp(-(diff @ diff) / (2.0 * spec.width**2)))
-    if spec.kind == "linear":
-        return float(x @ y)
-    return float((x @ y + 1.0) ** 2)
-
-
 def grams(specs, rows: np.ndarray, cols: np.ndarray | None = None):
     """Yield the Gram of each spec over one (rows, cols) pair, in order.
 

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -67,36 +68,42 @@ class ScatterPair:
         return self.M.shape[1]
 
 
+class KfdaSolution(NamedTuple):
+    """The p leading discriminants of a Fisher pencil, as :func:`solve_kfda` returns them."""
+
+    A: np.ndarray  # (n, p) unit-norm expansion coefficients
+    eigvals: np.ndarray  # (p,) non-increasing
+
+
 @dataclass(frozen=True)
 class KfdaModel:
-    """Trained discriminant model.
+    """Trained discriminant model: the learned metric over a retained training basis.
 
     A holds one unit-norm expansion-coefficient column per discriminant,
-    sign-fixed so each column's largest-magnitude entry is positive.
-    :func:`train` and :func:`load_model` attach ``train_basis`` X (the
-    retained training feature rows), ``kernel_config``, and ``terms``: the
+    sign-fixed so each column's largest-magnitude entry is positive, and
+    ``eigvals`` the matching non-increasing eigenvalues. ``train_basis`` X
+    holds the retained training feature rows, and ``terms`` the kernel
     configuration folded into pairs (kernel spec k_t, A_t) so that every
-    model embeds as ``sum_t k_t(Y, X) A_t``. A bare eigen solution from
-    :func:`solve_kfda` leaves all three unset.
+    model embeds as ``sum_t k_t(Y, X) A_t``. Only :func:`train` and
+    :func:`load_model` build one.
     """
 
     A: np.ndarray
     eigvals: np.ndarray
     regularizer: float
-    p: int
-    train_basis: np.ndarray | None = None
-    kernel_config: object | None = None
-    terms: tuple = field(default=(), compare=False, repr=False)
+    train_basis: np.ndarray
+    kernel_config: object
+    terms: tuple = field(compare=False, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=np.float64)
-        if A.ndim != 2 or A.shape[1] != self.p:
-            raise NumericError(f"A must be n x p with p={self.p}, got {A.shape}")
+        if A.ndim != 2:
+            raise NumericError(f"A must be n x p, got shape {A.shape}")
         if not np.isfinite(A).all():
             raise NumericError("A contains non-finite entries")
         vals = np.asarray(self.eigvals, dtype=np.float64)
-        if vals.shape != (self.p,):
-            raise NumericError(f"need {self.p} eigenvalues, got shape {vals.shape}")
+        if vals.shape != (A.shape[1],):
+            raise NumericError(f"need {A.shape[1]} eigenvalues, got shape {vals.shape}")
         if (vals[1:] > vals[:-1]).any():
             raise NumericError("eigenvalues must be non-increasing")
         A.setflags(write=False)
@@ -108,23 +115,15 @@ class KfdaModel:
     def n_train(self) -> int:
         return self.A.shape[0]
 
-    def truncated(self, p: int) -> "KfdaModel":
-        """Model restricted to the p leading discriminants."""
-        if not 1 <= p <= self.p:
-            raise InputError(f"p must be in 1..{self.p}, got {p}")
-        return replace(
-            self,
-            A=self.A[:, :p],
-            eigvals=self.eigvals[:p],
-            p=p,
-            terms=tuple((spec, A_t[:, :p]) for spec, A_t in self.terms),
-        )
+    @property
+    def p(self) -> int:
+        return self.A.shape[1]
 
 
-def _with_kernel(model: KfdaModel, X: np.ndarray, kernel, grams) -> KfdaModel:
-    """Attach the training basis and kernel config, folded over X's ``grams`` into terms."""
-    terms = tuple(zip(kernel.specs, kernel.fold(model.A, grams)))
-    return replace(model, train_basis=X, kernel_config=kernel, terms=terms)
+def _with_kernel(sol: KfdaSolution, regularizer: float, X: np.ndarray, kernel, grams) -> KfdaModel:
+    """The model of a solution over basis X, its kernel folded over X's ``grams`` into terms."""
+    terms = tuple(zip(kernel.specs, kernel.fold(sol.A, grams)))
+    return KfdaModel(sol.A, sol.eigvals, regularizer, X, kernel, terms)
 
 
 def build_scatter(K, idx: ClassIndex) -> ScatterPair:
@@ -213,7 +212,7 @@ def _eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, V
 
 
-def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaModel:
+def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolution:
     """Leading discriminants of the regularized between/within pencil.
 
     Solves ``P a = lambda (Q + eps I) a`` through the factor P = M M^T:
@@ -273,12 +272,7 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaModel:
     A /= norms
     peak = A[np.argmax(np.abs(A), axis=0), np.arange(p)]
     A[:, peak < 0] *= -1.0
-    return KfdaModel(
-        A=A,
-        eigvals=np.maximum(vals, 0.0),
-        regularizer=eps,
-        p=p,
-    )
+    return KfdaSolution(A, np.maximum(vals, 0.0))
 
 
 def train(
@@ -303,13 +297,11 @@ def train(
     X = ds.features[train_idx]
     base = list(grams(kernel.specs, X))  # one distance matrix for every rbf
     sc = build_scatter(kernel.fuse(base), idx)
-    return _with_kernel(solve_kfda(sc, p_eff, eps), X, kernel, base)
+    return _with_kernel(solve_kfda(sc, p_eff, eps), eps, X, kernel, base)
 
 
 def save_model(model: KfdaModel, path, meta: dict | None = None) -> None:
     """Persist a trained model as versioned JSON; floats round-trip exactly."""
-    if model.train_basis is None or model.kernel_config is None:
-        raise InputError("only fully trained models (with basis and kernel) persist")
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -401,6 +393,5 @@ def load_model(path) -> tuple[KfdaModel, dict]:
     A = _model_array(doc, "A", (n, p), path)
     eigvals = _model_array(doc, "eigvals", (p,), path)
     X = _model_array(doc, "train_features", (n, d), path)
-    model = KfdaModel(A=A, eigvals=eigvals, regularizer=doc["regularizer"], p=p)
     base = grams(kernel.specs, X)  # lazy: fold reads only sm's pair
-    return _with_kernel(model, X, kernel, base), doc["meta"]
+    return _with_kernel(KfdaSolution(A, eigvals), doc["regularizer"], X, kernel, base), doc["meta"]

@@ -32,6 +32,8 @@ def make_synthetic(
         raise InputError(f"need dim >= 1, got {dim}")
     if noise < 0 or view_offset < 0:
         raise InputError("noise and view_offset must be non-negative")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(identities, dim))
     offsets = np.zeros((views, dim))

@@ -371,8 +371,9 @@ class TestExitCodes:
             (["--eps", "inf"], "eps"),
             (["--tau-grid", "0,nan"], "tau_grid"),
             (["--tau-grid", "0,inf"], "tau_grid"),
+            (["--width-hi", "inf"], "width_hi"),
         ],
-        ids=["eps-nan", "eps-inf", "tau-nan", "tau-inf"],
+        ids=["eps-nan", "eps-inf", "tau-nan", "tau-inf", "width-hi-inf"],
     )
     def test_non_finite_flag_exit_2(self, fixture_csv, tmp_path, flags, message):
         proc = run_cli(
@@ -382,6 +383,22 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert message in proc.stderr
         assert proc.stdout == ""
+
+    def test_infinite_width_hi_in_config_exit_2(self, fixture_csv, tmp_path):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("width_hi=inf\n")
+        proc = run_cli(
+            "evaluate", "--config", cfg, "--method", "np-mfml", "--features", fixture_csv,
+            "--out", tmp_path / "x", "--trials", "1",
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "width_hi" in proc.stderr and "Warning" not in proc.stderr
+
+    def test_negative_synth_seed_exit_2(self, tmp_path):
+        proc = run_cli("synth", "--seed", "-1", "--out", tmp_path / "f.csv")
+        assert proc.returncode == 2, proc.stderr
+        assert "seed must be non-negative" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_non_finite_scores_exit_3(self, fixture_csv, tmp_path):
         # squared distances of features near 1e160 overflow to inf - inf = NaN

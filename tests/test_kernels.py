@@ -10,7 +10,6 @@ from kfmetric.data import Dataset
 from kfmetric.errors import InputError, NumericError
 from kfmetric.kernels import (
     KernelSpec,
-    eval_kernel,
     gram,
     grams,
     rms_width,
@@ -22,6 +21,20 @@ from kfmetric.mkl import MklConfig
 finite_vec = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=6
 )
+
+
+def eval_kernel(spec: KernelSpec, x, y) -> float:
+    """One kernel entry k(x, y), straight from the definition: the scalar reference for Grams."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise InputError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    if spec.kind == "rbf":
+        diff = x - y
+        return float(np.exp(-(diff @ diff) / (2.0 * spec.width**2)))
+    if spec.kind == "linear":
+        return float(x @ y)
+    return float((x @ y + 1.0) ** 2)
 
 
 def min_eig_ratio(K):

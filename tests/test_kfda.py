@@ -174,7 +174,7 @@ class TestSolveKfda:
         model = solve_kfda(sc, p=2, eps=eps)
         B = sc.Q + eps * np.eye(15)
         bound = 1e-8 * np.linalg.norm(sc.P, 2)
-        for k in range(model.p):
+        for k in range(2):
             resid = sc.P @ model.A[:, k] - model.eigvals[k] * (B @ model.A[:, k])
             assert np.linalg.norm(resid) <= bound
 
@@ -378,12 +378,6 @@ class TestPersistence:
         assert loaded.regularizer == model.regularizer
         assert meta == {"trial_seed": 0}
 
-    def test_untrained_model_not_persistable(self, tmp_path):
-        K, idx, _ = labeled_gram(6, ["a", "a", "a", "b", "b", "b"])
-        bare = solve_kfda(build_scatter(K, idx), p=1)
-        with pytest.raises(InputError, match="trained"):
-            save_model(bare, tmp_path / "m.json")
-
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"format\": \"something-else\"}")
@@ -395,23 +389,13 @@ class TestPersistence:
 
 
 class TestModelValidation:
-    def test_truncated_keeps_leading_columns(self):
-        labels = ["a"] * 3 + ["b"] * 3 + ["c"] * 3 + ["d"] * 3
-        K, idx, _ = labeled_gram(12, labels, seed=18)
-        model = solve_kfda(build_scatter(K, idx), p=3)
-        cut = model.truncated(2)
-        np.testing.assert_array_equal(cut.A, model.A[:, :2])
-        np.testing.assert_array_equal(cut.eigvals, model.eigvals[:2])
-        with pytest.raises(InputError):
-            model.truncated(0)
-        with pytest.raises(InputError):
-            model.truncated(4)
-
     def test_bad_eigval_order_rejected(self):
         with pytest.raises(Exception, match="non-increasing"):
             KfdaModel(
                 A=np.eye(3)[:, :2],
                 eigvals=np.array([1.0, 2.0]),
                 regularizer=1e-7,
-                p=2,
+                train_basis=np.eye(3),
+                kernel_config=KernelSpec("linear"),
+                terms=(),
             )

@@ -1,21 +1,12 @@
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from kfmetric.data import Dataset, SplitPlan, index_classes
 from kfmetric.errors import InputError
 from kfmetric.kernels import KernelSpec, gram, squared_distances
-from kfmetric.kfda import _with_kernel, build_scatter, solve_kfda, train
+from kfmetric.kfda import DEFAULT_EPS, _with_kernel, build_scatter, solve_kfda, train
 from kfmetric.mkl import MklConfig
-from kfmetric.metric import (
-    Projection,
-    embed,
-    embed_batch,
-    euclidean_score,
-    euclidean_score_matrix,
-    score,
-    score_matrix,
-)
+from kfmetric.metric import embed_batch, euclidean_score_matrix, score_matrix
 
 from oracles import poly2_map
 
@@ -64,8 +55,8 @@ class TestEmbed:
             model = train(ds, plan, kernel)
             K = kernel.fuse([gram(s, model.train_basis) for s in kernel.specs])
             for j in (0, 4, 7):
-                proj = embed(model, model.train_basis[j])
-                np.testing.assert_allclose(proj.coords, model.A.T @ K[:, j], rtol=0, atol=1e-10)
+                coords = embed_batch(model, model.train_basis[j : j + 1])[0]
+                np.testing.assert_allclose(coords, model.A.T @ K[:, j], rtol=0, atol=1e-10)
 
     def test_cv_fold_embedding_matches_served_model(self):
         # cross-validation embeds a fold's held-out rows from pool-Gram slices
@@ -88,7 +79,7 @@ class TestEmbed:
                 K[np.ix_(held, tr)] @ A_t for K, A_t in zip(pool, kernel.fold(solved.A, grams))
             )
             served = _with_kernel(
-                solved, X[tr], kernel, [gram(s, X[tr]) for s in kernel.specs]
+                solved, DEFAULT_EPS, X[tr], kernel, [gram(s, X[tr]) for s in kernel.specs]
             )
             np.testing.assert_allclose(cv, embed_batch(served, X[held]), rtol=0, atol=1e-10)
 
@@ -116,22 +107,26 @@ class TestEmbed:
         assert np.array_equal(got, expected)
 
     def test_truncated_model_embeds_leading_columns(self):
+        # leading eigenpairs nest: a model trained at p embeds as the p leading
+        # columns of the full model, which is how dimension_sweep truncates
         ds, plan = small_problem(seed=2)
         bank = tuple(KernelSpec("rbf", w) for w in (0.7, 2.0, 5.0))
         Y = ds.features[:5]
         for kernel in (bank[0], MklConfig("sm", bank, pair=(0, 1), tau=0.2)):
-            model = train(ds, plan, kernel)
-            np.testing.assert_allclose(
-                embed_batch(model.truncated(2), Y), embed_batch(model, Y)[:, :2],
-                rtol=0, atol=1e-12,
-            )
+            full = train(ds, plan, kernel)
+            assert full.p == 3
+            for p in (1, 2):
+                cut = train(ds, plan, kernel, p=p)
+                np.testing.assert_array_equal(cut.eigvals, full.eigvals[:p])
+                np.testing.assert_allclose(cut.A, full.A[:, :p], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    embed_batch(cut, Y), embed_batch(full, Y)[:, :p], rtol=0, atol=1e-12
+                )
 
     def test_single_discriminant_scalar_shape(self):
         ds, model = small_model(n_ids=2, seed=2)
         assert model.p == 1
-        proj = embed(model, ds.features[0])
-        assert proj.coords.shape == (1,)
-        assert proj.p == 1
+        assert embed_batch(model, ds.features[:1]).shape == (1, 1)
 
     def test_poly2_matches_explicit_feature_map(self):
         # d=2 so the explicit 6-dimensional map is exact
@@ -147,7 +142,7 @@ class TestEmbed:
     def test_dimension_mismatch(self):
         ds, model = small_model(seed=5)
         with pytest.raises(InputError, match="dimension"):
-            embed(model, np.zeros(7))
+            embed_batch(model, np.zeros((1, 7)))
 
     def test_batch_matches_scalar(self):
         ds, model = small_model(seed=6)
@@ -155,7 +150,7 @@ class TestEmbed:
         Y = rng.normal(size=(5, 3))
         batch = embed_batch(model, Y)
         for i in range(5):
-            np.testing.assert_allclose(batch[i], embed(model, Y[i]).coords, atol=1e-12)
+            np.testing.assert_allclose(batch[i], embed_batch(model, Y[i : i + 1])[0], atol=1e-12)
 
     def test_probe_count_equal_to_train_count(self):
         # the cross Gram is square here; it must not be mistaken for a
@@ -165,23 +160,25 @@ class TestEmbed:
         Y = rng.normal(size=(model.n_train, 3))
         assert embed_batch(model, Y).shape == (model.n_train, model.p)
 
-    def test_projection_validates(self):
-        with pytest.raises(Exception, match="non-finite"):
-            Projection(np.array([1.0, np.nan]))
+
+def pair_score(model, y, z) -> float:
+    """score_matrix's entry for one probe y and one gallery sample z."""
+    return float(score_matrix(model, np.atleast_2d(y), np.atleast_2d(z))[0, 0])
 
 
 class TestScore:
     def test_identical_points_zero(self):
+        # norms enter through the Gram trick, so a self-distance is zero only to rounding
         ds, model = small_model(seed=8)
         y = ds.features[0]
-        assert score(model, y, y) == 0.0
+        assert pair_score(model, y, y) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetry_exact(self):
         ds, model = small_model(seed=9)
         rng = np.random.default_rng(10)
         for _ in range(10):
             y, z = rng.normal(size=(2, 3))
-            assert score(model, y, z) == score(model, z, y)
+            assert pair_score(model, y, z) == pair_score(model, z, y)
 
     def test_linear_kernel_score_equals_fda_distance(self):
         # 5-sample linear-kernel model, c=2: score must equal the squared
@@ -204,39 +201,39 @@ class TestScore:
         for _ in range(20):
             y, z = rng.normal(size=(2, 2)) * 2.0
             expected = float(np.sum(((y - z) @ W) ** 2))
-            assert score(model, y, z) == pytest.approx(expected, abs=1e-8)
+            assert pair_score(model, y, z) == pytest.approx(expected, abs=1e-8)
 
     def test_score_matrix_consistent_with_score(self):
+        # every entry is the squared distance between embedding rows
         ds, model = small_model(seed=12)
         rng = np.random.default_rng(13)
         P, G = rng.normal(size=(3, 3)), rng.normal(size=(4, 3))
         mat = score_matrix(model, P, G)
+        EP, EG = embed_batch(model, P), embed_batch(model, G)
         for i in range(3):
             for j in range(4):
-                assert mat[i, j] == pytest.approx(score(model, P[i], G[j]), abs=1e-10)
+                diff = EP[i] - EG[j]
+                assert mat[i, j] == pytest.approx(float(diff @ diff), abs=1e-10)
 
 
 class TestEuclideanScore:
     def test_zero_and_hand_value(self):
-        assert euclidean_score([0.0, 0.0], [0.0, 0.0]) == 0.0
-        assert euclidean_score([0.0, 0.0], [3.0, 4.0]) == 25.0
+        M = euclidean_score_matrix([[0.0, 0.0]], [[0.0, 0.0], [3.0, 4.0]])
+        assert M.tolist() == [[0.0, 25.0]]
 
     def test_symmetry(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
             y, z = rng.normal(size=(2, 6))
-            assert euclidean_score(y, z) == euclidean_score(z, y)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError, match="mismatch"):
-            euclidean_score([1.0], [1.0, 2.0])
+            assert euclidean_score_matrix(y, z)[0, 0] == euclidean_score_matrix(z, y)[0, 0]
 
     def test_matrix_form(self):
         rng = np.random.default_rng(15)
         P, G = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
         M = euclidean_score_matrix(P, G)
         assert M.shape == (3, 5)
-        assert M[1, 2] == pytest.approx(euclidean_score(P[1], G[2]), abs=1e-12)
+        diff = P[1] - G[2]
+        assert M[1, 2] == pytest.approx(float(diff @ diff), abs=1e-12)
 
 
 class TestMetricProperties:
@@ -245,9 +242,9 @@ class TestMetricProperties:
         rng = np.random.default_rng(17)
         for _ in range(50):
             a, b, c = rng.normal(size=(3, 3)) * 2.0
-            dab = np.sqrt(score(model, a, b))
-            dbc = np.sqrt(score(model, b, c))
-            dac = np.sqrt(score(model, a, c))
+            dab = np.sqrt(pair_score(model, a, b))
+            dbc = np.sqrt(pair_score(model, b, c))
+            dac = np.sqrt(pair_score(model, a, c))
             assert dac <= dab + dbc + 1e-10
 
     def test_kernel_scale_leaves_ranking_invariant(self):
@@ -270,17 +267,8 @@ class TestMetricProperties:
         rng = np.random.default_rng(18)
         probe = rng.normal(size=2)
         gallery = rng.normal(size=(6, 2))
-        s1 = np.array([score(m1, probe, g) for g in gallery])
-        s2 = np.array([score(m2, np.sqrt(gamma) * probe, np.sqrt(gamma) * g) for g in gallery])
+        s1 = score_matrix(m1, probe[None, :], gallery)[0]
+        s2 = score_matrix(m2, np.sqrt(gamma) * probe[None, :], np.sqrt(gamma) * gallery)[0]
         np.testing.assert_allclose(s2, gamma**2 * s1, rtol=1e-8)
         np.testing.assert_array_equal(np.argsort(s1), np.argsort(s2))
 
-    def test_untrained_model_rejected(self):
-        rng = np.random.default_rng(19)
-        X = rng.normal(size=(6, 2))
-        ds = Dataset(X, ("a", "a", "b", "b", "c", "c"), (0, 1, 0, 1, 0, 1))
-        idx = index_classes(ds, range(6))
-        K = gram(KernelSpec("rbf", 1.0), X)
-        bare = solve_kfda(build_scatter(K, idx), p=1)
-        with pytest.raises(InputError, match="training basis"):
-            embed(bare, X[0])

@@ -12,8 +12,9 @@ def test_every_export_resolves():
     assert len(set(kfmetric.__all__)) == len(kfmetric.__all__)
 
 
-def test_parameter_names_read_by_perfbench():
-    """perfbench/run.py binds these parameters by name to count work and read ranks."""
+def test_parameter_names_read_by_perfbench(tmp_path):
+    """perfbench/run.py binds these parameters by name to count work and read ranks,
+    calls these functions by attribute, and compares these fields of a loaded model."""
     def params(fn):
         return set(inspect.signature(fn).parameters)
 
@@ -25,3 +26,11 @@ def test_parameter_names_read_by_perfbench():
     assert {"rows", "cols"} <= params(kernels.gram)
     assert "Y" in params(metric.embed_batch)
     assert {"ds", "model", "plan", "cfg"} <= params(evaluation.score_plan)
+    for fn in (metric.score_matrix, metric.euclidean_score_matrix, evaluation.evaluate_model):
+        assert callable(fn)
+    plan = data.SplitPlan(frozenset({"a", "b"}), frozenset(), 0, 0, 1)
+    path = tmp_path / "model.json"
+    kfda.save_model(kfda.train(ds, plan, kernels.KernelSpec("rbf", 3.0)), path)
+    model, _ = kfda.load_model(path)
+    for name in ("A", "eigvals", "train_basis", "kernel_config"):
+        assert getattr(model, name) is not None
