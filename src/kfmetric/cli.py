@@ -2,6 +2,7 @@
 
 Subcommands: synth (fixture generation), train, evaluate, cv, sweep.
 Settings come from an optional key=value config file plus flags; flags win.
+A flag's text parses as its config key's does (``config.PARSERS``).
 Exit codes: 0 success, 2 input error, 3 numeric failure. Results go to
 stdout; causes of failure go to stderr.
 """
@@ -12,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import METHODS, RunConfig, resolve_config
+from .config import METHODS, PARSERS, RunConfig, resolve_config
 from .data import load_features, make_split, save_features
 from .errors import InputError, NumericError
 from .evaluation import (
@@ -31,77 +32,52 @@ from .mkl import build_config, cv_kernel_accuracies, write_cv_csv
 SUMMARY_RANKS = (1, 5, 10, 20)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _parsed_as(key: str, parse=None):
+    """An argparse ``type`` that parses like config key ``key`` (or with ``parse``)."""
+    parse = parse or PARSERS[key]
 
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, KeyError) as exc:
+            raise argparse.ArgumentTypeError(f"bad value for {key}: {exc}") from None
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return convert
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per RunConfig field, its dest the field name; unset flags stay unset."""
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--method", choices=METHODS)
-    parser.add_argument("--features", help="feature CSV path")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="base seed for all randomness")
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--train-fraction", type=float, dest="train_fraction")
-    parser.add_argument("--eps", type=float, help="diagonal regularizer")
-    parser.add_argument("--p", help="subspace dimension or 'full'")
-    parser.add_argument("--q", type=int, help="number of bank kernels")
-    parser.add_argument("--width-lo", type=float, dest="width_lo")
-    parser.add_argument("--width-hi", type=float, dest="width_hi")
-    parser.add_argument("--folds", type=int, help="cross-validation folds")
-    parser.add_argument("--n-grid", type=_int_list, dest="n_grid")
-    parser.add_argument("--tau-grid", type=_float_list, dest="tau_grid")
-    parser.add_argument("--threads", type=int)
+
+    def flag(name, key, **kwargs):
+        parser.add_argument(name, dest=key, type=_parsed_as(key), **kwargs)
+
+    flag("--method", "method", choices=METHODS)
+    flag("--features", "features", help="feature CSV path")
+    flag("--out", "out", help="output directory")
+    flag("--seed", "base_seed", metavar="SEED", help="base seed for all randomness")
+    flag("--trials", "trials")
+    flag("--train-fraction", "train_fraction")
+    flag("--eps", "eps", help="diagonal regularizer")
+    flag("--p", "p", help="subspace dimension or 'full'")
+    flag("--q", "q", help="number of bank kernels")
+    flag("--width-lo", "width_lo")
+    flag("--width-hi", "width_hi")
+    flag("--folds", "folds", help="cross-validation folds")
+    flag("--n-grid", "n_grid")
+    flag("--tau-grid", "tau_grid")
+    flag("--threads", "threads")
     parser.add_argument(
         "--no-distractors",
-        action="store_true",
+        dest="include_distractors",
+        action="store_false",
         help="keep gallery-only identities out of the gallery",
     )
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {}
-    for key in (
-        "method",
-        "features",
-        "out",
-        "trials",
-        "train_fraction",
-        "eps",
-        "q",
-        "width_lo",
-        "width_hi",
-        "folds",
-        "n_grid",
-        "tau_grid",
-        "threads",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "seed", None) is not None:
-        overrides["base_seed"] = args.seed
-    if getattr(args, "p", None) is not None:
-        if args.p.lower() == "full":
-            overrides["p"] = None
-        else:
-            try:
-                overrides["p"] = int(args.p)
-            except ValueError:
-                raise InputError(f"--p expects an integer or 'full', got {args.p!r}")
-    if getattr(args, "no_distractors", False):
-        overrides["include_distractors"] = False
-    cfg = resolve_config(args.config, overrides)
+    overrides = {key: value for key, value in vars(args).items() if key in PARSERS}
+    cfg = resolve_config(getattr(args, "config", None), overrides)
     cfg.validate()
     return cfg
 
@@ -171,7 +147,7 @@ def _meta_value(meta: dict, key: str, default, kind, path):
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     ds = load_features(cfg.features)
-    if args.model:
+    if getattr(args, "model", None):
         model, meta = load_model(args.model)
         seed = _meta_value(meta, "trial_seed", cfg.base_seed, int, args.model)
         fraction = _meta_value(meta, "train_fraction", cfg.train_fraction, (int, float), args.model)
@@ -204,7 +180,7 @@ def cmd_cv(args) -> int:
     for r, pi in enumerate(acc.pis):
         print(f"kernel {r} width={bank[r].width!r} rank1 {pi!r}")
     if acc.q >= 2:
-        np_cfg = build_config("np", acc, n_grid=cfg.effective_n_grid())
+        np_cfg = build_config("np", acc, n_grid=cfg.n_grid)
         sm_cfg = build_config("sm", acc, tau_grid=cfg.tau_grid)
         print(f"chosen_N {np_cfg.n_top}")
         print(f"chosen_pair {sm_cfg.pair[0]},{sm_cfg.pair[1]}")
@@ -267,24 +243,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True, help="output CSV path")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_train = sub.add_parser("train", help="train and persist a model")
+    # run flags left out of argv stay out of the namespace, so the config file keeps them
+    run = {"argument_default": argparse.SUPPRESS}
+    p_train = sub.add_parser("train", help="train and persist a model", **run)
     _add_run_flags(p_train)
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("evaluate", help="run trials and write the CMC table")
+    p_eval = sub.add_parser("evaluate", help="run trials and write the CMC table", **run)
     _add_run_flags(p_eval)
     p_eval.add_argument("--model", help="evaluate a persisted model instead of retraining")
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_cv = sub.add_parser("cv", help="per-kernel cross-validated accuracies")
+    p_cv = sub.add_parser("cv", help="per-kernel cross-validated accuracies", **run)
     _add_run_flags(p_cv)
     p_cv.set_defaults(func=cmd_cv)
 
-    p_sweep = sub.add_parser("sweep", help="rank-1 accuracy vs subspace dimension")
+    p_sweep = sub.add_parser("sweep", help="rank-1 accuracy vs subspace dimension", **run)
     _add_run_flags(p_sweep)
     p_sweep.add_argument(
-        "--p-values", type=_int_list, required=True, dest="p_values",
-        help="comma-separated subspace dimensions",
+        "--p-values", dest="p_values", type=_parsed_as("p_values", PARSERS["n_grid"]),
+        required=True, help="comma-separated subspace dimensions",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -1,8 +1,9 @@
 """Run configuration: defaults, key=value config files, and config digests.
 
-The digest covers only protocol-level fields (method, seeds, kernel and CV
-settings), never file locations or worker counts, so golden digests stay
-valid across machines.
+``PARSERS`` is the one declaration of each setting's text form: config
+files and command-line flags both parse with it. The digest hashes every
+field except ``features``, ``out`` and ``threads`` (file locations and the
+worker count), so golden digests stay valid across machines.
 """
 
 from __future__ import annotations
@@ -25,22 +26,8 @@ def default_n_grid(q: int) -> tuple[int, ...]:
     return tuple(range(1, min(5, q - 1) + 1)) if q > 1 else (1,)
 
 
-# fields hashed into the config digest, in canonical order
-_DIGEST_FIELDS = (
-    "method",
-    "train_fraction",
-    "trials",
-    "base_seed",
-    "q",
-    "width_lo",
-    "width_hi",
-    "eps",
-    "p",
-    "folds",
-    "n_grid",
-    "tau_grid",
-    "include_distractors",
-)
+# fields left out of the config digest: file locations and the worker count
+_UNHASHED = frozenset({"features", "out", "threads"})
 
 
 @dataclass(frozen=True)
@@ -64,7 +51,7 @@ class RunConfig:
     threads: int = 1
     include_distractors: bool = True
 
-    def validate(self, check_files: bool = True) -> None:
+    def validate(self) -> None:
         if self.method not in METHODS:
             raise InputError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 < self.train_fraction < 1.0:
@@ -89,30 +76,22 @@ class RunConfig:
             raise InputError("every N in n_grid must be >= 1")
         if not all(0 <= t < math.inf for t in self.tau_grid):
             raise InputError("tau_grid values must be finite and non-negative")
-        if check_files:
-            if self.features is None:
-                raise InputError("no feature file configured")
-            if not os.path.exists(self.features):
-                raise InputError(f"feature file does not exist: {self.features}")
-
-    def effective_n_grid(self) -> tuple[int, ...]:
-        return tuple(self.n_grid) if self.n_grid is not None else default_n_grid(self.q)
+        if self.features is None:
+            raise InputError("no feature file configured")
+        if not os.path.exists(self.features):
+            raise InputError(f"feature file does not exist: {self.features}")
 
     def digest(self) -> str:
-        """sha256 over the protocol fields; stable across file locations."""
-        doc = {}
-        for name in _DIGEST_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, tuple):
-                value = list(value)
-            doc[name] = value
+        """sha256 over every field but features, out and threads; stable across machines."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in _UNHASHED}
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
-_PARSERS = {
+# every field's text form, as config files and command-line flags give it
+PARSERS = {
     "method": str,
     "features": str,
     "out": str,
@@ -135,13 +114,12 @@ _PARSERS = {
 def load_config_file(path) -> dict:
     """Parse a flat key=value config file into a field dict."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise InputError(f"cannot open config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: unreadable config file: {exc}") from None
-    known = {f.name for f in fields(RunConfig)}
     out: dict = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -151,10 +129,10 @@ def load_config_file(path) -> dict:
             raise InputError(f"{path}: line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in PARSERS:
             raise InputError(f"{path}: line {lineno}: unknown config key {key!r}")
         try:
-            out[key] = _PARSERS[key](value.strip())
+            out[key] = PARSERS[key](value.strip())
         except (ValueError, KeyError) as exc:
             raise InputError(f"{path}: line {lineno}: bad value for {key}: {exc}") from exc
     return out

@@ -179,7 +179,7 @@ def load_features(path) -> Dataset:
     Errors name the offending file line (1-based, header is line 1).
     """
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot open feature file {path}: {exc}") from exc
     with fh:
@@ -229,7 +229,7 @@ def load_features(path) -> Dataset:
 def save_features(ds: Dataset, path) -> None:
     """Write a Dataset in the feature-CSV layout; floats round-trip exactly."""
     d = ds.dim
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "cam"] + [f"f{j + 1}" for j in range(d)])
         for i in range(ds.n_samples):

@@ -133,7 +133,7 @@ def fit_for_trial(ds: Dataset, plan: SplitPlan, method: str, cfg: RunConfig) -> 
         plan.probe_camera, plan.gallery_camera,
     )
     variant = "np" if method == "np-mfml" else "sm"
-    mkl_cfg = build_mkl_config(variant, acc, cfg.effective_n_grid(), cfg.tau_grid)
+    mkl_cfg = build_mkl_config(variant, acc, cfg.n_grid, cfg.tau_grid)
     return train(ds, plan, mkl_cfg, cfg.eps, cfg.p)
 
 

@@ -315,7 +315,7 @@ def save_model(model: KfdaModel, path, meta: dict | None = None) -> None:
         "kernel_config": model.kernel_config.to_dict(),
         "meta": meta or {},
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
 
@@ -354,11 +354,11 @@ def load_model(path) -> tuple[KfdaModel, dict]:
     field, or holds a field of the wrong type or shape raises InputError.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot open model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: not a valid model file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise InputError(f"{path}: not a {MODEL_FORMAT} file")

@@ -9,6 +9,8 @@ camera. All draws come from one seeded PCG64 generator in a fixed order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .data import Dataset
@@ -30,8 +32,9 @@ def make_synthetic(
         raise InputError(f"need at least 2 views, got {views}")
     if dim < 1:
         raise InputError(f"need dim >= 1, got {dim}")
-    if noise < 0 or view_offset < 0:
-        raise InputError("noise and view_offset must be non-negative")
+    for name, value in (("noise", noise), ("view_offset", view_offset)):
+        if not 0 <= value < math.inf:
+            raise InputError(f"{name} must be finite and non-negative, got {value}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)

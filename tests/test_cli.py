@@ -1,18 +1,21 @@
+import argparse
 import contextlib
 import copy
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kfmetric.cli import main
-from kfmetric.config import load_config_file
+from kfmetric.cli import _config_from_args, build_parser, main
+from kfmetric.config import PARSERS, RunConfig, load_config_file
 from kfmetric.data import Dataset, load_features, make_split, save_features
 from kfmetric.errors import InputError, NumericError
 from kfmetric.kernels import MAX_RBF_WIDTH, rms_width
@@ -348,6 +351,30 @@ class TestConfigFile:
         assert proc.returncode == 0, proc.stderr
 
 
+def test_utf8_files_under_ascii_locale(fixture_csv, tmp_path):
+    """Feature and config files are UTF-8 whatever the locale's preferred encoding."""
+    ds = load_features(fixture_csv)
+    feats = tmp_path / "features.csv"
+    names = tuple("José" + i for i in ds.identities)
+    save_features(Dataset(ds.features, names, ds.cameras), feats)
+    assert "José".encode() in feats.read_bytes()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("# é\nmethod=euclidean\n".encode())
+    ascii_env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    copy_script = ("import sys; from kfmetric.data import load_features, save_features; "
+                   "save_features(load_features(sys.argv[1]), sys.argv[2])")
+    proc = subprocess.run([sys.executable, "-c", copy_script, feats, tmp_path / "copy.csv"],
+                          env=ascii_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "copy.csv").read_bytes() == feats.read_bytes()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kfmetric", "evaluate", "--config", cfg, "--features", feats,
+         "--out", tmp_path / "x", "--trials", "1"],
+        env=ascii_env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestExitCodes:
     def test_unknown_method_rejected_by_parser(self, fixture_csv, tmp_path):
         proc = run_cli(
@@ -399,6 +426,27 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "seed must be non-negative" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--noise", "--view-offset"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_synth_flag_exit_2(self, tmp_path, capsys, flag, value):
+        assert main(["synth", f"{flag}={value}", "--out", str(tmp_path / "f.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} must be finite" in err and "sample" not in err
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, key",
+        [("--q=x", "q"), ("--p=1.5", "p"), ("--n-grid=1,x", "n_grid"), ("--seed=x", "base_seed"),
+         ("--tau-grid=0,y", "tau_grid")],
+    )
+    def test_malformed_flag_is_usage_error(self, fixture_csv, tmp_path, capsys, flag, key):
+        argv = ["evaluate", "--features", str(fixture_csv), "--out", str(tmp_path / "x"), flag]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"bad value for {key}" in capsys.readouterr().err
+        assert _exit_code(argv) == 2
 
     def test_non_finite_scores_exit_3(self, fixture_csv, tmp_path):
         # squared distances of features near 1e160 overflow to inf - inf = NaN
@@ -566,6 +614,15 @@ def test_malformed_model_file_exit_2(model_doc, mkl_model_paths, fixture_csv, tm
     assert "Traceback" not in proc.stderr
 
 
+def test_non_utf8_model_file_exit_2(model_doc, fixture_csv, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff" + json.dumps(model_doc).encode())
+    proc = run_cli("evaluate", "--features", fixture_csv, "--out", tmp_path / "ev", "--model", bad)
+    assert proc.returncode == 2, proc.stderr
+    assert "not a valid model file" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.fixture(scope="module")
 def mkl_model_paths(fixture_csv, tmp_path_factory):
     paths = {}
@@ -637,9 +694,13 @@ def test_numeric_flags_fuzz(fixture_csv, tmp_path_factory, command, eps, taus, n
 
 
 def _exit_code(argv) -> int:
-    """``main(argv)`` with its output swallowed; any exception it lets out fails the test."""
+    """``main(argv)`` with its output swallowed and argparse's usage exit read as its code;
+    any other exception it lets out fails the test."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main([str(a) for a in argv])
+        try:
+            return main([str(a) for a in argv])
+        except SystemExit as exc:
+            return exc.code
 
 
 # cells an input file may hold: well-formed values and the malformed kinds a reader must reject
@@ -684,10 +745,7 @@ def test_feature_file_fuzz(tmp_path_factory, content):
     assert _exit_code(argv) in (0, 2, 3)
 
 
-_CONFIG_KEYS = st.sampled_from(
-    ["method", "train_fraction", "trials", "base_seed", "q", "width_lo", "width_hi", "eps", "p",
-     "folds", "n_grid", "tau_grid", "threads", "include_distractors", "bogus", ""]
-)
+_CONFIG_KEYS = st.sampled_from([*PARSERS, "bogus", ""])
 
 
 @given(
@@ -716,6 +774,60 @@ def test_config_file_fuzz(fixture_csv, tmp_path_factory, lines, tail):
     argv = ["evaluate", "--config", path, "--method", "euclidean", "--trials", "1",
             "--threads", "1", "--features", fixture_csv, "--out", work / "out"]
     assert _exit_code(argv) in (0, 2, 3)
+
+
+def _run_parsers() -> dict:
+    """The subparsers that take run flags, by command name."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: parser for name, parser in sub.choices.items() if name != "synth"}
+
+
+def test_one_flag_per_setting():
+    """Every RunConfig field has one parser entry and is the dest of one flag per run command."""
+    names = sorted(f.name for f in fields(RunConfig))
+    assert sorted(PARSERS) == names
+    for command, parser in _run_parsers().items():
+        dests = [a.dest for a in parser._actions if a.option_strings and a.dest in PARSERS]
+        assert sorted(dests) == names, command
+
+
+def _run_config(argv):
+    """The validated RunConfig of ``evaluate argv``, or 2 where the run would exit 2 instead."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _config_from_args(build_parser().parse_args(["evaluate", *map(str, argv)]))
+        except SystemExit as exc:
+            return exc.code
+        except InputError:
+            return 2
+
+
+_FLAGS = {
+    a.dest: a.option_strings[0] for a in _run_parsers()["evaluate"]._actions if a.nargs != 0
+}
+
+
+@given(key=st.sampled_from(sorted(set(PARSERS) - {"include_distractors"})), text=_CELLS)
+@settings(max_examples=200, deadline=None)
+def test_flag_parses_as_config_file(fixture_csv, tmp_path_factory, key, text):
+    """``--<flag>=<text>`` and a config line ``<key>=<text>`` give one RunConfig or both exit 2."""
+    # a config line holds no line break, and its reader strips the value
+    assume(text == text.strip() and "\n" not in text and "\r" not in text)
+    path = tmp_path_factory.getbasetemp() / "flag-vs-file.cfg"
+    path.write_text(f"{key}={text}\n", encoding="utf-8")
+    base = [] if key == "features" else [f"--features={fixture_csv}"]
+    from_flag = _run_config([*base, f"{_FLAGS[key]}={text}"])
+    from_file = _run_config([*base, "--config", path])
+    assert repr(from_flag) == repr(from_file)
+
+
+def test_no_distractors_flag_is_config_false(fixture_csv, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("include_distractors=false\n")
+    from_flag = _run_config(["--features", fixture_csv, "--no-distractors"])
+    assert from_flag == _run_config(["--features", fixture_csv, "--config", path])
+    assert from_flag.include_distractors is False
+    assert _run_config(["--features", fixture_csv]).include_distractors is True
 
 
 def _doc_paths(node, prefix=()):
