@@ -17,17 +17,17 @@ from .config import METHODS, PARSERS, RunConfig, resolve_config
 from .data import load_features, make_split, save_features
 from .errors import InputError, NumericError
 from .evaluation import (
+    cv_for_trial,
     dimension_sweep,
     evaluate_model,
     fit_for_trial,
-    rbf_bank,
     run_trials,
     write_cmc_csv,
     write_sweep_csv,
 )
 from .kernels import KernelSpec
 from .kfda import load_model, save_model
-from .mkl import build_config, cv_kernel_accuracies, write_cv_csv
+from .mkl import build_config, write_cv_csv
 
 SUMMARY_RANKS = (1, 5, 10, 20)
 
@@ -166,19 +166,13 @@ def cmd_evaluate(args) -> int:
 def cmd_cv(args) -> int:
     cfg = _config_from_args(args)
     ds = load_features(cfg.features)
-    plan = make_split(ds, cfg.base_seed, cfg.train_fraction)
-    train_idx = sorted(ds.samples_of(plan.train_ids))
-    bank = rbf_bank(ds, train_idx, cfg)
-    acc = cv_kernel_accuracies(
-        ds, plan.train_ids, bank, cfg.folds, plan.trial_seed, cfg.eps,
-        plan.probe_camera, plan.gallery_camera,
-    )
+    acc = cv_for_trial(ds, make_split(ds, cfg.base_seed, cfg.train_fraction), cfg)
     out = _out_dir(cfg)
     cv_path = out / "cv.csv"
     write_cv_csv(acc, cv_path)
     print(f"config_digest {cfg.digest()}")
-    for r, pi in enumerate(acc.pis):
-        print(f"kernel {r} width={bank[r].width!r} rank1 {pi!r}")
+    for r, (spec, pi) in enumerate(zip(acc.plan.bank, acc.pis)):
+        print(f"kernel {r} width={spec.width!r} rank1 {pi!r}")
     if acc.q >= 2:
         np_cfg = build_config("np", acc, n_grid=cfg.n_grid)
         sm_cfg = build_config("sm", acc, tau_grid=cfg.tau_grid)

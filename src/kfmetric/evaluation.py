@@ -1,14 +1,15 @@
 """Probe/gallery ranking, CMC curves, repeated trials, and dimension sweeps.
 
 Each trial draws its own identity split from ``base_seed + t``, trains the
-requested method on the training identities, and ranks every test probe
-against the full gallery from the other camera. Ties in matching score are
-broken by ascending gallery index: a true match g* with score s* ranks
+requested method on the training identities (:func:`cv_for_trial` is the
+CV step of both multi-kernel methods), and ranks every test probe against
+the full gallery from the other camera. Ties in matching score are broken by
+ascending gallery index: a true match g* with score s* ranks
 1 + #{g: s_g < s*} + #{g < g*: s_g = s*}, and a probe ranks at its
-best-placed match (see :func:`true_ranks`, the one ranking routine). Probes
-whose identity is absent from the gallery are excluded from accuracy with a
-warning (distractor galleries make this legitimate). Rank-K accuracies are
-averaged over trials at full precision.
+best-placed match (see :func:`true_ranks`, the one ranking routine). Only a
+hand-built plan can hold a probe whose identity is absent from the gallery;
+:func:`score_plan` excludes it from accuracy with a warning. Rank-K
+accuracies are averaged over trials at full precision.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .kernels import MAX_RBF_WIDTH, KernelSpec, rms_width, squared_distances, wi
 from .kfda import KfdaModel, train
 from .metric import euclidean_score_matrix, embed_batch, score_matrix
 from .mkl import build_config as build_mkl_config
-from .mkl import _is_int, cv_kernel_accuracies
+from .mkl import KernelAccuracies, _is_int, cv_kernel_accuracies
 
 
 @dataclass(frozen=True)
@@ -120,25 +121,29 @@ def fit_for_trial(ds: Dataset, plan: SplitPlan, method: str, cfg: RunConfig) -> 
     """Train the model one trial needs; None for the raw-feature baseline."""
     if method == "euclidean":
         return None
-    train_idx = sorted(ds.samples_of(plan.train_ids))
     if method == "kfda":
-        return train(ds, plan, KernelSpec("rbf", rms_width(ds, train_idx)), cfg.eps, cfg.p)
+        width = rms_width(ds, sorted(ds.samples_of(plan.train_ids)))
+        return train(ds, plan, KernelSpec("rbf", width), cfg.eps, cfg.p)
     if method not in ("np-mfml", "sm-mfml"):
         raise InputError(f"unknown method {method!r}")
     if cfg.q < 2:
         raise InputError(f"multi-kernel methods need q >= 2 kernels, got {cfg.q}")
-    bank = rbf_bank(ds, train_idx, cfg)
-    acc = cv_kernel_accuracies(
-        ds, plan.train_ids, bank, cfg.folds, plan.trial_seed, cfg.eps,
-        plan.probe_camera, plan.gallery_camera,
-    )
     variant = "np" if method == "np-mfml" else "sm"
-    mkl_cfg = build_mkl_config(variant, acc, cfg.n_grid, cfg.tau_grid)
+    mkl_cfg = build_mkl_config(variant, cv_for_trial(ds, plan, cfg), cfg.n_grid, cfg.tau_grid)
     return train(ds, plan, mkl_cfg, cfg.eps, cfg.p)
 
 
-def _trial_sets(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> tuple[list[int], list[int]]:
-    """Probe and gallery sample indices for a plan; distractors go last."""
+def cv_for_trial(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> KernelAccuracies:
+    """The trial's CV step: its rbf bank's accuracies, with the plan's seed and cameras."""
+    bank = rbf_bank(ds, sorted(ds.samples_of(plan.train_ids)), cfg)
+    return cv_kernel_accuracies(
+        ds, plan.train_ids, bank, cfg.folds, plan.trial_seed, cfg.eps,
+        plan.probe_camera, plan.gallery_camera,
+    )
+
+
+def _trial_sets(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> tuple:
+    """A plan's probe and gallery sample indices, then their identities; distractors go last."""
     probe_idx = sorted(ds.samples_of(plan.test_ids, plan.probe_camera))
     gallery_idx = sorted(ds.samples_of(plan.test_ids, plan.gallery_camera))
     if cfg.include_distractors:
@@ -146,21 +151,19 @@ def _trial_sets(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> tuple[list[int]
         gallery_idx += sorted(ds.samples_of(excluded, plan.gallery_camera))
     if not probe_idx or not gallery_idx:
         raise InputError("empty probe or gallery set for this split")
-    return probe_idx, gallery_idx
+    probe_ids = np.array([ds.identities[i] for i in probe_idx])
+    gallery_ids = np.array([ds.identities[i] for i in gallery_idx])
+    return probe_idx, gallery_idx, probe_ids, gallery_ids
 
 
 def score_plan(ds: Dataset, model: KfdaModel | None, plan: SplitPlan, cfg: RunConfig):
     """Rank every probe of a plan's test set. Returns (true_ranks, gallery size)."""
-    probe_idx, gallery_idx = _trial_sets(ds, plan, cfg)
+    probe_idx, gallery_idx, probe_ids, gallery_ids = _trial_sets(ds, plan, cfg)
     if model is None:
         dists = euclidean_score_matrix(ds.features[probe_idx], ds.features[gallery_idx])
     else:
         dists = score_matrix(model, ds.features[probe_idx], ds.features[gallery_idx])
-    ranks = true_ranks(
-        dists,
-        [ds.identities[i] for i in probe_idx],
-        [ds.identities[i] for i in gallery_idx],
-    )
+    ranks = true_ranks(dists, probe_ids, gallery_ids)
     found = ranks[ranks > 0]
     if found.size == 0:
         raise InputError("every probe's identity was absent from the gallery")
@@ -169,13 +172,6 @@ def score_plan(ds: Dataset, model: KfdaModel | None, plan: SplitPlan, cfg: RunCo
             f"excluded {ranks.size - found.size} probes without a gallery match", stacklevel=2
         )
     return found.tolist(), len(gallery_idx)
-
-
-def _run_single_trial(ds, method, seed, cfg) -> tuple[list[int], int]:
-    """One trial: split, fit, rank every probe. Returns (true_ranks, gallery size)."""
-    plan = make_split(ds, seed, cfg.train_fraction)
-    model = fit_for_trial(ds, plan, method, cfg)
-    return score_plan(ds, model, plan, cfg)
 
 
 def evaluate_model(ds: Dataset, model: KfdaModel, plan: SplitPlan, cfg: RunConfig) -> CmcReport:
@@ -202,7 +198,8 @@ def run_trials(
 
     def one(t: int):
         try:
-            return _run_single_trial(ds, method, base_seed + t, cfg)
+            plan = make_split(ds, base_seed + t, cfg.train_fraction)
+            return score_plan(ds, fit_for_trial(ds, plan, method, cfg), plan, cfg)
         except Exception as exc:
             try:
                 wrapped = type(exc)(f"trial {t}: {exc}")
@@ -269,25 +266,13 @@ def dimension_sweep(
                 f"trial {t}: p={max(p_values)} out of range, training split has c-1={c - 1}"
             )
         model = fit_for_trial(ds, plan, method, dc_replace(cfg, p=None))
-        probe_idx, gallery_idx = _trial_sets(ds, plan, cfg)
+        # make_split's test identities have gallery samples: every probe has a match
+        probe_idx, gallery_idx, probe_ids, gallery_ids = _trial_sets(ds, plan, cfg)
         emb_probe = embed_batch(model, ds.features[probe_idx])
         emb_gal = embed_batch(model, ds.features[gallery_idx])
-        probe_ids = np.array([ds.identities[i] for i in probe_idx])
-        gal_ids = np.array([ds.identities[i] for i in gallery_idx])
-        ranks = [
-            true_ranks(squared_distances(emb_probe[:, :p], emb_gal[:, :p]), probe_ids, gal_ids)
-            for p in p_values
-        ]
-        valid = ranks[0] > 0
-        if not valid.any():
-            raise InputError(f"trial {t}: every probe's identity absent from the gallery")
-        if not valid.all():
-            warnings.warn(
-                f"trial {t}: excluded {int((~valid).sum())} probes without a gallery match",
-                stacklevel=2,
-            )
-        for p, r in zip(p_values, ranks):
-            sums[p] += float(np.mean(r[valid] == 1))
+        for p in p_values:
+            dists = squared_distances(emb_probe[:, :p], emb_gal[:, :p])
+            sums[p] += float(np.mean(true_ranks(dists, probe_ids, gallery_ids) == 1))
     return [(p, sums[p] / trials) for p in p_values]
 
 

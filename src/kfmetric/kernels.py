@@ -23,15 +23,20 @@ MAX_RBF_WIDTH = math.sqrt(sys.float_info.max / 2.0)
 
 
 def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at zero."""
+    """Pairwise squared Euclidean distances, clipped at zero.
+
+    Rows large enough to overflow give inf or NaN entries without a numpy
+    warning; the callers check the result (:func:`grams`, ``true_ranks``).
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    sq = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(Y * Y, axis=1)[None, :]
-        - 2.0 * (X @ Y.T)
-    )
-    return np.maximum(sq, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (
+            np.sum(X * X, axis=1)[:, None]
+            + np.sum(Y * Y, axis=1)[None, :]
+            - 2.0 * (X @ Y.T)
+        )
+        return np.maximum(sq, 0.0)
 
 
 @dataclass(frozen=True)
@@ -86,9 +91,9 @@ def grams(specs, rows: np.ndarray, cols: np.ndarray | None = None):
 
     Entry (u, v) of each block is k(rows[u], cols[v]). Every rbf block is
     evaluated from one squared-distance matrix, computed when the first block
-    is taken and freed after the last rbf block. Blocks are produced one at
-    a time, so a caller that drops each block before taking the next holds
-    only one.
+    is taken and freed after the last rbf block; distances that overflow
+    raise NumericError. Blocks are produced one at a time, so a caller that
+    drops each block before taking the next holds only one.
 
     When cols is omitted each block is a square Gram over one basis: the
     diagonal of an rbf Gram is pinned to exactly 1 and the result is
@@ -106,6 +111,9 @@ def grams(specs, rows: np.ndarray, cols: np.ndarray | None = None):
     sq = None
     if last_rbf >= 0:
         sq = squared_distances(rows, cols)
+        # an overflowed distance would give an all-zero, finite rbf block
+        if not np.isfinite(sq).all():
+            raise NumericError("squared distances contain non-finite entries")
         if same:
             np.fill_diagonal(sq, 0.0)
     for t, spec in enumerate(specs):

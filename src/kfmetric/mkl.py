@@ -4,8 +4,9 @@ Identities (not samples) are partitioned into folds, so each held-out fold
 contains classes unseen by that fold's model, mirroring the probe/gallery
 protocol. Each kernel's accuracy pi_r is its mean held-out rank-1 score.
 Every cross-validated choice of a trial (pi_r, then N or tau) is scored on
-one fold plan, built once with its pool Grams, by one loop that runs each
-candidate kernel configuration on the same folds.
+one fold plan, which :func:`cv_kernel_accuracies` builds once with its pool
+Grams, by one loop that runs each candidate kernel configuration on the
+same folds; :func:`build_config` is the one N or tau search.
 
 Two combination strategies are supported:
 
@@ -393,19 +394,6 @@ def _mean_rank1(rank1: np.ndarray) -> np.ndarray:
     return np.nanmean(rank1, axis=1)
 
 
-def _first_best(name: str, candidates: list, rank1) -> MklConfig:
-    """The first candidate with the best mean CV rank-1; one candidate needs no CV.
-
-    ``rank1`` maps the candidate list to its (candidates, folds) scores and
-    is only called for two or more candidates.
-    """
-    if not candidates:
-        raise InputError(f"empty {name} grid")
-    if len(candidates) == 1:
-        return candidates[0]
-    return candidates[int(np.argmax(_mean_rank1(rank1(candidates))))]
-
-
 def cv_kernel_accuracies(
     ds: Dataset,
     train_ids,
@@ -430,45 +418,16 @@ def cv_kernel_accuracies(
     return KernelAccuracies(pis=pis, folds=folds, fold_seed=seed, per_fold=per_fold, plan=plan)
 
 
-def _select_n(acc: KernelAccuracies, plan: _FoldPlan, n_grid) -> MklConfig:
-    """The np config whose N maximizes mean CV rank-1; ties pick the smallest N.
-
-    N = 1 is the best bank kernel at weight 1.0, whose fused blocks are that
-    kernel's own, so its fold row is taken from ``acc.per_fold`` unsolved.
-    """
-    configs = [
-        MklConfig("np", plan.bank, weights=tuple(np_weights(acc.pis, N)), n_top=N, accuracies=acc)
-        for N in sorted(set(int(N) for N in n_grid))
-    ]
-
-    def rank1(configs):
-        rows = iter(plan.rank1([c for c in configs if c.n_top != 1]))
-        top = acc.per_fold[_ranked_indices(acc.pis)[0]]
-        return np.array([top if c.n_top == 1 else next(rows) for c in configs])
-
-    return _first_best("N", configs, rank1)
-
-
-def _select_tau(acc: KernelAccuracies, plan: _FoldPlan, tau_grid) -> MklConfig:
-    """The sm config of the two best kernels whose tau maximizes mean CV rank-1.
-
-    Ties pick the smallest tau.
-    """
-    pair = select_sm_pair(acc.pis)
-    configs = [
-        MklConfig("sm", plan.bank, pair=pair, tau=t, accuracies=acc)
-        for t in sorted(set(float(t) for t in tau_grid))
-    ]
-    return _first_best("tau", configs, plan.rank1)
-
-
 def build_config(
     variant: str, acc: KernelAccuracies, n_grid=None, tau_grid=DEFAULT_TAU_GRID
 ) -> MklConfig:
-    """The np or sm config chosen by cross-validation on the fold plan ``acc`` carries.
+    """The np or sm config whose N or tau has the best mean CV rank-1 on ``acc``'s fold plan.
 
-    ``acc`` comes from :func:`cv_kernel_accuracies`. The returned config keeps
-    the accuracies without their fold plan, so it holds no pool Gram.
+    np weighs the N best kernels by :func:`np_weights`; sm fuses the two best
+    with scale tau. Ties pick the smallest N or tau; one candidate needs no
+    CV. N = 1 is the best kernel at weight 1.0, so its fold row is taken from
+    ``acc.per_fold`` unsolved. The config keeps ``acc`` without its fold plan,
+    so it holds no pool Gram.
     """
     if variant not in ("np", "sm"):
         raise InputError(f"unknown mkl variant {variant!r}")
@@ -477,8 +436,27 @@ def build_config(
         raise InputError("accuracies without a fold plan; compute them by cv_kernel_accuracies")
     acc = replace(acc, plan=None)
     if variant == "np":
-        return _select_n(acc, plan, default_n_grid(acc.q) if n_grid is None else n_grid)
-    return _select_tau(acc, plan, tau_grid)
+        n_grid = default_n_grid(acc.q) if n_grid is None else n_grid
+        candidates = [
+            MklConfig(
+                "np", plan.bank, weights=tuple(np_weights(acc.pis, N)), n_top=N, accuracies=acc
+            )
+            for N in sorted(set(int(N) for N in n_grid))
+        ]
+    else:
+        pair = select_sm_pair(acc.pis)
+        candidates = [
+            MklConfig("sm", plan.bank, pair=pair, tau=t, accuracies=acc)
+            for t in sorted(set(float(t) for t in tau_grid))
+        ]
+    if not candidates:
+        raise InputError(f"empty {'N' if variant == 'np' else 'tau'} grid")
+    if len(candidates) == 1:
+        return candidates[0]
+    solved = iter(plan.rank1([c for c in candidates if c.n_top != 1]))
+    top = acc.per_fold[_ranked_indices(acc.pis)[0]]
+    rank1 = np.array([top if c.n_top == 1 else next(solved) for c in candidates])
+    return candidates[int(np.argmax(_mean_rank1(rank1)))]
 
 
 def write_cv_csv(acc: KernelAccuracies, path) -> None:

@@ -253,6 +253,35 @@ class TestCv:
         assert blobs[0] == blobs[1]
 
 
+@pytest.fixture(scope="module")
+def noisy_csv(tmp_path_factory):
+    """30 identities at noise 0.6, where the bank's CV accuracies differ per kernel."""
+    path = tmp_path_factory.mktemp("noisy") / "features.csv"
+    argv = ["synth", "--identities", "30", "--noise", "0.6", "--seed", "1", "--out", str(path)]
+    assert _exit_code(argv) == 0
+    return path
+
+
+@pytest.mark.parametrize("method", ["np-mfml", "sm-mfml"])
+def test_cv_reports_the_choices_train_makes(noisy_csv, tmp_path, capsys, method):
+    # cv and train run one CV step, so cv's report is what the trained model holds
+    run = ["--features", str(noisy_csv), "--seed", "1"]
+    assert main(["cv", *run, "--out", str(tmp_path / "cv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rank1 = [float(line.rsplit(" ", 1)[1]) for line in lines if line.startswith("kernel ")]
+    printed = dict(line.split(" ", 1) for line in lines if line.startswith("chosen_"))
+    assert main(["train", "--method", method, *run, "--out", str(tmp_path / "train")]) == 0
+    doc = json.loads((tmp_path / "train" / "model.json").read_text())["kernel_config"]
+    pis = doc["accuracies"]["pis"]
+    assert len(pis) == RunConfig().q and len(set(pis)) > 1
+    assert rank1 == pis
+    if method == "np-mfml":
+        assert int(printed["chosen_N"]) == doc["n_top"]
+    else:
+        assert printed["chosen_pair"] == f"{doc['pair'][0]},{doc['pair'][1]}"
+        assert float(printed["chosen_tau"]) == doc["tau"]
+
+
 class TestSweep:
     def test_rows_for_each_p(self, fixture_csv, tmp_path, capsys):
         out = tmp_path / "sw"
@@ -459,7 +488,25 @@ class TestExitCodes:
         )
         assert proc.returncode == 3, proc.stdout
         assert "non-finite matching score" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_overflowing_query_distances_exit_3(self, fixture_csv, tmp_path):
+        # a model trained on the features, queried with them times 1e160: the
+        # query-to-basis squared distances overflow, which left every rbf
+        # entry 0 and every score tied
+        ds = load_features(fixture_csv)
+        scaled = tmp_path / "scaled.csv"
+        save_features(Dataset(ds.features * 1e160, ds.identities, ds.cameras), scaled)
+        out = tmp_path / "m"
+        assert _exit_code(
+            ["train", "--method", "kfda", "--features", fixture_csv, "--out", out]
+        ) == 0
+        proc = run_cli(
+            "evaluate", "--model", out / "model.json", "--features", scaled, "--out", tmp_path / "x"
+        )
+        assert proc.returncode == 3, proc.stdout
+        assert "non-finite" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("method", ["kfda", "sm-mfml"])
     def test_overflowing_rms_width_exit_3(self, fixture_csv, tmp_path, method):

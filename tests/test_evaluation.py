@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfmetric.config import RunConfig
-from kfmetric.data import Dataset, make_split
+from kfmetric.data import Dataset, SplitPlan, make_split
 from kfmetric.errors import InputError
 from kfmetric.evaluation import (
     CmcReport,
@@ -221,17 +221,44 @@ class TestDistractors:
             )
         assert with_d.ranks[-1] == without.ranks[-1] + 2
 
-    def test_probe_without_match_excluded_with_warning(self):
+    def _ds_with_probe_only_identity(self):
+        """p0..p5 in both cameras, extra0 in the gallery camera only, extra1 in the probe one."""
         ds = self._ds_with_gallery_only_identity()
-        # flip one distractor into a probe-only identity
-        ids = list(ds.identities)
         cams = list(ds.cameras)
-        cams[-1] = 0
-        ds2 = Dataset(ds.features, tuple(ids), tuple(cams))
+        cams[-1] = 0  # flip one distractor into a probe-only identity
+        return Dataset(ds.features, ds.identities, tuple(cams))
+
+    def test_probe_without_match_excluded_with_warning(self):
+        ds2 = self._ds_with_probe_only_identity()
         cfg = RunConfig(trials=1, folds=2, q=2, train_fraction=0.5)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="lack a sample .* excluded from splitting"):
             report = run_trials(ds2, "euclidean", 1, 0, cfg)
         assert report.mean_accuracy[-1] == 1.0  # excluded probe does not drag the curve
+
+    def _hand_plan(self, test_ids) -> SplitPlan:
+        return SplitPlan(frozenset({"p0", "p1", "p2"}), frozenset(test_ids), 0, 0, 1)
+
+    def test_hand_built_plan_excludes_unmatched_probe(self):
+        # make_split never puts extra1 in test_ids; a hand-built plan can
+        ds = self._ds_with_probe_only_identity()
+        cfg = RunConfig(trials=1, folds=2, q=2)
+        matched = self._hand_plan({"p3", "p4", "p5"})
+        model = fit_for_trial(ds, matched, "kfda", cfg)
+        with pytest.warns(UserWarning, match="excluded 1 probes without a gallery match"):
+            report = evaluate_model(ds, model, self._hand_plan({"p3", "p4", "p5", "extra1"}), cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reference = evaluate_model(ds, model, matched, cfg)
+        assert report.ranks == reference.ranks
+        np.testing.assert_array_equal(report.per_trial, reference.per_trial)
+
+    def test_hand_built_plan_without_any_match_rejected(self):
+        ds = self._ds_with_probe_only_identity()
+        cfg = RunConfig(trials=1, folds=2, q=2)
+        model = fit_for_trial(ds, self._hand_plan({"p3", "p4", "p5"}), "kfda", cfg)
+        # extra1's probe faces a gallery of the distractor extra0 alone
+        with pytest.raises(InputError, match="absent from the gallery"):
+            evaluate_model(ds, model, self._hand_plan({"extra1"}), cfg)
 
 
 class TestEvaluateModel:
