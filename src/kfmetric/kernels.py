@@ -23,18 +23,21 @@ MAX_RBF_WIDTH = math.sqrt(sys.float_info.max / 2.0)
 
 
 def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at zero.
+    """Pairwise squared Euclidean distances between the rows of X and Y, clipped at zero.
 
-    Rows large enough to overflow give inf or NaN entries without a numpy
-    warning; the callers check the result (:func:`grams`, ``true_ranks``).
+    Stacks broadcast numpy style: (..., m, d) and (..., g, d) give (..., m, g),
+    each matrix the bits of a 2-D call on its pair; 2-D input gives the
+    (m, g) matrix, as always. Rows large enough to overflow give inf or NaN
+    entries without a numpy warning; the callers check the result
+    (:func:`grams`, ``true_ranks``).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     with np.errstate(over="ignore", invalid="ignore"):
         sq = (
-            np.sum(X * X, axis=1)[:, None]
-            + np.sum(Y * Y, axis=1)[None, :]
-            - 2.0 * (X @ Y.T)
+            np.sum(X * X, axis=-1)[..., :, None]
+            + np.sum(Y * Y, axis=-1)[..., None, :]
+            - 2.0 * (X @ Y.swapaxes(-1, -2))
         )
         return np.maximum(sq, 0.0)
 

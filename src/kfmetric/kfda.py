@@ -23,6 +23,13 @@ The solve calls LAPACK's potrf, trtrs and syevd directly, with the arguments
 scipy.linalg's cholesky, solve_triangular and eigh (on its syevd path) pass
 them, so its bits are those of the wrappers. syevd is the one symmetric
 eigensolver, for the c x c problem and for the eps == 0 range basis.
+
+:func:`build_scatter` and :func:`solve_kfda` take a stack of Grams over one
+class index, numpy style: a (..., n, n) Gram gives a ScatterPair of
+(..., n, n) and (..., n, c) matrices and a solution of (..., n, p)
+coefficients. Every matrix of a stack gets the bits a 2-D call on it gets,
+and a 2-D input behaves as it always has. Cross-validation scores a fold's
+candidate kernels as one stack; only the LAPACK calls loop over it.
 """
 
 from __future__ import annotations
@@ -52,27 +59,28 @@ MODEL_VERSION = 1
 class ScatterPair:
     """Within-class scatter Q and between-class factor M (P = M M^T) over a Gram.
 
-    Built only by :func:`build_scatter`, which checks both finite.
+    Built only by :func:`build_scatter`, which checks both finite. A stack of
+    pairs holds the stack axes in front of the last two.
     """
 
-    Q: np.ndarray  # (n, n)
-    M: np.ndarray  # (n, c)
+    Q: np.ndarray  # (..., n, n)
+    M: np.ndarray  # (..., n, c)
 
     @property
     def P(self) -> np.ndarray:
         """The n x n between-class scatter, formed on demand; the solver needs only M."""
-        return self.M @ self.M.T
+        return self.M @ self.M.swapaxes(-1, -2)
 
     @property
     def n_classes(self) -> int:
-        return self.M.shape[1]
+        return self.M.shape[-1]
 
 
 class KfdaSolution(NamedTuple):
-    """The p leading discriminants of a Fisher pencil, as :func:`solve_kfda` returns them."""
+    """The p leading discriminants of a Fisher pencil (or a stack), from :func:`solve_kfda`."""
 
-    A: np.ndarray  # (n, p) unit-norm expansion coefficients
-    eigvals: np.ndarray  # (p,) non-increasing
+    A: np.ndarray  # (..., n, p) unit-norm expansion coefficients
+    eigvals: np.ndarray  # (..., p) non-increasing
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,7 @@ def _with_kernel(sol: KfdaSolution, regularizer: float, X: np.ndarray, kernel, g
 
 
 def build_scatter(K, idx: ClassIndex) -> ScatterPair:
-    """Form M and Q, checked finite, from a square training Gram.
+    """Form M and Q, checked finite, from a square training Gram or a stack of them.
 
     K rows/columns must follow exactly the subset order the ClassIndex was
     built over. With m_i the class-i mean column (the average of K's
@@ -139,25 +147,31 @@ def build_scatter(K, idx: ClassIndex) -> ScatterPair:
     for j = 1 .. s - 1, so a singleton class adds none. One column take per
     member rank feeds both the class sums and the contrasts. A non-finite
     Gram entry, or a Q that overflows, raises NumericError.
+
+    A (..., n, n) stack of Grams gives a pair of (..., n, n) and (..., n, c)
+    stacks: the contrasts and class sums run elementwise over the whole
+    stack, and B B^T is one syrk per Gram, so each matrix holds the bits a
+    2-D call on its Gram gives. A 2-D K gives 2-D Q and M, as always.
     """
     K = np.asarray(K, dtype=np.float64)
     n = idx.n_total
-    if K.shape != (n, n):
+    if K.shape[-2:] != (n, n):
         raise InputError(f"Gram shape {K.shape} does not match indexed samples ({n})")
     if 0 in idx.counts:
         raise InputError("class with zero samples")
     d = idx.design
-    means = np.empty((n, idx.n_classes)) if len(d.groups) > 1 else None
-    B = np.empty((n, n - idx.n_classes))
+    lead = K.shape[:-2]
+    means = np.empty(lead + (n, idx.n_classes)) if len(d.groups) > 1 else None
+    B = np.empty(lead + (n, n - idx.n_classes))
     start = 0
     # a non-finite entry or an overflow is reported once, by the check below
     with np.errstate(all="ignore"):
         for g in d.groups:
             size, m = g.members.shape
-            total = K.take(g.members[0], axis=1)  # running class sums
+            total = K.take(g.members[0], axis=-1)  # running class sums
             for j in range(1, size):
-                col = K.take(g.members[j], axis=1)  # each class's j-th member column
-                h = B[:, start : start + m]  # h_j = (total - j col) / sqrt(j (j + 1))
+                col = K.take(g.members[j], axis=-1)  # each class's j-th member column
+                h = B[..., start : start + m]  # h_j = (total - j col) / sqrt(j (j + 1))
                 np.subtract(total, col if j == 1 else j * col, out=h)
                 h *= 1.0 / math.sqrt(j * (j + 1))
                 total += col
@@ -166,9 +180,10 @@ def build_scatter(K, idx: ClassIndex) -> ScatterPair:
             if means is None:  # one class size: the group holds every class, in order
                 means = total
             else:
-                means[:, g.classes] = total
-        Q = B @ B.T  # A @ A.T runs as one syrk, which fills an exactly symmetric result
-        M = means - (means @ d.weights)[:, None]
+                means[..., g.classes] = total
+        # A @ A.T runs as one syrk per matrix, which fills an exactly symmetric result
+        Q = B @ B.swapaxes(-1, -2)
+        M = means - (means @ d.weights)[..., None]
         M *= d.sqrt_counts
     if not (np.isfinite(Q).all() and np.isfinite(M).all()):
         raise NumericError("scatter matrices Q and M contain non-finite entries")
@@ -188,32 +203,50 @@ def _solve_failed(reason) -> NumericError:
     return NumericError(f"generalized eigensolver failed: {reason}")
 
 
-def _trsm(L: np.ndarray, B: np.ndarray, trans: int) -> np.ndarray:
-    """L^-1 B (trans 0) or L^-T B (trans 1) for the Fortran-ordered lower factor L potrf returns."""
-    X, info = _TRTRS(L, B, lower=1, trans=trans, unitdiag=0, overwrite_b=0)
+def _column_major(shape) -> np.ndarray:
+    """An empty stack of the given (..., rows, cols) shape whose every matrix is column-major.
+
+    LAPACK works on such a matrix in place; a 2-D shape gives one Fortran-ordered array.
+    """
+    return np.empty(shape[:-2] + shape[:-3:-1]).swapaxes(-1, -2)
+
+
+def _each(X: np.ndarray) -> np.ndarray:
+    """A (..., rows, cols) stack as a (k, rows, cols) one, k >= 1: a view of the arrays made here.
+
+    Its matrices, in stack order, are those LAPACK runs on; a 2-D X is the one matrix.
+    """
+    return X.reshape((-1,) + X.shape[-2:])
+
+
+def _trsm(L: np.ndarray, B: np.ndarray, trans: int) -> None:
+    """Overwrite a column-major B by L^-1 B (trans 0) or L^-T B (trans 1), L from potrf."""
+    _, info = _TRTRS(L, B, lower=1, trans=trans, unitdiag=0, overwrite_b=1)
     if info:
         raise _solve_failed(f"singular matrix: resolution failed at diagonal {info - 1}")
-    return X
 
 
-def _eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of a symmetric S, which is overwritten.
+def _eigh(S: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each symmetric matrix of a column-major stack S.
 
     LAPACK syevd, lower triangle, with the workspace scipy.linalg.eigh
-    queries for it. A Fortran-ordered S is used in place.
+    queries for it, queried once for the stack. Each matrix of S is
+    overwritten in place by its eigenvectors.
     """
-    n = S.shape[0]
+    n = S.shape[-1]
     work, iwork, _ = _SYEVD_LWORK(n, compute_v=1, lower=1)
-    vals, V, info = _SYEVD(
-        S, compute_v=1, lower=1, lwork=int(work), liwork=iwork, overwrite_a=1
-    )
-    if info:  # a failed workspace query shows here too, as an illegal lwork
-        raise _solve_failed(f"syevd did not converge (info {info})")
-    return vals, V
+    vals = np.empty(S.shape[:-1])
+    for S_k, vals_k in zip(_each(S), vals.reshape(-1, n)):
+        vals_k[...], _, info = _SYEVD(
+            S_k, compute_v=1, lower=1, lwork=int(work), liwork=iwork, overwrite_a=1
+        )
+        if info:  # a failed workspace query shows here too, as an illegal lwork
+            raise _solve_failed(f"syevd did not converge (info {info})")
+    return vals
 
 
 def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolution:
-    """Leading discriminants of the regularized between/within pencil.
+    """Leading discriminants of the regularized between/within pencil, or of a stack of pencils.
 
     Solves ``P a = lambda (Q + eps I) a`` through the factor P = M M^T:
     whiten M by the within-class metric (Y = L^-1 M for the Cholesky factor
@@ -225,53 +258,81 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
     underlying solver's output order.
 
     LAPACK runs directly: potrf factors Q + eps I (built column-major, so it
-    is factored in place), trtrs solves for Y and for A, and syevd, with the
-    workspace eigh queries, solves the c x c problem in place. The bits equal
-    those of scipy.linalg's cholesky, solve_triangular and eigh on its
-    syevd path, and a failed factorization raises the same NumericError.
+    is factored in place), trtrs solves for Y and for A in place, and syevd,
+    with the workspace eigh queries, solves the c x c problem in place. The
+    bits equal those of scipy.linalg's cholesky, solve_triangular and eigh
+    on its syevd path, and a failed factorization raises the same
+    NumericError.
+
+    A stacked pair (Q of (..., n, n), M of (..., n, c), as :func:`build_scatter`
+    makes from a stack of Grams) gives A of (..., n, p) and eigenvalues of
+    (..., p). Only the LAPACK calls (and the eps == 0 range basis) loop over
+    the stack; Q + eps I, Y^T Y, the norms and the sign fix run once on it.
+    Each pencil gets the bits a 2-D call on it gets, and the first pencil in
+    stack order that fails raises. A 2-D pair gives 2-D results, as always.
     """
     c = sc.n_classes
     if not 1 <= p <= c - 1:
         raise InputError(f"p must be in 1..c-1 = 1..{c - 1}, got {p}")
     if eps < 0:
         raise InputError(f"regularizer must be non-negative, got {eps}")
-    n = sc.Q.shape[0]
+    n = sc.Q.shape[-1]
+    lead = sc.Q.shape[:-2]
     if eps > 0:
         # Q + eps I in potrf's column-major layout, so it is factored in place;
-        # x + 0.0, then eps on the diagonal, gives the bits of Q + eps * eye(n)
-        L = np.add(sc.Q, 0.0, order="F")
+        # x + 0.0, then eps on the diagonal, gives the bits of Q + eps * eye(n).
+        # The sum is written through L's row-major transpose, numpy's faster order
+        L = _column_major(sc.Q.shape)
+        np.add(sc.Q.swapaxes(-1, -2), 0.0, out=L.swapaxes(-1, -2))
         diag = np.arange(n)
-        L[diag, diag] += eps
-        L, info = _POTRF(L, lower=1, overwrite_a=1, clean=1)
-        if info:
-            raise _solve_failed(f"{info}-th leading minor of the array is not positive definite")
-        Y = _trsm(L, sc.M, trans=0)
+        L[..., diag, diag] += eps
+        Y = _column_major(sc.M.shape)
+        Y[...] = sc.M
+        for L_k, Y_k in zip(_each(L), _each(Y)):
+            _, info = _POTRF(L_k, lower=1, overwrite_a=1, clean=1)
+            if info:
+                raise _solve_failed(
+                    f"{info}-th leading minor of the array is not positive definite"
+                )
+            _trsm(L_k, Y_k, trans=0)
+        # Y^T Y is one exactly symmetric syrk result per pencil, so its transpose
+        # is the same matrix in the column-major order syevd overwrites in place
+        G = (Y.swapaxes(-1, -2) @ Y).swapaxes(-1, -2)
     else:
-        s, U = _eigh(np.array(sc.Q, order="F"))
-        smax = float(s[-1])
-        if smax <= 0:
-            raise NumericError("Q has no positive spectrum; cannot solve with eps=0")
-        keep = s > RANGE_RTOL * smax
-        W = U[:, keep] / np.sqrt(s[keep])  # whitening basis for range(Q)
-        if p > W.shape[1]:
-            raise NumericError(
-                f"only {W.shape[1]} directions available in the range of Q, "
-                f"cannot extract p={p}"
-            )
-        Y = W.T @ sc.M
-    # Y^T Y is one exactly symmetric syrk result, so its transpose is the same
-    # matrix in the Fortran order syevd overwrites without a copy
-    vals, V = _eigh((Y.T @ Y).T)
+        W, Y = [], []
+        for Q_k, M_k in zip(_each(sc.Q), _each(sc.M)):
+            U = np.array(Q_k, order="F")
+            s = _eigh(U)
+            smax = float(s[-1])
+            if smax <= 0:
+                raise NumericError("Q has no positive spectrum; cannot solve with eps=0")
+            keep = s > RANGE_RTOL * smax
+            W.append(U[:, keep] / np.sqrt(s[keep]))  # whitening basis for range(Q)
+            if p > W[-1].shape[1]:
+                raise NumericError(
+                    f"only {W[-1].shape[1]} directions available in the range of Q, "
+                    f"cannot extract p={p}"
+                )
+            Y.append(W[-1].T @ M_k)
+        G = np.stack([Yi.T @ Yi for Yi in Y]).reshape(lead + (c, c)).swapaxes(-1, -2)
     # syevd returns ascending order; reverse for descending eigenvalues
-    vals = vals[::-1][:p]
-    Z = Y @ V[:, ::-1][:, :p]
-    A = _trsm(L, Z, trans=1) if eps > 0 else W @ Z
-    norms = np.linalg.norm(A, axis=0)
+    vals = _eigh(G)[..., ::-1][..., :p]
+    V = G[..., ::-1][..., :p]  # G now holds the eigenvectors
+    if eps > 0:
+        A = _column_major(lead + (n, p))
+        A[...] = Y @ V
+        for L_k, A_k in zip(_each(L), _each(A)):
+            _trsm(L_k, A_k, trans=1)
+    else:
+        A = np.stack([W_k @ (Y_k @ V_k) for W_k, Y_k, V_k in zip(W, Y, _each(V))])
+        A = A.reshape(lead + (n, p))
+    norms = np.linalg.norm(A, axis=-2)
     if (norms == 0).any():
         raise NumericError("eigensolver returned a zero eigenvector")
-    A /= norms
-    peak = A[np.argmax(np.abs(A), axis=0), np.arange(p)]
-    A[:, peak < 0] *= -1.0
+    A /= norms[..., None, :]
+    each = _each(A)
+    peak = each[np.arange(len(each))[:, None], np.argmax(np.abs(each), axis=1), np.arange(p)]
+    np.negative(each, out=each, where=(peak < 0)[:, None, :])  # flips each negative-peak column
     return KfdaSolution(A, np.maximum(vals, 0.0))
 
 

@@ -5,8 +5,10 @@ contains classes unseen by that fold's model, mirroring the probe/gallery
 protocol. Each kernel's accuracy pi_r is its mean held-out rank-1 score.
 Every cross-validated choice of a trial (pi_r, then N or tau) is scored on
 one fold plan, which :func:`cv_kernel_accuracies` builds once with its pool
-Grams, by one loop that runs each candidate kernel configuration on the
-same folds; :func:`build_config` is the one N or tau search.
+Grams, by one loop over the folds that scores the candidate kernel
+configurations of a fold in stacks: one scatter, one Fisher-solve call, one
+distance and one ranking call per stack, and one stack per fold unless the
+fold is large. :func:`build_config` is the one N or tau search.
 
 Two combination strategies are supported:
 
@@ -224,6 +226,21 @@ def np_weights(pis, N: int) -> list:
     weights (reported via a warning). Arithmetic stays in the input number
     type, so Fraction accuracies yield exact rational weights.
     """
+    weights, fallback = _np_weights(pis, N)
+    if fallback:
+        _warn_uniform(fallback)
+    return weights
+
+
+def _warn_uniform(reason: str) -> None:
+    """Report uniform np weights at the line that called the caller of this function."""
+    warnings.warn(
+        f"{reason}; falling back to uniform weights over the selected kernels", stacklevel=3
+    )
+
+
+def _np_weights(pis, N: int) -> tuple[list, str | None]:
+    """:func:`np_weights` without its warning: the weights, and why they are uniform (or None)."""
     pis = list(pis)
     q = len(pis)
     if not 1 <= N < q:
@@ -234,14 +251,10 @@ def np_weights(pis, N: int) -> list:
     weights = [0 * pis[0]] * q
 
     def uniform(reason):
-        warnings.warn(
-            f"{reason}; falling back to uniform weights over the selected kernels",
-            stacklevel=3,
-        )
         out = list(weights)
         for t in top:
             out[t] = 1 / N
-        return out
+        return out, reason
 
     if pis[order[N - 1]] == threshold:
         return uniform(f"accuracy tie at the top-{N} boundary (pi = {float(threshold)})")
@@ -251,7 +264,7 @@ def np_weights(pis, N: int) -> list:
     if any(weights[t] == 0 for t in top):
         # a selected margin underflowed to zero weight in float division
         return uniform("selected kernel weight underflowed to zero")
-    return weights
+    return weights, None
 
 
 def select_sm_pair(pis) -> tuple[int, int]:
@@ -272,15 +285,19 @@ class _Fold:
     probe_ids: np.ndarray  # identities, built once so ranking does not convert them
     gallery_ids: np.ndarray
 
-    def cut(self, K: np.ndarray) -> tuple:
-        """A pool Gram's training, probe and gallery rows over the training columns.
+    def cut(self, grams) -> tuple:
+        """Pool Grams' training, probe and gallery rows over the training columns.
 
-        One take per axis; the three blocks are read-only row slices of it.
+        One take per Gram, through one flat index built for the call; each
+        Gram's three blocks are read-only row slices of its cut. Returns the
+        training, probe and gallery blocks as three lists in Gram order.
         """
-        B = K.take(self.rows, axis=0).take(self.train_pos, axis=1)
-        B.setflags(write=False)
+        entries = self.rows[:, None] * grams[0].shape[1] + self.train_pos
+        cuts = [K.take(entries) for K in grams]
+        for B in cuts:
+            B.setflags(write=False)
         a, b = self.bounds
-        return B[:a], B[a:b], B[b:]
+        return [B[:a] for B in cuts], [B[a:b] for B in cuts], [B[b:] for B in cuts]
 
 
 def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gallery_camera):
@@ -322,13 +339,13 @@ def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gal
         if not probe or not galry:
             warnings.warn(f"fold {f} has an empty probe or gallery set, skipping", stacklevel=3)
             continue
-        train_pos = np.array([pos[i] for i in train_subset], dtype=np.intp)
+        rows = np.array([pos[i] for i in (*train_subset, *probe, *galry)], dtype=np.intp)
         built.append(
             _Fold(
                 number=f,
                 idx=index_classes(ds, train_subset),
-                train_pos=train_pos,
-                rows=np.array([pos[i] for i in (*train_subset, *probe, *galry)], dtype=np.intp),
+                train_pos=rows[: len(train_subset)],
+                rows=rows,
                 bounds=(len(train_subset), len(train_subset) + len(probe)),
                 probe_ids=np.array([ds.identities[i] for i in probe]),
                 gallery_ids=np.array([ds.identities[i] for i in galry]),
@@ -337,6 +354,13 @@ def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gal
     if not built:
         raise InputError("every cross-validation fold was skipped")
     return pool_idx, built
+
+
+# the most fused training Grams (C n^2 float64) one stacked scatter and solve
+# call takes: all 20 bank kernels of an n = 72 fold (0.8 MB) share one call,
+# while an n = 284 fold solves one config per call: a 20-config stack there
+# (13 MB per n x n stack, several held at once) ran slower than single calls
+_STACK_BYTES = 1 << 20
 
 
 @dataclass(eq=False)
@@ -367,25 +391,46 @@ class _FoldPlan:
         """Held-out rank-1 of every kernel config on every fold: a (configs, folds) array.
 
         Per fold each spec's pool Gram is cut once into training, probe and
-        gallery blocks. Every config fuses its training blocks and solves,
-        then embeds the held-out rows through ``fold`` as a trained model
-        serves them. Skipped folds stay NaN.
+        gallery blocks. The configs are then scored in stacks of as many as
+        fit _STACK_BYTES of fused n x n training Grams: every config at once
+        on small folds, one at a time on large ones. Each config of a stack
+        fuses its training blocks into one (configs, n, n) stack, which takes
+        one scatter and one Fisher solve call; each config then embeds the
+        held-out rows through ``fold`` as a trained model serves them, and
+        one distance and one ranking call score the stack. Skipped folds stay
+        NaN.
         """
         from .evaluation import true_ranks  # deferred: evaluation depends on this module
 
         specs = self.pool_specs(kernels)
+        at = [[specs.index(s) for s in kernel.specs] for kernel in kernels]
         rank1 = np.full((len(kernels), self.folds), np.nan)
+        # a stack's arrays other than its scatter pair are replaced, not freed, by
+        # the next stack's: freed in bulk, the allocator hands their pages back
+        # and each stack faults them in again
         for fold in self.used:
-            cuts = {s: fold.cut(self.pool[s]) for s in specs}
-            for c, kernel in enumerate(kernels):
-                train, probe, gallery = zip(*(cuts[s] for s in kernel.specs))
-                sc = build_scatter(kernel.fuse(train), fold.idx)
-                blocks = kernel.fold(solve_kfda(sc, fold.idx.n_classes - 1, self.eps).A, train)
+            train, probe, gallery = fold.cut([self.pool[s] for s in specs])
+            step = max(1, _STACK_BYTES // (8 * fold.idx.n_total**2))
+            for start in range(0, len(kernels), step):
+                part = slice(start, start + step)
+                configs, picks = kernels[part], at[part]
+                base = [[train[i] for i in t] for t in picks]  # each config's training blocks
+                sc = build_scatter(
+                    np.stack([k.fuse(Ks) for k, Ks in zip(configs, base)]), fold.idx
+                )
+                A = solve_kfda(sc, fold.idx.n_classes - 1, self.eps).A
+                del sc  # the largest stacks; not held while the next stack builds its own
+                blocks = [k.fold(A_c, Ks) for k, A_c, Ks in zip(configs, A, base)]
                 # embed_batch's rule over the fold's training rows: sum_t k_t(Y, X) A_t
-                Yp, Yg = (sum(K @ A_t for K, A_t in zip(Ks, blocks)) for Ks in (probe, gallery))
+                Yp, Yg = (
+                    np.stack(
+                        [sum(H[i] @ A_t for i, A_t in zip(t, b)) for t, b in zip(picks, blocks)]
+                    )
+                    for H in (probe, gallery)
+                )
                 # a probe without a match ranks 0, so it counts as a miss
                 ranks = true_ranks(squared_distances(Yp, Yg), fold.probe_ids, fold.gallery_ids)
-                rank1[c, fold.number] = np.count_nonzero(ranks == 1) / len(ranks)
+                rank1[part, fold.number] = np.count_nonzero(ranks == 1, axis=-1) / ranks.shape[-1]
         return rank1
 
 
@@ -427,7 +472,8 @@ def build_config(
     with scale tau. Ties pick the smallest N or tau; one candidate needs no
     CV. N = 1 is the best kernel at weight 1.0, so its fold row is taken from
     ``acc.per_fold`` unsolved. The config keeps ``acc`` without its fold plan,
-    so it holds no pool Gram.
+    so it holds no pool Gram. Uniform np weights (see :func:`np_weights`) are
+    reported once, for the chosen N only, at the line that called this.
     """
     if variant not in ("np", "sm"):
         raise InputError(f"unknown mkl variant {variant!r}")
@@ -435,14 +481,15 @@ def build_config(
     if plan is None:
         raise InputError("accuracies without a fold plan; compute them by cv_kernel_accuracies")
     acc = replace(acc, plan=None)
+    fallback = {}  # np candidate -> why its weights are uniform, reported if it wins
     if variant == "np":
         n_grid = default_n_grid(acc.q) if n_grid is None else n_grid
-        candidates = [
-            MklConfig(
-                "np", plan.bank, weights=tuple(np_weights(acc.pis, N)), n_top=N, accuracies=acc
+        candidates = []
+        for N in sorted(set(int(N) for N in n_grid)):
+            weights, fallback[N] = _np_weights(acc.pis, N)
+            candidates.append(
+                MklConfig("np", plan.bank, weights=tuple(weights), n_top=N, accuracies=acc)
             )
-            for N in sorted(set(int(N) for N in n_grid))
-        ]
     else:
         pair = select_sm_pair(acc.pis)
         candidates = [
@@ -451,12 +498,15 @@ def build_config(
         ]
     if not candidates:
         raise InputError(f"empty {'N' if variant == 'np' else 'tau'} grid")
-    if len(candidates) == 1:
-        return candidates[0]
-    solved = iter(plan.rank1([c for c in candidates if c.n_top != 1]))
-    top = acc.per_fold[_ranked_indices(acc.pis)[0]]
-    rank1 = np.array([top if c.n_top == 1 else next(solved) for c in candidates])
-    return candidates[int(np.argmax(_mean_rank1(rank1)))]
+    best = candidates[0]
+    if len(candidates) > 1:
+        solved = iter(plan.rank1([c for c in candidates if c.n_top != 1]))
+        top = acc.per_fold[_ranked_indices(acc.pis)[0]]
+        rank1 = np.array([top if c.n_top == 1 else next(solved) for c in candidates])
+        best = candidates[int(np.argmax(_mean_rank1(rank1)))]
+    if fallback.get(best.n_top):
+        _warn_uniform(fallback[best.n_top])
+    return best
 
 
 def write_cv_csv(acc: KernelAccuracies, path) -> None:

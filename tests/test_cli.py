@@ -282,6 +282,19 @@ def test_cv_reports_the_choices_train_makes(noisy_csv, tmp_path, capsys, method)
         assert float(printed["chosen_tau"]) == doc["tau"]
 
 
+def test_cv_warns_about_a_tie_only_for_the_chosen_n(noisy_csv, tmp_path):
+    # every N in 1..5 ties at its top-N boundary here; the search picks N = 1
+    proc = run_cli("cv", "--method", "np-mfml", "--features", noisy_csv, "--seed", "1",
+                   "--out", tmp_path / "cv")
+    assert proc.returncode == 0, proc.stderr
+    assert "chosen_N 1" in proc.stdout.splitlines()
+    lines = proc.stderr.splitlines()
+    [tie] = [k for k, line in enumerate(lines) if "boundary" in line]
+    assert "accuracy tie at the top-1 boundary" in lines[tie]
+    # the warning points at the caller's line, not into the library's search
+    assert "mkl.py" not in lines[tie] and "mkl.py" not in lines[tie + 1]
+
+
 class TestSweep:
     def test_rows_for_each_p(self, fixture_csv, tmp_path, capsys):
         out = tmp_path / "sw"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kfmetric.config import RunConfig
 from kfmetric.data import Dataset, SplitPlan, make_split
-from kfmetric.errors import InputError
+from kfmetric.errors import InputError, NumericError
 from kfmetric.evaluation import (
     CmcReport,
     cmc_from_ranks,
@@ -20,6 +20,7 @@ from kfmetric.evaluation import (
     write_cmc_csv,
     write_sweep_csv,
 )
+from kfmetric.kernels import squared_distances
 from kfmetric.metric import euclidean_score_matrix, score_matrix
 from kfmetric.synthetic import make_synthetic
 
@@ -91,6 +92,35 @@ class TestRankScores:
         dists = np.array(scores, dtype=float).reshape(m, g)
         got = true_ranks(dists, np.array(probe_ids), np.array(gallery_ids))
         assert got.tolist() == argsort_ranks(dists, probe_ids, gallery_ids)
+
+    @pytest.mark.parametrize("C", [1, 3, 20])
+    def test_stacked_distances_and_ranks_match_per_matrix_calls(self, C):
+        # rounded embeddings make exact distance ties; probe "zz" has no match and ranks 0
+        rng = np.random.default_rng(C)
+        probe_ids = np.array(["a", "b", "c", "zz", "a"])
+        gallery_ids = np.array(["c", "a", "b", "a", "d", "b"])
+        Yp = np.round(rng.normal(size=(C, 5, 3)))
+        Yg = np.round(rng.normal(size=(C, 6, 3)))
+        dists = squared_distances(Yp, Yg)
+        ranks = true_ranks(dists, probe_ids, gallery_ids)
+        assert dists.shape == (C, 5, 6) and ranks.shape == (C, 5)
+        ties = 0
+        for c in range(C):
+            one = squared_distances(Yp[c], Yg[c])
+            assert np.array_equal(dists[c], one)
+            assert np.array_equal(ranks[c], true_ranks(one, probe_ids, gallery_ids))
+            assert ranks[c].tolist() == argsort_ranks(one, probe_ids, gallery_ids)
+            ties += sum(len(set(row)) < len(row) for row in one.tolist())
+        assert ranks[:, 3].tolist() == [0] * C
+        assert ties > 0, "fixture regressed: no tied scores"
+
+    def test_one_non_finite_matrix_fails_the_stack(self):
+        dists = np.ones((3, 2, 2))
+        dists[2, 1, 0] = np.nan
+        with pytest.raises(NumericError, match="^non-finite matching score$"):
+            true_ranks(dists, ["a", "b"], ["a", "b"])
+        with pytest.raises(InputError, match="need a 2 x 2 score matrix"):
+            true_ranks(np.ones((3, 2, 3)), ["a", "b"], ["a", "b"])
 
 
 class TestRankProbe:

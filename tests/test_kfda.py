@@ -399,3 +399,73 @@ class TestModelValidation:
                 kernel_config=KernelSpec("linear"),
                 terms=(),
             )
+
+
+def _stacked_grams(sizes, C, seed=0):
+    """C rbf Grams of several widths over one sample set whose classes have the given sizes."""
+    rng = np.random.default_rng(seed)
+    labels = [f"c{k}" for k, s in enumerate(sizes) for _ in range(s)]
+    labels = [labels[i] for i in rng.permutation(len(labels))]  # members interleave
+    n = len(labels)
+    X = rng.normal(size=(n, 4))
+    ds = Dataset(X, tuple(labels), tuple(k % 2 for k in range(n)))
+    width = rms_width(ds, range(n))
+    K = np.stack([gram(KernelSpec("rbf", width * m), X) for m in np.geomspace(0.3, 3.0, C)])
+    return K, index_classes(ds, range(n))
+
+
+CLASS_SIZES = {
+    "two-view": [2] * 12,
+    "three-view": [3] * 8,
+    "mixed": [1, 2, 3, 2, 1, 3, 3, 2, 1, 2],
+}
+
+
+class TestStacks:
+    """A stack of Grams gives, matrix for matrix, the bits of 2-D calls."""
+
+    @pytest.mark.parametrize("C", [1, 3, 20])
+    @pytest.mark.parametrize("design", sorted(CLASS_SIZES))
+    @pytest.mark.parametrize("eps", [1e-7, 0.0])
+    def test_scatter_and_solve_match_per_matrix_calls(self, C, design, eps):
+        K, idx = _stacked_grams(CLASS_SIZES[design], C)
+        p = idx.n_classes - 1
+        sc = build_scatter(K, idx)
+        sol = solve_kfda(sc, p, eps)
+        assert sc.Q.shape == (C,) + K.shape[1:] and sc.M.shape == (C, len(K[0]), idx.n_classes)
+        assert sol.A.shape == (C, len(K[0]), p) and sol.eigvals.shape == (C, p)
+        for c in range(C):
+            one = build_scatter(K[c], idx)
+            assert np.array_equal(sc.Q[c], one.Q) and np.array_equal(sc.M[c], one.M)
+            A, vals = solve_kfda(one, p, eps)
+            assert np.array_equal(sol.A[c], A) and np.array_equal(sol.eigvals[c], vals)
+
+    @pytest.mark.parametrize("eps", [1e-7, 0.0])
+    def test_two_stack_axes_match_per_matrix_calls(self, eps):
+        K, idx = _stacked_grams(CLASS_SIZES["two-view"], 6)
+        p = idx.n_classes - 1
+        sol = solve_kfda(build_scatter(K.reshape((2, 3) + K.shape[1:]), idx), p, eps)
+        assert sol.A.shape == (2, 3, len(K[0]), p) and sol.eigvals.shape == (2, 3, p)
+        for c in range(6):
+            A, vals = solve_kfda(build_scatter(K[c], idx), p, eps)
+            cell = divmod(c, 3)
+            assert np.array_equal(sol.A[cell], A) and np.array_equal(sol.eigvals[cell], vals)
+
+    @pytest.mark.parametrize("fault", ["nan", "inf"])
+    def test_one_non_finite_gram_fails_the_stack(self, fault):
+        K, idx = _stacked_grams(CLASS_SIZES["two-view"], 3)
+        K[1, 2, 5] = K[1, 5, 2] = float(fault)
+        with pytest.raises(NumericError, match="^scatter matrices Q and M contain non-finite"):
+            build_scatter(K, idx)
+
+    def test_one_indefinite_pencil_fails_the_stack(self):
+        K, idx = _stacked_grams(CLASS_SIZES["two-view"], 3)
+        sc = build_scatter(K, idx)
+        Q = np.array(sc.Q)
+        Q[1] = -np.eye(len(Q[1]))
+        with pytest.raises(NumericError) as one:
+            solve_kfda(ScatterPair(Q=Q[1], M=sc.M[1]), 2)
+        with pytest.raises(NumericError) as stacked:
+            solve_kfda(ScatterPair(Q=Q, M=sc.M), 2)
+        assert str(stacked.value) == str(one.value)
+        assert "1-th leading minor of the array is not positive definite" in str(one.value)

@@ -422,9 +422,30 @@ class TestFoldPlan:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             build_config("np", acc, n_grid=[1, 2, 3])
-        assert len(calls["solve_kfda"]) == 2 * len(used)
+        # one stacked solve per used fold, of the N = 2 and N = 3 candidates only
+        assert [sol.A.shape[0] for sol in calls["solve_kfda"]] == [2] * len(used)
         # the search reuses the bank's pool Grams
         assert calls["grams"] == [] and calls["squared_distances"] == []
+
+    @pytest.mark.parametrize(
+        "grams_per_stack, sizes", [(0, [1] * 20), (7, [7, 7, 6])], ids=["below-one", "seven"]
+    )
+    def test_stack_budget_splits_a_fold_without_changing_rank1(
+        self, trial, monkeypatch, grams_per_stack, sizes
+    ):
+        # a budget below one fused Gram still solves one config at a time
+        ds, split, calls = trial
+        cfg = RunConfig()
+        bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
+        acc = cv_kernel_accuracies(ds, split.train_ids, bank, cfg.folds, split.trial_seed, cfg.eps)
+        [(_, used)] = calls["_make_folds"]
+        assert [sol.A.shape[0] for sol in calls["solve_kfda"]] == [20] * len(used)
+        [n] = {fold.idx.n_total for fold in used}
+        monkeypatch.setattr(mkl, "_STACK_BYTES", grams_per_stack * 8 * n * n)
+        calls["solve_kfda"].clear()
+        rank1 = acc.plan.rank1(bank)
+        assert [sol.A.shape[0] for sol in calls["solve_kfda"]] == sizes * len(used)
+        assert np.array_equal(rank1, acc.per_fold, equal_nan=True)
 
 
 class TestMklConfig:

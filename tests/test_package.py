@@ -21,8 +21,13 @@ def test_parameter_names_read_by_perfbench(tmp_path):
     assert "sc" in params(kfda.solve_kfda)
     ds = data.Dataset(np.arange(8.0).reshape(4, 2), ("a", "a", "b", "b"), (0, 1, 0, 1))
     K = kernels.gram(kernels.KernelSpec("linear"), ds.features)
-    sc = kfda.build_scatter(K, data.index_classes(ds, range(4)))
+    idx = data.index_classes(ds, range(4))
+    sc = kfda.build_scatter(K, idx)
     assert sc.P.shape == (4, 4)
+    # cross-validation solves a fold's candidates as one stacked pair
+    stacked = kfda.build_scatter(np.stack([K, 2.0 * K, 3.0 * K]), idx)
+    assert stacked.P.shape == (3, 4, 4) and stacked.n_classes == 2
+    assert np.array_equal(stacked.P[0], sc.P)
     assert {"rows", "cols"} <= params(kernels.gram)
     assert "Y" in params(metric.embed_batch)
     assert {"ds", "model", "plan", "cfg"} <= params(evaluation.score_plan)
