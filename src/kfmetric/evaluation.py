@@ -3,10 +3,11 @@
 Each trial draws its own identity split from ``base_seed + t``, trains the
 requested method on the training identities (:func:`cv_for_trial` is the
 CV step of both multi-kernel methods), and ranks every test probe against
-the full gallery from the other camera. Ties in matching score are broken by
-ascending gallery index: a true match g* with score s* ranks
-1 + #{g: s_g < s*} + #{g < g*: s_g = s*}, and a probe ranks at its
-best-placed match (see :func:`true_ranks`, the one ranking routine). Only a
+the full gallery from the other camera; :func:`run_trials` and
+:func:`dimension_sweep` share that one trial loop, ``_trials``. Ties in
+matching score are broken by ascending gallery index: a true match g* with
+score s* ranks 1 + #{g: s_g < s*} + #{g < g*: s_g = s*}, and a probe ranks
+at its best-placed match (see :func:`true_ranks`, the one ranking routine). Only a
 hand-built plan can hold a probe whose identity is absent from the gallery;
 :func:`score_plan` excludes it from accuracy with a warning. Rank-K
 accuracies are averaged over trials at full precision.
@@ -174,23 +175,13 @@ def score_plan(ds: Dataset, model: KfdaModel | None, plan: SplitPlan, cfg: RunCo
     return found.tolist(), len(gallery_idx)
 
 
-def evaluate_model(ds: Dataset, model: KfdaModel, plan: SplitPlan, cfg: RunConfig) -> CmcReport:
-    """Single-trial CMC report for an already-trained model on one plan."""
-    true_ranks, gallery_size = score_plan(ds, model, plan, cfg)
-    per_trial = cmc_from_ranks(true_ranks, gallery_size)[None, :]
-    return CmcReport(
-        ranks=tuple(range(1, gallery_size + 1)),
-        mean_accuracy=per_trial[0],
-        per_trial=per_trial,
-        trials=1,
-        config_digest=cfg.digest(),
-    )
+def _trials(ds: Dataset, method: str, trials: int, base_seed: int, cfg: RunConfig, score) -> list:
+    """``score(plan, model)`` for each seeded trial, in trial order.
 
-
-def run_trials(
-    ds: Dataset, method: str, trials: int, base_seed: int, cfg: RunConfig
-) -> CmcReport:
-    """Repeat split/train/rank over seeded trials and average the CMC curves."""
+    Trial t splits with seed base_seed + t and fits ``method`` by
+    :func:`fit_for_trial`; an error raised in trial t names it. With
+    cfg.threads > 1 the trials run on a thread pool.
+    """
     if method not in METHODS:
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
     if trials < 1:
@@ -199,7 +190,7 @@ def run_trials(
     def one(t: int):
         try:
             plan = make_split(ds, base_seed + t, cfg.train_fraction)
-            return score_plan(ds, fit_for_trial(ds, plan, method, cfg), plan, cfg)
+            return score(plan, fit_for_trial(ds, plan, method, cfg))
         except Exception as exc:
             try:
                 wrapped = type(exc)(f"trial {t}: {exc}")
@@ -209,22 +200,33 @@ def run_trials(
 
     if cfg.threads > 1 and trials > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(one, range(trials)))
-    else:
-        outcomes = [one(t) for t in range(trials)]
+            return list(pool.map(one, range(trials)))
+    return [one(t) for t in range(trials)]
 
+
+def _report(outcomes, digest: str) -> CmcReport:
+    """CMC report of scored trials, each (true ranks, gallery size), cut at the smallest gallery."""
     R = min(size for _, size in outcomes)
-    per_trial = np.stack(
-        [cmc_from_ranks(ranks, R) for ranks, _ in outcomes]
+    per_trial = np.stack([cmc_from_ranks(ranks, R) for ranks, _ in outcomes])
+    return CmcReport(
+        tuple(range(1, R + 1)), per_trial.mean(axis=0), per_trial, len(outcomes), digest
+    )
+
+
+def evaluate_model(ds: Dataset, model: KfdaModel, plan: SplitPlan, cfg: RunConfig) -> CmcReport:
+    """Single-trial CMC report for an already-trained model on one plan."""
+    return _report([score_plan(ds, model, plan, cfg)], cfg.digest())
+
+
+def run_trials(
+    ds: Dataset, method: str, trials: int, base_seed: int, cfg: RunConfig
+) -> CmcReport:
+    """Repeat split/train/rank over seeded trials and average the CMC curves."""
+    outcomes = _trials(
+        ds, method, trials, base_seed, cfg, lambda plan, model: score_plan(ds, model, plan, cfg)
     )
     effective = dc_replace(cfg, method=method, trials=trials, base_seed=base_seed)
-    return CmcReport(
-        ranks=tuple(range(1, R + 1)),
-        mean_accuracy=per_trial.mean(axis=0),
-        per_trial=per_trial,
-        trials=trials,
-        config_digest=effective.digest(),
-    )
+    return _report(outcomes, effective.digest())
 
 
 def cmc_from_ranks(true_ranks, R: int) -> np.ndarray:
@@ -245,8 +247,6 @@ def dimension_sweep(
     """
     if method == "euclidean":
         raise InputError("dimension sweep needs a learned model, not the raw baseline")
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
     p_values = list(p_values)
     if not p_values:
         raise InputError("no p values requested")
@@ -257,23 +257,25 @@ def dimension_sweep(
         raise InputError("every p must be >= 1")
     if len(set(p_values)) != len(p_values):
         raise InputError(f"p values must be distinct, got {p_values}")
-    sums = {p: 0.0 for p in p_values}
-    for t in range(trials):
-        plan = make_split(ds, base_seed + t, cfg.train_fraction)
-        c = len(plan.train_ids)
-        if max(p_values) > c - 1:
-            raise InputError(
-                f"trial {t}: p={max(p_values)} out of range, training split has c-1={c - 1}"
-            )
-        model = fit_for_trial(ds, plan, method, dc_replace(cfg, p=None))
+
+    def rank1(plan: SplitPlan, model: KfdaModel) -> list[float]:
+        if max(p_values) > model.p:
+            raise InputError(f"p={max(p_values)} out of range, training split has c-1={model.p}")
         # make_split's test identities have gallery samples: every probe has a match
         probe_idx, gallery_idx, probe_ids, gallery_ids = _trial_sets(ds, plan, cfg)
         emb_probe = embed_batch(model, ds.features[probe_idx])
         emb_gal = embed_batch(model, ds.features[gallery_idx])
-        for p in p_values:
-            dists = squared_distances(emb_probe[:, :p], emb_gal[:, :p])
-            sums[p] += float(np.mean(true_ranks(dists, probe_ids, gallery_ids) == 1))
-    return [(p, sums[p] / trials) for p in p_values]
+        ranks = (
+            true_ranks(squared_distances(emb_probe[:, :p], emb_gal[:, :p]), probe_ids, gallery_ids)
+            for p in p_values
+        )
+        return [float(np.mean(r == 1)) for r in ranks]
+
+    sums = [0.0] * len(p_values)
+    # summed in trial order, so the means do not depend on cfg.threads
+    for row in _trials(ds, method, trials, base_seed, dc_replace(cfg, p=None), rank1):
+        sums = [s + v for s, v in zip(sums, row)]
+    return [(p, s / trials) for p, s in zip(p_values, sums)]
 
 
 def write_cmc_csv(report: CmcReport, path) -> None:

@@ -223,7 +223,8 @@ def np_weights(pis, N: int) -> list:
     The threshold is the (N+1)-th best accuracy; kernels outside the top N
     get weight zero. A tie between the N-th and (N+1)-th accuracies makes
     the rule degenerate, in which case the N selected kernels get uniform
-    weights (reported via a warning). Arithmetic stays in the input number
+    weights (reported via a warning for N > 1; N = 1 gives the top kernel
+    weight 1 either way). Arithmetic stays in the input number
     type, so Fraction accuracies yield exact rational weights.
     """
     weights, fallback = _np_weights(pis, N)
@@ -257,7 +258,9 @@ def _np_weights(pis, N: int) -> tuple[list, str | None]:
         return out, reason
 
     if pis[order[N - 1]] == threshold:
-        return uniform(f"accuracy tie at the top-{N} boundary (pi = {float(threshold)})")
+        return uniform(
+            f"accuracy tie at the top-{N} boundary (pi = {float(threshold)})" if N > 1 else None
+        )
     total = sum(pis[t] - threshold for t in top)
     for t in top:
         weights[t] = (pis[t] - threshold) / total
@@ -365,27 +368,19 @@ _STACK_BYTES = 1 << 20
 
 @dataclass(eq=False)
 class _FoldPlan:
-    """One trial's CV setting, built once: its used folds, eps and the bank.
+    """One trial's CV setting, built once: its used folds, eps, the bank and its pool Grams.
 
-    The base kernels' Grams over the CV pool are computed on first use, all
-    missing ones from one distance matrix, and kept, so every stage of the
-    trial (pi_r, then N or tau) scores its candidates on the same folds
-    without recomputing a pool Gram.
+    ``pool`` holds each distinct bank kernel's Gram over the CV pool, all
+    computed from one distance matrix, so every stage of the trial (pi_r,
+    then N or tau) scores its candidates on the same folds without
+    recomputing a pool Gram: every candidate fuses bank kernels.
     """
 
     folds: int  # planned folds, skipped ones included
     used: list[_Fold]
     eps: float
     bank: tuple[KernelSpec, ...]
-    X_pool: np.ndarray
-    pool: dict = field(default_factory=dict)  # spec -> its Gram over X_pool
-
-    def pool_specs(self, kernels) -> list:
-        """The distinct specs of the kernel configs, each with its pool Gram in ``pool``."""
-        specs = list(dict.fromkeys(s for k in kernels for s in k.specs))
-        missing = [s for s in specs if s not in self.pool]
-        self.pool.update(zip(missing, grams(missing, self.X_pool)))
-        return specs
+    pool: dict  # bank spec -> its Gram over the CV pool
 
     def rank1(self, kernels) -> np.ndarray:
         """Held-out rank-1 of every kernel config on every fold: a (configs, folds) array.
@@ -402,7 +397,7 @@ class _FoldPlan:
         """
         from .evaluation import true_ranks  # deferred: evaluation depends on this module
 
-        specs = self.pool_specs(kernels)
+        specs = list(dict.fromkeys(s for k in kernels for s in k.specs))
         at = [[specs.index(s) for s in kernel.specs] for kernel in kernels]
         rank1 = np.full((len(kernels), self.folds), np.nan)
         # a stack's arrays other than its scatter pair are replaced, not freed, by
@@ -457,7 +452,9 @@ def cv_kernel_accuracies(
     if probe_camera is None or gallery_camera is None:
         probe_camera, gallery_camera = default_cameras(ds)
     pool_idx, used = _make_folds(ds, train_ids, folds, seed, probe_camera, gallery_camera)
-    plan = _FoldPlan(folds, used, eps, tuple(bank), ds.features[pool_idx])
+    specs = list(dict.fromkeys(bank))
+    pool = dict(zip(specs, grams(specs, ds.features[pool_idx])))
+    plan = _FoldPlan(folds, used, eps, tuple(bank), pool)
     per_fold = plan.rank1(plan.bank)
     pis = tuple(float(v) for v in _mean_rank1(per_fold))
     return KernelAccuracies(pis=pis, folds=folds, fold_seed=seed, per_fold=per_fold, plan=plan)

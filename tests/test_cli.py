@@ -283,16 +283,22 @@ def test_cv_reports_the_choices_train_makes(noisy_csv, tmp_path, capsys, method)
 
 
 def test_cv_warns_about_a_tie_only_for_the_chosen_n(noisy_csv, tmp_path):
-    # every N in 1..5 ties at its top-N boundary here; the search picks N = 1
-    proc = run_cli("cv", "--method", "np-mfml", "--features", noisy_csv, "--seed", "1",
-                   "--out", tmp_path / "cv")
+    # every N in 1..5 ties at its top-N boundary here; the search picks N = 1,
+    # whose one kernel has weight 1.0 either way, so nothing is reported
+    run = ("cv", "--method", "np-mfml", "--features", noisy_csv, "--seed", "1")
+    proc = run_cli(*run, "--out", tmp_path / "cv")
     assert proc.returncode == 0, proc.stderr
     assert "chosen_N 1" in proc.stdout.splitlines()
+    assert "boundary" not in proc.stderr
+    # a grid of N = 2 alone does warn, once
+    proc = run_cli(*run, "--n-grid", "2", "--out", tmp_path / "cv2")
+    assert proc.returncode == 0, proc.stderr
+    assert "chosen_N 2" in proc.stdout.splitlines()
     lines = proc.stderr.splitlines()
     [tie] = [k for k, line in enumerate(lines) if "boundary" in line]
-    assert "accuracy tie at the top-1 boundary" in lines[tie]
+    assert "accuracy tie at the top-2 boundary" in lines[tie]
     # the warning points at the caller's line, not into the library's search
-    assert "mkl.py" not in lines[tie] and "mkl.py" not in lines[tie + 1]
+    assert "cli.py" in lines[tie] and "mkl.py" not in lines[tie + 1]
 
 
 class TestSweep:
@@ -534,6 +540,17 @@ class TestExitCodes:
         assert proc.returncode == 3, proc.stderr
         assert "rms pairwise distance inf" in proc.stderr
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_failing_sweep_names_its_trial(self, fixture_csv, tmp_path):
+        # evaluate and sweep share one trial loop, so both name the failing trial
+        ds = load_features(fixture_csv)
+        scaled = tmp_path / "scaled.csv"
+        save_features(Dataset(ds.features * 1e160, ds.identities, ds.cameras), scaled)
+        run = ("--method", "kfda", "--features", scaled, "--trials", "1")
+        for command, extra in (("evaluate", ()), ("sweep", ("--p-values", "1,2"))):
+            proc = run_cli(command, *run, *extra, "--out", tmp_path / command)
+            assert proc.returncode == 3, proc.stderr
+            assert proc.stderr.startswith("numeric failure: trial 0: rms pairwise distance inf")
 
     def test_overflowing_bank_width_exit_3(self, fixture_csv, tmp_path):
         # the rms width is usable, but width_hi (10) times it passes MAX_RBF_WIDTH

@@ -222,6 +222,11 @@ class TestRunTrials:
                 tmp_path / f"{method}-threaded.csv"
             ).read_bytes(), method
             assert serial.config_digest == threaded.config_digest
+        # the sweep runs its trials through the same pool; its means keep their bits
+        p_values = [1, 5, 20]
+        assert dimension_sweep(ds, "np-mfml", p_values, 3, 2, threaded_cfg) == dimension_sweep(
+            ds, "np-mfml", p_values, 3, 2, QUIET
+        )
 
 
 class TestDistractors:
@@ -318,7 +323,8 @@ class TestDimensionSweep:
     def test_rejects_euclidean_and_bad_p(self, separable_ds):
         with pytest.raises(InputError, match="learned model"):
             dimension_sweep(separable_ds, "euclidean", [1], 1, 0, QUIET)
-        with pytest.raises(InputError, match="out of range"):
+        # the trial loop names the trial once
+        with pytest.raises(InputError, match=r"^trial 0: p=40 out of range"):
             dimension_sweep(separable_ds, "kfda", [40], 1, 0, QUIET)
         with pytest.raises(InputError, match="no p values"):
             dimension_sweep(separable_ds, "kfda", [], 1, 0, QUIET)

@@ -46,7 +46,10 @@ class TestNpWeights:
         assert sum(1 for b in beta if b != 0) == 3
 
     def test_boundary_tie_falls_back_to_uniform(self):
-        with pytest.warns(UserWarning, match="tie"):
+        # N = 1: uniform and proportional weights both give the top kernel 1.0,
+        # so the fallback changes nothing and is not reported
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             beta = np_weights([0.6, 0.6, 0.2], N=1)
         assert beta == [1.0, 0.0, 0.0]  # stable order picks the first
 
@@ -308,13 +311,14 @@ class TestSelectN:
         ds, ids, width = separable_cv_setup
         bank = [KernelSpec("rbf", width * m) for m in (0.9, 1.0, 1.1)]
         acc = cv_kernel_accuracies(ds, ids, bank, 4, 3, 1e-7)
-        assert acc.pis[0] == acc.pis[1], "fixture regressed: no tie at the top-1 boundary"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            build_config("np", acc, n_grid=[1])
-        assert [str(w.message).split(";")[0] for w in caught] == [
-            f"accuracy tie at the top-1 boundary (pi = {acc.pis[0]})"
-        ]
+        assert acc.pis[0] == acc.pis[1] == acc.pis[2], "fixture regressed: no three-way tie"
+        # N = 1 keeps the top kernel at weight 1.0 whatever the tie, so only N = 2 warns
+        top2 = f"accuracy tie at the top-2 boundary (pi = {acc.pis[2]})"
+        for n_grid, expected in (([1], []), ([2], [top2])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                build_config("np", acc, n_grid=n_grid)
+            assert [str(w.message).split(";")[0] for w in caught] == expected, n_grid
 
     def test_n1_score_is_the_top_kernel_pi(self, monkeypatch):
         # 14 identities in 10 folds: 4 used folds of 2 identities, 6 skipped;
