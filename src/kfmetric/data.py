@@ -61,6 +61,16 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
+    @cached_property
+    def identity_codes(self) -> np.ndarray:
+        """Each sample's identity as an integer code, equal exactly when the identities are.
+
+        Ranking compares these instead of the label strings, which is faster.
+        """
+        code: dict[str, int] = {}
+        codes = np.array([code.setdefault(i, len(code)) for i in self.identities], dtype=np.intp)
+        return _read_only(codes)
+
     def camera_labels(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.cameras)))
 

@@ -73,8 +73,10 @@ def true_ranks(dists, probe_ids, gallery_ids) -> np.ndarray:
     ranks, each row those of a 2-D call. The gallery is ordered by ascending
     score with ties broken by ascending gallery index, so a true match g*
     with score s* lands at 1 + #{g: s_g < s*} + #{g < g*: s_g = s*}; the
-    best-placed match counts. A non-finite score raises NumericError. Pass
-    identities as arrays when ranking many small sets, to skip converting them.
+    best-placed match counts. A non-finite score raises NumericError.
+    Identities are any labels numpy compares elementwise; the package passes
+    integer arrays (``Dataset.identity_codes``), which compare faster than
+    label strings and need no conversion.
     """
     dists = np.asarray(dists, dtype=np.float64)
     probe_ids = np.asarray(probe_ids)
@@ -144,7 +146,7 @@ def cv_for_trial(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> KernelAccuraci
 
 
 def _trial_sets(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> tuple:
-    """A plan's probe and gallery sample indices, then their identities; distractors go last."""
+    """A plan's probe and gallery sample indices, then their identity codes; distractors go last."""
     probe_idx = sorted(ds.samples_of(plan.test_ids, plan.probe_camera))
     gallery_idx = sorted(ds.samples_of(plan.test_ids, plan.gallery_camera))
     if cfg.include_distractors:
@@ -152,9 +154,7 @@ def _trial_sets(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> tuple:
         gallery_idx += sorted(ds.samples_of(excluded, plan.gallery_camera))
     if not probe_idx or not gallery_idx:
         raise InputError("empty probe or gallery set for this split")
-    probe_ids = np.array([ds.identities[i] for i in probe_idx])
-    gallery_ids = np.array([ds.identities[i] for i in gallery_idx])
-    return probe_idx, gallery_idx, probe_ids, gallery_ids
+    return probe_idx, gallery_idx, ds.identity_codes[probe_idx], ds.identity_codes[gallery_idx]
 
 
 def score_plan(ds: Dataset, model: KfdaModel | None, plan: SplitPlan, cfg: RunConfig):

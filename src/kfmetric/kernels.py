@@ -25,21 +25,25 @@ MAX_RBF_WIDTH = math.sqrt(sys.float_info.max / 2.0)
 def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances between the rows of X and Y, clipped at zero.
 
-    Stacks broadcast numpy style: (..., m, d) and (..., g, d) give (..., m, g),
-    each matrix the bits of a 2-D call on its pair; 2-D input gives the
-    (m, g) matrix, as always. Rows large enough to overflow give inf or NaN
-    entries without a numpy warning; the callers check the result
-    (:func:`grams`, ``true_ranks``).
+    Each entry is max((|x|^2 + |y|^2) - 2 <x, y>, 0), evaluated in that
+    order in two m x g buffers: X Y^T, doubled in place, and the broadcast
+    sum of squared norms, from which it is subtracted before the clip, both
+    in place. Stacks broadcast numpy style: (..., m, d) and (..., g, d) give
+    (..., m, g), each matrix the bits of a 2-D call on its pair; 2-D input
+    gives the (m, g) matrix, as always. With Y the same array as X the
+    matrix is exactly symmetric: X X^T runs as one syrk and the norm sum
+    commutes. Rows large enough to overflow give inf or NaN entries without
+    a numpy warning; the callers check the result (:func:`grams`,
+    ``true_ranks``).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = (
-            np.sum(X * X, axis=-1)[..., :, None]
-            + np.sum(Y * Y, axis=-1)[..., None, :]
-            - 2.0 * (X @ Y.swapaxes(-1, -2))
-        )
-        return np.maximum(sq, 0.0)
+        cross = X @ Y.swapaxes(-1, -2)
+        cross *= 2.0
+        sq = np.sum(X * X, axis=-1)[..., :, None] + np.sum(Y * Y, axis=-1)[..., None, :]
+        sq -= cross
+        return np.maximum(sq, 0.0, out=sq)
 
 
 @dataclass(frozen=True)
@@ -98,13 +102,20 @@ def grams(specs, rows: np.ndarray, cols: np.ndarray | None = None):
     raise NumericError. Blocks are produced one at a time, so a caller that
     drops each block before taking the next holds only one.
 
-    When cols is omitted each block is a square Gram over one basis: the
-    diagonal of an rbf Gram is pinned to exactly 1 and the result is
-    symmetrized as (K + K.T) / 2 to absorb floating-point asymmetry.
+    When cols is omitted each block is a square Gram over one basis, exactly
+    symmetric as computed (rows @ rows.T runs as one syrk, and each entry's
+    squared norms are summed in an order that commutes); the diagonal of an
+    rbf Gram is pinned to exactly 1.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     same = cols is None
-    cols = rows if same else np.atleast_2d(np.asarray(cols, dtype=np.float64))
+    if same:
+        if not (rows.flags.c_contiguous or rows.flags.f_contiguous):
+            # BLAS cannot read such a view, and rows @ rows.T would not run as a syrk
+            rows = np.ascontiguousarray(rows)
+        cols = rows
+    else:
+        cols = np.atleast_2d(np.asarray(cols, dtype=np.float64))
     if rows.shape[0] == 0 or cols.shape[0] == 0:
         raise InputError("empty sample list")
     if rows.shape[1] != cols.shape[1]:
@@ -120,26 +131,28 @@ def grams(specs, rows: np.ndarray, cols: np.ndarray | None = None):
         if same:
             np.fill_diagonal(sq, 0.0)
     for t, spec in enumerate(specs):
-        block = _block(spec, rows, cols, sq, same)
+        # no later block reads the distances: the last rbf block is built in their buffer
+        block = _block(spec, rows, cols, sq, in_place=t == last_rbf)
         if t == last_rbf:
-            sq = None  # no later block reads the distances
+            sq = None
         yield block
         del block  # a block the caller dropped is freed before the next one is built
 
 
-def _block(spec: KernelSpec, rows, cols, sq, same: bool) -> np.ndarray:
-    """One spec's kernel block, finite and read-only; rbf reads the pair's distances ``sq``."""
+def _block(spec: KernelSpec, rows, cols, sq, in_place: bool) -> np.ndarray:
+    """One spec's kernel block, finite and read-only.
+
+    rbf reads the pair's distances ``sq``, and with ``in_place`` overwrites
+    them with the block instead of taking a new buffer.
+    """
     if spec.kind == "rbf":
         # sq / -(2 w^2) is bit-identical to -sq / (2 w^2); exp then runs in place
-        K = np.divide(sq, -(2.0 * spec.width**2))
+        K = np.divide(sq, -(2.0 * spec.width**2), out=sq if in_place else None)
         np.exp(K, out=K)
     elif spec.kind == "linear":
         K = rows @ cols.T
     else:
         K = (rows @ cols.T + 1.0) ** 2
-    if same:
-        K += K.T  # numpy buffers the overlapping operand: the bits of 0.5 * (K + K.T)
-        K *= 0.5
     if not np.isfinite(K).all():
         raise NumericError("kernel matrix contains non-finite entries")
     K.setflags(write=False)

@@ -281,9 +281,10 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
     if eps > 0:
         # Q + eps I in potrf's column-major layout, so it is factored in place;
         # x + 0.0, then eps on the diagonal, gives the bits of Q + eps * eye(n).
-        # The sum is written through L's row-major transpose, numpy's faster order
+        # Q is exactly symmetric (one syrk), so it is read in its own row-major
+        # order and written through L's row-major transpose: both passes contiguous
         L = _column_major(sc.Q.shape)
-        np.add(sc.Q.swapaxes(-1, -2), 0.0, out=L.swapaxes(-1, -2))
+        np.add(sc.Q, 0.0, out=L.swapaxes(-1, -2))
         diag = np.arange(n)
         L[..., diag, diag] += eps
         Y = _column_major(sc.M.shape)
@@ -376,8 +377,9 @@ def save_model(model: KfdaModel, path, meta: dict | None = None) -> None:
         "kernel_config": model.kernel_config.to_dict(),
         "meta": meta or {},
     }
+    text = json.dumps(doc)  # the C encoder; json.dump would run the pure-Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
         fh.write("\n")
 
 

@@ -28,10 +28,12 @@ def embed_batch(model: KfdaModel, Y) -> np.ndarray:
     if Y.shape[1] != d:
         raise InputError(f"sample dimension {Y.shape[1]} != training dimension {d}")
     coefs = iter(A_t for _, A_t in model.terms)
-    total = 0
-    # every term's kernel over (Y, X) comes from one distance matrix; each
-    # block is multiplied into the sum and dropped before the next is built
-    for K in grams([spec for spec, _ in model.terms], Y, model.train_basis):
+    # every term's kernel over (Y, X) comes from one distance matrix; the sum
+    # starts as the first block's product, and each block is dropped before
+    # the next is built
+    blocks = grams([spec for spec, _ in model.terms], Y, model.train_basis)
+    total = next(blocks) @ next(coefs)
+    for K in blocks:
         total += K @ next(coefs)
         del K
     return total

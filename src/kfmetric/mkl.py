@@ -285,7 +285,7 @@ class _Fold:
     train_pos: np.ndarray  # positions in the CV pool
     rows: np.ndarray  # pool positions of the training, then probe, then gallery samples
     bounds: tuple[int, int]  # where the probe and the gallery rows start in ``rows``
-    probe_ids: np.ndarray  # identities, built once so ranking does not convert them
+    probe_ids: np.ndarray  # identity codes, built once so ranking does not convert them
     gallery_ids: np.ndarray
 
     def cut(self, grams) -> tuple:
@@ -350,8 +350,8 @@ def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gal
                 train_pos=rows[: len(train_subset)],
                 rows=rows,
                 bounds=(len(train_subset), len(train_subset) + len(probe)),
-                probe_ids=np.array([ds.identities[i] for i in probe]),
-                gallery_ids=np.array([ds.identities[i] for i in galry]),
+                probe_ids=ds.identity_codes[probe],
+                gallery_ids=ds.identity_codes[galry],
             )
         )
     if not built:

@@ -1,11 +1,17 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kfmetric
 from kfmetric.config import RunConfig
 from kfmetric.data import Dataset, SplitPlan, make_split
 from kfmetric.errors import InputError, NumericError
@@ -498,3 +504,33 @@ def test_three_view_cv_scores_are_locked(monkeypatch, method):
     per_fold, grid = _cv_rows(monkeypatch, _three_view_ds(), method)
     assert _digest(per_fold) == THREE_VIEW_DIGESTS["per_fold"]
     assert _digest(grid) == THREE_VIEW_DIGESTS[f"{method} grid"]
+
+
+# The same lock at the benchmark's scale (see scale_ranks.py for the two runs),
+# with BLAS pinned to 1 and to 2 threads: at 1200 identities one kfda rank
+# moves with the BLAS thread count, so each setting has its own digest
+SCALE_DIGESTS = {
+    1: {
+        "kfda_large": "a13aa6c318a239940f1f7a7b8ae3d934391e85cbb92b90e6eac455cacc4a5ab0",
+        "sm_query": "9c7740a2a75142ba81379442f16f82c80c867ce4d778db22fc361f9c99f0333d",
+    },
+    2: {
+        "kfda_large": "11229ff6155b58b7b149f2693f80caca1d2032eb103ff8d68595cb1d7b4407a3",
+        "sm_query": "9c7740a2a75142ba81379442f16f82c80c867ce4d778db22fc361f9c99f0333d",
+    },
+}
+
+
+@pytest.mark.parametrize("threads", sorted(SCALE_DIGESTS))
+def test_rank_decisions_at_scale_are_locked(tmp_path, threads):
+    if threads > len(os.sched_getaffinity(0)):
+        pytest.skip(f"BLAS runs fewer than {threads} threads on this machine")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads))
+    src = str(Path(kfmetric.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = Path(__file__).with_name("scale_ranks.py")
+    run = subprocess.run([sys.executable, str(script), str(tmp_path)], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == SCALE_DIGESTS[threads]

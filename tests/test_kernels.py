@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,17 @@ def min_eig_ratio(K):
     vals = np.linalg.eigvalsh(K)
     scale = max(vals.max(), 1e-300)
     return vals.min() / scale
+
+
+def textbook_distances(X, Y):
+    """Squared distances between the rows of two matrices, as one textbook expression."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sx, sy = np.sum(X * X, axis=1), np.sum(Y * Y, axis=1)
+        return np.maximum(sx[:, None] + sy[None, :] - 2.0 * (X @ Y.T), 0.0)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestEvalKernel:
@@ -95,6 +107,30 @@ class TestGram:
         K = gram(KernelSpec("rbf", 0.8), X)
         np.testing.assert_array_equal(K, K.T)
 
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            "contiguous",
+            "row-strided",  # every other row of a larger matrix
+            "column-strided",  # every other column: BLAS cannot read it as it is
+            "fortran",
+        ],
+    )
+    @pytest.mark.parametrize("spec", [KernelSpec("rbf", 4.0), KernelSpec("linear"), KernelSpec("poly2")])
+    def test_square_grams_exactly_symmetric_at_scale(self, spec, layout):
+        """A square Gram is symmetric as computed, bit for bit, with no symmetrizing pass."""
+        X = np.random.default_rng(4).normal(size=(300, 20))
+        rows = {
+            "contiguous": X,
+            "row-strided": np.repeat(X, 2, axis=0)[::2],
+            "column-strided": np.repeat(X, 2, axis=1)[:, ::2],
+            "fortran": np.asfortranarray(X),
+        }[layout]
+        K = gram(spec, rows)
+        assert np.array_equal(K, K.T)
+        if layout != "fortran":  # BLAS reads a Fortran matrix as it is, in its own order
+            assert same_bits(K, gram(spec, X))
+
     def test_three_points_scalar_loop_oracle(self):
         X = np.array([[0.0, 0.0], [1.0, 0.5], [-0.3, 2.0]])
         spec = KernelSpec("rbf", 1.0)
@@ -122,6 +158,47 @@ class TestGram:
     def test_empty_rejected(self):
         with pytest.raises(InputError, match="empty"):
             gram(KernelSpec("linear"), np.empty((0, 3)))
+
+
+class TestSquaredDistancesOracle:
+    """squared_distances has the bits of the textbook expression, NaNs and infs included."""
+
+    @pytest.mark.parametrize("m, g, d", [(1, 1, 1), (7, 5, 3), (300, 240, 20)])
+    def test_two_dimensional(self, m, g, d):
+        rng = np.random.default_rng(m)
+        X, Y = rng.normal(size=(m, d)) * 3.0, rng.normal(size=(g, d))
+        assert same_bits(squared_distances(X, Y), textbook_distances(X, Y))
+        assert same_bits(squared_distances(X, X), textbook_distances(X, X))
+
+    def test_stacked(self):
+        rng = np.random.default_rng(1)
+        X, Y = rng.normal(size=(2, 3, 40, 6)), rng.normal(size=(2, 3, 30, 6))
+        sq = squared_distances(X, Y)
+        assert sq.shape == (2, 3, 40, 30)
+        for k in np.ndindex(2, 3):
+            assert same_bits(sq[k], textbook_distances(X[k], Y[k]))
+
+    def test_broadcast(self):
+        rng = np.random.default_rng(2)
+        X, Y = rng.normal(size=(40, 6)), rng.normal(size=(4, 30, 6))
+        sq = squared_distances(X, Y)
+        assert sq.shape == (4, 40, 30)
+        for k in range(4):
+            assert same_bits(sq[k], textbook_distances(X, Y[k]))
+        assert same_bits(squared_distances(Y, X)[2], textbook_distances(Y[2], X))
+
+    def test_overflowing_rows(self):
+        rng = np.random.default_rng(3)
+        X, Y = rng.normal(size=(6, 4)), rng.normal(size=(5, 4))
+        X[1] *= 1e160  # |x|^2 overflows to inf
+        Y[3] *= 1e160
+        X[4, 0] = 1e155  # finite |x|^2, overflowing 2 <x, y> against Y[3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflows stay silent
+            sq = squared_distances(X, Y)
+        ref = textbook_distances(X, Y)
+        assert np.isnan(sq).any() and np.isinf(sq).any()
+        assert same_bits(sq, ref)
 
 
 def reference_gram(spec, rows, cols=None):

@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from kfmetric.data import Dataset, SplitPlan, index_classes
+from kfmetric.data import Dataset, SplitPlan, index_classes, make_split
 from kfmetric.errors import InputError, NumericError
-from kfmetric.kernels import KernelSpec, gram, rms_width, squared_distances
+from kfmetric.kernels import KernelSpec, gram, rms_width, squared_distances, width_grid
 from kfmetric.kfda import (
     RANGE_RTOL,
     KfdaModel,
@@ -16,6 +18,7 @@ from kfmetric.kfda import (
     train,
 )
 from kfmetric.metric import embed_batch
+from kfmetric.mkl import MklConfig
 from kfmetric.synthetic import make_synthetic
 
 from oracles import input_space_fda_projection, naive_scatter
@@ -377,6 +380,20 @@ class TestPersistence:
         assert loaded.kernel_config == model.kernel_config
         assert loaded.regularizer == model.regularizer
         assert meta == {"trial_seed": 0}
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        """sha256 of a small sm-mfml model's file: the format, byte for byte."""
+        ds = make_synthetic(12, 2, 6, noise=0.3, view_offset=5.0, seed=2)
+        plan = make_split(ds, 0, 0.5)
+        widths = width_grid(rms_width(ds, sorted(ds.samples_of(plan.train_ids))), 4)
+        kernel = MklConfig(
+            variant="sm", bank_specs=tuple(KernelSpec("rbf", w) for w in widths),
+            pair=(1, 2), tau=0.1,
+        )
+        path = tmp_path / "model.json"
+        save_model(train(ds, plan, kernel), path, meta={"trial_seed": plan.trial_seed, "note": "é"})
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "fc465d230ccbb79714b350b5a8b46bad481ddd245123f997c8b7a10b7e26387e"
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
