@@ -82,9 +82,13 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(path) -> Path:
+    """``path`` as a directory, made if missing; one that cannot be made is an input error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot use {out} as an output directory: {exc.strerror}") from None
     return out
 
 
@@ -113,7 +117,7 @@ def cmd_train(args) -> int:
     ds = load_features(cfg.features)
     plan = make_split(ds, cfg.base_seed, cfg.train_fraction)
     model = fit_for_trial(ds, plan, cfg.method, cfg)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out)
     meta = {
         "config_digest": cfg.digest(),
         "method": cfg.method,
@@ -155,7 +159,7 @@ def cmd_evaluate(args) -> int:
         report = evaluate_model(ds, model, plan, cfg)
     else:
         report = run_trials(ds, cfg.method, cfg.trials, cfg.base_seed, cfg)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out)
     cmc_path = out / "cmc.csv"
     write_cmc_csv(report, cmc_path)
     _print_summary(report)
@@ -167,7 +171,7 @@ def cmd_cv(args) -> int:
     cfg = _config_from_args(args)
     ds = load_features(cfg.features)
     acc = cv_for_trial(ds, make_split(ds, cfg.base_seed, cfg.train_fraction), cfg)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out)
     cv_path = out / "cv.csv"
     write_cv_csv(acc, cv_path)
     print(f"config_digest {cfg.digest()}")
@@ -190,7 +194,7 @@ def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     ds = load_features(cfg.features)
     rows = dimension_sweep(ds, cfg.method, args.p_values, cfg.trials, cfg.base_seed, cfg)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out)
     sweep_path = out / "sweep.csv"
     write_sweep_csv(rows, sweep_path)
     print(f"config_digest {cfg.digest()}")
@@ -212,8 +216,7 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    _out_dir(out.parent)
     save_features(ds, out)
     print(f"features {out}")
     print(f"rows {ds.n_samples}  dim {ds.dim}")

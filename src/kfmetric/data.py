@@ -75,7 +75,7 @@ class Dataset:
         return tuple(sorted(set(self.cameras)))
 
     def samples_of(self, ids, camera: int | None = None) -> list[int]:
-        """Sample indices whose identity is in ``ids``, optionally one camera only."""
+        """Ascending indices of the samples with identity in ``ids``, optionally of one camera."""
         wanted = set(ids)
         return [
             i
@@ -85,24 +85,25 @@ class Dataset:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassIndex:
-    """Per-class membership over a subset of samples.
+    """Per-class membership over a subset of samples, as the arrays a scatter reads.
 
-    ``members`` holds positions *within the indexed subset* (0-based, in
-    subset order), so the index lines up row-for-row with any Gram matrix
-    computed over that same subset. Classes are ordered by ascending label.
+    Member positions are *within the indexed subset* (0-based, in subset
+    order), so the index lines up row-for-row with any Gram matrix computed
+    over that same subset. Classes are ordered by ascending label. Only
+    :func:`index_classes` builds one, once per subset, so the CV folds, which
+    score every candidate over one index, share its read-only arrays.
     """
 
     classes: tuple[str, ...]
-    members: tuple[tuple[int, ...], ...]
     counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.classes) != len(self.members) or len(self.classes) != len(self.counts):
-            raise InputError("classes/members/counts length mismatch")
-        if any(len(m) != c for m, c in zip(self.members, self.counts)):
-            raise InputError("counts do not match member lists")
+    # one (classes, members) pair per class size s, in order of that size's
+    # first class: the (m,) positions of its m classes and their (s, m) members,
+    # ``members[k]`` the k-th sample of each, so a row is one contiguous take index
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    sqrt_counts: np.ndarray  # (c,) square roots of the class sizes
+    weights: np.ndarray  # (c,) class sizes / n
 
     @property
     def n_classes(self) -> int:
@@ -112,48 +113,10 @@ class ClassIndex:
     def n_total(self) -> int:
         return sum(self.counts)
 
-    @cached_property
-    def design(self) -> "ClassDesign":
-        """The index as arrays, derived on first use and kept: every scatter over it reads them."""
-        counts = np.asarray(self.counts, dtype=np.float64)
-        by_size: dict[int, list[int]] = {}
-        for c, size in enumerate(self.counts):
-            by_size.setdefault(size, []).append(c)
-        groups = tuple(
-            SizeGroup(
-                classes=_read_only(np.array(cls, dtype=np.intp)),
-                # one row per member rank, so a row is one contiguous take index
-                members=_read_only(np.array([self.members[c] for c in cls], np.intp).T.copy()),
-            )
-            for cls in by_size.values()
-        )
-        return ClassDesign(
-            groups,
-            sqrt_counts=_read_only(np.sqrt(counts)),
-            weights=_read_only(counts / self.n_total),
-        )
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class SizeGroup:
-    """The classes of one size s: ``members[k]`` holds the k-th sample of each class."""
-
-    classes: np.ndarray  # (m,) positions of the classes of size s
-    members: np.ndarray  # (s, m) their samples, in member order
-
-
-@dataclass(frozen=True)
-class ClassDesign:
-    """A ClassIndex as O(n + c) read-only arrays; no n x c indicator is kept."""
-
-    groups: tuple[SizeGroup, ...]  # one per class size
-    sqrt_counts: np.ndarray  # (c,) square roots of the class sizes
-    weights: np.ndarray  # (c,) class sizes / n
 
 
 @dataclass(frozen=True)
@@ -237,9 +200,13 @@ def load_features(path) -> Dataset:
 
 
 def save_features(ds: Dataset, path) -> None:
-    """Write a Dataset in the feature-CSV layout; floats round-trip exactly."""
+    """Write a Dataset as a feature CSV, floats round-tripping exactly; InputError if unwritable."""
     d = ds.dim
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write feature file {path}: {exc.strerror}") from None
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "cam"] + [f"f{j + 1}" for j in range(d)])
         for i in range(ds.n_samples):
@@ -267,9 +234,21 @@ def index_classes(ds: Dataset, subset) -> ClassIndex:
     for pos, i in enumerate(subset):
         by_label.setdefault(ds.identities[i], []).append(pos)
     classes = tuple(sorted(by_label))
-    members = tuple(tuple(by_label[c]) for c in classes)
-    counts = tuple(len(m) for m in members)
-    return ClassIndex(classes, members, counts)
+    counts = tuple(len(by_label[c]) for c in classes)
+    by_size: dict[int, list[int]] = {}
+    for c, size in enumerate(counts):
+        by_size.setdefault(size, []).append(c)
+    groups = tuple(
+        (
+            _read_only(np.array(cls, dtype=np.intp)),
+            _read_only(np.array([by_label[classes[c]] for c in cls], np.intp).T.copy()),
+        )
+        for cls in by_size.values()
+    )
+    sizes = np.asarray(counts, dtype=np.float64)
+    return ClassIndex(
+        classes, counts, groups, _read_only(np.sqrt(sizes)), _read_only(sizes / len(subset))
+    )
 
 
 def eligible_identities(

@@ -34,30 +34,17 @@ from .mkl import KernelAccuracies, _is_int, cv_kernel_accuracies
 
 @dataclass(frozen=True)
 class CmcReport:
-    """Per-rank matching accuracy averaged over trials."""
+    """Per-rank matching accuracy averaged over trials, from :func:`_report`.
+
+    ``mean_accuracy`` (R,) is non-decreasing in rank; it and ``per_trial`` (trials, R) are
+    read-only.
+    """
 
     ranks: tuple[int, ...]
     mean_accuracy: np.ndarray
     per_trial: np.ndarray
     trials: int
     config_digest: str
-
-    def __post_init__(self):
-        per_trial = np.asarray(self.per_trial, dtype=np.float64)
-        mean = np.asarray(self.mean_accuracy, dtype=np.float64)
-        if per_trial.shape != (self.trials, len(self.ranks)):
-            raise NumericError(
-                f"per_trial shape {per_trial.shape} != (trials, ranks) "
-                f"({self.trials}, {len(self.ranks)})"
-            )
-        if mean.shape != (len(self.ranks),):
-            raise NumericError("mean_accuracy length must match ranks")
-        if np.any(np.diff(mean) < 0):
-            raise NumericError("mean accuracy must be non-decreasing in rank")
-        per_trial.setflags(write=False)
-        mean.setflags(write=False)
-        object.__setattr__(self, "per_trial", per_trial)
-        object.__setattr__(self, "mean_accuracy", mean)
 
     def rank_accuracy(self, k: int) -> float:
         if k not in self.ranks:
@@ -125,7 +112,7 @@ def fit_for_trial(ds: Dataset, plan: SplitPlan, method: str, cfg: RunConfig) -> 
     if method == "euclidean":
         return None
     if method == "kfda":
-        width = rms_width(ds, sorted(ds.samples_of(plan.train_ids)))
+        width = rms_width(ds, ds.samples_of(plan.train_ids))
         return train(ds, plan, KernelSpec("rbf", width), cfg.eps, cfg.p)
     if method not in ("np-mfml", "sm-mfml"):
         raise InputError(f"unknown method {method!r}")
@@ -138,7 +125,7 @@ def fit_for_trial(ds: Dataset, plan: SplitPlan, method: str, cfg: RunConfig) -> 
 
 def cv_for_trial(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> KernelAccuracies:
     """The trial's CV step: its rbf bank's accuracies, with the plan's seed and cameras."""
-    bank = rbf_bank(ds, sorted(ds.samples_of(plan.train_ids)), cfg)
+    bank = rbf_bank(ds, ds.samples_of(plan.train_ids), cfg)
     return cv_kernel_accuracies(
         ds, plan.train_ids, bank, cfg.folds, plan.trial_seed, cfg.eps,
         plan.probe_camera, plan.gallery_camera,
@@ -147,11 +134,11 @@ def cv_for_trial(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> KernelAccuraci
 
 def _trial_sets(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> tuple:
     """A plan's probe and gallery sample indices, then their identity codes; distractors go last."""
-    probe_idx = sorted(ds.samples_of(plan.test_ids, plan.probe_camera))
-    gallery_idx = sorted(ds.samples_of(plan.test_ids, plan.gallery_camera))
+    probe_idx = ds.samples_of(plan.test_ids, plan.probe_camera)
+    gallery_idx = ds.samples_of(plan.test_ids, plan.gallery_camera)
     if cfg.include_distractors:
         _, excluded = eligible_identities(ds, plan.probe_camera, plan.gallery_camera)
-        gallery_idx += sorted(ds.samples_of(excluded, plan.gallery_camera))
+        gallery_idx += ds.samples_of(excluded, plan.gallery_camera)
     if not probe_idx or not gallery_idx:
         raise InputError("empty probe or gallery set for this split")
     return probe_idx, gallery_idx, ds.identity_codes[probe_idx], ds.identity_codes[gallery_idx]
@@ -179,7 +166,8 @@ def _trials(ds: Dataset, method: str, trials: int, base_seed: int, cfg: RunConfi
     """``score(plan, model)`` for each seeded trial, in trial order.
 
     Trial t splits with seed base_seed + t and fits ``method`` by
-    :func:`fit_for_trial`; an error raised in trial t names it. With
+    :func:`fit_for_trial`; an InputError or NumericError raised in trial t
+    names it, and any other exception passes through as it is. With
     cfg.threads > 1 the trials run on a thread pool.
     """
     if method not in METHODS:
@@ -191,12 +179,8 @@ def _trials(ds: Dataset, method: str, trials: int, base_seed: int, cfg: RunConfi
         try:
             plan = make_split(ds, base_seed + t, cfg.train_fraction)
             return score(plan, fit_for_trial(ds, plan, method, cfg))
-        except Exception as exc:
-            try:
-                wrapped = type(exc)(f"trial {t}: {exc}")
-            except Exception:
-                wrapped = NumericError(f"trial {t}: {exc}")
-            raise wrapped from exc
+        except (InputError, NumericError) as exc:
+            raise type(exc)(f"trial {t}: {exc}") from exc
 
     if cfg.threads > 1 and trials > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -208,9 +192,10 @@ def _report(outcomes, digest: str) -> CmcReport:
     """CMC report of scored trials, each (true ranks, gallery size), cut at the smallest gallery."""
     R = min(size for _, size in outcomes)
     per_trial = np.stack([cmc_from_ranks(ranks, R) for ranks, _ in outcomes])
-    return CmcReport(
-        tuple(range(1, R + 1)), per_trial.mean(axis=0), per_trial, len(outcomes), digest
-    )
+    mean = per_trial.mean(axis=0)
+    per_trial.setflags(write=False)
+    mean.setflags(write=False)
+    return CmcReport(tuple(range(1, R + 1)), mean, per_trial, len(outcomes), digest)
 
 
 def evaluate_model(ds: Dataset, model: KfdaModel, plan: SplitPlan, cfg: RunConfig) -> CmcReport:

@@ -93,7 +93,8 @@ class KfdaModel:
     holds the retained training feature rows, and ``terms`` the kernel
     configuration folded into pairs (kernel spec k_t, A_t) so that every
     model embeds as ``sum_t k_t(Y, X) A_t``. Only :func:`train` and
-    :func:`load_model` build one.
+    :func:`load_model` build one, from a solution or a file they have
+    checked; A and ``eigvals`` are read-only.
     """
 
     A: np.ndarray
@@ -102,22 +103,6 @@ class KfdaModel:
     train_basis: np.ndarray
     kernel_config: object
     terms: tuple = field(compare=False, repr=False)
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.float64)
-        if A.ndim != 2:
-            raise NumericError(f"A must be n x p, got shape {A.shape}")
-        if not np.isfinite(A).all():
-            raise NumericError("A contains non-finite entries")
-        vals = np.asarray(self.eigvals, dtype=np.float64)
-        if vals.shape != (A.shape[1],):
-            raise NumericError(f"need {A.shape[1]} eigenvalues, got shape {vals.shape}")
-        if (vals[1:] > vals[:-1]).any():
-            raise NumericError("eigenvalues must be non-increasing")
-        A.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "eigvals", vals)
 
     @property
     def n_train(self) -> int:
@@ -131,6 +116,8 @@ class KfdaModel:
 def _with_kernel(sol: KfdaSolution, regularizer: float, X: np.ndarray, kernel, grams) -> KfdaModel:
     """The model of a solution over basis X, its kernel folded over X's ``grams`` into terms."""
     terms = tuple(zip(kernel.specs, kernel.fold(sol.A, grams)))
+    sol.A.setflags(write=False)
+    sol.eigvals.setflags(write=False)
     return KfdaModel(sol.A, sol.eigvals, regularizer, X, kernel, terms)
 
 
@@ -157,20 +144,17 @@ def build_scatter(K, idx: ClassIndex) -> ScatterPair:
     n = idx.n_total
     if K.shape[-2:] != (n, n):
         raise InputError(f"Gram shape {K.shape} does not match indexed samples ({n})")
-    if 0 in idx.counts:
-        raise InputError("class with zero samples")
-    d = idx.design
     lead = K.shape[:-2]
-    means = np.empty(lead + (n, idx.n_classes)) if len(d.groups) > 1 else None
+    means = np.empty(lead + (n, idx.n_classes)) if len(idx.groups) > 1 else None
     B = np.empty(lead + (n, n - idx.n_classes))
     start = 0
     # a non-finite entry or an overflow is reported once, by the check below
     with np.errstate(all="ignore"):
-        for g in d.groups:
-            size, m = g.members.shape
-            total = K.take(g.members[0], axis=-1)  # running class sums
+        for classes, members in idx.groups:
+            size, m = members.shape
+            total = K.take(members[0], axis=-1)  # running class sums
             for j in range(1, size):
-                col = K.take(g.members[j], axis=-1)  # each class's j-th member column
+                col = K.take(members[j], axis=-1)  # each class's j-th member column
                 h = B[..., start : start + m]  # h_j = (total - j col) / sqrt(j (j + 1))
                 np.subtract(total, col if j == 1 else j * col, out=h)
                 h *= 1.0 / math.sqrt(j * (j + 1))
@@ -180,11 +164,11 @@ def build_scatter(K, idx: ClassIndex) -> ScatterPair:
             if means is None:  # one class size: the group holds every class, in order
                 means = total
             else:
-                means[..., g.classes] = total
+                means[..., classes] = total
         # A @ A.T runs as one syrk per matrix, which fills an exactly symmetric result
         Q = B @ B.swapaxes(-1, -2)
-        M = means - (means @ d.weights)[..., None]
-        M *= d.sqrt_counts
+        M = means - (means @ idx.weights)[..., None]
+        M *= idx.sqrt_counts
     if not (np.isfinite(Q).all() and np.isfinite(M).all()):
         raise NumericError("scatter matrices Q and M contain non-finite entries")
     return ScatterPair(Q=Q, M=M)
@@ -255,7 +239,8 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
     map them back to a = L^-T Y v (or W Y v). Keeps the p largest
     eigenpairs. Columns of A are normalized to unit Euclidean norm with the
     largest-magnitude entry positive; ties in eigenvalue order keep the
-    underlying solver's output order.
+    underlying solver's output order. A column whose norm is zero or not
+    finite raises NumericError.
 
     LAPACK runs directly: potrf factors Q + eps I (built column-major, so it
     is factored in place), trtrs solves for Y and for A in place, and syevd,
@@ -327,9 +312,10 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
     else:
         A = np.stack([W_k @ (Y_k @ V_k) for W_k, Y_k, V_k in zip(W, Y, _each(V))])
         A = A.reshape(lead + (n, p))
-    norms = np.linalg.norm(A, axis=-2)
-    if (norms == 0).any():
-        raise NumericError("eigensolver returned a zero eigenvector")
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        norms = np.linalg.norm(A, axis=-2)
+    if not (np.isfinite(norms) & (norms > 0)).all():
+        raise NumericError("eigensolver returned a zero or non-finite eigenvector")
     A /= norms[..., None, :]
     each = _each(A)
     peak = each[np.arange(len(each))[:, None], np.argmax(np.abs(each), axis=1), np.arange(p)]
@@ -349,7 +335,7 @@ def train(
     ``kernel`` is anything exposing specs/fuse/fold (a KernelSpec or a
     learned multi-kernel configuration). ``p`` defaults to c - 1.
     """
-    train_idx = sorted(ds.samples_of(plan.train_ids))
+    train_idx = ds.samples_of(plan.train_ids)
     if not train_idx:
         raise InputError("no training samples for the plan's identities")
     idx = index_classes(ds, train_idx)
@@ -414,7 +400,8 @@ def load_model(path) -> tuple[KfdaModel, dict]:
     """Load a persisted model; returns (model, meta).
 
     A document that is not a model of this format and version, lacks a
-    field, or holds a field of the wrong type or shape raises InputError.
+    field, holds a field of the wrong type or shape, or lists increasing
+    eigenvalues raises InputError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -455,6 +442,8 @@ def load_model(path) -> tuple[KfdaModel, dict]:
         raise InputError(f"{path}: malformed kernel_config: {exc}") from None
     A = _model_array(doc, "A", (n, p), path)
     eigvals = _model_array(doc, "eigvals", (p,), path)
+    if (eigvals[1:] > eigvals[:-1]).any():
+        raise InputError(f"{path}: 'eigvals' must be non-increasing")
     X = _model_array(doc, "train_features", (n, d), path)
     base = grams(kernel.specs, X)  # lazy: fold reads only sm's pair
     return _with_kernel(KfdaSolution(A, eigvals), doc["regularizer"], X, kernel, base), doc["meta"]

@@ -320,7 +320,7 @@ def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gal
         groups.append(order[start : start + size])
         start += size
 
-    pool_idx = sorted(ds.samples_of(ids))
+    pool_idx = ds.samples_of(ids)
     pos = {i: k for k, i in enumerate(pool_idx)}
     built = []
     # a skip warning points at the caller of cv_kernel_accuracies
@@ -336,9 +336,9 @@ def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gal
         if len(fit_ids) < 2:
             warnings.warn(f"fold {f} leaves fewer than 2 training classes, skipping", stacklevel=3)
             continue
-        train_subset = tuple(sorted(ds.samples_of(fit_ids)))
-        probe = sorted(ds.samples_of(held_set, probe_camera))
-        galry = sorted(ds.samples_of(held_set, gallery_camera))
+        train_subset = ds.samples_of(fit_ids)
+        probe = ds.samples_of(held_set, probe_camera)
+        galry = ds.samples_of(held_set, gallery_camera)
         if not probe or not galry:
             warnings.warn(f"fold {f} has an empty probe or gallery set, skipping", stacklevel=3)
             continue

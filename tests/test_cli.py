@@ -571,6 +571,27 @@ class TestExitCodes:
         assert "rbf bank widths" in proc.stderr
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_synth_out_directory_exit_2(self, tmp_path):
+        proc = run_cli("synth", "--out", tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert f"cannot write feature file {tmp_path}" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("train", ["--method", "kfda"]), ("evaluate", ["--method", "euclidean"]),
+         ("cv", ["--q", "2", "--folds", "2"]), ("sweep", ["--method", "kfda", "--p-values", "1"])],
+        ids=["train", "evaluate", "cv", "sweep"],
+    )
+    def test_out_existing_file_exit_2(self, fixture_csv, tmp_path, capsys, command, extra):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        argv = [command, "--features", fixture_csv, "--out", taken, "--trials", "1", *extra]
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot use {taken} as an output directory" in err
+        assert taken.read_text() == "keep\n"
+
     def test_stdout_clean_on_error(self, tmp_path):
         proc = run_cli(
             "evaluate", "--method", "kfda", "--features", tmp_path / "none.csv",
@@ -673,12 +694,14 @@ def _with_accuracies(doc, **fields):
          "sm variant fields ('weights', 'n_top') must be None"),
         ("np-mfml", lambda doc: _with_config(doc, pair=[True, "y"], tau="x"),
          "np variant fields ('pair', 'tau') must be None"),
+        ("kfda", lambda doc: {**doc, "eigvals": [float(k) for k in range(doc["p"])]},
+         "'eigvals' must be non-increasing"),
     ],
     ids=["no-kernel-width", "json-list", "no-A", "p-mismatch", "seed-string", "seed-bool",
          "fraction-list", "seed-negative", "p-zero", "width-bool", "width-huge", "sm-pair-float",
          "sm-pair-bool", "sm-tau-bool", "np-n-top-bool", "np-weights-string", "np-weights-bool",
          "pis-bool", "folds-string", "folds-float", "fold-seed-bool", "sm-with-np-weights",
-         "np-with-sm-pair-tau"],
+         "np-with-sm-pair-tau", "eigvals-increasing"],
 )
 def test_malformed_model_file_exit_2(model_doc, mkl_model_paths, fixture_csv, tmp_path, method,
                                      corrupt, message):

@@ -146,16 +146,28 @@ def test_index_classes_rejects_empty_and_duplicates():
 
 def test_index_classes_mixed_subset_hand_tally():
     ds = Dataset(
-        np.arange(14, dtype=float).reshape(7, 2),
-        ("a", "b", "a", "b", "a", "b", "a"),
-        (0, 0, 1, 1, 0, 0, 1),
+        np.arange(22, dtype=float).reshape(11, 2),
+        ("z", "c", "a", "b", "a", "c", "d", "b", "a", "e", "z"),
+        (0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1),
     )
-    # subset rows: 1->b, 2->a, 4->a, 5->b, 6->a
-    idx = index_classes(ds, [1, 2, 4, 5, 6])
-    assert idx.classes == ("a", "b")
-    assert idx.counts == (3, 2)
-    assert idx.members == ((1, 2, 4), (0, 3))  # positions within the subset
-    assert idx.n_total == 5
+    # subset rows 9, 1..8 at positions 0..8: 9->e, 1->c, 2->a, 3->b, 4->a,
+    # 5->c, 6->d, 7->b, 8->a; the "z" rows are left out
+    idx = index_classes(ds, [9, 1, 2, 3, 4, 5, 6, 7, 8])
+    assert idx.classes == ("a", "b", "c", "d", "e")
+    assert idx.counts == (3, 2, 2, 1, 1)
+    assert idx.n_total == 9
+    # one group per size, in order of that size's first class: 3 (a), 2 (b, c),
+    # 1 (d, e); row k of a group's members holds each class's k-th position
+    groups = [(cls.tolist(), members.tolist()) for cls, members in idx.groups]
+    assert groups == [
+        ([0], [[2], [4], [8]]),
+        ([1, 2], [[3, 1], [7, 5]]),
+        ([3, 4], [[6, 0]]),
+    ]
+    assert idx.sqrt_counts.tolist() == [np.sqrt(3), np.sqrt(2), np.sqrt(2), 1.0, 1.0]
+    assert idx.weights.tolist() == [3 / 9, 2 / 9, 2 / 9, 1 / 9, 1 / 9]
+    for a in (idx.sqrt_counts, idx.weights, *(x for g in idx.groups for x in g)):
+        assert not a.flags.writeable
 
 
 def _two_camera_ds(n_ids, prefix="p"):
@@ -244,5 +256,7 @@ def test_index_counts_sum_to_subset_size(data):
     )
     idx = index_classes(ds, subset)
     assert sum(idx.counts) == len(subset)
-    flat = sorted(pos for group in idx.members for pos in group)
+    flat = sorted(pos for _, members in idx.groups for pos in members.ravel().tolist())
     assert flat == list(range(len(subset)))
+    for classes, members in idx.groups:
+        assert all(idx.counts[c] == len(members) for c in classes.tolist())

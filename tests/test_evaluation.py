@@ -16,7 +16,6 @@ from kfmetric.config import RunConfig
 from kfmetric.data import Dataset, SplitPlan, make_split
 from kfmetric.errors import InputError, NumericError
 from kfmetric.evaluation import (
-    CmcReport,
     cmc_from_ranks,
     dimension_sweep,
     evaluate_model,
@@ -196,6 +195,14 @@ class TestRunTrials:
         report = run_trials(separable_ds, "euclidean", 2, 0, QUIET)
         assert report.mean_accuracy[-1] == 1.0
 
+    def test_report_is_read_only_and_non_decreasing(self, confounded_ds):
+        report = run_trials(confounded_ds, "euclidean", 3, 0, QUIET)
+        assert report.per_trial.shape == (3, len(report.ranks))
+        assert report.mean_accuracy.shape == (len(report.ranks),)
+        assert (np.diff(report.mean_accuracy) >= 0).all()
+        assert not report.per_trial.flags.writeable
+        assert not report.mean_accuracy.flags.writeable
+
     def test_method_and_trials_validated(self, separable_ds):
         with pytest.raises(InputError, match="method"):
             run_trials(separable_ds, "cosine", 1, 0, QUIET)
@@ -213,6 +220,24 @@ class TestRunTrials:
         cfg = RunConfig(trials=1, folds=4, q=3)
         with pytest.raises(InputError, match="trial 0"):
             run_trials(ds_small, "np-mfml", 1, 0, cfg)
+
+    @pytest.mark.parametrize(
+        "exc",
+        [KeyError("boom"), UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")],
+        ids=["key-error", "unicode-decode-error"],
+    )
+    def test_other_exceptions_pass_through_unprefixed(self, separable_ds, monkeypatch, exc):
+        # only the package's own errors get the trial prefix; anything else is a
+        # bug and keeps its type and arguments, never becoming a numeric failure
+        from kfmetric import evaluation
+
+        def broken(*args):
+            raise exc
+
+        monkeypatch.setattr(evaluation, "fit_for_trial", broken)
+        with pytest.raises(type(exc)) as info:
+            run_trials(separable_ds, "kfda", 1, 0, QUIET)
+        assert info.value is exc
 
     def test_threaded_matches_serial(self, tmp_path):
         # 80 identities at noise 0.6: rank-1 is well below 100% here, so a
@@ -371,28 +396,6 @@ class TestCsvWriters:
         path = tmp_path / "sweep.csv"
         write_sweep_csv([(1, 0.5), (2, 0.75)], path)
         assert path.read_text().splitlines() == ["p,rank1_mean", "1,0.5", "2,0.75"]
-
-
-class TestCmcReportValidation:
-    def test_rejects_decreasing_mean(self):
-        with pytest.raises(Exception, match="non-decreasing"):
-            CmcReport(
-                ranks=(1, 2),
-                mean_accuracy=np.array([0.9, 0.5]),
-                per_trial=np.array([[0.9, 0.5]]),
-                trials=1,
-                config_digest="x",
-            )
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(Exception, match="per_trial"):
-            CmcReport(
-                ranks=(1, 2),
-                mean_accuracy=np.array([0.5, 0.9]),
-                per_trial=np.array([[0.5, 0.9]]),
-                trials=2,
-                config_digest="x",
-            )
 
 
 # sha256 of the per-probe true ranks of one run_trials trial at seed 0 on the

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from kfmetric.errors import InputError, NumericError
 from kfmetric.kernels import KernelSpec, gram, rms_width, squared_distances, width_grid
 from kfmetric.kfda import (
     RANGE_RTOL,
-    KfdaModel,
     ScatterPair,
     build_scatter,
     load_model,
@@ -72,8 +72,8 @@ class TestBuildScatter:
         K, idx, _ = labeled_gram(len(labels), labels, seed=20)
         n, c = len(labels), idx.n_classes
         S = np.zeros((n, c))
-        for i, members in enumerate(idx.members):
-            S[list(members), i] = 1.0 / len(members)
+        for classes, members in idx.groups:
+            S[members, classes] = 1.0 / len(members)  # entry (members[k, j], classes[j])
         counts = np.asarray(idx.counts, dtype=np.float64)
         means = K @ S
         M = (means - (means @ (counts / n))[:, None]) * np.sqrt(counts)
@@ -292,6 +292,14 @@ class TestDirectLapack:
         with pytest.raises(NumericError, match="generalized eigensolver failed"):
             solve_kfda(sc, p=2)
 
+    def test_overflowing_coefficient_norm_raises(self):
+        # Q = 0 and eps = 1e-300 scale the entries of A to about 1e200: finite,
+        # but their squared norm overflows, and dividing by it would zero the columns
+        M = np.random.default_rng(6).normal(size=(6, 3)) * 1e-100
+        sc = ScatterPair(Q=np.zeros((6, 6)), M=M - M.mean(axis=1, keepdims=True))
+        with pytest.raises(NumericError, match="zero or non-finite eigenvector"):
+            solve_kfda(sc, p=2, eps=1e-300)
+
 
 def _two_view_dataset(n_ids, d, seed, spread=4.0, noise=0.5):
     rng = np.random.default_rng(seed)
@@ -406,16 +414,25 @@ class TestPersistence:
 
 
 class TestModelValidation:
-    def test_bad_eigval_order_rejected(self):
-        with pytest.raises(Exception, match="non-increasing"):
-            KfdaModel(
-                A=np.eye(3)[:, :2],
-                eigvals=np.array([1.0, 2.0]),
-                regularizer=1e-7,
-                train_basis=np.eye(3),
-                kernel_config=KernelSpec("linear"),
-                terms=(),
-            )
+    def test_bad_eigval_order_rejected(self, tmp_path):
+        ds = _two_view_dataset(4, 3, seed=17)
+        model = train(ds, _full_train_plan(ds), KernelSpec("rbf", 2.5))
+        assert model.p == 3
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["eigvals"] = [1.0, 2.0, 0.5]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match="'eigvals' must be non-increasing"):
+            load_model(path)
+
+    def test_model_arrays_are_read_only(self, tmp_path):
+        ds = _two_view_dataset(4, 3, seed=17)
+        model = train(ds, _full_train_plan(ds), KernelSpec("rbf", 2.5))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        for m in (model, load_model(path)[0]):
+            assert not m.A.flags.writeable and not m.eigvals.flags.writeable
 
 
 def _stacked_grams(sizes, C, seed=0):
