@@ -28,6 +28,7 @@ from .evaluation import (
 from .kernels import KernelSpec
 from .kfda import load_model, save_model
 from .mkl import build_config, write_cv_csv
+from .synthetic import make_synthetic
 
 SUMMARY_RANKS = (1, 5, 10, 20)
 
@@ -114,10 +115,10 @@ def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     if cfg.method == "euclidean":
         raise InputError("the raw-feature baseline has no model to train")
+    out = _out_dir(cfg.out)
     ds = load_features(cfg.features)
     plan = make_split(ds, cfg.base_seed, cfg.train_fraction)
     model = fit_for_trial(ds, plan, cfg.method, cfg)
-    out = _out_dir(cfg.out)
     meta = {
         "config_digest": cfg.digest(),
         "method": cfg.method,
@@ -150,6 +151,7 @@ def _meta_value(meta: dict, key: str, default, kind, path):
 
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
+    out = _out_dir(cfg.out)
     ds = load_features(cfg.features)
     if getattr(args, "model", None):
         model, meta = load_model(args.model)
@@ -159,7 +161,6 @@ def cmd_evaluate(args) -> int:
         report = evaluate_model(ds, model, plan, cfg)
     else:
         report = run_trials(ds, cfg.method, cfg.trials, cfg.base_seed, cfg)
-    out = _out_dir(cfg.out)
     cmc_path = out / "cmc.csv"
     write_cmc_csv(report, cmc_path)
     _print_summary(report)
@@ -169,9 +170,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_cv(args) -> int:
     cfg = _config_from_args(args)
+    out = _out_dir(cfg.out)
     ds = load_features(cfg.features)
     acc = cv_for_trial(ds, make_split(ds, cfg.base_seed, cfg.train_fraction), cfg)
-    out = _out_dir(cfg.out)
     cv_path = out / "cv.csv"
     write_cv_csv(acc, cv_path)
     print(f"config_digest {cfg.digest()}")
@@ -192,9 +193,9 @@ def cmd_cv(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
+    out = _out_dir(cfg.out)
     ds = load_features(cfg.features)
     rows = dimension_sweep(ds, cfg.method, args.p_values, cfg.trials, cfg.base_seed, cfg)
-    out = _out_dir(cfg.out)
     sweep_path = out / "sweep.csv"
     write_sweep_csv(rows, sweep_path)
     print(f"config_digest {cfg.digest()}")
@@ -205,8 +206,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .synthetic import make_synthetic
-
     ds = make_synthetic(
         identities=args.identities,
         views=args.views,

@@ -1,16 +1,14 @@
-"""Probe/gallery ranking, CMC curves, repeated trials, and dimension sweeps.
+"""Probe/gallery evaluation: CMC curves, repeated trials, and dimension sweeps.
 
 Each trial draws its own identity split from ``base_seed + t``, trains the
 requested method on the training identities (:func:`cv_for_trial` is the
 CV step of both multi-kernel methods), and ranks every test probe against
 the full gallery from the other camera; :func:`run_trials` and
-:func:`dimension_sweep` share that one trial loop, ``_trials``. Ties in
-matching score are broken by ascending gallery index: a true match g* with
-score s* ranks 1 + #{g: s_g < s*} + #{g < g*: s_g = s*}, and a probe ranks
-at its best-placed match (see :func:`true_ranks`, the one ranking routine). Only a
-hand-built plan can hold a probe whose identity is absent from the gallery;
-:func:`score_plan` excludes it from accuracy with a warning. Rank-K
-accuracies are averaged over trials at full precision.
+:func:`dimension_sweep` share that one trial loop, ``_trials``. Probes are
+ranked by :func:`kfmetric.metric.true_ranks`, which states the tie rule.
+Only a hand-built plan can hold a probe whose identity is absent from
+the gallery; :func:`score_plan` excludes it from accuracy with a warning.
+Rank-K accuracies are averaged over trials at full precision.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from .data import Dataset, SplitPlan, eligible_identities, make_split
 from .errors import InputError, NumericError
 from .kernels import MAX_RBF_WIDTH, KernelSpec, rms_width, squared_distances, width_grid
 from .kfda import KfdaModel, train
-from .metric import euclidean_score_matrix, embed_batch, score_matrix
+from .metric import euclidean_score_matrix, embed_batch, score_matrix, true_ranks
 from .mkl import build_config as build_mkl_config
 from .mkl import KernelAccuracies, _is_int, cv_kernel_accuracies
 
@@ -50,42 +48,6 @@ class CmcReport:
         if k not in self.ranks:
             raise InputError(f"rank {k} not in report (1..{self.ranks[-1]})")
         return float(self.mean_accuracy[self.ranks.index(k)])
-
-
-def true_ranks(dists, probe_ids, gallery_ids) -> np.ndarray:
-    """1-based rank of each probe's true match in its row of ``dists``; 0 if absent.
-
-    Row u of the (probes, gallery) matrix ``dists`` holds probe u's scores,
-    lower meaning closer; a (..., probes, gallery) stack gives (..., probes)
-    ranks, each row those of a 2-D call. The gallery is ordered by ascending
-    score with ties broken by ascending gallery index, so a true match g*
-    with score s* lands at 1 + #{g: s_g < s*} + #{g < g*: s_g = s*}; the
-    best-placed match counts. A non-finite score raises NumericError.
-    Identities are any labels numpy compares elementwise; the package passes
-    integer arrays (``Dataset.identity_codes``), which compare faster than
-    label strings and need no conversion.
-    """
-    dists = np.asarray(dists, dtype=np.float64)
-    probe_ids = np.asarray(probe_ids)
-    gallery_ids = np.asarray(gallery_ids)
-    m, g = len(probe_ids), len(gallery_ids)
-    if dists.ndim < 2 or dists.shape[-2:] != (m, g):
-        raise InputError(f"need a {m} x {g} score matrix, got shape {dists.shape}")
-    if g == 0:
-        raise InputError("empty gallery")
-    if not np.isfinite(dists).all():
-        raise NumericError("non-finite matching score")
-    # first minimum over the matches: the lowest-scored, then lowest-index, match;
-    # scores are finite, so a probe's masked minimum is inf exactly when it has no match
-    masked = np.where(probe_ids[:, None] == gallery_ids, dists, np.inf)
-    best = masked.argmin(axis=-1)[..., None]
-    s_best = np.take_along_axis(masked, best, axis=-1)
-    del masked  # a (probes, gallery) float array, freed before the counting below
-    ahead = dists < s_best
-    ahead |= (dists == s_best) & (np.arange(g) < best)
-    ranks = np.add.reduce(ahead, axis=-1) + 1
-    ranks[s_best[..., 0] == np.inf] = 0
-    return ranks
 
 
 def rbf_bank(ds: Dataset, train_idx, cfg: RunConfig) -> tuple[KernelSpec, ...]:

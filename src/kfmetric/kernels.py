@@ -30,7 +30,7 @@ def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     sum of squared norms, from which it is subtracted before the clip, both
     in place. Stacks broadcast numpy style: (..., m, d) and (..., g, d) give
     (..., m, g), each matrix the bits of a 2-D call on its pair; 2-D input
-    gives the (m, g) matrix, as always. With Y the same array as X the
+    gives the (m, g) matrix. With Y the same array as X the
     matrix is exactly symmetric: X X^T runs as one syrk and the norm sum
     commutes. Rows large enough to overflow give inf or NaN entries without
     a numpy warning; the callers check the result (:func:`grams`,

@@ -28,7 +28,7 @@ eigensolver, for the c x c problem and for the eps == 0 range basis.
 class index, numpy style: a (..., n, n) Gram gives a ScatterPair of
 (..., n, n) and (..., n, c) matrices and a solution of (..., n, p)
 coefficients. Every matrix of a stack gets the bits a 2-D call on it gets,
-and a 2-D input behaves as it always has. Cross-validation scores a fold's
+and a 2-D input gives 2-D results. Cross-validation scores a fold's
 candidate kernels as one stack; only the LAPACK calls loop over it.
 """
 
@@ -138,7 +138,7 @@ def build_scatter(K, idx: ClassIndex) -> ScatterPair:
     A (..., n, n) stack of Grams gives a pair of (..., n, n) and (..., n, c)
     stacks: the contrasts and class sums run elementwise over the whole
     stack, and B B^T is one syrk per Gram, so each matrix holds the bits a
-    2-D call on its Gram gives. A 2-D K gives 2-D Q and M, as always.
+    2-D call on its Gram gives. A 2-D K gives 2-D Q and M.
     """
     K = np.asarray(K, dtype=np.float64)
     n = idx.n_total
@@ -254,7 +254,7 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
     (..., p). Only the LAPACK calls (and the eps == 0 range basis) loop over
     the stack; Q + eps I, Y^T Y, the norms and the sign fix run once on it.
     Each pencil gets the bits a 2-D call on it gets, and the first pencil in
-    stack order that fails raises. A 2-D pair gives 2-D results, as always.
+    stack order that fails raises. A 2-D pair gives 2-D results.
     """
     c = sc.n_classes
     if not 1 <= p <= c - 1:

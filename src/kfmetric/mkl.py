@@ -5,10 +5,11 @@ contains classes unseen by that fold's model, mirroring the probe/gallery
 protocol. Each kernel's accuracy pi_r is its mean held-out rank-1 score.
 Every cross-validated choice of a trial (pi_r, then N or tau) is scored on
 one fold plan, which :func:`cv_kernel_accuracies` builds once with its pool
-Grams, by one loop over the folds that scores the candidate kernel
-configurations of a fold in stacks: one scatter, one Fisher-solve call, one
-distance and one ranking call per stack, and one stack per fold unless the
-fold is large. :func:`build_config` is the one N or tau search.
+Grams; each fold's rows are positions in that pool. One loop over the folds
+scores the candidate configurations of a fold in stacks: one scatter, one
+Fisher-solve call, one distance and one :func:`~kfmetric.metric.true_ranks`
+call per stack, and one stack per fold unless the fold is large.
+:func:`build_config` is the one N or tau search.
 
 Two combination strategies are supported:
 
@@ -37,6 +38,7 @@ from .data import ClassIndex, Dataset, default_cameras, index_classes
 from .errors import InputError, NumericError
 from .kernels import KernelSpec, grams, squared_distances
 from .kfda import build_scatter, solve_kfda
+from .metric import true_ranks
 
 
 @dataclass(frozen=True)
@@ -281,8 +283,7 @@ def select_sm_pair(pis) -> tuple[int, int]:
 @dataclass(frozen=True)
 class _Fold:
     number: int  # position among the planned folds, skipped ones included
-    idx: ClassIndex  # classes of the fold's training samples, in train_pos order
-    train_pos: np.ndarray  # positions in the CV pool
+    idx: ClassIndex  # classes of the fold's training samples, in row order
     rows: np.ndarray  # pool positions of the training, then probe, then gallery samples
     bounds: tuple[int, int]  # where the probe and the gallery rows start in ``rows``
     probe_ids: np.ndarray  # identity codes, built once so ranking does not convert them
@@ -295,33 +296,32 @@ class _Fold:
         Gram's three blocks are read-only row slices of its cut. Returns the
         training, probe and gallery blocks as three lists in Gram order.
         """
-        entries = self.rows[:, None] * grams[0].shape[1] + self.train_pos
+        a, b = self.bounds
+        entries = self.rows[:, None] * grams[0].shape[1] + self.rows[:a]
         cuts = [K.take(entries) for K in grams]
         for B in cuts:
             B.setflags(write=False)
-        a, b = self.bounds
         return [B[:a] for B in cuts], [B[a:b] for B in cuts], [B[b:] for B in cuts]
 
 
 def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gallery_camera):
-    """The CV pool's sample indices and the folds that are used, each with its blocks' positions."""
+    """The CV pool's sample indices and the folds that are used, each in pool positions.
+
+    The pool is every sample of ``train_ids`` in dataset order. A fold's
+    training, probe and gallery rows are ascending pool positions, picked by
+    masks over the pool's fold and camera arrays.
+    """
     ids = sorted(train_ids)
     if folds < 2:
         raise InputError(f"need at least 2 folds, got {folds}")
     if len(ids) < folds:
         raise InputError(f"need at least {folds} identities for {folds} folds, got {len(ids)}")
-    rng = np.random.default_rng(seed)
-    order = [ids[i] for i in rng.permutation(len(ids))]
-    base, extra = divmod(len(order), folds)
-    groups = []
-    start = 0
-    for f in range(folds):
-        size = base + (1 if f < extra else 0)
-        groups.append(order[start : start + size])
-        start += size
-
-    pool_idx = ds.samples_of(ids)
-    pos = {i: k for k, i in enumerate(pool_idx)}
+    groups = np.array_split(np.random.default_rng(seed).permutation(len(ids)), folds)
+    fold_of = {ids[k]: f for f, held in enumerate(groups) for k in held}
+    pool_idx = np.array(ds.samples_of(ids), dtype=np.intp)
+    row_fold = np.array([fold_of[ds.identities[i]] for i in pool_idx])
+    cameras = np.array(ds.cameras)[pool_idx]
+    codes = ds.identity_codes[pool_idx]
     built = []
     # a skip warning points at the caller of cv_kernel_accuracies
     for f, held in enumerate(groups):
@@ -331,27 +331,24 @@ def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gal
                 stacklevel=3,
             )
             continue
-        held_set = set(held)
-        fit_ids = [i for i in ids if i not in held_set]
-        if len(fit_ids) < 2:
+        if len(ids) - len(held) < 2:
             warnings.warn(f"fold {f} leaves fewer than 2 training classes, skipping", stacklevel=3)
             continue
-        train_subset = ds.samples_of(fit_ids)
-        probe = ds.samples_of(held_set, probe_camera)
-        galry = ds.samples_of(held_set, gallery_camera)
-        if not probe or not galry:
+        in_fold = row_fold == f
+        probe = np.flatnonzero(in_fold & (cameras == probe_camera))
+        galry = np.flatnonzero(in_fold & (cameras == gallery_camera))
+        if not probe.size or not galry.size:
             warnings.warn(f"fold {f} has an empty probe or gallery set, skipping", stacklevel=3)
             continue
-        rows = np.array([pos[i] for i in (*train_subset, *probe, *galry)], dtype=np.intp)
+        train = np.flatnonzero(~in_fold)
         built.append(
             _Fold(
                 number=f,
-                idx=index_classes(ds, train_subset),
-                train_pos=rows[: len(train_subset)],
-                rows=rows,
-                bounds=(len(train_subset), len(train_subset) + len(probe)),
-                probe_ids=ds.identity_codes[probe],
-                gallery_ids=ds.identity_codes[galry],
+                idx=index_classes(ds, pool_idx[train].tolist()),
+                rows=np.concatenate([train, probe, galry]),
+                bounds=(train.size, train.size + probe.size),
+                probe_ids=codes[probe],
+                gallery_ids=codes[galry],
             )
         )
     if not built:
@@ -395,8 +392,6 @@ class _FoldPlan:
         one distance and one ranking call score the stack. Skipped folds stay
         NaN.
         """
-        from .evaluation import true_ranks  # deferred: evaluation depends on this module
-
         specs = list(dict.fromkeys(s for k in kernels for s in k.specs))
         at = [[specs.index(s) for s in kernel.specs] for kernel in kernels]
         rank1 = np.full((len(kernels), self.folds), np.nan)

@@ -1,0 +1,85 @@
+"""One sha256 per CLI output file, for comparing two trees byte for byte.
+
+    python tests/cli_digests.py TREE > digests.txt
+
+imports ``kfmetric`` from ``TREE/src`` and, in a fresh temporary directory,
+writes two fixtures with ``synth``: its defaults (40 identities, noise 0.05)
+and 80 identities at noise 0.6. For each fixture and seeds 0-2 it runs
+
+* ``train`` for kfda, np-mfml and sm-mfml: stdout, ``model.json`` and ``train.log``;
+* ``evaluate`` for all four methods: stdout and ``cmc.csv``;
+* ``cv``: stdout and ``cv.csv``;
+* ``sweep --p-values 1,3,5`` for kfda, np-mfml and sm-mfml: stdout and ``sweep.csv``;
+
+and prints ``<fixture>/<seed>/<command>-<method>/<file> <sha256>``, one line
+per file. Output paths are relative to the temporary directory, so stdout
+names the same paths on every tree and two runs compare with one ``diff``.
+BLAS runs on one thread unless the environment already says otherwise.
+Warnings go nowhere; stderr is not digested.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+FIXTURES = {"default": [], "noisy80": ["--identities", "80", "--noise", "0.6"]}
+SEEDS = (0, 1, 2)
+LEARNED = ("kfda", "np-mfml", "sm-mfml")
+# command -> (methods, files it writes besides stdout, extra flags)
+RUNS = {
+    "train": (LEARNED, ("model.json", "train.log"), []),
+    "evaluate": (("euclidean",) + LEARNED, ("cmc.csv",), []),
+    "cv": (("kfda",), ("cv.csv",), []),
+    "sweep": (LEARNED, ("sweep.csv",), ["--p-values", "1,3,5"]),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(main) -> list[str]:
+    """Run every command of RUNS in the current directory; one 'name sha256' line per output."""
+    lines = []
+
+    def run(argv) -> bytes:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"{' '.join(argv)} exited {code}")
+        return out.getvalue().encode()
+
+    for fixture, flags in FIXTURES.items():
+        features = f"{fixture}.csv"
+        run(["synth", "--out", features, *flags])
+        for seed in SEEDS:
+            for command, (methods, files, extra) in RUNS.items():
+                for method in methods:
+                    name = f"{fixture}/{seed}/{command}-{method}"
+                    argv = [command, "--features", features, "--method", method,
+                            "--seed", str(seed), "--out", name, *extra]
+                    lines.append(f"{name}/stdout {_sha(run(argv))}")
+                    lines += [f"{name}/{f} {_sha((Path(name) / f).read_bytes())}" for f in files]
+    return lines
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: python tests/cli_digests.py TREE")
+    sys.path.insert(0, str(Path(sys.argv[1]).resolve() / "src"))
+    from kfmetric.cli import main
+
+    with tempfile.TemporaryDirectory() as work, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        os.chdir(work)
+        print("\n".join(digests(main)))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kfmetric import cli
 from kfmetric.cli import _config_from_args, build_parser, main
 from kfmetric.config import PARSERS, RunConfig, load_config_file
 from kfmetric.data import Dataset, load_features, make_split, save_features
@@ -583,7 +584,14 @@ class TestExitCodes:
          ("cv", ["--q", "2", "--folds", "2"]), ("sweep", ["--method", "kfda", "--p-values", "1"])],
         ids=["train", "evaluate", "cv", "sweep"],
     )
-    def test_out_existing_file_exit_2(self, fixture_csv, tmp_path, capsys, command, extra):
+    def test_out_existing_file_exit_2(
+        self, fixture_csv, tmp_path, capsys, monkeypatch, command, extra
+    ):
+        # the output directory is checked before the run reads its features
+        def load_features(path):
+            raise AssertionError(f"{command} read {path} before checking --out")
+
+        monkeypatch.setattr(cli, "load_features", load_features)
         taken = tmp_path / "taken"
         taken.write_text("keep\n")
         argv = [command, "--features", fixture_csv, "--out", taken, "--trials", "1", *extra]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kfmetric import mkl
 from kfmetric.config import RunConfig
-from kfmetric.data import Dataset, make_split
+from kfmetric.data import Dataset, index_classes, make_split
 from kfmetric.errors import InputError
 from kfmetric.evaluation import fit_for_trial, rbf_bank
 from kfmetric.kernels import KernelSpec, gram, rms_width
@@ -450,6 +450,120 @@ class TestFoldPlan:
         rank1 = acc.plan.rank1(bank)
         assert [sol.A.shape[0] for sol in calls["solve_kfda"]] == sizes * len(used)
         assert np.array_equal(rank1, acc.per_fold, equal_nan=True)
+
+
+def _reference_folds(ds, train_ids, folds, seed, probe_camera, gallery_camera):
+    """The fold rule built naively: per-identity dataset scans, then a map to pool positions.
+
+    Returns the pool's dataset indices, one (number, rows, bounds, training
+    dataset indices, probe and gallery dataset indices) tuple per used fold,
+    and the skip messages in order.
+    """
+    ids = sorted(train_ids)
+
+    def scan(group, camera=None):
+        return sorted(k for i in group for k in ds.samples_of([i], camera))
+
+    pool = scan(ids)
+    pos = {k: p for p, k in enumerate(pool)}
+    used, notes = [], []
+    for f, held in enumerate(cv_fold_groups(ids, folds, seed)):
+        if len(held) < 2:
+            notes.append(f"fold {f} holds out {len(held)} identity; rank-1 is degenerate, skipping")
+            continue
+        if len(ids) - len(held) < 2:
+            notes.append(f"fold {f} leaves fewer than 2 training classes, skipping")
+            continue
+        train = scan([i for i in ids if i not in held])
+        probe, gallery = scan(held, probe_camera), scan(held, gallery_camera)
+        if not probe or not gallery:
+            notes.append(f"fold {f} has an empty probe or gallery set, skipping")
+            continue
+        rows = [pos[k] for k in train + probe + gallery]
+        used.append((f, rows, (len(train), len(train) + len(probe)), train, probe, gallery))
+    return pool, used, notes
+
+
+def _without_camera(ds, dropped, camera):
+    """``ds`` without the ``camera`` samples of the identities in ``dropped``."""
+    keep = [k for k in range(ds.n_samples)
+            if not (ds.identities[k] in dropped and ds.cameras[k] == camera)]
+    return Dataset(ds.features[keep], tuple(ds.identities[k] for k in keep),
+                   tuple(ds.cameras[k] for k in keep))
+
+
+def _fold_cases():
+    three = make_synthetic(60, 3, 20, noise=0.6, view_offset=30.0, seed=0)
+    three_ids = make_split(three, 0, 0.5).train_ids
+    two = make_synthetic(30, 2, 4, noise=0.3, view_offset=5.0, seed=1)
+    lacking = _without_camera(two, set(sorted(set(two.identities))[::3]), 1)
+    small = make_synthetic(12, 2, 4, noise=0.05, view_offset=0.0, seed=2)
+    small_ids = sorted(set(small.identities))
+    held = set(cv_fold_groups(small_ids, 3, 0)[1])
+    uneven = make_synthetic(23, 2, 4, noise=0.3, view_offset=5.0, seed=5)
+    return {
+        "three-view": (three, three_ids, 10, 0, 0, 1),
+        "three-view-cams-2-0": (three, three_ids, 10, 4, 2, 0),
+        "lacking-camera-1": (lacking, set(lacking.identities), 5, 3, 0, 1),
+        "23-in-10": (uneven, set(uneven.identities), 10, 1, 0, 1),
+        "holds-out-one": (small, small_ids, 10, 0, 0, 1),
+        "empty-gallery": (_without_camera(small, held, 1), small_ids, 3, 0, 0, 1),
+        "all-skipped-few-training": (small, small_ids[:3], 2, 0, 0, 1),
+        "all-skipped-no-gallery": (small, small_ids, 4, 0, 0, 7),
+    }
+
+
+FOLD_CASES = _fold_cases()
+
+
+class TestMakeFolds:
+    """_make_folds against the naive reference, field by field and warning by warning."""
+
+    @pytest.mark.parametrize("case", list(FOLD_CASES))
+    def test_matches_naive_reference(self, case):
+        ds, train_ids, folds, seed, probe_cam, gallery_cam = FOLD_CASES[case]
+        ref_pool, ref_used, notes = _reference_folds(
+            ds, train_ids, folds, seed, probe_cam, gallery_cam
+        )
+        assert bool(ref_used) == ("skipped" not in case)
+
+        def plan():  # stands where cv_kernel_accuracies calls _make_folds
+            return mkl._make_folds(ds, train_ids, folds, seed, probe_cam, gallery_cam)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if ref_used:
+                pool, used = plan()
+            else:
+                with pytest.raises(InputError, match="every cross-validation fold was skipped"):
+                    plan()
+        assert [str(w.message) for w in caught] == notes
+        # stacklevel: each warning names the line that called plan, not plan's own line
+        plan_body = plan.__code__.co_firstlineno + 1
+        assert all(
+            w.category is UserWarning and w.filename == __file__ and w.lineno > plan_body
+            for w in caught
+        )
+        if not ref_used:
+            return
+        assert np.array_equal(pool, ref_pool)
+        assert len(used) == len(ref_used)
+        for fold, (number, rows, bounds, train, probe, gallery) in zip(used, ref_used):
+            assert fold.number == number
+            assert fold.rows.dtype == np.intp and np.array_equal(fold.rows, rows)
+            assert fold.bounds == bounds
+            want = index_classes(ds, train)
+            assert (fold.idx.classes, fold.idx.counts) == (want.classes, want.counts)
+            assert len(fold.idx.groups) == len(want.groups)
+            for (cls, members), (want_cls, want_members) in zip(fold.idx.groups, want.groups):
+                assert np.array_equal(cls, want_cls) and np.array_equal(members, want_members)
+            assert np.array_equal(fold.probe_ids, ds.identity_codes[probe])
+            assert np.array_equal(fold.gallery_ids, ds.identity_codes[gallery])
+
+    def test_cases_reach_every_skip(self):
+        notes = " ".join(" ".join(_reference_folds(*c)[2]) for c in FOLD_CASES.values())
+        for rule in ("holds out 1 identity", "fewer than 2 training classes", "empty probe or gallery"):
+            assert rule in notes
 
 
 class TestMklConfig:
