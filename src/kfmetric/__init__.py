@@ -10,10 +10,10 @@ from .config import RunConfig
 from .data import ClassIndex, Dataset, SplitPlan, index_classes, load_features, make_split
 from .errors import InputError, NumericError
 from .evaluation import CmcReport, cmc_from_ranks, dimension_sweep, run_trials
-from .kernels import KernelSpec, gram, rms_width, width_grid
+from .kernels import KernelAccuracies, KernelSpec, MklConfig, gram, rms_width, width_grid
 from .kfda import KfdaModel, build_scatter, load_model, save_model, solve_kfda, train
 from .metric import embed_batch, score_matrix, true_ranks
-from .mkl import KernelAccuracies, MklConfig, cv_kernel_accuracies, np_weights, select_sm_pair
+from .mkl import cv_kernel_accuracies, np_weights, select_sm_pair
 from .synthetic import make_synthetic
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import METHODS, PARSERS, RunConfig, resolve_config
-from .data import load_features, make_split, save_features
+from .data import load_features, make_split, open_output, save_features
 from .errors import InputError, NumericError
 from .evaluation import (
     cv_for_trial,
@@ -25,7 +25,6 @@ from .evaluation import (
     write_cmc_csv,
     write_sweep_csv,
 )
-from .kernels import KernelSpec
 from .kfda import load_model, save_model
 from .mkl import build_config, write_cv_csv
 from .synthetic import make_synthetic
@@ -101,16 +100,6 @@ def _print_summary(report) -> None:
             print(f"rank-{k} {100.0 * report.rank_accuracy(k):.2f}%")
 
 
-def _describe_kernel(kernel) -> str:
-    if isinstance(kernel, KernelSpec):
-        return f"{kernel.kind} width={kernel.width!r}"
-    if kernel.variant == "np":
-        active = [(t, w) for t, w in enumerate(kernel.weights) if w != 0.0]
-        terms = ", ".join(f"k{t}:{w!r}" for t, w in active)
-        return f"np N={kernel.n_top} weights {terms}"
-    return f"sm pair={kernel.pair} tau={kernel.tau!r}"
-
-
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     if cfg.method == "euclidean":
@@ -132,10 +121,11 @@ def cmd_train(args) -> int:
         f"method={cfg.method}",
         f"n_train={model.n_train}",
         f"p={model.p}",
-        f"kernel={_describe_kernel(model.kernel_config)}",
+        f"kernel={model.kernel_config.describe()}",
         f"eigval_max={float(model.eigvals[0])!r}",
     ]
-    (out / "train.log").write_text("\n".join(log_lines) + "\n")
+    with open_output(out / "train.log", "training log") as fh:
+        fh.write("\n".join(log_lines) + "\n")
     print(f"config_digest {cfg.digest()}")
     print(f"model {model_path}")
     return 0

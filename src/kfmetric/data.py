@@ -199,16 +199,19 @@ def load_features(path) -> Dataset:
     return Dataset(np.array(rows, dtype=np.float64), tuple(ids), tuple(cams))
 
 
+def open_output(path, what: str):
+    """``path`` opened to write UTF-8 text; InputError, naming ``what`` and path, if it cannot be."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {what} {path}: {exc.strerror}") from None
+
+
 def save_features(ds: Dataset, path) -> None:
     """Write a Dataset as a feature CSV, floats round-tripping exactly; InputError if unwritable."""
-    d = ds.dim
-    try:
-        fh = open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot write feature file {path}: {exc.strerror}") from None
-    with fh:
+    with open_output(path, "feature file") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "cam"] + [f"f{j + 1}" for j in range(d)])
+        writer.writerow(["id", "cam"] + [f"f{j + 1}" for j in range(ds.dim)])
         for i in range(ds.n_samples):
             writer.writerow(
                 [ds.identities[i], ds.cameras[i]] + [repr(float(v)) for v in ds.features[i]]

@@ -21,13 +21,13 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .config import METHODS, RunConfig
-from .data import Dataset, SplitPlan, eligible_identities, make_split
+from .data import Dataset, SplitPlan, eligible_identities, make_split, open_output
 from .errors import InputError, NumericError
-from .kernels import MAX_RBF_WIDTH, KernelSpec, rms_width, squared_distances, width_grid
+from .kernels import MAX_RBF_WIDTH, KernelAccuracies, KernelSpec, _is_int, rms_width
+from .kernels import squared_distances, width_grid
 from .kfda import KfdaModel, train
 from .metric import euclidean_score_matrix, embed_batch, score_matrix, true_ranks
-from .mkl import build_config as build_mkl_config
-from .mkl import KernelAccuracies, _is_int, cv_kernel_accuracies
+from .mkl import build_config as build_mkl_config, cv_kernel_accuracies
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def dimension_sweep(
 
 def write_cmc_csv(report: CmcReport, path) -> None:
     """CMC table: rank, mean accuracy, then one column per trial."""
-    with open(path, "w", newline="") as fh:
+    with open_output(path, "CMC table") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["rank", "mean_accuracy"] + [f"trial_{t + 1}" for t in range(report.trials)]
@@ -241,7 +241,7 @@ def write_cmc_csv(report: CmcReport, path) -> None:
 
 def write_sweep_csv(rows, path) -> None:
     """Sweep table: subspace dimension and its mean rank-1 accuracy."""
-    with open(path, "w", newline="") as fh:
+    with open_output(path, "sweep table") as fh:
         writer = csv.writer(fh)
         writer.writerow(["p", "rank1_mean"])
         for p, rank1 in rows:

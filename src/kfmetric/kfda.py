@@ -30,6 +30,9 @@ class index, numpy style: a (..., n, n) Gram gives a ScatterPair of
 coefficients. Every matrix of a stack gets the bits a 2-D call on it gets,
 and a 2-D input gives 2-D results. Cross-validation scores a fold's
 candidate kernels as one stack; only the LAPACK calls loop over it.
+A model uses its kernel configuration only through ``specs``, ``fuse``,
+``fold`` and ``to_dict``, and :func:`load_model` reads one back by
+:func:`~kfmetric.kernels.config_from_dict`, so no configuration type is named here.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .data import ClassIndex, Dataset, SplitPlan, index_classes
+from .data import ClassIndex, Dataset, SplitPlan, index_classes, open_output
 from .errors import InputError, NumericError
-from .kernels import KernelSpec, grams
+from .kernels import config_from_dict, grams
 
 DEFAULT_EPS = 1e-7
 
@@ -332,8 +335,7 @@ def train(
 ) -> KfdaModel:
     """Fit a discriminant model on the plan's training identities.
 
-    ``kernel`` is anything exposing specs/fuse/fold (a KernelSpec or a
-    learned multi-kernel configuration). ``p`` defaults to c - 1.
+    ``kernel`` is a kernel configuration (see :mod:`kfmetric.kernels`); ``p`` defaults to c - 1.
     """
     train_idx = ds.samples_of(plan.train_ids)
     if not train_idx:
@@ -364,7 +366,7 @@ def save_model(model: KfdaModel, path, meta: dict | None = None) -> None:
         "meta": meta or {},
     }
     text = json.dumps(doc)  # the C encoder; json.dump would run the pure-Python one
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path, "model file") as fh:
         fh.write(text)
         fh.write("\n")
 
@@ -423,23 +425,7 @@ def load_model(path) -> tuple[KfdaModel, dict]:
     n, d, p = doc["n"], doc["d"], doc["p"]
     if p < 1:
         raise InputError(f"{path}: field 'p' must be >= 1, got {p}")
-    cfg_doc = doc["kernel_config"]
-    if cfg_doc.get("type") == "kernel":
-        parse = KernelSpec.from_dict
-    elif cfg_doc.get("type") == "mkl":
-        from .mkl import MklConfig  # deferred: mkl depends on this module
-
-        parse = MklConfig.from_dict
-    else:
-        raise InputError(f"{path}: unknown kernel config type {cfg_doc.get('type')!r}")
-    try:
-        kernel = parse(cfg_doc)
-    except InputError:  # a ValueError subclass that already names the problem
-        raise
-    except KeyError as exc:
-        raise InputError(f"{path}: kernel_config lacks field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: malformed kernel_config: {exc}") from None
+    kernel = config_from_dict(doc["kernel_config"], path)
     A = _model_array(doc, "A", (n, p), path)
     eigvals = _model_array(doc, "eigvals", (p,), path)
     if (eigvals[1:] > eigvals[:-1]).any():

@@ -11,207 +11,28 @@ Fisher-solve call, one distance and one :func:`~kfmetric.metric.true_ranks`
 call per stack, and one stack per fold unless the fold is large.
 :func:`build_config` is the one N or tau search.
 
-Two combination strategies are supported:
+Each learned combination is a :class:`~kfmetric.kernels.MklConfig`:
 
 * truncated proportional weights over the N best kernels, with the
-  (N+1)-th best accuracy as the threshold (weights of all other kernels
-  are zero);
-* squared-matrix fusion of the best two kernels with a cross-validated
-  scale tau on the squared-difference term.
-
-``MklConfig.fuse`` (the fused Gram over a basis) and ``MklConfig.fold`` (the
-per-kernel coefficient blocks a trained model embeds with) are the only code
-that combines Grams.
+  (N+1)-th best accuracy as the threshold (:func:`np_weights`);
+* squared-matrix fusion of the best two kernels (:func:`select_sm_pair`)
+  with a cross-validated scale tau on the squared-difference term.
 """
 
 from __future__ import annotations
 
 import csv
-import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import DEFAULT_TAU_GRID, default_n_grid
-from .data import ClassIndex, Dataset, default_cameras, index_classes
-from .errors import InputError, NumericError
-from .kernels import KernelSpec, grams, squared_distances
+from .data import ClassIndex, Dataset, default_cameras, index_classes, open_output
+from .errors import InputError
+from .kernels import KernelAccuracies, KernelSpec, MklConfig, grams, squared_distances
 from .kfda import build_scatter, solve_kfda
 from .metric import true_ranks
-
-
-@dataclass(frozen=True)
-class KernelAccuracies:
-    """Cross-validated rank-1 accuracy per kernel in a bank."""
-
-    pis: tuple[float, ...]
-    folds: int
-    fold_seed: int
-    # (q, folds) raw fold scores, NaN for skipped folds; report detail only
-    per_fold: np.ndarray | None = field(default=None, compare=False, repr=False)
-    # the fold plan that scored them, for build_config's search; never persisted
-    plan: _FoldPlan | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.pis) < 1:
-            raise InputError("need at least one kernel accuracy")
-        if not all(_is_real(v) for v in self.pis):
-            raise InputError(f"accuracies must be numbers, got {list(self.pis)!r}")
-        if any(not 0.0 <= v <= 1.0 for v in self.pis):
-            raise InputError("accuracies must lie in [0, 1]")
-        if not (_is_int(self.folds) and _is_int(self.fold_seed)):
-            raise InputError(
-                f"folds and fold_seed must be integers, got {self.folds!r} and {self.fold_seed!r}"
-            )
-
-    @property
-    def q(self) -> int:
-        return len(self.pis)
-
-
-def _is_int(v) -> bool:
-    """An integer that is not a bool (JSON true/false would pass int())."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    """A real number that is not a bool (JSON true/false and "0.5" would pass float())."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-@dataclass(frozen=True)
-class MklConfig:
-    """A learned multi-kernel combination over a fixed bank of specs.
-
-    variant 'np': convex weights over the bank, exactly n_top nonzero.
-    variant 'sm': squared-matrix fusion of bank kernels ``pair`` with scale tau.
-    The other variant's fields must be None.
-    """
-
-    variant: str
-    bank_specs: tuple[KernelSpec, ...]
-    weights: tuple[float, ...] | None = None
-    n_top: int | None = None
-    pair: tuple[int, int] | None = None
-    tau: float | None = None
-    accuracies: KernelAccuracies | None = None
-
-    def __post_init__(self):
-        q = len(self.bank_specs)
-        if q < 1:
-            raise InputError("bank must contain at least one kernel")
-        if self.variant not in ("np", "sm"):
-            raise InputError(f"unknown mkl variant {self.variant!r}")
-        other = ("pair", "tau") if self.variant == "np" else ("weights", "n_top")
-        extra = {f: getattr(self, f) for f in other if getattr(self, f) is not None}
-        if extra:
-            raise InputError(f"{self.variant} variant fields {other} must be None, got {extra}")
-        if self.variant == "np":
-            if self.weights is None or self.n_top is None:
-                raise InputError("np variant needs weights and n_top")
-            if not _is_int(self.n_top):
-                raise InputError(f"np n_top must be an integer, got {self.n_top!r}")
-            if not all(_is_real(v) for v in self.weights):
-                raise InputError(f"np weights must be numbers, got {list(self.weights)!r}")
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.shape != (q,) or not np.all(np.isfinite(w) & (w >= 0)):
-                raise InputError("np weights must be length-q, finite and non-negative")
-            if abs(float(w.sum()) - 1.0) > 1e-12:
-                raise InputError(f"np weights must sum to 1, got {w.sum()!r}")
-            if int(np.count_nonzero(w)) != min(self.n_top, q):
-                raise InputError(
-                    f"np weights must have exactly {min(self.n_top, q)} nonzero entries"
-                )
-            object.__setattr__(self, "weights", tuple(float(v) for v in w))
-        elif self.variant == "sm":
-            if self.pair is None or self.tau is None:
-                raise InputError("sm variant needs a kernel pair and tau")
-            if len(self.pair) != 2 or not all(_is_int(t) for t in self.pair):
-                raise InputError(f"sm pair must be two integer bank indices, got {self.pair}")
-            i, j = self.pair
-            if i == j or not (0 <= i < q and 0 <= j < q):
-                raise InputError(f"sm pair must be two distinct bank indices, got {self.pair}")
-            if not _is_real(self.tau):
-                raise InputError(f"tau must be a number, got {self.tau!r}")
-            if not 0 <= self.tau < np.inf:
-                raise InputError(f"tau must be finite and non-negative, got {self.tau}")
-            object.__setattr__(self, "pair", (int(i), int(j)))
-        object.__setattr__(self, "bank_specs", tuple(self.bank_specs))
-
-    @property
-    def specs(self) -> tuple[KernelSpec, ...]:
-        """The bank kernels this config fuses: the nonzero-weight np kernels, or the sm pair."""
-        if self.variant == "np":
-            return tuple(s for s, b in zip(self.bank_specs, self.weights) if b != 0.0)
-        return tuple(self.bank_specs[t] for t in self.pair)
-
-    def fuse(self, grams) -> np.ndarray:
-        """The fused square Gram over one basis.
-
-        ``grams[t]`` is the square Gram of ``specs[t]`` over the basis. np sums
-        them with the nonzero weights. sm fuses the pair as
-        0.5 (K_i + K_j) + tau (K_i - K_j)^2, which is PSD whenever both are
-        symmetric PSD, and symmetrizes it; a tau large enough to overflow raises.
-        """
-        if self.variant == "np":
-            beta = [b for b in self.weights if b != 0.0]
-            return sum(b * K for b, K in zip(beta, grams))
-        Ki, Kj = grams
-        D = Ki - Kj
-        out = 0.5 * (Ki + Kj) + self.tau * (D @ D)
-        out = 0.5 * (out + out.T)
-        if not np.isfinite(out).all():
-            raise NumericError("kernel matrix contains non-finite entries")
-        return out
-
-    def fold(self, A: np.ndarray, grams) -> tuple:
-        """One coefficient block A_t per spec over basis X: embed(Y) = sum_t k_t(Y, X) A_t.
-
-        np: A_t = beta_t A. sm: the fused cross kernel 0.5 (C_i + C_j) + tau (C_i - C_j) D,
-        with D = K_i - K_j over X, applied to A splits into
-        C_i (A/2 + tau D A) + C_j (A/2 - tau D A). ``grams`` yields the Gram
-        of each spec over X, as for :meth:`fuse`; only sm reads it.
-        """
-        if self.variant == "np":
-            return tuple(b * A for b in self.weights if b != 0.0)
-        Ki, Kj = grams
-        tDA = self.tau * ((Ki - Kj) @ A)
-        return (0.5 * A + tDA, 0.5 * A - tDA)
-
-    def to_dict(self) -> dict:
-        doc = {
-            "type": "mkl",
-            "variant": self.variant,
-            "bank_specs": [s.to_dict() for s in self.bank_specs],
-            "weights": list(self.weights) if self.weights is not None else None,
-            "n_top": self.n_top,
-            "pair": list(self.pair) if self.pair is not None else None,
-            "tau": self.tau,
-        }
-        if self.accuracies is not None:
-            doc["accuracies"] = {
-                "pis": list(self.accuracies.pis),
-                "folds": self.accuracies.folds,
-                "fold_seed": self.accuracies.fold_seed,
-            }
-        return doc
-
-    @staticmethod
-    def from_dict(d: dict) -> "MklConfig":
-        acc = None
-        if d.get("accuracies"):
-            a = d["accuracies"]
-            acc = KernelAccuracies(tuple(a["pis"]), a["folds"], a["fold_seed"])
-        return MklConfig(
-            variant=d["variant"],
-            bank_specs=tuple(KernelSpec.from_dict(s) for s in d["bank_specs"]),
-            weights=tuple(d["weights"]) if d.get("weights") is not None else None,
-            n_top=d.get("n_top"),
-            pair=tuple(d["pair"]) if d.get("pair") is not None else None,
-            tau=d.get("tau"),
-            accuracies=acc,
-        )
 
 
 def _ranked_indices(pis) -> list[int]:
@@ -503,7 +324,7 @@ def build_config(
 
 def write_cv_csv(acc: KernelAccuracies, path) -> None:
     """CV report: one row per (kernel, fold), then one 'mean' row per kernel."""
-    with open(path, "w", newline="") as fh:
+    with open_output(path, "CV report") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kernel", "fold", "rank1"])
         if acc.per_fold is not None:

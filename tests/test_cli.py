@@ -600,6 +600,24 @@ class TestExitCodes:
         assert f"cannot use {taken} as an output directory" in err
         assert taken.read_text() == "keep\n"
 
+    @pytest.mark.parametrize(
+        "command, extra, output",
+        [("train", ["--method", "kfda"], "model.json"),
+         ("train", ["--method", "kfda"], "train.log"),
+         ("evaluate", ["--method", "euclidean"], "cmc.csv"),
+         ("cv", ["--q", "2", "--folds", "2"], "cv.csv"),
+         ("sweep", ["--method", "kfda", "--p-values", "1"], "sweep.csv")],
+        ids=["train", "train-log", "evaluate", "cv", "sweep"],
+    )
+    def test_unwritable_output_exit_2(self, fixture_csv, tmp_path, capsys, command, extra, output):
+        # a directory stands where the command writes its output file
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)
+        argv = [command, "--features", fixture_csv, "--out", out, "--trials", "1", *extra]
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write " in err and f"{out / output}: " in err
+
     def test_stdout_clean_on_error(self, tmp_path):
         proc = run_cli(
             "evaluate", "--method", "kfda", "--features", tmp_path / "none.csv",
@@ -663,7 +681,14 @@ def _with_accuracies(doc, **fields):
 @pytest.mark.parametrize(
     "method, corrupt, message",
     [
-        ("kfda", lambda doc: _without(doc, "kernel_config", "width"), "lacks field 'width'"),
+        ("kfda", lambda doc: _without(doc, "kernel_config", "width"),
+         "{path}: kernel_config lacks field 'width'"),
+        ("kfda", lambda doc: _with_config(doc, type="svm"),
+         "{path}: unknown kernel config type 'svm'"),
+        ("sm-mfml", lambda doc: _without(doc, "kernel_config", "type"),
+         "{path}: unknown kernel config type None"),
+        ("sm-mfml", lambda doc: _with_config(doc, bank_specs=4),
+         "{path}: malformed kernel_config: "),
         ("kfda", lambda doc: [doc], "not a kfmetric-model file"),
         ("kfda", lambda doc: _without(doc, "A"), "lacks field 'A'"),
         ("kfda", lambda doc: {**doc, "p": doc["p"] + 1}, "'A' has shape"),
@@ -705,7 +730,8 @@ def _with_accuracies(doc, **fields):
         ("kfda", lambda doc: {**doc, "eigvals": [float(k) for k in range(doc["p"])]},
          "'eigvals' must be non-increasing"),
     ],
-    ids=["no-kernel-width", "json-list", "no-A", "p-mismatch", "seed-string", "seed-bool",
+    ids=["no-kernel-width", "kernel-type-unknown", "kernel-type-missing", "bank-not-list",
+         "json-list", "no-A", "p-mismatch", "seed-string", "seed-bool",
          "fraction-list", "seed-negative", "p-zero", "width-bool", "width-huge", "sm-pair-float",
          "sm-pair-bool", "sm-tau-bool", "np-n-top-bool", "np-weights-string", "np-weights-bool",
          "pis-bool", "folds-string", "folds-float", "fold-seed-bool", "sm-with-np-weights",
@@ -718,7 +744,7 @@ def test_malformed_model_file_exit_2(model_doc, mkl_model_paths, fixture_csv, tm
     bad.write_text(json.dumps(corrupt(doc)))
     proc = run_cli("evaluate", "--features", fixture_csv, "--out", tmp_path / "ev", "--model", bad)
     assert proc.returncode == 2, proc.stderr
-    assert message in proc.stderr
+    assert message.format(path=bad) in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -11,7 +11,7 @@ from kfmetric.config import RunConfig
 from kfmetric.data import Dataset, index_classes, make_split
 from kfmetric.errors import InputError
 from kfmetric.evaluation import fit_for_trial, rbf_bank
-from kfmetric.kernels import KernelSpec, gram, rms_width
+from kfmetric.kernels import KernelSpec, config_from_dict, gram, rms_width
 from kfmetric.kfda import load_model, save_model
 from kfmetric.mkl import (
     KernelAccuracies,
@@ -609,10 +609,10 @@ class TestMklConfig:
         cfg = MklConfig(
             "np", self._bank(2)[:2], weights=(1.0, 0.0), n_top=1, accuracies=acc
         )
-        again = MklConfig.from_dict(cfg.to_dict())
+        again = config_from_dict(cfg.to_dict(), "doc")
         assert again == cfg
         sm = MklConfig("sm", self._bank(2), pair=(0, 1), tau=0.25)
-        assert MklConfig.from_dict(sm.to_dict()) == sm
+        assert config_from_dict(sm.to_dict(), "doc") == sm
 
 
 class TestBuildConfig:

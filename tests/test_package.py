@@ -1,9 +1,15 @@
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 
 import kfmetric
 from kfmetric import data, evaluation, kernels, kfda, metric
+
+# each module imports only modules before it; the package root and __main__ are entry points
+LAYERS = ("errors", "config", "data", "synthetic", "kernels", "kfda", "metric", "mkl",
+          "evaluation", "cli", "__main__", "__init__")
 
 
 def test_every_export_resolves():
@@ -39,3 +45,46 @@ def test_parameter_names_read_by_perfbench(tmp_path):
     model, _ = kfda.load_model(path)
     for name in ("A", "eigvals", "train_basis", "kernel_config"):
         assert getattr(model, name) is not None
+    # the sm_query set-up builds its kernel from the package root by keyword
+    sm = kfmetric.MklConfig(
+        variant="sm", bank_specs=(kernels.KernelSpec("rbf", 2.0), kernels.KernelSpec("rbf", 8.0)),
+        pair=(1, 0), tau=0.5,
+    )
+    kfda.save_model(kfda.train(ds, plan, sm), path)
+    assert kfda.load_model(path)[0].kernel_config == sm
+
+
+def _package_imports(tree):
+    """(import node, the kfmetric module it reads) for every package import in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            path = node.module or ""
+            if not node.level:
+                if path.split(".")[0] != "kfmetric":
+                    continue
+                path = path[len("kfmetric.") :]
+            names = [path] if path else [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name[len("kfmetric.") :] for a in node.names
+                     if a.name.split(".")[0] == "kfmetric"]
+        else:
+            continue
+        for name in names:
+            first = name.split(".")[0]
+            yield node, first if first in LAYERS else "__init__"
+
+
+def test_imports_follow_the_layer_order():
+    """Every package import sits at module level and names a module earlier in LAYERS."""
+    src = Path(kfmetric.__file__).parent
+    assert sorted(LAYERS) == sorted(f.stem for f in src.glob("*.py"))
+    wrong = []
+    for name in LAYERS:
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        top = set(map(id, tree.body))
+        for node, target in _package_imports(tree):
+            if id(node) not in top:
+                wrong.append(f"{name}:{node.lineno} imports {target} inside a block")
+            if LAYERS.index(target) >= LAYERS.index(name):
+                wrong.append(f"{name}:{node.lineno} imports {target}, which is not below it")
+    assert wrong == []
