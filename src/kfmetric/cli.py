@@ -162,15 +162,15 @@ def cmd_cv(args) -> int:
     cfg = _config_from_args(args)
     out = _out_dir(cfg.out)
     ds = load_features(cfg.features)
-    acc = cv_for_trial(ds, make_split(ds, cfg.base_seed, cfg.train_fraction), cfg)
+    cv = cv_for_trial(ds, make_split(ds, cfg.base_seed, cfg.train_fraction), cfg)
     cv_path = out / "cv.csv"
-    write_cv_csv(acc, cv_path)
+    write_cv_csv(cv, cv_path)
     print(f"config_digest {cfg.digest()}")
-    for r, (spec, pi) in enumerate(zip(acc.plan.bank, acc.pis)):
+    for r, (spec, pi) in enumerate(zip(cv.bank, cv.accuracies.pis)):
         print(f"kernel {r} width={spec.width!r} rank1 {pi!r}")
-    if acc.q >= 2:
-        np_cfg = build_config("np", acc, n_grid=cfg.n_grid)
-        sm_cfg = build_config("sm", acc, tau_grid=cfg.tau_grid)
+    if len(cv.bank) >= 2:
+        np_cfg = build_config("np", cv, n_grid=cfg.n_grid)
+        sm_cfg = build_config("sm", cv, tau_grid=cfg.tau_grid)
         print(f"chosen_N {np_cfg.n_top}")
         print(f"chosen_pair {sm_cfg.pair[0]},{sm_cfg.pair[1]}")
         print(f"chosen_tau {sm_cfg.tau!r}")

@@ -23,11 +23,11 @@ import numpy as np
 from .config import METHODS, RunConfig
 from .data import Dataset, SplitPlan, eligible_identities, make_split, open_output
 from .errors import InputError, NumericError
-from .kernels import MAX_RBF_WIDTH, KernelAccuracies, KernelSpec, _is_int, rms_width
+from .kernels import MAX_RBF_WIDTH, KernelSpec, _is_int, rms_width
 from .kernels import squared_distances, width_grid
 from .kfda import KfdaModel, train
 from .metric import euclidean_score_matrix, embed_batch, score_matrix, true_ranks
-from .mkl import build_config as build_mkl_config, cv_kernel_accuracies
+from .mkl import FoldPlan, build_config as build_mkl_config, cv_kernel_accuracies
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ def fit_for_trial(ds: Dataset, plan: SplitPlan, method: str, cfg: RunConfig) -> 
     return train(ds, plan, mkl_cfg, cfg.eps, cfg.p)
 
 
-def cv_for_trial(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> KernelAccuracies:
-    """The trial's CV step: its rbf bank's accuracies, with the plan's seed and cameras."""
+def cv_for_trial(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> FoldPlan:
+    """The trial's CV step: its rbf bank's scored fold plan, with the split's seed and cameras."""
     bank = rbf_bank(ds, ds.samples_of(plan.train_ids), cfg)
     return cv_kernel_accuracies(
         ds, plan.train_ids, bank, cfg.folds, plan.trial_seed, cfg.eps,

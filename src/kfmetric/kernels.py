@@ -4,7 +4,9 @@ A kernel configuration, the kernel KFDA learns its metric over, is a :class:`Ker
 an :class:`MklConfig` over a bank (which :mod:`kfmetric.mkl` learns). Both expose ``specs``,
 ``fuse``, ``fold``, ``to_dict`` and ``describe``, and :func:`config_from_dict` is the one parser
 of their documents, so no other module tells them apart. ``MklConfig.fuse`` and
-``MklConfig.fold`` are the only code that combines Grams.
+``MklConfig.fold`` are the only code that combines Grams. An MklConfig keeps the
+:class:`KernelAccuracies` it was learned from: only what a model file stores of them, while
+the fold plan that scored them is :mod:`kfmetric.mkl`'s.
 
 A Gram is a plain read-only float64 ndarray, checked finite when it is built.
 :func:`grams` builds the blocks of several specs over one (rows, cols) pair
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,15 +102,11 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class KernelAccuracies:
-    """Cross-validated rank-1 accuracy per kernel in a bank."""
+    """Cross-validated rank-1 accuracy per kernel in a bank, and the folds and seed behind it."""
 
     pis: tuple[float, ...]
     folds: int
     fold_seed: int
-    # (q, folds) raw fold scores, NaN for skipped folds; report detail only
-    per_fold: np.ndarray | None = field(default=None, compare=False, repr=False)
-    # mkl's fold plan that scored them, for build_config's search; never persisted
-    plan: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.pis) < 1:
@@ -120,6 +118,10 @@ class KernelAccuracies:
         if not (_is_int(self.folds) and _is_int(self.fold_seed)):
             raise InputError(
                 f"folds and fold_seed must be integers, got {self.folds!r} and {self.fold_seed!r}"
+            )
+        if self.folds < 2 or self.fold_seed < 0:
+            raise InputError(
+                f"folds must be >= 2 and fold_seed >= 0, got {self.folds} and {self.fold_seed}"
             )
 
     @property
@@ -194,6 +196,8 @@ class MklConfig:
             if not 0 <= self.tau < np.inf:
                 raise InputError(f"tau must be finite and non-negative, got {self.tau}")
             object.__setattr__(self, "pair", (int(i), int(j)))
+        if self.accuracies is not None and self.accuracies.q != q:
+            raise InputError(f"accuracies hold {self.accuracies.q} pis for a {q}-kernel bank")
         object.__setattr__(self, "bank_specs", tuple(self.bank_specs))
 
     @property

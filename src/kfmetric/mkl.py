@@ -4,8 +4,10 @@ Identities (not samples) are partitioned into folds, so each held-out fold
 contains classes unseen by that fold's model, mirroring the probe/gallery
 protocol. Each kernel's accuracy pi_r is its mean held-out rank-1 score.
 Every cross-validated choice of a trial (pi_r, then N or tau) is scored on
-one fold plan, which :func:`cv_kernel_accuracies` builds once with its pool
-Grams; each fold's rows are positions in that pool. One loop over the folds
+one :class:`FoldPlan`, which :func:`cv_kernel_accuracies` builds once with its
+pool Grams and returns as the trial's CV result: the plan scores the bank when
+it is built and holds the persisted :class:`~kfmetric.kernels.KernelAccuracies`.
+Each fold's rows are positions in the pool. One loop over the folds
 scores the candidate configurations of a fold in stacks: one scatter, one
 Fisher-solve call, one distance and one :func:`~kfmetric.metric.true_ranks`
 call per stack, and one stack per fold unless the fold is large.
@@ -23,14 +25,14 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TAU_GRID, default_n_grid
 from .data import ClassIndex, Dataset, default_cameras, index_classes, open_output
 from .errors import InputError
-from .kernels import KernelAccuracies, KernelSpec, MklConfig, grams, squared_distances
+from .kernels import KernelAccuracies, MklConfig, grams, squared_distances
 from .kfda import build_scatter, solve_kfda
 from .metric import true_ranks
 
@@ -184,21 +186,26 @@ def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gal
 _STACK_BYTES = 1 << 20
 
 
-@dataclass(eq=False)
-class _FoldPlan:
-    """One trial's CV setting, built once: its used folds, eps, the bank and its pool Grams.
+class FoldPlan:
+    """One trial's CV result: its used folds, eps, the bank, its pool Grams and their scores.
 
     ``pool`` holds each distinct bank kernel's Gram over the CV pool, all
     computed from one distance matrix, so every stage of the trial (pi_r,
     then N or tau) scores its candidates on the same folds without
-    recomputing a pool Gram: every candidate fuses bank kernels.
+    recomputing a pool Gram: every candidate fuses bank kernels. The bank is
+    scored when the plan is built: ``bank_rank1`` is its (q, folds) rank-1
+    array, NaN on skipped folds, and ``accuracies`` its mean per kernel.
     """
 
-    folds: int  # planned folds, skipped ones included
-    used: list[_Fold]
-    eps: float
-    bank: tuple[KernelSpec, ...]
-    pool: dict  # bank spec -> its Gram over the CV pool
+    def __init__(self, folds: int, seed: int, used: list[_Fold], eps: float, bank, pool: dict):
+        self.folds = folds  # planned folds, skipped ones included
+        self.used = used
+        self.eps = eps
+        self.bank = tuple(bank)
+        self.pool = pool  # bank spec -> its Gram over the CV pool
+        self.bank_rank1 = self.rank1(self.bank)
+        pis = tuple(float(v) for v in _mean_rank1(self.bank_rank1))
+        self.accuracies = KernelAccuracies(pis=pis, folds=folds, fold_seed=seed)
 
     def rank1(self, kernels) -> np.ndarray:
         """Held-out rank-1 of every kernel config on every fold: a (configs, folds) array.
@@ -259,41 +266,34 @@ def cv_kernel_accuracies(
     eps: float,
     probe_camera: int | None = None,
     gallery_camera: int | None = None,
-) -> KernelAccuracies:
-    """Mean held-out rank-1 accuracy of each kernel spec in ``bank``.
+) -> FoldPlan:
+    """The trial's fold plan, with the mean held-out rank-1 accuracy of each spec in ``bank``.
 
-    The result carries the trial's fold plan, so :func:`build_config` runs
-    its N or tau search on the same folds and pool Grams.
+    :func:`build_config` runs its N or tau search on the plan's folds and pool Grams.
     """
     if probe_camera is None or gallery_camera is None:
         probe_camera, gallery_camera = default_cameras(ds)
     pool_idx, used = _make_folds(ds, train_ids, folds, seed, probe_camera, gallery_camera)
     specs = list(dict.fromkeys(bank))
     pool = dict(zip(specs, grams(specs, ds.features[pool_idx])))
-    plan = _FoldPlan(folds, used, eps, tuple(bank), pool)
-    per_fold = plan.rank1(plan.bank)
-    pis = tuple(float(v) for v in _mean_rank1(per_fold))
-    return KernelAccuracies(pis=pis, folds=folds, fold_seed=seed, per_fold=per_fold, plan=plan)
+    return FoldPlan(folds, seed, used, eps, bank, pool)
 
 
 def build_config(
-    variant: str, acc: KernelAccuracies, n_grid=None, tau_grid=DEFAULT_TAU_GRID
+    variant: str, plan: FoldPlan, n_grid=None, tau_grid=DEFAULT_TAU_GRID
 ) -> MklConfig:
-    """The np or sm config whose N or tau has the best mean CV rank-1 on ``acc``'s fold plan.
+    """The np or sm config whose N or tau has the best mean CV rank-1 on fold plan ``plan``.
 
     np weighs the N best kernels by :func:`np_weights`; sm fuses the two best
     with scale tau. Ties pick the smallest N or tau; one candidate needs no
     CV. N = 1 is the best kernel at weight 1.0, so its fold row is taken from
-    ``acc.per_fold`` unsolved. The config keeps ``acc`` without its fold plan,
-    so it holds no pool Gram. Uniform np weights (see :func:`np_weights`) are
+    ``plan.bank_rank1`` unsolved. The config keeps the plan's accuracies, which
+    hold no pool Gram. Uniform np weights (see :func:`np_weights`) are
     reported once, for the chosen N only, at the line that called this.
     """
     if variant not in ("np", "sm"):
         raise InputError(f"unknown mkl variant {variant!r}")
-    plan = acc.plan
-    if plan is None:
-        raise InputError("accuracies without a fold plan; compute them by cv_kernel_accuracies")
-    acc = replace(acc, plan=None)
+    acc = plan.accuracies
     fallback = {}  # np candidate -> why its weights are uniform, reported if it wins
     if variant == "np":
         n_grid = default_n_grid(acc.q) if n_grid is None else n_grid
@@ -314,7 +314,7 @@ def build_config(
     best = candidates[0]
     if len(candidates) > 1:
         solved = iter(plan.rank1([c for c in candidates if c.n_top != 1]))
-        top = acc.per_fold[_ranked_indices(acc.pis)[0]]
+        top = plan.bank_rank1[_ranked_indices(acc.pis)[0]]
         rank1 = np.array([top if c.n_top == 1 else next(solved) for c in candidates])
         best = candidates[int(np.argmax(_mean_rank1(rank1)))]
     if fallback.get(best.n_top):
@@ -322,16 +322,14 @@ def build_config(
     return best
 
 
-def write_cv_csv(acc: KernelAccuracies, path) -> None:
-    """CV report: one row per (kernel, fold), then one 'mean' row per kernel."""
+def write_cv_csv(plan: FoldPlan, path) -> None:
+    """CV report of a fold plan: one row per (kernel, used fold), then one 'mean' row per kernel."""
     with open_output(path, "CV report") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kernel", "fold", "rank1"])
-        if acc.per_fold is not None:
-            for r in range(acc.q):
-                for f in range(acc.per_fold.shape[1]):
-                    v = acc.per_fold[r, f]
-                    if not np.isnan(v):
-                        writer.writerow([r, f, repr(float(v))])
-        for r, pi in enumerate(acc.pis):
+        for r, row in enumerate(plan.bank_rank1):
+            for f, v in enumerate(row):
+                if not np.isnan(v):
+                    writer.writerow([r, f, repr(float(v))])
+        for r, pi in enumerate(plan.accuracies.pis):
             writer.writerow([r, "mean", repr(float(pi))])

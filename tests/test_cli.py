@@ -723,6 +723,17 @@ def _with_accuracies(doc, **fields):
          "folds and fold_seed must be integers"),
         ("np-mfml", lambda doc: _with_accuracies(doc, fold_seed=True),
          "folds and fold_seed must be integers"),
+        ("sm-mfml", lambda doc: _with_accuracies(doc, pis=[0.5]),
+         "accuracies hold 1 pis for a 4-kernel bank"),
+        ("np-mfml", lambda doc: _with_accuracies(
+            doc, pis=doc["kernel_config"]["accuracies"]["pis"] * 2),
+         "accuracies hold 8 pis for a 4-kernel bank"),
+        ("sm-mfml", lambda doc: _with_accuracies(doc, folds=-5),
+         "folds must be >= 2 and fold_seed >= 0, got -5 and "),
+        ("np-mfml", lambda doc: _with_accuracies(doc, folds=1),
+         "folds must be >= 2 and fold_seed >= 0, got 1 and "),
+        ("sm-mfml", lambda doc: _with_accuracies(doc, fold_seed=-1),
+         "folds must be >= 2 and fold_seed >= 0, got 4 and -1"),
         ("sm-mfml", lambda doc: _with_config(doc, weights=[True]),
          "sm variant fields ('weights', 'n_top') must be None"),
         ("np-mfml", lambda doc: _with_config(doc, pair=[True, "y"], tau="x"),
@@ -734,7 +745,8 @@ def _with_accuracies(doc, **fields):
          "json-list", "no-A", "p-mismatch", "seed-string", "seed-bool",
          "fraction-list", "seed-negative", "p-zero", "width-bool", "width-huge", "sm-pair-float",
          "sm-pair-bool", "sm-tau-bool", "np-n-top-bool", "np-weights-string", "np-weights-bool",
-         "pis-bool", "folds-string", "folds-float", "fold-seed-bool", "sm-with-np-weights",
+         "pis-bool", "folds-string", "folds-float", "fold-seed-bool", "pis-short", "pis-long",
+         "folds-negative", "folds-one", "fold-seed-negative", "sm-with-np-weights",
          "np-with-sm-pair-tau", "eigvals-increasing"],
 )
 def test_malformed_model_file_exit_2(model_doc, mkl_model_paths, fixture_csv, tmp_path, method,

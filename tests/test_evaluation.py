@@ -459,11 +459,11 @@ def _cv_rows(monkeypatch, ds, method) -> tuple:
 
     seen = []
 
-    def recorded(self, kernels, _fn=mkl._FoldPlan.rank1):
+    def recorded(self, kernels, _fn=mkl.FoldPlan.rank1):
         seen.append(_fn(self, kernels))
         return seen[-1]
 
-    monkeypatch.setattr(mkl._FoldPlan, "rank1", recorded)
+    monkeypatch.setattr(mkl.FoldPlan, "rank1", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run_trials(ds, method, 1, 0, RunConfig())

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -127,29 +128,29 @@ def separable_cv_setup(separable_ds):
 class TestCvKernelAccuracies:
     def test_single_kernel_perfect_on_separable_data(self, separable_cv_setup):
         ds, ids, width = separable_cv_setup
-        acc = cv_kernel_accuracies(ds, ids, [KernelSpec("rbf", width)], 4, 3, 1e-7)
-        assert acc.pis == (1.0,)
-        assert acc.per_fold.shape == (1, 4)
+        plan = cv_kernel_accuracies(ds, ids, [KernelSpec("rbf", width)], 4, 3, 1e-7)
+        assert plan.accuracies.pis == (1.0,)
+        assert plan.bank_rank1.shape == (1, 4)
 
     def test_huge_width_kernel_is_worse(self, separable_cv_setup):
         ds, ids, width = separable_cv_setup
         bank = [KernelSpec("rbf", width), KernelSpec("rbf", width * 1e6)]
-        acc = cv_kernel_accuracies(ds, ids, bank, 4, 3, 1e-7)
-        assert acc.pis[1] <= acc.pis[0]
+        pis = cv_kernel_accuracies(ds, ids, bank, 4, 3, 1e-7).accuracies.pis
+        assert pis[1] <= pis[0]
 
     def test_deterministic_under_seed(self, separable_cv_setup):
         ds, ids, width = separable_cv_setup
         bank = [KernelSpec("rbf", width * m) for m in (0.5, 1.0, 2.0)]
         a = cv_kernel_accuracies(ds, ids, bank, 4, 7, 1e-7)
         b = cv_kernel_accuracies(ds, ids, bank, 4, 7, 1e-7)
-        assert a.pis == b.pis
-        np.testing.assert_array_equal(a.per_fold, b.per_fold)
+        assert a.accuracies == b.accuracies
+        np.testing.assert_array_equal(a.bank_rank1, b.bank_rank1)
 
     def test_matches_independent_protocol_oracle(self, separable_cv_setup):
         ds, ids, width = separable_cv_setup
         spec = KernelSpec("rbf", width * 0.7)
-        acc = cv_kernel_accuracies(ds, ids, [spec], 4, 5, 1e-7)
-        assert acc.pis[0] == pytest.approx(
+        plan = cv_kernel_accuracies(ds, ids, [spec], 4, 5, 1e-7)
+        assert plan.accuracies.pis[0] == pytest.approx(
             cv_rank1_oracle(ds, ids, spec, 4, 5, 1e-7), abs=1e-12
         )
 
@@ -160,11 +161,11 @@ class TestCvKernelAccuracies:
 
     def test_report_csv(self, separable_cv_setup, tmp_path):
         ds, ids, width = separable_cv_setup
-        acc = cv_kernel_accuracies(
+        plan = cv_kernel_accuracies(
             ds, ids, [KernelSpec("rbf", width), KernelSpec("rbf", width * 2)], 4, 3, 1e-7
         )
         path = tmp_path / "cv.csv"
-        write_cv_csv(acc, path)
+        write_cv_csv(plan, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "kernel,fold,rank1"
         assert len(lines) == 1 + 2 * 4 + 2  # header + per-fold rows + mean rows
@@ -186,10 +187,10 @@ class TestCvKernelAccuracies:
         )
         bank = [KernelSpec("rbf", rms_width(ds, range(ds.n_samples)))]
         with pytest.warns(UserWarning, match="fold 1 has an empty probe or gallery set"):
-            acc = cv_kernel_accuracies(ds, ids, bank, 3, 0, 1e-7, 0, 1)
-        assert np.isnan(acc.per_fold[0, 1])
-        assert not np.isnan(acc.per_fold[0, [0, 2]]).any()
-        write_cv_csv(acc, tmp_path / "cv.csv")
+            plan = cv_kernel_accuracies(ds, ids, bank, 3, 0, 1e-7, 0, 1)
+        assert np.isnan(plan.bank_rank1[0, 1])
+        assert not np.isnan(plan.bank_rank1[0, [0, 2]]).any()
+        write_cv_csv(plan, tmp_path / "cv.csv")
         rows = (tmp_path / "cv.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["0", "2", "mean"]
 
@@ -215,26 +216,26 @@ def _forbid_fold_solves(monkeypatch):
 class TestSelectTau:
     """The tau search, run through build_config("sm", ...)."""
 
-    def _acc(self, ds):
+    def _plan(self, ds):
         return cv_kernel_accuracies(ds, sorted(set(ds.identities)), _noisy_bank(ds), 4, 9, 1e-7)
 
     def test_singleton_grid(self, noisy_ds, monkeypatch):
-        acc = self._acc(noisy_ds)
+        plan = self._plan(noisy_ds)
         _forbid_fold_solves(monkeypatch)
-        assert build_config("sm", acc, tau_grid=[0.0]).tau == 0.0
+        assert build_config("sm", plan, tau_grid=[0.0]).tau == 0.0
 
     def test_deterministic(self, noisy_ds):
         grid = [0.0, 0.5, 2.0]
-        t1 = build_config("sm", self._acc(noisy_ds), tau_grid=grid).tau
-        t2 = build_config("sm", self._acc(noisy_ds), tau_grid=grid).tau
+        t1 = build_config("sm", self._plan(noisy_ds), tau_grid=grid).tau
+        t2 = build_config("sm", self._plan(noisy_ds), tau_grid=grid).tau
         assert t1 == t2
 
     def test_strictly_dominant_tau_wins(self, noisy_ds):
         ds = noisy_ds
         ids = sorted(set(ds.identities))
         bank = _noisy_bank(ds)
-        acc = cv_kernel_accuracies(ds, ids, bank, 4, 9, 1e-7)
-        pair = select_sm_pair(acc.pis)
+        plan = cv_kernel_accuracies(ds, ids, bank, 4, 9, 1e-7)
+        pair = select_sm_pair(plan.accuracies.pis)
         grid = [0.0, 0.5, 2.0]
         oracle = {
             tau: cv_rank1_oracle(
@@ -245,16 +246,16 @@ class TestSelectTau:
         ranked = sorted(oracle.values(), reverse=True)
         assert ranked[0] > ranked[1], "fixture regressed: no strict winner"
         best = min(t for t in grid if oracle[t] == ranked[0])
-        cfg = build_config("sm", acc, tau_grid=grid)
+        cfg = build_config("sm", plan, tau_grid=grid)
         assert cfg.pair == pair
         assert cfg.tau == best
 
     def test_bad_grid(self, noisy_ds):
-        acc = self._acc(noisy_ds)
+        plan = self._plan(noisy_ds)
         with pytest.raises(InputError, match="empty"):
-            build_config("sm", acc, tau_grid=[])
+            build_config("sm", plan, tau_grid=[])
         with pytest.raises(InputError, match="non-negative"):
-            build_config("sm", acc, tau_grid=[-1.0])
+            build_config("sm", plan, tau_grid=[-1.0])
 
 
 class TestSelectN:
@@ -263,15 +264,16 @@ class TestSelectN:
     def test_singleton_grid(self, noisy_ds, monkeypatch):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)
-        acc = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
+        plan = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
         _forbid_fold_solves(monkeypatch)
-        assert build_config("np", acc, n_grid=[2]).n_top == 2
+        assert build_config("np", plan, n_grid=[2]).n_top == 2
 
     def test_strictly_dominant_n_wins(self):
         ds = make_synthetic(14, 2, 4, noise=0.6, view_offset=6.0, seed=1)
         ids = sorted(set(ds.identities))
         bank = _noisy_bank(ds)
-        acc = cv_kernel_accuracies(ds, ids, bank, 4, 9, 1e-7)
+        plan = cv_kernel_accuracies(ds, ids, bank, 4, 9, 1e-7)
+        acc = plan.accuracies
         assert len(set(acc.pis)) == len(acc.pis), "fixture regressed: tied accuracies"
         grid = [1, 2, 3]
         oracle = {}
@@ -282,7 +284,7 @@ class TestSelectN:
         ranked = sorted(oracle.values(), reverse=True)
         assert ranked[0] > ranked[1], "fixture regressed: no strict winner"
         best = min(N for N in grid if oracle[N] == ranked[0])
-        cfg = build_config("np", acc, n_grid=grid)
+        cfg = build_config("np", plan, n_grid=grid)
         assert cfg.n_top == best
         assert cfg.weights == tuple(np_weights(acc.pis, best))
 
@@ -299,25 +301,26 @@ class TestSelectN:
     def test_invalid_grid(self, noisy_ds):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)
-        acc = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
+        plan = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
         with pytest.raises(InputError, match="must be in 1"):
-            build_config("np", acc, n_grid=[0, 2])
+            build_config("np", plan, n_grid=[0, 2])
         with pytest.raises(InputError, match="must be in 1"):
-            build_config("np", acc, n_grid=[4])
+            build_config("np", plan, n_grid=[4])
         with pytest.raises(InputError, match="empty N grid"):
-            build_config("np", acc, n_grid=[])
+            build_config("np", plan, n_grid=[])
 
     def test_tie_at_the_boundary_warns_once(self, separable_cv_setup):
         ds, ids, width = separable_cv_setup
         bank = [KernelSpec("rbf", width * m) for m in (0.9, 1.0, 1.1)]
-        acc = cv_kernel_accuracies(ds, ids, bank, 4, 3, 1e-7)
+        plan = cv_kernel_accuracies(ds, ids, bank, 4, 3, 1e-7)
+        acc = plan.accuracies
         assert acc.pis[0] == acc.pis[1] == acc.pis[2], "fixture regressed: no three-way tie"
         # N = 1 keeps the top kernel at weight 1.0 whatever the tie, so only N = 2 warns
         top2 = f"accuracy tie at the top-2 boundary (pi = {acc.pis[2]})"
         for n_grid, expected in (([1], []), ([2], [top2])):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                build_config("np", acc, n_grid=n_grid)
+                build_config("np", plan, n_grid=n_grid)
             assert [str(w.message).split(";")[0] for w in caught] == expected, n_grid
 
     def test_n1_score_is_the_top_kernel_pi(self, monkeypatch):
@@ -330,9 +333,10 @@ class TestSelectN:
         bank = tuple(KernelSpec("rbf", width * m) for m in (0.3, 1.0, 3.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            acc = cv_kernel_accuracies(ds, ids, bank, 10, 4, 1e-7, 0, 1)
+            plan = cv_kernel_accuracies(ds, ids, bank, 10, 4, 1e-7, 0, 1)
+        acc = plan.accuracies
         top = int(np.argmax(acc.pis))
-        row = acc.per_fold[top]
+        row = plan.bank_rank1[top]
         assert np.count_nonzero(~np.isnan(row)) == 4
         assert np.mean(row[~np.isnan(row)]) != acc.pis[top], (
             "fixture regressed: the mean of the used folds equals pi in every bit"
@@ -345,7 +349,7 @@ class TestSelectN:
             return seen[-1]
 
         monkeypatch.setattr(mkl, "_mean_rank1", recorded)
-        assert build_config("np", acc, n_grid=[1, 2]).n_top in (1, 2)
+        assert build_config("np", plan, n_grid=[1, 2]).n_top in (1, 2)
         [scores] = seen  # the N search's candidate scores, N = 1 first
         assert scores[0].hex() == acc.pis[top].hex()
 
@@ -385,10 +389,9 @@ class TestFoldPlan:
         ds, split, calls = trial
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            model = fit_for_trial(ds, split, method, RunConfig())
+            fit_for_trial(ds, split, method, RunConfig())
         [(_, used)] = calls["_make_folds"]
         assert len(calls["index_classes"]) == len(used) + 1
-        assert model.kernel_config.accuracies.plan is None
 
     # distance matrices (fit, load): one for the CV pool, one for train's basis,
     # and on load one for sm's pair only
@@ -417,7 +420,7 @@ class TestFoldPlan:
         ds, split, calls = trial
         cfg = RunConfig()
         bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
-        acc = cv_kernel_accuracies(ds, split.train_ids, bank, cfg.folds, split.trial_seed, cfg.eps)
+        plan = cv_kernel_accuracies(ds, split.train_ids, bank, cfg.folds, split.trial_seed, cfg.eps)
         [(_, used)] = calls["_make_folds"]
         assert len(calls["squared_distances"]) == 1  # one for all 20 pool Grams
         calls["solve_kfda"].clear()
@@ -425,7 +428,7 @@ class TestFoldPlan:
         calls["squared_distances"].clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            build_config("np", acc, n_grid=[1, 2, 3])
+            build_config("np", plan, n_grid=[1, 2, 3])
         # one stacked solve per used fold, of the N = 2 and N = 3 candidates only
         assert [sol.A.shape[0] for sol in calls["solve_kfda"]] == [2] * len(used)
         # the search reuses the bank's pool Grams
@@ -441,15 +444,15 @@ class TestFoldPlan:
         ds, split, calls = trial
         cfg = RunConfig()
         bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
-        acc = cv_kernel_accuracies(ds, split.train_ids, bank, cfg.folds, split.trial_seed, cfg.eps)
+        plan = cv_kernel_accuracies(ds, split.train_ids, bank, cfg.folds, split.trial_seed, cfg.eps)
         [(_, used)] = calls["_make_folds"]
         assert [sol.A.shape[0] for sol in calls["solve_kfda"]] == [20] * len(used)
         [n] = {fold.idx.n_total for fold in used}
         monkeypatch.setattr(mkl, "_STACK_BYTES", grams_per_stack * 8 * n * n)
         calls["solve_kfda"].clear()
-        rank1 = acc.plan.rank1(bank)
+        rank1 = plan.rank1(bank)
         assert [sol.A.shape[0] for sol in calls["solve_kfda"]] == sizes * len(used)
-        assert np.array_equal(rank1, acc.per_fold, equal_nan=True)
+        assert np.array_equal(rank1, plan.bank_rank1, equal_nan=True)
 
 
 def _reference_folds(ds, train_ids, folds, seed, probe_camera, gallery_camera):
@@ -619,11 +622,11 @@ class TestBuildConfig:
     def test_np_with_fixed_n_has_two_active_kernels(self, noisy_ds, monkeypatch):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)[:3]
-        acc = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
+        plan = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
         _forbid_fold_solves(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cfg = build_config("np", acc, n_grid=[2])
+            cfg = build_config("np", plan, n_grid=[2])
         assert cfg.variant == "np"
         assert cfg.n_top == 2
         assert sum(1 for b in cfg.weights if b != 0) == 2
@@ -631,8 +634,8 @@ class TestBuildConfig:
     def test_sm_with_two_kernels(self, noisy_ds):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)[:2]
-        acc = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
-        cfg = build_config("sm", acc, tau_grid=(0.0, 0.5))
+        plan = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
+        cfg = build_config("sm", plan, tau_grid=(0.0, 0.5))
         assert cfg.variant == "sm"
         assert set(cfg.pair) == {0, 1}
         assert cfg.tau in (0.0, 0.5)
@@ -640,26 +643,21 @@ class TestBuildConfig:
     def test_full_pipeline_deterministic(self, noisy_ds):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)
-        acc = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
+        plan = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            one = build_config("np", acc, n_grid=[1, 2, 3])
-            two = build_config("np", acc, n_grid=[1, 2, 3])
+            one = build_config("np", plan, n_grid=[1, 2, 3])
+            two = build_config("np", plan, n_grid=[1, 2, 3])
         assert one == two
 
     def test_config_keeps_accuracies_without_the_fold_plan(self, noisy_ds):
         ids = sorted(set(noisy_ds.identities))
-        acc = cv_kernel_accuracies(noisy_ds, ids, _noisy_bank(noisy_ds), 4, 9, 1e-7)
-        cfg = build_config("sm", acc, tau_grid=[0.0])
-        assert acc.plan is not None
-        assert cfg.accuracies == acc
-        assert cfg.accuracies.plan is None
-        np.testing.assert_array_equal(cfg.accuracies.per_fold, acc.per_fold)
-
-    def test_needs_a_fold_plan(self):
-        acc = KernelAccuracies((0.9, 0.8, 0.5), folds=4, fold_seed=9)
-        with pytest.raises(InputError, match="fold plan"):
-            build_config("np", acc, n_grid=[2])
+        plan = cv_kernel_accuracies(noisy_ds, ids, _noisy_bank(noisy_ds), 4, 9, 1e-7)
+        cfg = build_config("sm", plan, tau_grid=[0.0])
+        assert cfg.accuracies is plan.accuracies
+        # the record holds exactly what model.json stores of it
+        fields = [f.name for f in dataclasses.fields(KernelAccuracies)]
+        assert fields == list(cfg.to_dict()["accuracies"])
 
     def test_unknown_variant(self):
         acc = KernelAccuracies((0.9, 0.8), folds=4, fold_seed=9)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 
 import kfmetric
-from kfmetric import data, evaluation, kernels, kfda, metric
+from kfmetric import data, evaluation, kernels, kfda, metric, mkl
 
 # each module imports only modules before it; the package root and __main__ are entry points
 LAYERS = ("errors", "config", "data", "synthetic", "kernels", "kfda", "metric", "mkl",
@@ -36,6 +36,7 @@ def test_parameter_names_read_by_perfbench(tmp_path):
     assert np.array_equal(stacked.P[0], sc.P)
     assert {"rows", "cols"} <= params(kernels.gram)
     assert "Y" in params(metric.embed_batch)
+    assert "folds" in params(mkl.cv_kernel_accuracies)  # the planned folds of a CV span
     assert {"ds", "model", "plan", "cfg"} <= params(evaluation.score_plan)
     for fn in (metric.score_matrix, metric.euclidean_score_matrix, evaluation.evaluate_model):
         assert callable(fn)
