@@ -267,35 +267,23 @@ def eligible_identities(
     return eligible, excluded
 
 
-def default_cameras(ds: Dataset) -> tuple[int, int]:
-    """Probe/gallery cameras when not specified: the two smallest labels."""
-    cams = ds.camera_labels()
-    if len(cams) < 2:
-        raise InputError(f"need samples from at least 2 cameras, found {cams}")
-    return cams[0], cams[1]
-
-
-def make_split(
-    ds: Dataset,
-    trial_seed: int,
-    train_fraction: float = 0.5,
-    probe_camera: int | None = None,
-    gallery_camera: int | None = None,
-) -> SplitPlan:
+def make_split(ds: Dataset, trial_seed: int, train_fraction: float = 0.5) -> SplitPlan:
     """Deterministically assign identities to train/test for one trial.
 
-    Identities are shuffled with ``default_rng(trial_seed)``; the first
+    The probe and gallery cameras are the two smallest camera labels. Identities
+    are shuffled with ``default_rng(trial_seed)``; the first
     ceil(train_fraction * count) go to training. Identities lacking a sample
-    in either camera are excluded with a warning before shuffling.
+    in either camera are excluded with a warning before shuffling. The
+    trial's CV reads the plan's training ids, seed and cameras.
     """
     if not 0.0 < train_fraction < 1.0:
         raise InputError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if trial_seed < 0:
         raise InputError(f"seed must be non-negative, got {trial_seed}")
-    if probe_camera is None or gallery_camera is None:
-        probe_camera, gallery_camera = default_cameras(ds)
-    if probe_camera == gallery_camera:
-        raise InputError("probe and gallery cameras must differ")
+    cams = ds.camera_labels()
+    if len(cams) < 2:
+        raise InputError(f"need samples from at least 2 cameras, found {cams}")
+    probe_camera, gallery_camera = cams[0], cams[1]
     eligible, excluded = eligible_identities(ds, probe_camera, gallery_camera)
     if excluded:
         warnings.warn(

@@ -86,12 +86,9 @@ def fit_for_trial(ds: Dataset, plan: SplitPlan, method: str, cfg: RunConfig) -> 
 
 
 def cv_for_trial(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> FoldPlan:
-    """The trial's CV step: its rbf bank's scored fold plan, with the split's seed and cameras."""
+    """The trial's CV step: its rbf bank scored on the split's training ids, seed and cameras."""
     bank = rbf_bank(ds, ds.samples_of(plan.train_ids), cfg)
-    return cv_kernel_accuracies(
-        ds, plan.train_ids, bank, cfg.folds, plan.trial_seed, cfg.eps,
-        plan.probe_camera, plan.gallery_camera,
-    )
+    return cv_kernel_accuracies(ds, plan, bank, cfg.folds, cfg.eps)
 
 
 def _trial_sets(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> tuple:

@@ -349,9 +349,11 @@ def _block(spec: KernelSpec, rows, cols, sq, in_place: bool) -> np.ndarray:
     them with the block instead of taking a new buffer.
     """
     if spec.kind == "rbf":
-        # sq / -(2 w^2) is bit-identical to -sq / (2 w^2); exp then runs in place
-        K = np.divide(sq, -(2.0 * spec.width**2), out=sq if in_place else None)
-        np.exp(K, out=K)
+        # sq / -(2 w^2) is bit-identical to -sq / (2 w^2); exp then runs in place. A tiny
+        # width's overflow (exp gives 0) or 0 / 0 warns nowhere: the check below reports NaN
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            K = np.divide(sq, -(2.0 * spec.width**2), out=sq if in_place else None)
+            np.exp(K, out=K)
     elif spec.kind == "linear":
         K = rows @ cols.T
     else:

@@ -1,8 +1,9 @@
 """Learning the multi-kernel configuration from per-kernel CV accuracies.
 
-Identities (not samples) are partitioned into folds, so each held-out fold
-contains classes unseen by that fold's model, mirroring the probe/gallery
-protocol. Each kernel's accuracy pi_r is its mean held-out rank-1 score.
+A trial's training identities (not samples) are partitioned into folds, so each
+held-out fold contains classes unseen by that fold's model, mirroring the probe/gallery
+protocol: CV reads only the training ids, seed and cameras of the trial's
+:class:`~kfmetric.data.SplitPlan`. Each kernel's accuracy pi_r is its mean held-out rank-1 score.
 Every cross-validated choice of a trial (pi_r, then N or tau) is scored on
 one :class:`FoldPlan`, which :func:`cv_kernel_accuracies` builds once with its
 pool Grams and returns as the trial's CV result: the plan scores the bank when
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TAU_GRID, default_n_grid
-from .data import ClassIndex, Dataset, default_cameras, index_classes, open_output
+from .data import ClassIndex, Dataset, SplitPlan, index_classes, open_output
 from .errors import InputError
 from .kernels import KernelAccuracies, MklConfig, grams, squared_distances
 from .kfda import build_scatter, solve_kfda
@@ -127,19 +128,20 @@ class _Fold:
         return [B[:a] for B in cuts], [B[a:b] for B in cuts], [B[b:] for B in cuts]
 
 
-def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gallery_camera):
+def _make_folds(ds: Dataset, plan: SplitPlan, folds: int):
     """The CV pool's sample indices and the folds that are used, each in pool positions.
 
-    The pool is every sample of ``train_ids`` in dataset order. A fold's
+    The pool is every sample of ``plan.train_ids`` in dataset order, and
+    ``plan.trial_seed`` permutes those identities into folds. A fold's
     training, probe and gallery rows are ascending pool positions, picked by
-    masks over the pool's fold and camera arrays.
+    masks over the pool's fold and camera arrays (the plan's cameras).
     """
-    ids = sorted(train_ids)
+    ids = sorted(plan.train_ids)
     if folds < 2:
         raise InputError(f"need at least 2 folds, got {folds}")
     if len(ids) < folds:
         raise InputError(f"need at least {folds} identities for {folds} folds, got {len(ids)}")
-    groups = np.array_split(np.random.default_rng(seed).permutation(len(ids)), folds)
+    groups = np.array_split(np.random.default_rng(plan.trial_seed).permutation(len(ids)), folds)
     fold_of = {ids[k]: f for f, held in enumerate(groups) for k in held}
     pool_idx = np.array(ds.samples_of(ids), dtype=np.intp)
     row_fold = np.array([fold_of[ds.identities[i]] for i in pool_idx])
@@ -158,8 +160,8 @@ def _make_folds(ds: Dataset, train_ids, folds: int, seed: int, probe_camera, gal
             warnings.warn(f"fold {f} leaves fewer than 2 training classes, skipping", stacklevel=3)
             continue
         in_fold = row_fold == f
-        probe = np.flatnonzero(in_fold & (cameras == probe_camera))
-        galry = np.flatnonzero(in_fold & (cameras == gallery_camera))
+        probe = np.flatnonzero(in_fold & (cameras == plan.probe_camera))
+        galry = np.flatnonzero(in_fold & (cameras == plan.gallery_camera))
         if not probe.size or not galry.size:
             warnings.warn(f"fold {f} has an empty probe or gallery set, skipping", stacklevel=3)
             continue
@@ -257,26 +259,18 @@ def _mean_rank1(rank1: np.ndarray) -> np.ndarray:
     return np.nanmean(rank1, axis=1)
 
 
-def cv_kernel_accuracies(
-    ds: Dataset,
-    train_ids,
-    bank,
-    folds: int,
-    seed: int,
-    eps: float,
-    probe_camera: int | None = None,
-    gallery_camera: int | None = None,
-) -> FoldPlan:
+def cv_kernel_accuracies(ds: Dataset, plan: SplitPlan, bank, folds: int, eps: float) -> FoldPlan:
     """The trial's fold plan, with the mean held-out rank-1 accuracy of each spec in ``bank``.
 
-    :func:`build_config` runs its N or tau search on the plan's folds and pool Grams.
+    The folds split the training identities of the trial's split ``plan``,
+    seeded by its trial seed and ranked across its cameras; its test ids are
+    not read. :func:`build_config` runs its N or tau search on the returned
+    plan's folds and pool Grams.
     """
-    if probe_camera is None or gallery_camera is None:
-        probe_camera, gallery_camera = default_cameras(ds)
-    pool_idx, used = _make_folds(ds, train_ids, folds, seed, probe_camera, gallery_camera)
+    pool_idx, used = _make_folds(ds, plan, folds)
     specs = list(dict.fromkeys(bank))
     pool = dict(zip(specs, grams(specs, ds.features[pool_idx])))
-    return FoldPlan(folds, seed, used, eps, bank, pool)
+    return FoldPlan(folds, plan.trial_seed, used, eps, bank, pool)
 
 
 def build_config(

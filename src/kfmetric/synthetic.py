@@ -45,14 +45,7 @@ def make_synthetic(
         offsets[v] = view_offset * raw / np.linalg.norm(raw)
     jitter = rng.normal(size=(identities, views, dim))
     width = len(str(identities - 1))
-    rows = np.empty((identities * views, dim))
-    ids: list[str] = []
-    cams: list[int] = []
-    r = 0
-    for i in range(identities):
-        for v in range(views):
-            rows[r] = centers[i] + offsets[v] + noise * jitter[i, v]
-            ids.append(f"id{i:0{width}d}")
-            cams.append(v)
-            r += 1
-    return Dataset(rows, tuple(ids), tuple(cams))
+    rows = (centers[:, None, :] + offsets + noise * jitter).reshape(identities * views, dim)
+    ids = tuple(f"id{i:0{width}d}" for i in range(identities) for _ in range(views))
+    cams = tuple(v for _ in range(identities) for v in range(views))
+    return Dataset(rows, ids, cams)

@@ -370,6 +370,11 @@ class TestDimensionSweep:
         with pytest.raises(InputError, match="distinct"):
             dimension_sweep(separable_ds, "kfda", p_values, 1, 0, QUIET)
 
+    @pytest.mark.parametrize("p_values", [[0], [-1, 2]])
+    def test_rejects_p_below_one(self, separable_ds, p_values):
+        with pytest.raises(InputError, match=">= 1"):
+            dimension_sweep(separable_ds, "kfda", p_values, 1, 0, QUIET)
+
     @pytest.mark.parametrize("p", [1.7, 1.0, True])
     def test_rejects_non_integer_p(self, separable_ds, p):
         with pytest.raises(InputError, match="integer"):

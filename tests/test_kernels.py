@@ -159,6 +159,17 @@ class TestGram:
         with pytest.raises(InputError, match="empty"):
             gram(KernelSpec("linear"), np.empty((0, 3)))
 
+    def test_tiny_rbf_width_gives_the_identity(self):
+        # 2 w^2 is subnormal: off-diagonal exponents overflow to -inf, whose exp is 0
+        X = np.random.default_rng(3).normal(size=(5, 3))
+        np.testing.assert_array_equal(gram(KernelSpec("rbf", 1e-155), X), np.eye(5))
+
+    def test_rbf_width_whose_square_underflows_is_a_numeric_error(self):
+        # 2 w^2 is 0: the diagonal's 0 / 0 is NaN, reported once as a NumericError
+        X = np.random.default_rng(3).normal(size=(5, 3))
+        with pytest.raises(NumericError, match="non-finite"):
+            gram(KernelSpec("rbf", 1e-200), X)
+
 
 class TestSquaredDistancesOracle:
     """squared_distances has the bits of the textbook expression, NaNs and infs included."""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kfmetric import mkl
 from kfmetric.config import RunConfig
-from kfmetric.data import Dataset, index_classes, make_split
+from kfmetric.data import Dataset, SplitPlan, index_classes, make_split
 from kfmetric.errors import InputError
 from kfmetric.evaluation import fit_for_trial, rbf_bank
 from kfmetric.kernels import KernelSpec, config_from_dict, gram, rms_width
@@ -118,6 +118,11 @@ class TestSelectSmPair:
             select_sm_pair([0.5])
 
 
+def _split(train_ids, seed):
+    """A split of ``train_ids`` for CV, which reads no test id; cameras 0 and 1."""
+    return SplitPlan(frozenset(train_ids), frozenset(), seed, 0, 1)
+
+
 @pytest.fixture
 def separable_cv_setup(separable_ds):
     ids = sorted(set(separable_ds.identities))
@@ -128,28 +133,28 @@ def separable_cv_setup(separable_ds):
 class TestCvKernelAccuracies:
     def test_single_kernel_perfect_on_separable_data(self, separable_cv_setup):
         ds, ids, width = separable_cv_setup
-        plan = cv_kernel_accuracies(ds, ids, [KernelSpec("rbf", width)], 4, 3, 1e-7)
+        plan = cv_kernel_accuracies(ds, _split(ids, 3), [KernelSpec("rbf", width)], 4, 1e-7)
         assert plan.accuracies.pis == (1.0,)
         assert plan.bank_rank1.shape == (1, 4)
 
     def test_huge_width_kernel_is_worse(self, separable_cv_setup):
         ds, ids, width = separable_cv_setup
         bank = [KernelSpec("rbf", width), KernelSpec("rbf", width * 1e6)]
-        pis = cv_kernel_accuracies(ds, ids, bank, 4, 3, 1e-7).accuracies.pis
+        pis = cv_kernel_accuracies(ds, _split(ids, 3), bank, 4, 1e-7).accuracies.pis
         assert pis[1] <= pis[0]
 
     def test_deterministic_under_seed(self, separable_cv_setup):
         ds, ids, width = separable_cv_setup
         bank = [KernelSpec("rbf", width * m) for m in (0.5, 1.0, 2.0)]
-        a = cv_kernel_accuracies(ds, ids, bank, 4, 7, 1e-7)
-        b = cv_kernel_accuracies(ds, ids, bank, 4, 7, 1e-7)
+        a = cv_kernel_accuracies(ds, _split(ids, 7), bank, 4, 1e-7)
+        b = cv_kernel_accuracies(ds, _split(ids, 7), bank, 4, 1e-7)
         assert a.accuracies == b.accuracies
         np.testing.assert_array_equal(a.bank_rank1, b.bank_rank1)
 
     def test_matches_independent_protocol_oracle(self, separable_cv_setup):
         ds, ids, width = separable_cv_setup
         spec = KernelSpec("rbf", width * 0.7)
-        plan = cv_kernel_accuracies(ds, ids, [spec], 4, 5, 1e-7)
+        plan = cv_kernel_accuracies(ds, _split(ids, 5), [spec], 4, 1e-7)
         assert plan.accuracies.pis[0] == pytest.approx(
             cv_rank1_oracle(ds, ids, spec, 4, 5, 1e-7), abs=1e-12
         )
@@ -157,12 +162,12 @@ class TestCvKernelAccuracies:
     def test_too_few_identities(self, separable_cv_setup):
         ds, ids, width = separable_cv_setup
         with pytest.raises(InputError, match="identities"):
-            cv_kernel_accuracies(ds, ids[:3], [KernelSpec("rbf", width)], 4, 0, 1e-7)
+            cv_kernel_accuracies(ds, _split(ids[:3], 0), [KernelSpec("rbf", width)], 4, 1e-7)
 
     def test_report_csv(self, separable_cv_setup, tmp_path):
         ds, ids, width = separable_cv_setup
         plan = cv_kernel_accuracies(
-            ds, ids, [KernelSpec("rbf", width), KernelSpec("rbf", width * 2)], 4, 3, 1e-7
+            ds, _split(ids, 3), [KernelSpec("rbf", width), KernelSpec("rbf", width * 2)], 4, 1e-7
         )
         path = tmp_path / "cv.csv"
         write_cv_csv(plan, path)
@@ -187,7 +192,7 @@ class TestCvKernelAccuracies:
         )
         bank = [KernelSpec("rbf", rms_width(ds, range(ds.n_samples)))]
         with pytest.warns(UserWarning, match="fold 1 has an empty probe or gallery set"):
-            plan = cv_kernel_accuracies(ds, ids, bank, 3, 0, 1e-7, 0, 1)
+            plan = cv_kernel_accuracies(ds, _split(ids, 0), bank, 3, 1e-7)
         assert np.isnan(plan.bank_rank1[0, 1])
         assert not np.isnan(plan.bank_rank1[0, [0, 2]]).any()
         write_cv_csv(plan, tmp_path / "cv.csv")
@@ -217,7 +222,8 @@ class TestSelectTau:
     """The tau search, run through build_config("sm", ...)."""
 
     def _plan(self, ds):
-        return cv_kernel_accuracies(ds, sorted(set(ds.identities)), _noisy_bank(ds), 4, 9, 1e-7)
+        ids = sorted(set(ds.identities))
+        return cv_kernel_accuracies(ds, _split(ids, 9), _noisy_bank(ds), 4, 1e-7)
 
     def test_singleton_grid(self, noisy_ds, monkeypatch):
         plan = self._plan(noisy_ds)
@@ -234,7 +240,7 @@ class TestSelectTau:
         ds = noisy_ds
         ids = sorted(set(ds.identities))
         bank = _noisy_bank(ds)
-        plan = cv_kernel_accuracies(ds, ids, bank, 4, 9, 1e-7)
+        plan = cv_kernel_accuracies(ds, _split(ids, 9), bank, 4, 1e-7)
         pair = select_sm_pair(plan.accuracies.pis)
         grid = [0.0, 0.5, 2.0]
         oracle = {
@@ -264,7 +270,7 @@ class TestSelectN:
     def test_singleton_grid(self, noisy_ds, monkeypatch):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)
-        plan = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
+        plan = cv_kernel_accuracies(noisy_ds, _split(ids, 9), bank, 4, 1e-7)
         _forbid_fold_solves(monkeypatch)
         assert build_config("np", plan, n_grid=[2]).n_top == 2
 
@@ -272,7 +278,7 @@ class TestSelectN:
         ds = make_synthetic(14, 2, 4, noise=0.6, view_offset=6.0, seed=1)
         ids = sorted(set(ds.identities))
         bank = _noisy_bank(ds)
-        plan = cv_kernel_accuracies(ds, ids, bank, 4, 9, 1e-7)
+        plan = cv_kernel_accuracies(ds, _split(ids, 9), bank, 4, 1e-7)
         acc = plan.accuracies
         assert len(set(acc.pis)) == len(acc.pis), "fixture regressed: tied accuracies"
         grid = [1, 2, 3]
@@ -293,7 +299,7 @@ class TestSelectN:
         bank = _noisy_bank(noisy_ds)
         grid = [1, 2, 3]
         one, two = (
-            build_config("np", cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7), grid)
+            build_config("np", cv_kernel_accuracies(noisy_ds, _split(ids, 9), bank, 4, 1e-7), grid)
             for _ in range(2)
         )
         assert one == two
@@ -301,7 +307,7 @@ class TestSelectN:
     def test_invalid_grid(self, noisy_ds):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)
-        plan = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
+        plan = cv_kernel_accuracies(noisy_ds, _split(ids, 9), bank, 4, 1e-7)
         with pytest.raises(InputError, match="must be in 1"):
             build_config("np", plan, n_grid=[0, 2])
         with pytest.raises(InputError, match="must be in 1"):
@@ -312,7 +318,7 @@ class TestSelectN:
     def test_tie_at_the_boundary_warns_once(self, separable_cv_setup):
         ds, ids, width = separable_cv_setup
         bank = [KernelSpec("rbf", width * m) for m in (0.9, 1.0, 1.1)]
-        plan = cv_kernel_accuracies(ds, ids, bank, 4, 3, 1e-7)
+        plan = cv_kernel_accuracies(ds, _split(ids, 3), bank, 4, 1e-7)
         acc = plan.accuracies
         assert acc.pis[0] == acc.pis[1] == acc.pis[2], "fixture regressed: no three-way tie"
         # N = 1 keeps the top kernel at weight 1.0 whatever the tie, so only N = 2 warns
@@ -333,7 +339,7 @@ class TestSelectN:
         bank = tuple(KernelSpec("rbf", width * m) for m in (0.3, 1.0, 3.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            plan = cv_kernel_accuracies(ds, ids, bank, 10, 4, 1e-7, 0, 1)
+            plan = cv_kernel_accuracies(ds, _split(ids, 4), bank, 10, 1e-7)
         acc = plan.accuracies
         top = int(np.argmax(acc.pis))
         row = plan.bank_rank1[top]
@@ -420,7 +426,7 @@ class TestFoldPlan:
         ds, split, calls = trial
         cfg = RunConfig()
         bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
-        plan = cv_kernel_accuracies(ds, split.train_ids, bank, cfg.folds, split.trial_seed, cfg.eps)
+        plan = cv_kernel_accuracies(ds, split, bank, cfg.folds, cfg.eps)
         [(_, used)] = calls["_make_folds"]
         assert len(calls["squared_distances"]) == 1  # one for all 20 pool Grams
         calls["solve_kfda"].clear()
@@ -444,7 +450,7 @@ class TestFoldPlan:
         ds, split, calls = trial
         cfg = RunConfig()
         bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
-        plan = cv_kernel_accuracies(ds, split.train_ids, bank, cfg.folds, split.trial_seed, cfg.eps)
+        plan = cv_kernel_accuracies(ds, split, bank, cfg.folds, cfg.eps)
         [(_, used)] = calls["_make_folds"]
         assert [sol.A.shape[0] for sol in calls["solve_kfda"]] == [20] * len(used)
         [n] = {fold.idx.n_total for fold in used}
@@ -530,8 +536,10 @@ class TestMakeFolds:
         )
         assert bool(ref_used) == ("skipped" not in case)
 
+        split = SplitPlan(frozenset(train_ids), frozenset(), seed, probe_cam, gallery_cam)
+
         def plan():  # stands where cv_kernel_accuracies calls _make_folds
-            return mkl._make_folds(ds, train_ids, folds, seed, probe_cam, gallery_cam)
+            return mkl._make_folds(ds, split, folds)
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -622,7 +630,7 @@ class TestBuildConfig:
     def test_np_with_fixed_n_has_two_active_kernels(self, noisy_ds, monkeypatch):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)[:3]
-        plan = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
+        plan = cv_kernel_accuracies(noisy_ds, _split(ids, 9), bank, 4, 1e-7)
         _forbid_fold_solves(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -634,7 +642,7 @@ class TestBuildConfig:
     def test_sm_with_two_kernels(self, noisy_ds):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)[:2]
-        plan = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
+        plan = cv_kernel_accuracies(noisy_ds, _split(ids, 9), bank, 4, 1e-7)
         cfg = build_config("sm", plan, tau_grid=(0.0, 0.5))
         assert cfg.variant == "sm"
         assert set(cfg.pair) == {0, 1}
@@ -643,7 +651,7 @@ class TestBuildConfig:
     def test_full_pipeline_deterministic(self, noisy_ds):
         ids = sorted(set(noisy_ds.identities))
         bank = _noisy_bank(noisy_ds)
-        plan = cv_kernel_accuracies(noisy_ds, ids, bank, 4, 9, 1e-7)
+        plan = cv_kernel_accuracies(noisy_ds, _split(ids, 9), bank, 4, 1e-7)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             one = build_config("np", plan, n_grid=[1, 2, 3])
@@ -652,7 +660,7 @@ class TestBuildConfig:
 
     def test_config_keeps_accuracies_without_the_fold_plan(self, noisy_ds):
         ids = sorted(set(noisy_ds.identities))
-        plan = cv_kernel_accuracies(noisy_ds, ids, _noisy_bank(noisy_ds), 4, 9, 1e-7)
+        plan = cv_kernel_accuracies(noisy_ds, _split(ids, 9), _noisy_bank(noisy_ds), 4, 1e-7)
         cfg = build_config("sm", plan, tau_grid=[0.0])
         assert cfg.accuracies is plan.accuracies
         # the record holds exactly what model.json stores of it

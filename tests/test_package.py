@@ -37,6 +37,10 @@ def test_parameter_names_read_by_perfbench(tmp_path):
     assert {"rows", "cols"} <= params(kernels.gram)
     assert "Y" in params(metric.embed_batch)
     assert "folds" in params(mkl.cv_kernel_accuracies)  # the planned folds of a CV span
+    # the benchmark splits each trial with make_split(ds, seed, fraction), positionally
+    assert list(inspect.signature(data.make_split).parameters)[:3] == [
+        "ds", "trial_seed", "train_fraction"
+    ]
     assert {"ds", "model", "plan", "cfg"} <= params(evaluation.score_plan)
     for fn in (metric.score_matrix, metric.euclidean_score_matrix, evaluation.evaluate_model):
         assert callable(fn)
