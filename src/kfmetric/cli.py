@@ -107,7 +107,7 @@ def cmd_train(args) -> int:
     out = _out_dir(cfg.out)
     ds = load_features(cfg.features)
     plan = make_split(ds, cfg.base_seed, cfg.train_fraction)
-    model = fit_for_trial(ds, plan, cfg.method, cfg)
+    model = fit_for_trial(ds, plan, cfg)
     meta = {
         "config_digest": cfg.digest(),
         "method": cfg.method,

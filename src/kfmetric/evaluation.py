@@ -69,18 +69,18 @@ def rbf_bank(ds: Dataset, train_idx, cfg: RunConfig) -> tuple[KernelSpec, ...]:
     return tuple(KernelSpec("rbf", w) for w in widths)
 
 
-def fit_for_trial(ds: Dataset, plan: SplitPlan, method: str, cfg: RunConfig) -> KfdaModel | None:
-    """Train the model one trial needs; None for the raw-feature baseline."""
-    if method == "euclidean":
+def fit_for_trial(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> KfdaModel | None:
+    """Train cfg.method's model on one trial's split; None for the raw-feature baseline."""
+    if cfg.method == "euclidean":
         return None
-    if method == "kfda":
+    if cfg.method == "kfda":
         width = rms_width(ds, ds.samples_of(plan.train_ids))
         return train(ds, plan, KernelSpec("rbf", width), cfg.eps, cfg.p)
-    if method not in ("np-mfml", "sm-mfml"):
-        raise InputError(f"unknown method {method!r}")
+    if cfg.method not in ("np-mfml", "sm-mfml"):
+        raise InputError(f"unknown method {cfg.method!r}")
     if cfg.q < 2:
         raise InputError(f"multi-kernel methods need q >= 2 kernels, got {cfg.q}")
-    variant = "np" if method == "np-mfml" else "sm"
+    variant = "np" if cfg.method == "np-mfml" else "sm"
     mkl_cfg = build_mkl_config(variant, cv_for_trial(ds, plan, cfg), cfg.n_grid, cfg.tau_grid)
     return train(ds, plan, mkl_cfg, cfg.eps, cfg.p)
 
@@ -121,30 +121,30 @@ def score_plan(ds: Dataset, model: KfdaModel | None, plan: SplitPlan, cfg: RunCo
     return found.tolist(), len(gallery_idx)
 
 
-def _trials(ds: Dataset, method: str, trials: int, base_seed: int, cfg: RunConfig, score) -> list:
-    """``score(plan, model)`` for each seeded trial, in trial order.
+def _trials(ds: Dataset, cfg: RunConfig, score) -> list:
+    """``score(plan, model)`` for each of cfg.trials seeded trials, in trial order.
 
-    Trial t splits with seed base_seed + t and fits ``method`` by
+    Trial t splits with seed cfg.base_seed + t and fits cfg.method by
     :func:`fit_for_trial`; an InputError or NumericError raised in trial t
     names it, and any other exception passes through as it is. With
     cfg.threads > 1 the trials run on a thread pool.
     """
-    if method not in METHODS:
-        raise InputError(f"method must be one of {METHODS}, got {method!r}")
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
+    if cfg.method not in METHODS:
+        raise InputError(f"method must be one of {METHODS}, got {cfg.method!r}")
+    if cfg.trials < 1:
+        raise InputError(f"trials must be >= 1, got {cfg.trials}")
 
     def one(t: int):
         try:
-            plan = make_split(ds, base_seed + t, cfg.train_fraction)
-            return score(plan, fit_for_trial(ds, plan, method, cfg))
+            plan = make_split(ds, cfg.base_seed + t, cfg.train_fraction)
+            return score(plan, fit_for_trial(ds, plan, cfg))
         except (InputError, NumericError) as exc:
             raise type(exc)(f"trial {t}: {exc}") from exc
 
-    if cfg.threads > 1 and trials > 1:
+    if cfg.threads > 1 and cfg.trials > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(one, range(trials)))
-    return [one(t) for t in range(trials)]
+            return list(pool.map(one, range(cfg.trials)))
+    return [one(t) for t in range(cfg.trials)]
 
 
 def _report(outcomes, digest: str) -> CmcReport:
@@ -165,12 +165,10 @@ def evaluate_model(ds: Dataset, model: KfdaModel, plan: SplitPlan, cfg: RunConfi
 def run_trials(
     ds: Dataset, method: str, trials: int, base_seed: int, cfg: RunConfig
 ) -> CmcReport:
-    """Repeat split/train/rank over seeded trials and average the CMC curves."""
-    outcomes = _trials(
-        ds, method, trials, base_seed, cfg, lambda plan, model: score_plan(ds, model, plan, cfg)
-    )
-    effective = dc_replace(cfg, method=method, trials=trials, base_seed=base_seed)
-    return _report(outcomes, effective.digest())
+    """Average the CMC curves of seeded split/train/rank trials; the arguments override cfg's."""
+    cfg = dc_replace(cfg, method=method, trials=trials, base_seed=base_seed)
+    outcomes = _trials(ds, cfg, lambda plan, model: score_plan(ds, model, plan, cfg))
+    return _report(outcomes, cfg.digest())
 
 
 def cmc_from_ranks(true_ranks, R: int) -> np.ndarray:
@@ -201,6 +199,7 @@ def dimension_sweep(
         raise InputError("every p must be >= 1")
     if len(set(p_values)) != len(p_values):
         raise InputError(f"p values must be distinct, got {p_values}")
+    cfg = dc_replace(cfg, method=method, trials=trials, base_seed=base_seed, p=None)
 
     def rank1(plan: SplitPlan, model: KfdaModel) -> list[float]:
         if max(p_values) > model.p:
@@ -217,7 +216,7 @@ def dimension_sweep(
 
     sums = [0.0] * len(p_values)
     # summed in trial order, so the means do not depend on cfg.threads
-    for row in _trials(ds, method, trials, base_seed, dc_replace(cfg, p=None), rank1):
+    for row in _trials(ds, cfg, rank1):
         sums = [s + v for s, v in zip(sums, row)]
     return [(p, s / trials) for p, s in zip(p_values, sums)]
 

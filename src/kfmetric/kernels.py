@@ -56,7 +56,7 @@ def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Parametric kernel: 'rbf' with width sigma, 'linear', or 'poly2'.
+    """Parametric kernel: 'rbf' with width sigma, or 'linear' or 'poly2' with width None.
 
     rbf:    k(x, y) = exp(-||x - y||^2 / (2 sigma^2))
     linear: k(x, y) = <x, y>
@@ -79,6 +79,8 @@ class KernelSpec:
                 raise InputError(
                     f"rbf kernel needs width in (0, {MAX_RBF_WIDTH:.4g}], got {self.width}"
                 )
+        elif self.width is not None:
+            raise InputError(f"{self.kind} kernel takes no width, got {self.width!r}")
 
     @property
     def specs(self) -> tuple["KernelSpec", ...]:

@@ -262,8 +262,8 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
     c = sc.n_classes
     if not 1 <= p <= c - 1:
         raise InputError(f"p must be in 1..c-1 = 1..{c - 1}, got {p}")
-    if eps < 0:
-        raise InputError(f"regularizer must be non-negative, got {eps}")
+    if not 0 <= eps < math.inf:
+        raise InputError(f"regularizer must be non-negative and finite, got {eps}")
     n = sc.Q.shape[-1]
     lead = sc.Q.shape[:-2]
     if eps > 0:
@@ -402,7 +402,8 @@ def load_model(path) -> tuple[KfdaModel, dict]:
     """Load a persisted model; returns (model, meta).
 
     A document that is not a model of this format and version, lacks a
-    field, holds a field of the wrong type or shape, or lists increasing
+    field, holds a field of the wrong type or shape, has a negative or
+    non-finite regularizer (the solver's rule), or lists increasing
     eigenvalues raises InputError.
     """
     try:
@@ -422,9 +423,11 @@ def load_model(path) -> tuple[KfdaModel, dict]:
             raise InputError(f"{path}: model file lacks field {key!r}")
         if isinstance(doc[key], bool) or not isinstance(doc[key], kind):
             raise InputError(f"{path}: field {key!r} has the wrong type")
-    n, d, p = doc["n"], doc["d"], doc["p"]
+    n, d, p, eps = doc["n"], doc["d"], doc["p"], doc["regularizer"]
     if p < 1:
         raise InputError(f"{path}: field 'p' must be >= 1, got {p}")
+    if not 0 <= eps < math.inf:
+        raise InputError(f"{path}: 'regularizer' must be non-negative and finite, got {eps}")
     kernel = config_from_dict(doc["kernel_config"], path)
     A = _model_array(doc, "A", (n, p), path)
     eigvals = _model_array(doc, "eigvals", (p,), path)
@@ -432,4 +435,4 @@ def load_model(path) -> tuple[KfdaModel, dict]:
         raise InputError(f"{path}: 'eigvals' must be non-increasing")
     X = _model_array(doc, "train_features", (n, d), path)
     base = grams(kernel.specs, X)  # lazy: fold reads only sm's pair
-    return _with_kernel(KfdaSolution(A, eigvals), doc["regularizer"], X, kernel, base), doc["meta"]
+    return _with_kernel(KfdaSolution(A, eigvals), eps, X, kernel, base), doc["meta"]

@@ -113,19 +113,19 @@ class _Fold:
     probe_ids: np.ndarray  # identity codes, built once so ranking does not convert them
     gallery_ids: np.ndarray
 
-    def cut(self, grams) -> tuple:
-        """Pool Grams' training, probe and gallery rows over the training columns.
+    def cut(self, grams: dict) -> tuple:
+        """Spec-keyed pool Grams' training, probe and gallery rows over the training columns.
 
         One take per Gram, through one flat index built for the call; each
         Gram's three blocks are read-only row slices of its cut. Returns the
-        training, probe and gallery blocks as three lists in Gram order.
+        training, probe and gallery blocks as three dicts keyed by spec.
         """
         a, b = self.bounds
-        entries = self.rows[:, None] * grams[0].shape[1] + self.rows[:a]
-        cuts = [K.take(entries) for K in grams]
-        for B in cuts:
+        flat = self.rows[:, None] * next(iter(grams.values())).shape[1] + self.rows[:a]
+        cuts = {s: K.take(flat) for s, K in grams.items()}
+        for B in cuts.values():
             B.setflags(write=False)
-        return [B[:a] for B in cuts], [B[a:b] for B in cuts], [B[b:] for B in cuts]
+        return tuple({s: B[i:j] for s, B in cuts.items()} for i, j in ((0, a), (a, b), (b, None)))
 
 
 def _make_folds(ds: Dataset, plan: SplitPlan, folds: int):
@@ -213,39 +213,36 @@ class FoldPlan:
         """Held-out rank-1 of every kernel config on every fold: a (configs, folds) array.
 
         Per fold each spec's pool Gram is cut once into training, probe and
-        gallery blocks. The configs are then scored in stacks of as many as
-        fit _STACK_BYTES of fused n x n training Grams: every config at once
-        on small folds, one at a time on large ones. Each config of a stack
-        fuses its training blocks into one (configs, n, n) stack, which takes
-        one scatter and one Fisher solve call; each config then embeds the
-        held-out rows through ``fold`` as a trained model serves them, and
-        one distance and one ranking call score the stack. Skipped folds stay
-        NaN.
+        gallery blocks, which each config reads by its ``specs``. The configs
+        are then scored in stacks of as many as fit _STACK_BYTES of fused
+        n x n training Grams: every config at once on small folds, one at a
+        time on large ones. Each config of a stack fuses its training blocks
+        into one (configs, n, n) stack, which takes one scatter and one Fisher
+        solve call; each config then embeds the held-out rows through ``fold``
+        as a trained model serves them, and one distance and one ranking call
+        score the stack. Skipped folds stay NaN.
         """
-        specs = list(dict.fromkeys(s for k in kernels for s in k.specs))
-        at = [[specs.index(s) for s in kernel.specs] for kernel in kernels]
+        pool = {s: self.pool[s] for k in kernels for s in k.specs}  # the Grams the configs fuse
         rank1 = np.full((len(kernels), self.folds), np.nan)
         # a stack's arrays other than its scatter pair are replaced, not freed, by
         # the next stack's: freed in bulk, the allocator hands their pages back
         # and each stack faults them in again
         for fold in self.used:
-            train, probe, gallery = fold.cut([self.pool[s] for s in specs])
+            train, probe, gallery = fold.cut(pool)
             step = max(1, _STACK_BYTES // (8 * fold.idx.n_total**2))
             for start in range(0, len(kernels), step):
                 part = slice(start, start + step)
-                configs, picks = kernels[part], at[part]
-                base = [[train[i] for i in t] for t in picks]  # each config's training blocks
+                configs = kernels[part]
+                base = [[train[s] for s in k.specs] for k in configs]  # training blocks, per config
                 sc = build_scatter(
                     np.stack([k.fuse(Ks) for k, Ks in zip(configs, base)]), fold.idx
                 )
                 A = solve_kfda(sc, fold.idx.n_classes - 1, self.eps).A
                 del sc  # the largest stacks; not held while the next stack builds its own
-                blocks = [k.fold(A_c, Ks) for k, A_c, Ks in zip(configs, A, base)]
+                blocks = [(k.specs, k.fold(A_c, Ks)) for k, A_c, Ks in zip(configs, A, base)]
                 # embed_batch's rule over the fold's training rows: sum_t k_t(Y, X) A_t
                 Yp, Yg = (
-                    np.stack(
-                        [sum(H[i] @ A_t for i, A_t in zip(t, b)) for t, b in zip(picks, blocks)]
-                    )
+                    np.stack([sum(H[s] @ A_t for s, A_t in zip(specs, At)) for specs, At in blocks])
                     for H in (probe, gallery)
                 )
                 # a probe without a match ranks 0, so it counts as a miss

@@ -448,8 +448,10 @@ class TestExitCodes:
             (["--tau-grid", "0,nan"], "tau_grid"),
             (["--tau-grid", "0,inf"], "tau_grid"),
             (["--width-hi", "inf"], "width_hi"),
+            (["--threads", "0"], "threads must be >= 1, got 0"),
+            (["--q", "1"], "trial 0: multi-kernel methods need q >= 2 kernels, got 1"),
         ],
-        ids=["eps-nan", "eps-inf", "tau-nan", "tau-inf", "width-hi-inf"],
+        ids=["eps-nan", "eps-inf", "tau-nan", "tau-inf", "width-hi-inf", "threads-zero", "q-one"],
     )
     def test_non_finite_flag_exit_2(self, fixture_csv, tmp_path, flags, message):
         proc = run_cli(
@@ -483,6 +485,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{flag[2:].replace('-', '_')} must be finite" in err and "sample" not in err
         assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--identities", "1", "need at least 2 identities, got 1"),
+         ("--views", "1", "need at least 2 views, got 1"),
+         ("--dim", "0", "need dim >= 1, got 0")],
+        ids=["identities-one", "views-one", "dim-zero"],
+    )
+    def test_bad_synth_shape_exit_2(self, tmp_path, capsys, flag, value, message):
+        assert main(["synth", flag, value, "--out", str(tmp_path / "f.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_missing_config_file_exit_2(self, fixture_csv, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        argv = ["evaluate", "--config", str(missing), "--features", str(fixture_csv),
+                "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: cannot open config file {missing}" in captured.err and captured.out == ""
+
+    def test_one_identity_in_both_cameras_exit_2(self, fixture_csv, tmp_path, capsys):
+        # every other identity keeps only its camera-0 sample: one identity has both cameras
+        ds = load_features(fixture_csv)
+        keep = [i for i, (who, cam) in enumerate(zip(ds.identities, ds.cameras))
+                if who == ds.identities[0] or cam == 0]
+        path = tmp_path / "one.csv"
+        save_features(Dataset(ds.features[keep], tuple(ds.identities[i] for i in keep),
+                              tuple(ds.cameras[i] for i in keep)), path)
+        argv = ["evaluate", "--method", "euclidean", "--features", str(path),
+                "--out", str(tmp_path / "x"), "--trials", "1"]
+        with pytest.warns(UserWarning, match="excluded from splitting"):
+            assert main(argv) == 2
+        assert ("error: trial 0: need at least 2 identities with samples in cameras 0 and 1, "
+                "found 1") in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, key",
@@ -740,6 +777,20 @@ def _with_accuracies(doc, **fields):
          "np variant fields ('pair', 'tau') must be None"),
         ("kfda", lambda doc: {**doc, "eigvals": [float(k) for k in range(doc["p"])]},
          "'eigvals' must be non-increasing"),
+        ("kfda", lambda doc: {**doc, "regularizer": -1.0},
+         "{path}: 'regularizer' must be non-negative and finite, got -1.0"),
+        ("kfda", lambda doc: {**doc, "regularizer": math.nan},
+         "{path}: 'regularizer' must be non-negative and finite, got nan"),
+        ("kfda", lambda doc: _with_config(doc, kind="linear", width="abc"),
+         "linear kernel takes no width, got 'abc'"),
+        ("kfda", lambda doc: _with_config(doc, kind="poly2", width=[1, 2]),
+         "poly2 kernel takes no width, got [1, 2]"),
+        ("kfda", lambda doc: _with_config(doc, kind="linear", width=-5.0),
+         "linear kernel takes no width, got -5.0"),
+        ("kfda", lambda doc: _with_config(doc, kind="poly2", width=math.nan),
+         "poly2 kernel takes no width, got nan"),
+        ("kfda", lambda doc: {**doc, "A": [[math.nan] * doc["p"]] + doc["A"][1:]},
+         "{path}: 'A' has non-finite entries"),
     ],
     ids=["no-kernel-width", "kernel-type-unknown", "kernel-type-missing", "bank-not-list",
          "json-list", "no-A", "p-mismatch", "seed-string", "seed-bool",
@@ -747,7 +798,9 @@ def _with_accuracies(doc, **fields):
          "sm-pair-bool", "sm-tau-bool", "np-n-top-bool", "np-weights-string", "np-weights-bool",
          "pis-bool", "folds-string", "folds-float", "fold-seed-bool", "pis-short", "pis-long",
          "folds-negative", "folds-one", "fold-seed-negative", "sm-with-np-weights",
-         "np-with-sm-pair-tau", "eigvals-increasing"],
+         "np-with-sm-pair-tau", "eigvals-increasing", "regularizer-negative", "regularizer-nan",
+         "linear-width-string", "poly2-width-list", "linear-width-negative", "poly2-width-nan",
+         "A-nan"],
 )
 def test_malformed_model_file_exit_2(model_doc, mkl_model_paths, fixture_csv, tmp_path, method,
                                      corrupt, message):

@@ -49,6 +49,11 @@ def test_load_rejects_malformed_value(tmp_path):
     path = write_csv(tmp_path / "f.csv", ["id,cam,f1", "a,0,1.0", "a,1,oops"])
     with pytest.raises(InputError, match="line 3"):
         load_features(path)
+    for cam, message in (("x", "line 4: camera label 'x' is not an integer"),
+                         ("-1", "line 4: negative camera label -1")):
+        path = write_csv(tmp_path / "f.csv", ["id,cam,f1", "a,0,1.0", "a,1,2.0", f"b,{cam},3.0"])
+        with pytest.raises(InputError, match=message):
+            load_features(path)
 
 
 def test_load_rejects_ragged_row(tmp_path):

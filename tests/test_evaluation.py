@@ -136,7 +136,7 @@ class TestRankProbe:
 
     def test_with_trained_model(self, separable_ds):
         plan = make_split(separable_ds, 0)
-        model = fit_for_trial(separable_ds, plan, "kfda", QUIET)
+        model = fit_for_trial(separable_ds, plan, QUIET)
         probe_idx = sorted(separable_ds.samples_of(plan.test_ids, 0))
         gallery_idx = sorted(separable_ds.samples_of(plan.test_ids, 1))
         dists = score_matrix(
@@ -309,7 +309,7 @@ class TestDistractors:
         ds = self._ds_with_probe_only_identity()
         cfg = RunConfig(trials=1, folds=2, q=2)
         matched = self._hand_plan({"p3", "p4", "p5"})
-        model = fit_for_trial(ds, matched, "kfda", cfg)
+        model = fit_for_trial(ds, matched, cfg)
         with pytest.warns(UserWarning, match="excluded 1 probes without a gallery match"):
             report = evaluate_model(ds, model, self._hand_plan({"p3", "p4", "p5", "extra1"}), cfg)
         with warnings.catch_warnings():
@@ -321,7 +321,7 @@ class TestDistractors:
     def test_hand_built_plan_without_any_match_rejected(self):
         ds = self._ds_with_probe_only_identity()
         cfg = RunConfig(trials=1, folds=2, q=2)
-        model = fit_for_trial(ds, self._hand_plan({"p3", "p4", "p5"}), "kfda", cfg)
+        model = fit_for_trial(ds, self._hand_plan({"p3", "p4", "p5"}), cfg)
         # extra1's probe faces a gallery of the distractor extra0 alone
         with pytest.raises(InputError, match="absent from the gallery"):
             evaluate_model(ds, model, self._hand_plan({"extra1"}), cfg)
@@ -330,7 +330,7 @@ class TestDistractors:
 class TestEvaluateModel:
     def test_single_trial_report(self, separable_ds):
         plan = make_split(separable_ds, 3)
-        model = fit_for_trial(separable_ds, plan, "kfda", QUIET)
+        model = fit_for_trial(separable_ds, plan, QUIET)
         report = evaluate_model(separable_ds, model, plan, QUIET)
         assert report.trials == 1
         assert report.rank_accuracy(1) == 1.0

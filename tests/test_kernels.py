@@ -85,6 +85,9 @@ class TestEvalKernel:
             KernelSpec("rbf", 1e308)  # 2 sigma^2 overflows a float
         with pytest.raises(InputError):
             KernelSpec("sigmoid", 1.0)
+        for kind in ("linear", "poly2"):
+            with pytest.raises(InputError, match=f"{kind} kernel takes no width"):
+                KernelSpec(kind, 1.0)
 
     @given(x=finite_vec, y=finite_vec)
     @settings(max_examples=50, deadline=None)

@@ -341,6 +341,14 @@ class TestTrain:
         assert m1.A.tobytes() == m2.A.tobytes()
         assert m1.eigvals.tobytes() == m2.eigvals.tobytes()
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "neg"])
+    def test_bad_regularizer_rejected(self, eps):
+        # NaN fails both eps < 0 and eps > 0; it must not fall through to the eps = 0 solve
+        ds = make_synthetic(12, noise=0.3, seed=1)
+        spec = KernelSpec("rbf", rms_width(ds, range(ds.n_samples)))
+        with pytest.raises(InputError, match="regularizer must be non-negative and finite"):
+            train(ds, _full_train_plan(ds), spec, eps=eps)
+
     def test_linear_kernel_matches_input_space_fda(self):
         # n=16 > d=5; rank(Q) = d on the eps=0 path, so p = d discriminants
         ds = _two_view_dataset(8, 5, seed=14, spread=3.0, noise=1.0)

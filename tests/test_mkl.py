@@ -395,7 +395,7 @@ class TestFoldPlan:
         ds, split, calls = trial
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fit_for_trial(ds, split, method, RunConfig())
+            fit_for_trial(ds, split, RunConfig(method=method))
         [(_, used)] = calls["_make_folds"]
         assert len(calls["index_classes"]) == len(used) + 1
 
@@ -412,7 +412,7 @@ class TestFoldPlan:
         ds, split, calls = trial
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            model = fit_for_trial(ds, split, method, RunConfig())
+            model = fit_for_trial(ds, split, RunConfig(method=method))
         assert len(calls["grams"]) == fitted
         assert len(calls["squared_distances"]) == self.DISTANCES[method][0]
         save_model(model, tmp_path / "model.json")

@@ -41,6 +41,15 @@ def test_parameter_names_read_by_perfbench(tmp_path):
     assert list(inspect.signature(data.make_split).parameters)[:3] == [
         "ds", "trial_seed", "train_fraction"
     ]
+    # the benchmark runs run_trials(ds, method, 1, seed, cfg) and the acceptance suite
+    # dimension_sweep(ds, method, p_values, trials, seed, cfg), both positionally
+    assert list(inspect.signature(evaluation.run_trials).parameters) == [
+        "ds", "method", "trials", "base_seed", "cfg"
+    ]
+    assert list(inspect.signature(evaluation.dimension_sweep).parameters) == [
+        "ds", "method", "p_values", "trials", "base_seed", "cfg"
+    ]
+    # its rank capture reads cfg.include_distractors from every score_plan call
     assert {"ds", "model", "plan", "cfg"} <= params(evaluation.score_plan)
     for fn in (metric.score_matrix, metric.euclidean_score_matrix, evaluation.evaluate_model):
         assert callable(fn)
