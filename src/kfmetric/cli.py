@@ -10,10 +10,11 @@ stdout; causes of failure go to stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-from .config import METHODS, PARSERS, RunConfig, resolve_config
+from .config import METHODS, PARSERS, RunConfig, load_config_file
 from .data import load_features, make_split, open_output, save_features
 from .errors import InputError, NumericError
 from .evaluation import (
@@ -76,9 +77,14 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {key: value for key, value in vars(args).items() if key in PARSERS}
-    cfg = resolve_config(getattr(args, "config", None), overrides)
-    cfg.validate()
+    """--config file settings, then the flags given; the feature-file checks run before --out."""
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    values.update((key, value) for key, value in vars(args).items() if key in PARSERS)
+    cfg = RunConfig(**values)
+    if cfg.features is None:
+        raise InputError("no feature file configured")
+    if not os.path.exists(cfg.features):
+        raise InputError(f"feature file does not exist: {cfg.features}")
     return cfg
 
 

@@ -1,9 +1,9 @@
 """Run configuration: defaults, key=value config files, and config digests.
 
-``PARSERS`` is the one declaration of each setting's text form: config
-files and command-line flags both parse with it. The digest hashes every
-field except ``features``, ``out`` and ``threads`` (file locations and the
-worker count), so golden digests stay valid across machines.
+A ``RunConfig`` checks its values when built, ``dataclasses.replace`` too;
+``PARSERS`` stays each setting's text form, for config files and flags alike.
+The digest hashes every field except ``features``, ``out`` and ``threads``
+(file locations and the worker count), so golden digests stay valid across machines.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import InputError
 
@@ -32,7 +31,7 @@ _UNHASHED = frozenset({"features", "out", "threads"})
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All knobs for a train/evaluate/cv/sweep run."""
+    """All knobs for a train/evaluate/cv/sweep run; a value out of range raises InputError."""
 
     method: str = "kfda"
     features: str | None = None
@@ -51,7 +50,7 @@ class RunConfig:
     threads: int = 1
     include_distractors: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise InputError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 < self.train_fraction < 1.0:
@@ -76,10 +75,6 @@ class RunConfig:
             raise InputError("every N in n_grid must be >= 1")
         if not all(0 <= t < math.inf for t in self.tau_grid):
             raise InputError("tau_grid values must be finite and non-negative")
-        if self.features is None:
-            raise InputError("no feature file configured")
-        if not os.path.exists(self.features):
-            raise InputError(f"feature file does not exist: {self.features}")
 
     def digest(self) -> str:
         """sha256 over every field but features, out and threads; stable across machines."""
@@ -114,7 +109,7 @@ PARSERS = {
 def load_config_file(path) -> dict:
     """Parse a flat key=value config file into a field dict."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise InputError(f"cannot open config file {path}: {exc}") from exc
@@ -137,14 +132,3 @@ def load_config_file(path) -> dict:
             raise InputError(f"{path}: line {lineno}: bad value for {key}: {exc}") from exc
     return out
 
-
-def resolve_config(file_path=None, overrides: dict | None = None) -> RunConfig:
-    """Config from an optional file plus overrides; overrides win.
-
-    Every key present in ``overrides`` is applied, so callers must include
-    only explicitly supplied settings (None is a real value for ``p``).
-    """
-    values = load_config_file(file_path) if file_path else {}
-    if overrides:
-        values.update(overrides)
-    return replace(RunConfig(), **values)

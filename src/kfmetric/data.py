@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -119,6 +120,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_seed(seed) -> None:
+    """A trial seed is a non-negative integer; a bool is not one."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise InputError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class SplitPlan:
     """Identity-disjoint train/test assignment for one trial."""
@@ -134,6 +143,7 @@ class SplitPlan:
             raise InputError("train and test identities overlap")
         if self.probe_camera == self.gallery_camera:
             raise InputError("probe and gallery cameras must differ")
+        _check_seed(self.trial_seed)
         object.__setattr__(self, "train_ids", frozenset(self.train_ids))
         object.__setattr__(self, "test_ids", frozenset(self.test_ids))
 
@@ -152,7 +162,7 @@ def load_features(path) -> Dataset:
     Errors name the offending file line (1-based, header is line 1).
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot open feature file {path}: {exc}") from exc
     with fh:
@@ -278,8 +288,7 @@ def make_split(ds: Dataset, trial_seed: int, train_fraction: float = 0.5) -> Spl
     """
     if not 0.0 < train_fraction < 1.0:
         raise InputError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    if trial_seed < 0:
-        raise InputError(f"seed must be non-negative, got {trial_seed}")
+    _check_seed(trial_seed)
     cams = ds.camera_labels()
     if len(cams) < 2:
         raise InputError(f"need samples from at least 2 cameras, found {cams}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .config import METHODS, RunConfig
+from .config import RunConfig
 from .data import Dataset, SplitPlan, eligible_identities, make_split, open_output
 from .errors import InputError, NumericError
 from .kernels import MAX_RBF_WIDTH, KernelSpec, _is_int, rms_width
@@ -70,14 +70,12 @@ def rbf_bank(ds: Dataset, train_idx, cfg: RunConfig) -> tuple[KernelSpec, ...]:
 
 
 def fit_for_trial(ds: Dataset, plan: SplitPlan, cfg: RunConfig) -> KfdaModel | None:
-    """Train cfg.method's model on one trial's split; None for the raw-feature baseline."""
+    """Train cfg.method (a RunConfig-checked name) on one split; None for the euclidean baseline."""
     if cfg.method == "euclidean":
         return None
     if cfg.method == "kfda":
         width = rms_width(ds, ds.samples_of(plan.train_ids))
         return train(ds, plan, KernelSpec("rbf", width), cfg.eps, cfg.p)
-    if cfg.method not in ("np-mfml", "sm-mfml"):
-        raise InputError(f"unknown method {cfg.method!r}")
     if cfg.q < 2:
         raise InputError(f"multi-kernel methods need q >= 2 kernels, got {cfg.q}")
     variant = "np" if cfg.method == "np-mfml" else "sm"
@@ -124,15 +122,11 @@ def score_plan(ds: Dataset, model: KfdaModel | None, plan: SplitPlan, cfg: RunCo
 def _trials(ds: Dataset, cfg: RunConfig, score) -> list:
     """``score(plan, model)`` for each of cfg.trials seeded trials, in trial order.
 
-    Trial t splits with seed cfg.base_seed + t and fits cfg.method by
-    :func:`fit_for_trial`; an InputError or NumericError raised in trial t
-    names it, and any other exception passes through as it is. With
+    Trial t splits with seed cfg.base_seed + t and fits cfg.method (RunConfig has
+    checked it and cfg.trials) by :func:`fit_for_trial`; an InputError or NumericError
+    raised in trial t names it, and any other exception passes through as it is. With
     cfg.threads > 1 the trials run on a thread pool.
     """
-    if cfg.method not in METHODS:
-        raise InputError(f"method must be one of {METHODS}, got {cfg.method!r}")
-    if cfg.trials < 1:
-        raise InputError(f"trials must be >= 1, got {cfg.trials}")
 
     def one(t: int):
         try:

@@ -278,8 +278,9 @@ def config_from_dict(doc: dict, source) -> KernelSpec | MklConfig:
         if kind == "kernel":
             return KernelSpec(doc["kind"], doc["width"])
         if kind == "mkl":
-            a = doc.get("accuracies")
-            acc = KernelAccuracies(tuple(a["pis"]), a["folds"], a["fold_seed"]) if a else None
+            acc = doc.get("accuracies")
+            if acc is not None:  # only a missing key or null means none
+                acc = KernelAccuracies(tuple(acc["pis"]), acc["folds"], acc["fold_seed"])
             return MklConfig(
                 variant=doc["variant"],
                 bank_specs=tuple(KernelSpec(s["kind"], s["width"]) for s in doc["bank_specs"]),

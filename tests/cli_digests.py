@@ -1,10 +1,12 @@
 """One sha256 per CLI output file, for comparing two trees byte for byte.
 
     python tests/cli_digests.py TREE > digests.txt
+    python tests/cli_digests.py TREE_A TREE_B
 
-imports ``kfmetric`` from ``TREE/src`` and, in a fresh temporary directory,
-writes two fixtures with ``synth``: its defaults (40 identities, noise 0.05)
-and 80 identities at noise 0.6. For each fixture and seeds 0-2 it runs
+With one tree it imports ``kfmetric`` from ``TREE/src`` and, in a fresh
+temporary directory, writes two fixtures with ``synth``: its defaults (40
+identities, noise 0.05) and 80 identities at noise 0.6. For each fixture and
+seeds 0-2 it runs
 
 * ``train`` for kfda, np-mfml and sm-mfml: stdout, ``model.json`` and ``train.log``;
 * ``evaluate`` for all four methods: stdout and ``cmc.csv``;
@@ -14,6 +16,8 @@ and 80 identities at noise 0.6. For each fixture and seeds 0-2 it runs
 and prints ``<fixture>/<seed>/<command>-<method>/<file> <sha256>``, one line
 per file. Output paths are relative to the temporary directory, so stdout
 names the same paths on every tree and two runs compare with one ``diff``.
+With two trees it runs the one-tree form on each in a fresh interpreter and
+prints ``N digests identical``, or every differing line, and then exits 1.
 BLAS runs on one thread unless the environment already says otherwise.
 Warnings go nowhere; stderr is not digested.
 """
@@ -25,7 +29,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import difflib  # noqa: E402
 import io  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
@@ -73,9 +79,24 @@ def digests(main) -> list[str]:
     return lines
 
 
+def tree_digests(tree) -> list[str]:
+    """The one-tree output for ``tree``, run in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, __file__, tree], capture_output=True, text=True, check=False
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: digest run exited {proc.returncode}\n{proc.stderr}")
+    return proc.stdout.splitlines()
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 3:
+        before, after = (tree_digests(tree) for tree in sys.argv[1:])
+        diff = list(difflib.unified_diff(before, after, *sys.argv[1:], n=0, lineterm=""))
+        print("\n".join(diff) if diff else f"{len(before)} digests identical")
+        sys.exit(1 if diff else 0)
     if len(sys.argv) != 2:
-        raise SystemExit("usage: python tests/cli_digests.py TREE")
+        raise SystemExit("usage: python tests/cli_digests.py TREE [TREE_B]")
     sys.path.insert(0, str(Path(sys.argv[1]).resolve() / "src"))
     from kfmetric.cli import main
 

@@ -5,9 +5,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -390,6 +391,15 @@ class TestConfigFile:
             cfg = tmp_path / "bool.cfg"
             cfg.write_text(f"include_distractors = {value}\n")
             assert load_config_file(cfg) == {"include_distractors": expected}
+
+    def test_byte_order_mark_skipped(self, fixture_csv, tmp_path, capsys):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbftrials=2\n")
+        assert load_config_file(cfg) == {"trials": 2}
+        argv = ["evaluate", "--config", str(cfg), "--method", "euclidean",
+                "--features", str(fixture_csv), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert "trials 2" in capsys.readouterr().out
 
     def test_p_full_flag(self, fixture_csv, tmp_path):
         out = tmp_path / "pf"
@@ -791,6 +801,17 @@ def _with_accuracies(doc, **fields):
          "poly2 kernel takes no width, got nan"),
         ("kfda", lambda doc: {**doc, "A": [[math.nan] * doc["p"]] + doc["A"][1:]},
          "{path}: 'A' has non-finite entries"),
+        # only a missing or null accuracies field means none
+        ("sm-mfml", lambda doc: _with_config(doc, accuracies=[]),
+         "{path}: malformed kernel_config: "),
+        ("sm-mfml", lambda doc: _with_config(doc, accuracies={}),
+         "{path}: kernel_config lacks field 'pis'"),
+        ("sm-mfml", lambda doc: _with_config(doc, accuracies=0),
+         "{path}: malformed kernel_config: "),
+        ("sm-mfml", lambda doc: _with_config(doc, accuracies=""),
+         "{path}: malformed kernel_config: "),
+        ("np-mfml", lambda doc: _with_config(doc, accuracies=False),
+         "{path}: malformed kernel_config: "),
     ],
     ids=["no-kernel-width", "kernel-type-unknown", "kernel-type-missing", "bank-not-list",
          "json-list", "no-A", "p-mismatch", "seed-string", "seed-bool",
@@ -800,7 +821,8 @@ def _with_accuracies(doc, **fields):
          "folds-negative", "folds-one", "fold-seed-negative", "sm-with-np-weights",
          "np-with-sm-pair-tau", "eigvals-increasing", "regularizer-negative", "regularizer-nan",
          "linear-width-string", "poly2-width-list", "linear-width-negative", "poly2-width-nan",
-         "A-nan"],
+         "A-nan", "accuracies-empty-list", "accuracies-empty-object", "accuracies-zero",
+         "accuracies-empty-string", "accuracies-false"],
 )
 def test_malformed_model_file_exit_2(model_doc, mkl_model_paths, fixture_csv, tmp_path, method,
                                      corrupt, message):
@@ -988,6 +1010,53 @@ def test_one_flag_per_setting():
     for command, parser in _run_parsers().items():
         dests = [a.dest for a in parser._actions if a.option_strings and a.dest in PARSERS]
         assert sorted(dests) == names, command
+
+
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("method", "cosine",
+         "method must be one of ('euclidean', 'kfda', 'np-mfml', 'sm-mfml'), got 'cosine'"),
+        ("train_fraction", 0.0, "train_fraction must be in (0, 1), got 0.0"),
+        ("train_fraction", 1.0, "train_fraction must be in (0, 1), got 1.0"),
+        ("trials", 0, "trials must be >= 1, got 0"),
+        ("q", 0, "q must be >= 1, got 0"),
+        ("width_lo", 0.0, "need 0 < width_lo < width_hi < inf, got 0.0, 10.0"),
+        ("width_lo", 10.0, "need 0 < width_lo < width_hi < inf, got 10.0, 10.0"),
+        ("width_hi", math.inf, "need 0 < width_lo < width_hi < inf, got 0.1, inf"),
+        ("eps", 0.0, "eps must be positive and finite, got 0.0"),
+        ("eps", math.nan, "eps must be positive and finite, got nan"),
+        ("eps", math.inf, "eps must be positive and finite, got inf"),
+        ("p", 0, "p must be >= 1 or 'full', got 0"),
+        ("folds", 1, "folds must be >= 2, got 1"),
+        ("threads", 0, "threads must be >= 1, got 0"),
+        ("n_grid", (1, 0), "every N in n_grid must be >= 1"),
+        ("tau_grid", (0.0, -1.0), "tau_grid values must be finite and non-negative"),
+        ("tau_grid", (math.nan,), "tau_grid values must be finite and non-negative"),
+    ],
+    ids=["method-unknown", "train-fraction-zero", "train-fraction-one", "trials-zero", "q-zero",
+         "width-lo-zero", "width-lo-equal-hi", "width-hi-inf", "eps-zero", "eps-nan", "eps-inf",
+         "p-zero", "folds-one", "threads-zero", "n-grid-zero", "tau-grid-negative", "tau-grid-nan"],
+)
+def test_run_config_checks_each_value_when_built(field, bad, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        RunConfig(**{field: bad})
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        replace(RunConfig(), **{field: bad})
+
+
+@pytest.mark.parametrize("missing", [False, True], ids=["unset", "missing-file"])
+def test_feature_file_checked_before_out_is_made(tmp_path, capsys, missing):
+    features = tmp_path / "nope.csv"
+    out = tmp_path / "out"
+    argv = ["evaluate", "--out", str(out)] + (["--features", str(features)] if missing else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    if missing:
+        assert err == f"error: feature file does not exist: {features}\n"
+    else:
+        assert err == "error: no feature file configured\n"
+    assert not out.exists()
 
 
 def _run_config(argv):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from kfmetric.data import (
     Dataset,
+    SplitPlan,
     eligible_identities,
     index_classes,
     load_features,
@@ -84,6 +85,18 @@ def test_load_rejects_unreadable_csv(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(InputError, match="unreadable feature file"):
         load_features(path)
+
+
+def test_load_skips_byte_order_mark(tmp_path, rng):
+    ds = Dataset(rng.normal(size=(4, 3)), ("a", "a", "b", "b"), (0, 1, 0, 1))
+    plain = tmp_path / "plain.csv"
+    save_features(ds, plain)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    back = load_features(bom)
+    np.testing.assert_array_equal(back.features, ds.features)
+    assert back.identities == ds.identities
+    assert back.cameras == ds.cameras
 
 
 def test_load_missing_file_names_path(tmp_path):
@@ -243,6 +256,19 @@ def test_make_split_rejects_bad_fraction_and_tiny_sets():
     one_cam = Dataset(np.ones((4, 2)), ("a", "a", "b", "b"), (0, 0, 0, 0))
     with pytest.raises(InputError, match="2 cameras"):
         make_split(one_cam, 0)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [(-1, "seed must be non-negative, got -1"), (1.5, "seed must be an integer, got 1.5"),
+     (True, "seed must be an integer, got True")],
+    ids=["negative", "float", "bool"],
+)
+def test_trial_seed_is_a_non_negative_integer(seed, message):
+    with pytest.raises(InputError, match=message):
+        SplitPlan(frozenset({"a"}), frozenset({"b"}), seed, 0, 1)
+    with pytest.raises(InputError, match=message):
+        make_split(_two_camera_ds(4), seed)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

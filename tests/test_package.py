@@ -66,6 +66,9 @@ def test_parameter_names_read_by_perfbench(tmp_path):
     )
     kfda.save_model(kfda.train(ds, plan, sm), path)
     assert kfda.load_model(path)[0].kernel_config == sm
+    # the set-ups build these run configs, which RunConfig checks when built
+    assert kfmetric.RunConfig(threads=1).threads == 1
+    assert kfmetric.RunConfig(threads=1, train_fraction=0.25).train_fraction == 0.25
 
 
 def _package_imports(tree):
