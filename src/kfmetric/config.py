@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .errors import InputError
@@ -29,9 +30,27 @@ def default_n_grid(q: int) -> tuple[int, ...]:
 _UNHASHED = frozenset({"features", "out", "threads"})
 
 
+def _is_int(v) -> bool:
+    """An integer that is not a bool (JSON true/false would pass int())."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _check_seed(seed) -> None:
+    """A seed is a non-negative integer; a bool is not one."""
+    if not _is_int(seed):
+        raise InputError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """All knobs for a train/evaluate/cv/sweep run; a value out of range raises InputError."""
+    """All knobs for a train/evaluate/cv/sweep run, checked when built.
+
+    A count (trials, q, p, folds, threads or an N of n_grid) that is not an
+    integer or is a bool, a base_seed that is not a non-negative integer, an
+    include_distractors that is not a bool, or a value out of range raises InputError.
+    """
 
     method: str = "kfda"
     features: str | None = None
@@ -51,6 +70,19 @@ class RunConfig:
     include_distractors: bool = True
 
     def __post_init__(self) -> None:
+        counts = {"trials": self.trials, "q": self.q, "folds": self.folds, "threads": self.threads}
+        if self.p is not None:
+            counts["p"] = self.p
+        for name, value in counts.items():
+            if not _is_int(value):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+        if self.n_grid is not None and not all(_is_int(N) for N in self.n_grid):
+            raise InputError(f"every N in n_grid must be an integer, got {self.n_grid!r}")
+        _check_seed(self.base_seed)
+        if not isinstance(self.include_distractors, bool):
+            raise InputError(
+                f"include_distractors must be true or false, got {self.include_distractors!r}"
+            )
         if self.method not in METHODS:
             raise InputError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 < self.train_fraction < 1.0:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .config import _check_seed
 from .errors import InputError
 
 
@@ -118,14 +118,6 @@ class ClassIndex:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _check_seed(seed) -> None:
-    """A trial seed is a non-negative integer; a bool is not one."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise InputError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
 
 
 @dataclass(frozen=True)

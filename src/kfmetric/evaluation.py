@@ -20,10 +20,10 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, _is_int
 from .data import Dataset, SplitPlan, eligible_identities, make_split, open_output
 from .errors import InputError, NumericError
-from .kernels import MAX_RBF_WIDTH, KernelSpec, _is_int, rms_width
+from .kernels import MAX_RBF_WIDTH, KernelSpec, rms_width
 from .kernels import squared_distances, width_grid
 from .kfda import KfdaModel, train
 from .metric import euclidean_score_matrix, embed_batch, score_matrix, true_ranks

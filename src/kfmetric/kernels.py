@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _is_int
 from .errors import InputError, NumericError
 
 KERNEL_KINDS = ("rbf", "linear", "poly2")
@@ -91,9 +92,12 @@ class KernelSpec:
         """The Gram of :attr:`specs` over a basis, unchanged (see ``MklConfig.fuse``)."""
         return grams[0]
 
-    def fold(self, A: np.ndarray, grams) -> tuple:
-        """The coefficient block of :attr:`specs` over a basis X: embed(Y) = k(Y, X) A."""
-        return (A,)
+    def fold(self, grams):
+        """The map from coefficients A over a basis X to the block of :attr:`specs`.
+
+        embed(Y) = k(Y, X) A, so the block is A itself and ``grams`` is not read.
+        """
+        return lambda A: (A,)
 
     def to_dict(self) -> dict:
         return {"type": "kernel", "kind": self.kind, "width": self.width}
@@ -129,11 +133,6 @@ class KernelAccuracies:
     @property
     def q(self) -> int:
         return len(self.pis)
-
-
-def _is_int(v) -> bool:
-    """An integer that is not a bool (JSON true/false would pass int())."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _is_real(v) -> bool:
@@ -228,19 +227,25 @@ class MklConfig:
             raise NumericError("kernel matrix contains non-finite entries")
         return out
 
-    def fold(self, A: np.ndarray, grams) -> tuple:
-        """One coefficient block A_t per spec over basis X: embed(Y) = sum_t k_t(Y, X) A_t.
+    def fold(self, grams):
+        """The map from coefficients A over a basis X to one block A_t per spec.
 
-        np: A_t = beta_t A. sm: the fused cross kernel 0.5 (C_i + C_j) + tau (C_i - C_j) D,
-        with D = K_i - K_j over X, applied to A splits into
-        C_i (A/2 + tau D A) + C_j (A/2 - tau D A). ``grams`` yields the Gram
-        of each spec over X, as for :meth:`fuse`; only sm reads it.
+        embed(Y) = sum_t k_t(Y, X) A_t. np: A_t = beta_t A. sm: the fused cross
+        kernel 0.5 (C_i + C_j) + tau (C_i - C_j) D, with D = K_i - K_j over X,
+        applied to A splits into C_i (A/2 + tau D A) + C_j (A/2 - tau D A).
+        ``grams`` yields the Gram of each spec over X, as for :meth:`fuse`. Only
+        sm reads it, here, and its map holds the pair; np's holds no Gram. So a
+        caller takes the map before its solve and keeps no other base Gram.
         """
         if self.variant == "np":
-            return tuple(b * A for b in self.weights if b != 0.0)
+            return lambda A: tuple(b * A for b in self.weights if b != 0.0)
         Ki, Kj = grams
-        tDA = self.tau * ((Ki - Kj) @ A)
-        return (0.5 * A + tDA, 0.5 * A - tDA)
+
+        def blocks(A):
+            tDA = self.tau * ((Ki - Kj) @ A)
+            return (0.5 * A + tDA, 0.5 * A - tDA)
+
+        return blocks
 
     def to_dict(self) -> dict:
         doc = {

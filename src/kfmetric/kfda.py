@@ -33,6 +33,10 @@ candidate kernels as one stack; only the LAPACK calls loop over it.
 A model uses its kernel configuration only through ``specs``, ``fuse``,
 ``fold`` and ``to_dict``, and :func:`load_model` reads one back by
 :func:`~kfmetric.kernels.config_from_dict`, so no configuration type is named here.
+
+The scatter and the solve each let go of a buffer once they have read it,
+so a fit that hands them its Gram and pair unnamed, as :func:`train` and
+cross-validation do, holds about 2.5 n x n buffers at most from the scatter on.
 """
 
 from __future__ import annotations
@@ -116,9 +120,9 @@ class KfdaModel:
         return self.A.shape[1]
 
 
-def _with_kernel(sol: KfdaSolution, regularizer: float, X: np.ndarray, kernel, grams) -> KfdaModel:
-    """The model of a solution over basis X, its kernel folded over X's ``grams`` into terms."""
-    terms = tuple(zip(kernel.specs, kernel.fold(sol.A, grams)))
+def _with_kernel(sol: KfdaSolution, regularizer: float, X: np.ndarray, kernel, fold) -> KfdaModel:
+    """The model of a solution over basis X, its A folded into terms by ``kernel.fold``'s map."""
+    terms = tuple(zip(kernel.specs, fold(sol.A)))
     sol.A.setflags(write=False)
     sol.eigvals.setflags(write=False)
     return KfdaModel(sol.A, sol.eigvals, regularizer, X, kernel, terms)
@@ -137,6 +141,11 @@ def build_scatter(K, idx: ClassIndex) -> ScatterPair:
     for j = 1 .. s - 1, so a singleton class adds none. One column take per
     member rank feeds both the class sums and the contrasts. A non-finite
     Gram entry, or a Q that overflows, raises NumericError.
+
+    Each buffer is let go once read: K after the last column take, B once Q
+    is formed. So at most K and B, then B and Q, are live (with n x c class
+    sums), and a caller that hands K over unnamed, as a fit does, has K freed
+    before Q is allocated.
 
     A (..., n, n) stack of Grams gives a pair of (..., n, n) and (..., n, c)
     stacks: the contrasts and class sums run elementwise over the whole
@@ -168,8 +177,11 @@ def build_scatter(K, idx: ClassIndex) -> ScatterPair:
                 means = total
             else:
                 means[..., classes] = total
+        # nothing below reads K, the last column or the last contrast view, which keeps B
+        K = col = h = None
         # A @ A.T runs as one syrk per matrix, which fills an exactly symmetric result
         Q = B @ B.swapaxes(-1, -2)
+        del B
         M = means - (means @ idx.weights)[..., None]
         M *= idx.sqrt_counts
     if not (np.isfinite(Q).all() and np.isfinite(M).all()):
@@ -258,25 +270,35 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
     the stack; Q + eps I, Y^T Y, the norms and the sign fix run once on it.
     Each pencil gets the bits a 2-D call on it gets, and the first pencil in
     stack order that fails raises. A 2-D pair gives 2-D results.
+
+    Q and M are taken out of the pair, and with eps > 0 each is let go once
+    L or Y is filled from it. So a pair handed over unnamed, as a fit does,
+    is freed before the factorization: at most Q, L and M, then L, Y and the
+    c x c G are live. A is written into the first p columns of Y's buffer;
+    at p = c - 1 it is returned as that view, and at a smaller p as a copy.
     """
     c = sc.n_classes
     if not 1 <= p <= c - 1:
         raise InputError(f"p must be in 1..c-1 = 1..{c - 1}, got {p}")
     if not 0 <= eps < math.inf:
         raise InputError(f"regularizer must be non-negative and finite, got {eps}")
-    n = sc.Q.shape[-1]
-    lead = sc.Q.shape[:-2]
+    Q, M = sc.Q, sc.M
+    del sc
+    n = Q.shape[-1]
+    lead = Q.shape[:-2]
     if eps > 0:
         # Q + eps I in potrf's column-major layout, so it is factored in place;
         # x + 0.0, then eps on the diagonal, gives the bits of Q + eps * eye(n).
         # Q is exactly symmetric (one syrk), so it is read in its own row-major
         # order and written through L's row-major transpose: both passes contiguous
-        L = _column_major(sc.Q.shape)
-        np.add(sc.Q, 0.0, out=L.swapaxes(-1, -2))
+        L = _column_major(Q.shape)
+        np.add(Q, 0.0, out=L.swapaxes(-1, -2))
+        Q = None
         diag = np.arange(n)
         L[..., diag, diag] += eps
-        Y = _column_major(sc.M.shape)
-        Y[...] = sc.M
+        Y = _column_major(M.shape)
+        Y[...] = M
+        M = None
         for L_k, Y_k in zip(_each(L), _each(Y)):
             _, info = _POTRF(L_k, lower=1, overwrite_a=1, clean=1)
             if info:
@@ -289,7 +311,7 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
         G = (Y.swapaxes(-1, -2) @ Y).swapaxes(-1, -2)
     else:
         W, Y = [], []
-        for Q_k, M_k in zip(_each(sc.Q), _each(sc.M)):
+        for Q_k, M_k in zip(_each(Q), _each(M)):
             U = np.array(Q_k, order="F")
             s = _eigh(U)
             smax = float(s[-1])
@@ -308,7 +330,9 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
     vals = _eigh(G)[..., ::-1][..., :p]
     V = G[..., ::-1][..., :p]  # G now holds the eigenvectors
     if eps > 0:
-        A = _column_major(lead + (n, p))
+        # Y is not read after Y V, so A takes its first p columns: column-major
+        # matrices as before, for trtrs to solve in place
+        A = Y[..., :p]
         A[...] = Y @ V
         for L_k, A_k in zip(_each(L), _each(A)):
             _trsm(L_k, A_k, trans=1)
@@ -323,6 +347,8 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
     each = _each(A)
     peak = each[np.arange(len(each))[:, None], np.argmax(np.abs(each), axis=1), np.arange(p)]
     np.negative(each, out=each, where=(peak < 0)[:, None, :])  # flips each negative-peak column
+    if eps > 0 and p < c - 1:
+        A = A.copy(order="K")  # column-major as before, without Y's other c - p columns
     return KfdaSolution(A, np.maximum(vals, 0.0))
 
 
@@ -336,6 +362,14 @@ def train(
     """Fit a discriminant model on the plan's training identities.
 
     ``kernel`` is a kernel configuration (see :mod:`kfmetric.kernels`); ``p`` defaults to c - 1.
+    The basis Grams are built once. ``kernel.fold`` takes its map from them
+    before the solve, and the map holds only the Grams it reads: sm's pair,
+    none for np or a single kernel. The fused Gram and the scatter pair are
+    handed on unnamed, so :func:`build_scatter` and :func:`solve_kfda` free
+    each n x n buffer once read. From the scatter on, besides sm's pair, at
+    most about 2.5 n x n float64 buffers are live (K, the contrasts and the
+    class sums, then Q, L and M). Combining the base Grams first peaks
+    higher: at about N + 2 for np's N Grams, and 5 for sm.
     """
     train_idx = ds.samples_of(plan.train_ids)
     if not train_idx:
@@ -346,8 +380,13 @@ def train(
     p_eff = idx.n_classes - 1 if p is None else p
     X = ds.features[train_idx]
     base = list(grams(kernel.specs, X))  # one distance matrix for every rbf
-    sc = build_scatter(kernel.fuse(base), idx)
-    return _with_kernel(solve_kfda(sc, p_eff, eps), eps, X, kernel, base)
+    fold = kernel.fold(base)
+    # build_scatter frees the fused Gram once read only if this frame holds no name
+    # for it; a lone spec's fused Gram is its base Gram, so base goes and a list hands it on
+    fused = [kernel.fuse(base)]
+    del base
+    sol = solve_kfda(build_scatter(fused.pop(), idx), p_eff, eps)
+    return _with_kernel(sol, eps, X, kernel, fold)
 
 
 def save_model(model: KfdaModel, path, meta: dict | None = None) -> None:
@@ -434,5 +473,5 @@ def load_model(path) -> tuple[KfdaModel, dict]:
     if (eigvals[1:] > eigvals[:-1]).any():
         raise InputError(f"{path}: 'eigvals' must be non-increasing")
     X = _model_array(doc, "train_features", (n, d), path)
-    base = grams(kernel.specs, X)  # lazy: fold reads only sm's pair
-    return _with_kernel(KfdaSolution(A, eigvals), eps, X, kernel, base), doc["meta"]
+    fold = kernel.fold(grams(kernel.specs, X))  # lazy: only sm's fold builds its pair
+    return _with_kernel(KfdaSolution(A, eigvals), eps, X, kernel, fold), doc["meta"]

@@ -113,19 +113,16 @@ class _Fold:
     probe_ids: np.ndarray  # identity codes, built once so ranking does not convert them
     gallery_ids: np.ndarray
 
-    def cut(self, grams: dict) -> tuple:
-        """Spec-keyed pool Grams' training, probe and gallery rows over the training columns.
+    def cut(self, K: np.ndarray) -> np.ndarray:
+        """A pool Gram's training, probe and gallery rows over the training columns, read-only.
 
-        One take per Gram, through one flat index built for the call; each
-        Gram's three blocks are read-only row slices of its cut. Returns the
-        training, probe and gallery blocks as three dicts keyed by spec.
+        Its training, probe and gallery blocks are the row slices at ``bounds``.
+        A column take, then a row take: the pool x n intermediate lives only
+        for the call, and no index as large as the cut is built.
         """
-        a, b = self.bounds
-        flat = self.rows[:, None] * next(iter(grams.values())).shape[1] + self.rows[:a]
-        cuts = {s: K.take(flat) for s, K in grams.items()}
-        for B in cuts.values():
-            B.setflags(write=False)
-        return tuple({s: B[i:j] for s, B in cuts.items()} for i, j in ((0, a), (a, b), (b, None)))
+        cut = K.take(self.rows[: self.bounds[0]], axis=1).take(self.rows, axis=0)
+        cut.setflags(write=False)
+        return cut
 
 
 def _make_folds(ds: Dataset, plan: SplitPlan, folds: int):
@@ -184,7 +181,8 @@ def _make_folds(ds: Dataset, plan: SplitPlan, folds: int):
 # the most fused training Grams (C n^2 float64) one stacked scatter and solve
 # call takes: all 20 bank kernels of an n = 72 fold (0.8 MB) share one call,
 # while an n = 284 fold solves one config per call: a 20-config stack there
-# (13 MB per n x n stack, several held at once) ran slower than single calls
+# (13 MB per n x n stack, about 2.5 such stacks live at once through the
+# scatter and solve) ran slower than single calls
 _STACK_BYTES = 1 << 20
 
 
@@ -212,38 +210,47 @@ class FoldPlan:
     def rank1(self, kernels) -> np.ndarray:
         """Held-out rank-1 of every kernel config on every fold: a (configs, folds) array.
 
-        Per fold each spec's pool Gram is cut once into training, probe and
-        gallery blocks, which each config reads by its ``specs``. The configs
-        are then scored in stacks of as many as fit _STACK_BYTES of fused
-        n x n training Grams: every config at once on small folds, one at a
-        time on large ones. Each config of a stack fuses its training blocks
-        into one (configs, n, n) stack, which takes one scatter and one Fisher
-        solve call; each config then embeds the held-out rows through ``fold``
-        as a trained model serves them, and one distance and one ranking call
-        score the stack. Skipped folds stay NaN.
+        The configs of a fold are scored in stacks of as many as fit
+        _STACK_BYTES of fused n x n training Grams: every config at once on
+        small folds, one at a time on large ones. A stack cuts (:meth:`_Fold.cut`)
+        only the pool Grams its configs read, keeping those of the previous
+        stack that it reads too. So through a solve a large fold holds one cut
+        in the bank pass, two in the sm tau pass and N for an np config, not
+        one per bank kernel. Each config takes its ``fold`` map over its
+        training blocks, then the stack fuses them into one (configs, n, n)
+        stack, handed unnamed to one scatter and one Fisher solve call, which
+        free each n x n buffer once read. Each config then embeds the held-out
+        rows through its map as a trained model serves them, and one distance
+        and one ranking call score the stack. Skipped folds stay NaN.
         """
-        pool = {s: self.pool[s] for k in kernels for s in k.specs}  # the Grams the configs fuse
         rank1 = np.full((len(kernels), self.folds), np.nan)
-        # a stack's arrays other than its scatter pair are replaced, not freed, by
-        # the next stack's: freed in bulk, the allocator hands their pages back
-        # and each stack faults them in again
+        # a stack's outputs (A, the blocks, the embeddings) are replaced, not freed,
+        # by the next stack's: freed in bulk before the next stack allocates, the
+        # allocator hands their pages back and each stack faults them in again
         for fold in self.used:
-            train, probe, gallery = fold.cut(pool)
+            a, b = fold.bounds
             step = max(1, _STACK_BYTES // (8 * fold.idx.n_total**2))
+            cuts = {}
             for start in range(0, len(kernels), step):
                 part = slice(start, start + step)
                 configs = kernels[part]
-                base = [[train[s] for s in k.specs] for k in configs]  # training blocks, per config
-                sc = build_scatter(
-                    np.stack([k.fuse(Ks) for k, Ks in zip(configs, base)]), fold.idx
-                )
-                A = solve_kfda(sc, fold.idx.n_classes - 1, self.eps).A
-                del sc  # the largest stacks; not held while the next stack builds its own
-                blocks = [(k.specs, k.fold(A_c, Ks)) for k, A_c, Ks in zip(configs, A, base)]
+                specs = dict.fromkeys(s for k in configs for s in k.specs)
+                cuts = {s: B for s, B in cuts.items() if s in specs}  # the previous stack's
+                for s in specs:
+                    if s not in cuts:
+                        cuts[s] = fold.cut(self.pool[s])
+                base = [[cuts[s][:a] for s in k.specs] for k in configs]  # training blocks
+                maps = [k.fold(Ks) for k, Ks in zip(configs, base)]
+                A = solve_kfda(
+                    build_scatter(np.stack([k.fuse(Ks) for k, Ks in zip(configs, base)]), fold.idx),
+                    fold.idx.n_classes - 1,
+                    self.eps,
+                ).A
+                terms = [tuple(zip(k.specs, m(A_c))) for k, m, A_c in zip(configs, maps, A)]
                 # embed_batch's rule over the fold's training rows: sum_t k_t(Y, X) A_t
                 Yp, Yg = (
-                    np.stack([sum(H[s] @ A_t for s, A_t in zip(specs, At)) for specs, At in blocks])
-                    for H in (probe, gallery)
+                    np.stack([sum(cuts[s][i:j] @ A_t for s, A_t in t) for t in terms])
+                    for i, j in ((a, b), (b, None))
                 )
                 # a probe without a match ranks 0, so it counts as a miss
                 ranks = true_ranks(squared_distances(Yp, Yg), fold.probe_ids, fold.gallery_ids)

@@ -1033,10 +1033,24 @@ def test_one_flag_per_setting():
         ("n_grid", (1, 0), "every N in n_grid must be >= 1"),
         ("tau_grid", (0.0, -1.0), "tau_grid values must be finite and non-negative"),
         ("tau_grid", (math.nan,), "tau_grid values must be finite and non-negative"),
+        ("trials", True, "trials must be an integer, got True"),
+        ("trials", 2.5, "trials must be an integer, got 2.5"),
+        ("q", 3.5, "q must be an integer, got 3.5"),
+        ("folds", 2.5, "folds must be an integer, got 2.5"),
+        ("threads", 1.5, "threads must be an integer, got 1.5"),
+        ("p", 2.5, "p must be an integer, got 2.5"),
+        ("n_grid", (1.5,), "every N in n_grid must be an integer, got (1.5,)"),
+        ("base_seed", 1.5, "seed must be an integer, got 1.5"),
+        ("base_seed", True, "seed must be an integer, got True"),
+        ("base_seed", -1, "seed must be non-negative, got -1"),
+        ("include_distractors", "no", "include_distractors must be true or false, got 'no'"),
     ],
     ids=["method-unknown", "train-fraction-zero", "train-fraction-one", "trials-zero", "q-zero",
          "width-lo-zero", "width-lo-equal-hi", "width-hi-inf", "eps-zero", "eps-nan", "eps-inf",
-         "p-zero", "folds-one", "threads-zero", "n-grid-zero", "tau-grid-negative", "tau-grid-nan"],
+         "p-zero", "folds-one", "threads-zero", "n-grid-zero", "tau-grid-negative", "tau-grid-nan",
+         "trials-bool", "trials-float", "q-float", "folds-float", "threads-float", "p-float",
+         "n-grid-float", "base-seed-float", "base-seed-bool", "base-seed-negative",
+         "include-distractors-string"],
 )
 def test_run_config_checks_each_value_when_built(field, bad, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):

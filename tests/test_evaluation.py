@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -208,6 +209,17 @@ class TestRunTrials:
             run_trials(separable_ds, "cosine", 1, 0, QUIET)
         with pytest.raises(InputError, match="trials"):
             run_trials(separable_ds, "kfda", 0, 0, QUIET)
+
+    @pytest.mark.parametrize(
+        "trials, seed, message",
+        [(2.5, 0, "trials must be an integer, got 2.5"),
+         (1, 1.5, "seed must be an integer, got 1.5")],
+        ids=["trials-float", "seed-float"],
+    )
+    def test_non_integer_trials_or_seed_rejected(self, separable_ds, trials, seed, message):
+        # a float count reached range() as a bare TypeError
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            run_trials(separable_ds, "euclidean", trials, seed, QUIET)
 
     def test_trial_failures_name_the_trial(self):
         # 3 identities: fraction 0.5 leaves one lonely test identity per

@@ -76,11 +76,10 @@ class TestEmbed:
             grams = [K[np.ix_(tr, tr)] for K in pool]
             solved = solve_kfda(build_scatter(kernel.fuse(grams), idx), idx.n_classes - 1)
             cv = sum(
-                K[np.ix_(held, tr)] @ A_t for K, A_t in zip(pool, kernel.fold(solved.A, grams))
+                K[np.ix_(held, tr)] @ A_t for K, A_t in zip(pool, kernel.fold(grams)(solved.A))
             )
-            served = _with_kernel(
-                solved, DEFAULT_EPS, X[tr], kernel, [gram(s, X[tr]) for s in kernel.specs]
-            )
+            fold = kernel.fold([gram(s, X[tr]) for s in kernel.specs])
+            served = _with_kernel(solved, DEFAULT_EPS, X[tr], kernel, fold)
             np.testing.assert_allclose(cv, embed_batch(served, X[held]), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("kernel", [

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -459,6 +460,47 @@ class TestFoldPlan:
         rank1 = plan.rank1(bank)
         assert [sol.A.shape[0] for sol in calls["solve_kfda"]] == sizes * len(used)
         assert np.array_equal(rank1, plan.bank_rank1, equal_nan=True)
+
+
+    def test_a_stack_holds_only_the_cuts_it_reads(self, trial, monkeypatch):
+        # one config per stack: through each solve only the cuts of the specs the
+        # stack reads are alive, and the sm tau pass cuts its pair once per fold
+        ds, split, calls = trial
+        cfg = RunConfig()
+        bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
+        plan = cv_kernel_accuracies(ds, split, bank, cfg.folds, cfg.eps)
+        [(_, used)] = calls["_make_folds"]
+        monkeypatch.setattr(mkl, "_STACK_BYTES", 0)
+        cuts, live = [], []
+        cut, solve = mkl._Fold.cut, mkl.solve_kfda
+
+        def recorded_cut(fold, K):
+            out = cut(fold, K)
+            cuts.append(weakref.ref(out))
+            return out
+
+        def counted_solve(*args):
+            live.append(sum(ref() is not None for ref in cuts))
+            return solve(*args)
+
+        monkeypatch.setattr(mkl._Fold, "cut", recorded_cut)
+        monkeypatch.setattr(mkl, "solve_kfda", counted_solve)
+        top = (2, 3, 4)
+        np_configs = [
+            MklConfig("np", bank, weights=(1 / N,) * N + (0.0,) * (len(bank) - N), n_top=N)
+            for N in top
+        ]
+        sm_configs = [MklConfig("sm", bank, pair=(5, 9), tau=t) for t in (0.0, 0.1, 1.0)]
+        for configs, held, cut_calls in (
+            (bank, [1] * len(bank), len(bank)),
+            (np_configs, list(top), max(top)),
+            (sm_configs, [2] * len(sm_configs), 2),
+        ):
+            cuts.clear()
+            live.clear()
+            plan.rank1(configs)
+            assert live == held * len(used)
+            assert len(cuts) == cut_calls * len(used)
 
 
 def _reference_folds(ds, train_ids, folds, seed, probe_camera, gallery_camera):
