@@ -2,7 +2,8 @@
 
 Subcommands: synth (fixture generation), train, evaluate, cv, sweep.
 Settings come from an optional key=value config file plus flags; flags win.
-A flag's text parses as its config key's does (``config.PARSERS``).
+Each run flag is read from its ``RunConfig`` field, where the setting is
+declared, and its text parses as its config key's does (``config.PARSERS``).
 Exit codes: 0 success, 2 input error, 3 numeric failure. Results go to
 stdout; causes of failure go to stderr.
 """
@@ -10,11 +11,13 @@ stdout; causes of failure go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .config import METHODS, PARSERS, RunConfig, load_config_file
+from .config import PARSERS, RunConfig, load_config_file
 from .data import load_features, make_split, open_output, save_features
 from .errors import InputError, NumericError
 from .evaluation import (
@@ -33,53 +36,37 @@ from .synthetic import make_synthetic
 SUMMARY_RANKS = (1, 5, 10, 20)
 
 
+def _parse(key: str, text: str, parse=None, error=InputError):
+    """``text`` parsed as config key ``key`` is (or with ``parse``); a failure raises ``error``."""
+    try:
+        return (parse or PARSERS[key])(text)
+    except (ValueError, KeyError) as exc:
+        raise error(f"bad value for {key}: {exc}") from None
+
+
 def _parsed_as(key: str, parse=None):
     """An argparse ``type`` that parses like config key ``key`` (or with ``parse``)."""
-    parse = parse or PARSERS[key]
-
-    def convert(text: str):
-        try:
-            return parse(text)
-        except (ValueError, KeyError) as exc:
-            raise argparse.ArgumentTypeError(f"bad value for {key}: {exc}") from None
-
-    return convert
+    return functools.partial(_parse, key, parse=parse, error=argparse.ArgumentTypeError)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per RunConfig field, its dest the field name; unset flags stay unset."""
+    """One flag per RunConfig field, as the field declares it; unset flags stay unset."""
     parser.add_argument("--config", help="key=value config file; flags override it")
-
-    def flag(name, key, **kwargs):
-        parser.add_argument(name, dest=key, type=_parsed_as(key), **kwargs)
-
-    flag("--method", "method", choices=METHODS)
-    flag("--features", "features", help="feature CSV path")
-    flag("--out", "out", help="output directory")
-    flag("--seed", "base_seed", metavar="SEED", help="base seed for all randomness")
-    flag("--trials", "trials")
-    flag("--train-fraction", "train_fraction")
-    flag("--eps", "eps", help="diagonal regularizer")
-    flag("--p", "p", help="subspace dimension or 'full'")
-    flag("--q", "q", help="number of bank kernels")
-    flag("--width-lo", "width_lo")
-    flag("--width-hi", "width_hi")
-    flag("--folds", "folds", help="cross-validation folds")
-    flag("--n-grid", "n_grid")
-    flag("--tau-grid", "tau_grid")
-    flag("--threads", "threads")
-    parser.add_argument(
-        "--no-distractors",
-        dest="include_distractors",
-        action="store_false",
-        help="keep gallery-only identities out of the gallery",
-    )
+    for f in fields(RunConfig):
+        flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
+        kwargs = dict(f.metadata["flag_args"])
+        if "action" not in kwargs:
+            kwargs["type"] = _parsed_as(f.name)
+        parser.add_argument(flag, dest=f.name, **kwargs)
 
 
 def _config_from_args(args) -> RunConfig:
     """--config file settings, then the flags given; the feature-file checks run before --out."""
     values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    values.update((key, value) for key, value in vars(args).items() if key in PARSERS)
+    for key, value in vars(args).items():
+        if key in PARSERS:
+            # argparse hands `--flag=--` over as [], its text "--" unparsed
+            values[key] = _parse(key, "--") if value == [] else value
     cfg = RunConfig(**values)
     if cfg.features is None:
         raise InputError("no feature file configured")

@@ -1,9 +1,10 @@
 """Run configuration: defaults, key=value config files, and config digests.
 
-A ``RunConfig`` checks its values when built, ``dataclasses.replace`` too;
-``PARSERS`` stays each setting's text form, for config files and flags alike.
-The digest hashes every field except ``features``, ``out`` and ``threads``
-(file locations and the worker count), so golden digests stay valid across machines.
+Each setting is declared once, on its ``RunConfig`` field (``_setting``): its default,
+text parser, flag and digest membership; ``PARSERS``, ``digest`` and ``cli`` read the fields.
+A ``RunConfig`` checks its values when built, ``dataclasses.replace`` too. The digest skips
+``features``, ``out`` and ``threads`` (file locations and the worker count), so golden
+digests stay valid across machines.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import InputError
 
@@ -26,13 +27,14 @@ def default_n_grid(q: int) -> tuple[int, ...]:
     return tuple(range(1, min(5, q - 1) + 1)) if q > 1 else (1,)
 
 
-# fields left out of the config digest: file locations and the worker count
-_UNHASHED = frozenset({"features", "out", "threads"})
-
-
 def _is_int(v) -> bool:
     """An integer that is not a bool (JSON true/false would pass int())."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A real number that is not a bool (JSON true/false and "0.5" would pass float())."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _check_seed(seed) -> None:
@@ -43,31 +45,52 @@ def _check_seed(seed) -> None:
         raise InputError(f"seed must be non-negative, got {seed}")
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _grid(kind):
+    """A parser of comma-separated ``kind`` values; empty items are skipped."""
+    return lambda v: tuple(kind(x) for x in v.split(",") if x.strip())
+
+
+def _setting(default, parse, flag=None, hashed=True, **flag_args):
+    """A RunConfig field: its default, text parser, flag (``--<name with dashes>`` unless
+    ``flag`` names it) with argparse's ``flag_args``, and whether the digest hashes it."""
+    meta = {"parse": parse, "flag": flag, "hashed": hashed, "flag_args": flag_args}
+    return field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """All knobs for a train/evaluate/cv/sweep run, checked when built.
 
-    A count (trials, q, p, folds, threads or an N of n_grid) that is not an
-    integer or is a bool, a base_seed that is not a non-negative integer, an
-    include_distractors that is not a bool, or a value out of range raises InputError.
+    A count (trials, q, p, folds, threads, base_seed or an N of n_grid) that is not an
+    integer, a real (train_fraction, width_lo, width_hi, eps or a tau of tau_grid) that
+    is not a number, a grid not a tuple or list, a non-bool include_distractors, or a
+    value out of range raises InputError; a bool is neither a count nor a real.
     """
 
-    method: str = "kfda"
-    features: str | None = None
-    out: str = "out"
-    train_fraction: float = 0.5
-    trials: int = 10
-    base_seed: int = 0
-    q: int = 20
-    width_lo: float = 0.1
-    width_hi: float = 10.0
-    eps: float = 1e-7
-    p: int | None = None  # None = use all c-1 discriminants
-    folds: int = 10
-    n_grid: tuple[int, ...] | None = None  # None = 1..min(5, q-1)
-    tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
-    threads: int = 1
-    include_distractors: bool = True
+    method: str = _setting("kfda", str, choices=METHODS)
+    features: str | None = _setting(None, str, hashed=False, help="feature CSV path")
+    out: str = _setting("out", str, hashed=False, help="output directory")
+    base_seed: int = _setting(0, int, flag="--seed", metavar="SEED",
+                              help="base seed for all randomness")
+    trials: int = _setting(10, int)
+    train_fraction: float = _setting(0.5, float)
+    eps: float = _setting(1e-7, float, help="diagonal regularizer")
+    p: int | None = _setting(None, lambda v: None if v.lower() == "full" else int(v),
+                             help="subspace dimension or 'full'")  # None = all c-1 discriminants
+    q: int = _setting(20, int, help="number of bank kernels")
+    width_lo: float = _setting(0.1, float)
+    width_hi: float = _setting(10.0, float)
+    folds: int = _setting(10, int, help="cross-validation folds")
+    n_grid: tuple[int, ...] | None = _setting(None, _grid(int))  # None = 1..min(5, q-1)
+    tau_grid: tuple[float, ...] = _setting(DEFAULT_TAU_GRID, _grid(float))
+    threads: int = _setting(1, int, hashed=False)
+    include_distractors: bool = _setting(
+        True, lambda v: _BOOLS[v.strip().lower()], flag="--no-distractors",
+        action="store_false", help="keep gallery-only identities out of the gallery",
+    )
 
     def __post_init__(self) -> None:
         counts = {"trials": self.trials, "q": self.q, "folds": self.folds, "threads": self.threads}
@@ -76,8 +99,17 @@ class RunConfig:
         for name, value in counts.items():
             if not _is_int(value):
                 raise InputError(f"{name} must be an integer, got {value!r}")
+        reals = {"train_fraction": self.train_fraction, "width_lo": self.width_lo,
+                 "width_hi": self.width_hi, "eps": self.eps}
+        for name, value in reals.items():
+            if not _is_real(value):
+                raise InputError(f"{name} must be a number, got {value!r}")
+        if self.n_grid is not None and not isinstance(self.n_grid, (tuple, list)):
+            raise InputError(f"n_grid must be a tuple of integers, got {self.n_grid!r}")
         if self.n_grid is not None and not all(_is_int(N) for N in self.n_grid):
             raise InputError(f"every N in n_grid must be an integer, got {self.n_grid!r}")
+        if not (isinstance(self.tau_grid, (tuple, list)) and all(map(_is_real, self.tau_grid))):
+            raise InputError(f"tau_grid must be a tuple of numbers, got {self.tau_grid!r}")
         _check_seed(self.base_seed)
         if not isinstance(self.include_distractors, bool):
             raise InputError(
@@ -110,32 +142,13 @@ class RunConfig:
 
     def digest(self) -> str:
         """sha256 over every field but features, out and threads; stable across machines."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in _UNHASHED}
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.metadata["hashed"]}
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
 # every field's text form, as config files and command-line flags give it
-PARSERS = {
-    "method": str,
-    "features": str,
-    "out": str,
-    "train_fraction": float,
-    "trials": int,
-    "base_seed": int,
-    "q": int,
-    "width_lo": float,
-    "width_hi": float,
-    "eps": float,
-    "p": lambda v: None if v.lower() == "full" else int(v),
-    "folds": int,
-    "n_grid": lambda v: tuple(int(x) for x in v.split(",") if x.strip()),
-    "tau_grid": lambda v: tuple(float(x) for x in v.split(",") if x.strip()),
-    "threads": int,
-    "include_distractors": lambda v: _BOOLS[v.strip().lower()],
-}
+PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
 
 
 def load_config_file(path) -> dict:

@@ -16,13 +16,12 @@ from one squared-distance matrix.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _is_int
+from .config import _is_int, _is_real
 from .errors import InputError, NumericError
 
 KERNEL_KINDS = ("rbf", "linear", "poly2")
@@ -133,11 +132,6 @@ class KernelAccuracies:
     @property
     def q(self) -> int:
         return len(self.pis)
-
-
-def _is_real(v) -> bool:
-    """A real number that is not a bool (JSON true/false and "0.5" would pass float())."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)

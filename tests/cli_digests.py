@@ -14,7 +14,8 @@ seeds 0-2 it runs
 * ``sweep --p-values 1,3,5`` for kfda, np-mfml and sm-mfml: stdout and ``sweep.csv``;
 
 and prints ``<fixture>/<seed>/<command>-<method>/<file> <sha256>``, one line
-per file. Output paths are relative to the temporary directory, so stdout
+per file. It also prints ``help/<command>/stdout <sha256>`` for each subcommand's
+``--help`` at 80 columns, so the flag surface is compared too. Output paths are relative to the temporary directory, so stdout
 names the same paths on every tree and two runs compare with one ``diff``.
 With two trees it runs the one-tree form on each in a fresh interpreter and
 prints ``N digests identical``, or every differing line, and then exits 1.
@@ -26,6 +27,8 @@ import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+# argparse wraps --help to the terminal width
+os.environ["COLUMNS"] = "80"
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
@@ -47,6 +50,7 @@ RUNS = {
     "cv": (("kfda",), ("cv.csv",), []),
     "sweep": (LEARNED, ("sweep.csv",), ["--p-values", "1,3,5"]),
 }
+HELP = ("synth", *RUNS)
 
 
 def _sha(data: bytes) -> str:
@@ -60,11 +64,15 @@ def digests(main) -> list[str]:
     def run(argv) -> bytes:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help prints, then exits 0
+                code = exc.code
         if code != 0:
             raise SystemExit(f"{' '.join(argv)} exited {code}")
         return out.getvalue().encode()
 
+    lines += [f"help/{command}/stdout {_sha(run([command, '--help']))}" for command in HELP]
     for fixture, flags in FIXTURES.items():
         features = f"{fixture}.csv"
         run(["synth", "--out", features, *flags])

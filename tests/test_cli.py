@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kfmetric import cli
@@ -1044,19 +1044,45 @@ def test_one_flag_per_setting():
         ("base_seed", True, "seed must be an integer, got True"),
         ("base_seed", -1, "seed must be non-negative, got -1"),
         ("include_distractors", "no", "include_distractors must be true or false, got 'no'"),
+        ("eps", True, "eps must be a number, got True"),
+        ("eps", "1", "eps must be a number, got '1'"),
+        ("train_fraction", "0.5", "train_fraction must be a number, got '0.5'"),
+        ("width_lo", True, "width_lo must be a number, got True"),
+        ("width_hi", "9", "width_hi must be a number, got '9'"),
+        ("tau_grid", ("a",), "tau_grid must be a tuple of numbers, got ('a',)"),
+        ("tau_grid", (True,), "tau_grid must be a tuple of numbers, got (True,)"),
+        ("n_grid", 3, "n_grid must be a tuple of integers, got 3"),
     ],
     ids=["method-unknown", "train-fraction-zero", "train-fraction-one", "trials-zero", "q-zero",
          "width-lo-zero", "width-lo-equal-hi", "width-hi-inf", "eps-zero", "eps-nan", "eps-inf",
          "p-zero", "folds-one", "threads-zero", "n-grid-zero", "tau-grid-negative", "tau-grid-nan",
          "trials-bool", "trials-float", "q-float", "folds-float", "threads-float", "p-float",
          "n-grid-float", "base-seed-float", "base-seed-bool", "base-seed-negative",
-         "include-distractors-string"],
+         "include-distractors-string", "eps-bool", "eps-string", "train-fraction-string",
+         "width-lo-bool", "width-hi-string", "tau-grid-string", "tau-grid-bool", "n-grid-int"],
 )
 def test_run_config_checks_each_value_when_built(field, bad, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         RunConfig(**{field: bad})
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         replace(RunConfig(), **{field: bad})
+
+
+# a valid value other than the default, for every RunConfig field
+_OTHER_VALUES = {
+    "method": "np-mfml", "features": "other.csv", "out": "elsewhere", "base_seed": 1,
+    "trials": 3, "train_fraction": 0.25, "eps": 1e-3, "p": 2, "q": 5, "width_lo": 0.5,
+    "width_hi": 4.0, "folds": 3, "n_grid": (1, 2), "tau_grid": (0.0, 0.5), "threads": 2,
+    "include_distractors": False,
+}
+
+
+def test_digest_hashes_every_field_but_paths_and_threads():
+    assert sorted(_OTHER_VALUES) == sorted(f.name for f in fields(RunConfig))
+    base = RunConfig()
+    moved = {name for name, value in _OTHER_VALUES.items()
+             if replace(base, **{name: value}).digest() != base.digest()}
+    assert moved == set(_OTHER_VALUES) - {"features", "out", "threads"}
 
 
 @pytest.mark.parametrize("missing", [False, True], ids=["unset", "missing-file"])
@@ -1090,6 +1116,9 @@ _FLAGS = {
 
 
 @given(key=st.sampled_from(sorted(set(PARSERS) - {"include_distractors"})), text=_CELLS)
+# argparse hands `--flag=--` over as [] without calling the flag's parser
+@example(key="out", text="--")
+@example(key="n_grid", text="--")
 @settings(max_examples=200, deadline=None)
 def test_flag_parses_as_config_file(fixture_csv, tmp_path_factory, key, text):
     """``--<flag>=<text>`` and a config line ``<key>=<text>`` give one RunConfig or both exit 2."""
