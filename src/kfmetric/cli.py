@@ -75,6 +75,18 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
+def _refuse_bare_dashes(args) -> None:
+    """Refuse a non-run flag given as ``--flag=--``, as its ``--flag --`` is refused.
+
+    argparse hands such a flag over as [] without calling its parser; a run
+    setting's ``--`` parses as its config key's text (:func:`_config_from_args`),
+    while every other flag, whose dest is its name, takes no ``--`` value.
+    """
+    for key, value in vars(args).items():
+        if value == [] and (args.command == "synth" or key not in PARSERS):
+            raise InputError(f"argument --{key.replace('_', '-')}: expected one argument")
+
+
 def _out_dir(path) -> Path:
     """``path`` as a directory, made if missing; one that cannot be made is an input error."""
     out = Path(path)
@@ -252,6 +264,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_bare_dashes(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -99,9 +99,8 @@ class RunConfig:
         for name, value in counts.items():
             if not _is_int(value):
                 raise InputError(f"{name} must be an integer, got {value!r}")
-        reals = {"train_fraction": self.train_fraction, "width_lo": self.width_lo,
-                 "width_hi": self.width_hi, "eps": self.eps}
-        for name, value in reals.items():
+        for name in _REALS:
+            value = getattr(self, name)
             if not _is_real(value):
                 raise InputError(f"{name} must be a number, got {value!r}")
         if self.n_grid is not None and not isinstance(self.n_grid, (tuple, list)):
@@ -141,11 +140,19 @@ class RunConfig:
             raise InputError("tau_grid values must be finite and non-negative")
 
     def digest(self) -> str:
-        """sha256 over every field but features, out and threads; stable across machines."""
+        """sha256 over every field but features, out and threads; stable across machines.
+
+        Each real (and each tau) is hashed as a float, so 10 and 10.0 give one digest.
+        """
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.metadata["hashed"]}
+        doc.update((name, float(doc[name])) for name in _REALS)
+        doc["tau_grid"] = [float(t) for t in self.tau_grid]
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
+
+# the real-valued fields; tau_grid holds reals too
+_REALS = ("train_fraction", "width_lo", "width_hi", "eps")
 
 # every field's text form, as config files and command-line flags give it
 PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}

@@ -10,7 +10,9 @@ the fold plan that scored them is :mod:`kfmetric.mkl`'s.
 
 A Gram is a plain read-only float64 ndarray, checked finite when it is built.
 :func:`grams` builds the blocks of several specs over one (rows, cols) pair
-from one squared-distance matrix.
+from one squared-distance matrix. :func:`distances` gives that matrix, and
+:func:`rbf_blocks` is the one rule that turns distances into rbf blocks, so a
+caller that keeps only the distances (the CV fold plan) gets the Grams' bits.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class KernelSpec:
 
     def fuse(self, grams):
         """The Gram of :attr:`specs` over a basis, unchanged (see ``MklConfig.fuse``)."""
-        return grams[0]
+        return next(iter(grams))
 
     def fold(self, grams):
         """The map from coefficients A over a basis X to the block of :attr:`specs`.
@@ -205,8 +207,10 @@ class MklConfig:
     def fuse(self, grams) -> np.ndarray:
         """The fused square Gram over one basis.
 
-        ``grams[t]`` is the square Gram of ``specs[t]`` over the basis. np sums
-        them with the nonzero weights. sm fuses the pair as
+        ``grams`` yields the square Gram of each of :attr:`specs` over the basis,
+        in order, as a list or an iterator. np sums them with the nonzero
+        weights as they come, so an iterator's Grams are held one at a time.
+        sm fuses the pair as
         0.5 (K_i + K_j) + tau (K_i - K_j)^2, which is PSD whenever both are
         symmetric PSD, and symmetrizes it; a tau large enough to overflow raises.
         """
@@ -302,16 +306,60 @@ def grams(specs, rows: np.ndarray, cols: np.ndarray | None = None):
     """Yield the Gram of each spec over one (rows, cols) pair, in order.
 
     Entry (u, v) of each block is k(rows[u], cols[v]). Every rbf block is
-    evaluated from one squared-distance matrix, computed when the first block
-    is taken and freed after the last rbf block; distances that overflow
-    raise NumericError. Blocks are produced one at a time, so a caller that
-    drops each block before taking the next holds only one.
+    evaluated from one squared-distance matrix (:func:`distances`), computed
+    when the first block is taken and freed after the last rbf block. Blocks
+    are produced one at a time, so a caller that drops each block before
+    taking the next holds only one.
 
     When cols is omitted each block is a square Gram over one basis, exactly
     symmetric as computed (rows @ rows.T runs as one syrk, and each entry's
     squared norms are summed in an order that commutes); the diagonal of an
     rbf Gram is pinned to exactly 1.
     """
+    rows, cols, same = _pair(rows, cols)
+    specs = list(specs)
+    last_rbf = max((t for t, s in enumerate(specs) if s.kind == "rbf"), default=-1)
+    sq = _distances(rows, cols, same) if last_rbf >= 0 else None
+    for t, spec in enumerate(specs):
+        # no later block reads the distances: the last rbf block is built in their buffer
+        block = _block(spec, rows, cols, sq, in_place=t == last_rbf)
+        if t == last_rbf:
+            sq = None
+        yield block
+        del block  # a block the caller dropped is freed before the next one is built
+
+
+def distances(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """The read-only squared distances every rbf block over (rows, cols) is built from.
+
+    They are computed and checked as :func:`grams` computes them, diagonal
+    pinned to 0 when cols is omitted, so :func:`rbf_blocks` of them, or of a
+    take of their entries, gives the bits of the rbf Grams.
+    """
+    sq = _distances(*_pair(rows, cols))
+    sq.setflags(write=False)
+    return sq
+
+
+def rbf_blocks(sq: np.ndarray, specs, in_place: bool = False) -> np.ndarray:
+    """The rbf block of each spec over squared distances ``sq``, finite and read-only.
+
+    The result stacks them: its shape is (len(specs), *sq.shape). Entry
+    exp(sq / -(2 w^2)) is taken by one broadcast divide, which is bit-identical
+    to -sq / (2 w^2), then one exp in place, checked finite once. With
+    ``in_place`` and one spec, the block overwrites ``sq`` instead of taking a
+    new buffer.
+    """
+    scale = np.array([-(2.0 * s.width**2) for s in specs]).reshape((-1,) + (1,) * sq.ndim)
+    # a tiny width's overflow (exp gives 0) or 0 / 0 warns nowhere: the check reports NaN
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        K = np.divide(sq, scale, out=sq[None] if in_place and len(scale) == 1 else None)
+        np.exp(K, out=K)
+    return _finished(K)
+
+
+def _pair(rows, cols):
+    """rows and cols as checked 2-D float64 arrays, and whether cols was omitted (cols is rows)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     same = cols is None
     if same:
@@ -325,23 +373,18 @@ def grams(specs, rows: np.ndarray, cols: np.ndarray | None = None):
         raise InputError("empty sample list")
     if rows.shape[1] != cols.shape[1]:
         raise InputError(f"dimension mismatch: {rows.shape[1]} vs {cols.shape[1]}")
-    specs = list(specs)
-    last_rbf = max((t for t, s in enumerate(specs) if s.kind == "rbf"), default=-1)
-    sq = None
-    if last_rbf >= 0:
-        sq = squared_distances(rows, cols)
-        # an overflowed distance would give an all-zero, finite rbf block
-        if not np.isfinite(sq).all():
-            raise NumericError("squared distances contain non-finite entries")
-        if same:
-            np.fill_diagonal(sq, 0.0)
-    for t, spec in enumerate(specs):
-        # no later block reads the distances: the last rbf block is built in their buffer
-        block = _block(spec, rows, cols, sq, in_place=t == last_rbf)
-        if t == last_rbf:
-            sq = None
-        yield block
-        del block  # a block the caller dropped is freed before the next one is built
+    return rows, cols, same
+
+
+def _distances(rows, cols, same: bool) -> np.ndarray:
+    """The pair's squared distances, checked finite; the diagonal is pinned to 0 when ``same``."""
+    sq = squared_distances(rows, cols)
+    # an overflowed distance would give an all-zero, finite rbf block
+    if not np.isfinite(sq).all():
+        raise NumericError("squared distances contain non-finite entries")
+    if same:
+        np.fill_diagonal(sq, 0.0)
+    return sq
 
 
 def _block(spec: KernelSpec, rows, cols, sq, in_place: bool) -> np.ndarray:
@@ -351,15 +394,12 @@ def _block(spec: KernelSpec, rows, cols, sq, in_place: bool) -> np.ndarray:
     them with the block instead of taking a new buffer.
     """
     if spec.kind == "rbf":
-        # sq / -(2 w^2) is bit-identical to -sq / (2 w^2); exp then runs in place. A tiny
-        # width's overflow (exp gives 0) or 0 / 0 warns nowhere: the check below reports NaN
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            K = np.divide(sq, -(2.0 * spec.width**2), out=sq if in_place else None)
-            np.exp(K, out=K)
-    elif spec.kind == "linear":
-        K = rows @ cols.T
-    else:
-        K = (rows @ cols.T + 1.0) ** 2
+        return rbf_blocks(sq, (spec,), in_place)[0]
+    return _finished(rows @ cols.T if spec.kind == "linear" else (rows @ cols.T + 1.0) ** 2)
+
+
+def _finished(K: np.ndarray) -> np.ndarray:
+    """``K`` checked finite and made read-only."""
     if not np.isfinite(K).all():
         raise NumericError("kernel matrix contains non-finite entries")
     K.setflags(write=False)

@@ -41,6 +41,7 @@ cross-validation do, holds about 2.5 n x n buffers at most from the scatter on.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -362,14 +363,16 @@ def train(
     """Fit a discriminant model on the plan's training identities.
 
     ``kernel`` is a kernel configuration (see :mod:`kfmetric.kernels`); ``p`` defaults to c - 1.
-    The basis Grams are built once. ``kernel.fold`` takes its map from them
-    before the solve, and the map holds only the Grams it reads: sm's pair,
-    none for np or a single kernel. The fused Gram and the scatter pair are
-    handed on unnamed, so :func:`build_scatter` and :func:`solve_kfda` free
-    each n x n buffer once read. From the scatter on, besides sm's pair, at
-    most about 2.5 n x n float64 buffers are live (K, the contrasts and the
-    class sums, then Q, L and M). Combining the base Grams first peaks
-    higher: at about N + 2 for np's N Grams, and 5 for sm.
+    The basis Grams are built once, one at a time. ``kernel.fold`` takes its
+    map before the solve, and takes only the Grams the map reads: sm's pair,
+    none for np or a single kernel. ``kernel.fuse`` then takes those and the
+    rest as they are built, so np sums its N Grams without holding them all.
+    The fused Gram and the scatter pair are handed on unnamed, so
+    :func:`build_scatter` and :func:`solve_kfda` free each n x n buffer once
+    read. From the scatter on, besides sm's pair, at most about 2.5 n x n
+    float64 buffers are live (K, the contrasts and the class sums, then Q, L
+    and M). Combining the base Grams peaks higher: at about 4 for np at any
+    N, and 5 for sm.
     """
     train_idx = ds.samples_of(plan.train_ids)
     if not train_idx:
@@ -379,14 +382,23 @@ def train(
         raise InputError(f"training needs at least 2 classes, got {idx.n_classes}")
     p_eff = idx.n_classes - 1 if p is None else p
     X = ds.features[train_idx]
-    base = list(grams(kernel.specs, X))  # one distance matrix for every rbf
-    fold = kernel.fold(base)
-    # build_scatter frees the fused Gram once read only if this frame holds no name
-    # for it; a lone spec's fused Gram is its base Gram, so base goes and a list hands it on
-    fused = [kernel.fuse(base)]
-    del base
+    blocks = grams(kernel.specs, X)  # one distance matrix for every rbf
+    taken = []
+    fold = kernel.fold(_kept(blocks, taken))
+    fused = [kernel.fuse(itertools.chain(taken, blocks))]
+    # build_scatter frees the fused Gram once read only if this frame holds no name for
+    # it; a lone spec's fused Gram is its base Gram, which the suspended generator holds
+    # until it is closed, so both names go and a list hands the Gram on
+    del taken, blocks
     sol = solve_kfda(build_scatter(fused.pop(), idx), p_eff, eps)
     return _with_kernel(sol, eps, X, kernel, fold)
+
+
+def _kept(blocks, taken: list):
+    """Yield from ``blocks``, appending each block to ``taken`` as it is taken."""
+    for K in blocks:
+        taken.append(K)
+        yield K
 
 
 def save_model(model: KfdaModel, path, meta: dict | None = None) -> None:

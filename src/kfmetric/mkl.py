@@ -5,13 +5,16 @@ held-out fold contains classes unseen by that fold's model, mirroring the probe/
 protocol: CV reads only the training ids, seed and cameras of the trial's
 :class:`~kfmetric.data.SplitPlan`. Each kernel's accuracy pi_r is its mean held-out rank-1 score.
 Every cross-validated choice of a trial (pi_r, then N or tau) is scored on
-one :class:`FoldPlan`, which :func:`cv_kernel_accuracies` builds once with its
-pool Grams and returns as the trial's CV result: the plan scores the bank when
-it is built and holds the persisted :class:`~kfmetric.kernels.KernelAccuracies`.
-Each fold's rows are positions in the pool. One loop over the folds
-scores the candidate configurations of a fold in stacks: one scatter, one
-Fisher-solve call, one distance and one :func:`~kfmetric.metric.true_ranks`
-call per stack, and one stack per fold unless the fold is large.
+one :class:`FoldPlan`, which :func:`cv_kernel_accuracies` builds once with the
+pool's squared distances and returns as the trial's CV result: the plan scores
+the bank when it is built and holds the persisted
+:class:`~kfmetric.kernels.KernelAccuracies`. Each fold's rows are positions in
+the pool. One loop over the folds scores the candidate configurations of a
+fold in stacks: one cut of the distances and one
+:func:`~kfmetric.kernels.rbf_blocks` call for the rbf kernels a stack reads
+first, then one scatter, one Fisher-solve call, one distance and one
+:func:`~kfmetric.metric.true_ranks` call per stack, and one stack per fold
+unless the fold is large.
 :func:`build_config` is the one N or tau search.
 
 Each learned combination is a :class:`~kfmetric.kernels.MklConfig`:
@@ -33,7 +36,14 @@ import numpy as np
 from .config import DEFAULT_TAU_GRID, default_n_grid
 from .data import ClassIndex, Dataset, SplitPlan, index_classes, open_output
 from .errors import InputError
-from .kernels import KernelAccuracies, MklConfig, grams, squared_distances
+from .kernels import (
+    KernelAccuracies,
+    MklConfig,
+    distances,
+    grams,
+    rbf_blocks,
+    squared_distances,
+)
 from .kfda import build_scatter, solve_kfda
 from .metric import true_ranks
 
@@ -114,15 +124,29 @@ class _Fold:
     gallery_ids: np.ndarray
 
     def cut(self, K: np.ndarray) -> np.ndarray:
-        """A pool Gram's training, probe and gallery rows over the training columns, read-only.
+        """A pool matrix's training, probe and gallery rows over the training columns.
 
         Its training, probe and gallery blocks are the row slices at ``bounds``.
         A column take, then a row take: the pool x n intermediate lives only
-        for the call, and no index as large as the cut is built.
+        for the call, and no index as large as the cut is built. The cut is a
+        new array the caller owns.
         """
-        cut = K.take(self.rows[: self.bounds[0]], axis=1).take(self.rows, axis=0)
-        cut.setflags(write=False)
-        return cut
+        return K.take(self.rows[: self.bounds[0]], axis=1).take(self.rows, axis=0)
+
+    def cuts(self, specs, sq: np.ndarray | None, pool: dict) -> dict:
+        """Each spec's kernel over the :meth:`cut` rows and columns, read-only, by spec.
+
+        The rbf specs take one cut of the pool's squared distances ``sq``, which
+        :func:`~kfmetric.kernels.rbf_blocks` turns into their stacked blocks, the
+        bits of cuts of their pool Grams. Any other spec cuts its Gram in ``pool``.
+        """
+        rbf = [s for s in specs if s.kind == "rbf"]
+        out = dict(zip(rbf, rbf_blocks(self.cut(sq), rbf, in_place=True))) if rbf else {}
+        for s in specs:
+            if s.kind != "rbf":
+                out[s] = self.cut(pool[s])
+                out[s].setflags(write=False)
+        return out
 
 
 def _make_folds(ds: Dataset, plan: SplitPlan, folds: int):
@@ -187,22 +211,30 @@ _STACK_BYTES = 1 << 20
 
 
 class FoldPlan:
-    """One trial's CV result: its used folds, eps, the bank, its pool Grams and their scores.
+    """One trial's CV result: its used folds, eps, the bank, the pool's distances and scores.
 
-    ``pool`` holds each distinct bank kernel's Gram over the CV pool, all
-    computed from one distance matrix, so every stage of the trial (pi_r,
-    then N or tau) scores its candidates on the same folds without
-    recomputing a pool Gram: every candidate fuses bank kernels. The bank is
-    scored when the plan is built: ``bank_rank1`` is its (q, folds) rank-1
-    array, NaN on skipped folds, and ``accuracies`` its mean per kernel.
+    ``distances`` holds the CV pool's squared distances once (None for a
+    bank with no rbf kernel), computed as :func:`~kfmetric.kernels.grams`
+    computes them: one n x n matrix, not one pool Gram per bank kernel. Every
+    rbf bank kernel is an elementwise function of it, so each stack builds
+    the fold cuts it reads from one cut of it (:meth:`_Fold.cuts`), with the
+    bits of cuts of the pool Grams. ``pool`` keeps the Gram of each other
+    bank kernel (linear or poly2). So every stage of the trial (pi_r, then N
+    or tau) scores its candidates on the same folds without recomputing a
+    pool matrix: every candidate fuses bank kernels. The bank is scored when
+    the plan is built: ``bank_rank1`` is its (q, folds) rank-1 array, NaN on
+    skipped folds, and ``accuracies`` its mean per kernel.
     """
 
-    def __init__(self, folds: int, seed: int, used: list[_Fold], eps: float, bank, pool: dict):
+    def __init__(
+        self, folds: int, seed: int, used: list[_Fold], eps: float, bank, distances, pool: dict
+    ):
         self.folds = folds  # planned folds, skipped ones included
         self.used = used
         self.eps = eps
         self.bank = tuple(bank)
-        self.pool = pool  # bank spec -> its Gram over the CV pool
+        self.distances = distances
+        self.pool = pool  # non-rbf bank spec -> its Gram over the CV pool
         self.bank_rank1 = self.rank1(self.bank)
         pis = tuple(float(v) for v in _mean_rank1(self.bank_rank1))
         self.accuracies = KernelAccuracies(pis=pis, folds=folds, fold_seed=seed)
@@ -212,8 +244,8 @@ class FoldPlan:
 
         The configs of a fold are scored in stacks of as many as fit
         _STACK_BYTES of fused n x n training Grams: every config at once on
-        small folds, one at a time on large ones. A stack cuts (:meth:`_Fold.cut`)
-        only the pool Grams its configs read, keeping those of the previous
+        small folds, one at a time on large ones. A stack cuts (:meth:`_Fold.cuts`)
+        only the kernels its configs read, keeping those of the previous
         stack that it reads too. So through a solve a large fold holds one cut
         in the bank pass, two in the sm tau pass and N for an np config, not
         one per bank kernel. Each config takes its ``fold`` map over its
@@ -236,9 +268,8 @@ class FoldPlan:
                 configs = kernels[part]
                 specs = dict.fromkeys(s for k in configs for s in k.specs)
                 cuts = {s: B for s, B in cuts.items() if s in specs}  # the previous stack's
-                for s in specs:
-                    if s not in cuts:
-                        cuts[s] = fold.cut(self.pool[s])
+                new = [s for s in specs if s not in cuts]
+                cuts.update(fold.cuts(new, self.distances, self.pool))
                 base = [[cuts[s][:a] for s in k.specs] for k in configs]  # training blocks
                 maps = [k.fold(Ks) for k, Ks in zip(configs, base)]
                 A = solve_kfda(
@@ -269,12 +300,14 @@ def cv_kernel_accuracies(ds: Dataset, plan: SplitPlan, bank, folds: int, eps: fl
     The folds split the training identities of the trial's split ``plan``,
     seeded by its trial seed and ranked across its cameras; its test ids are
     not read. :func:`build_config` runs its N or tau search on the returned
-    plan's folds and pool Grams.
+    plan's folds and pool distances.
     """
     pool_idx, used = _make_folds(ds, plan, folds)
-    specs = list(dict.fromkeys(bank))
-    pool = dict(zip(specs, grams(specs, ds.features[pool_idx])))
-    return FoldPlan(folds, plan.trial_seed, used, eps, bank, pool)
+    X = ds.features[pool_idx]
+    sq = distances(X) if any(s.kind == "rbf" for s in bank) else None
+    others = [s for s in dict.fromkeys(bank) if s.kind != "rbf"]  # each keeps its pool Gram
+    pool = dict(zip(others, grams(others, X)))
+    return FoldPlan(folds, plan.trial_seed, used, eps, bank, sq, pool)
 
 
 def build_config(

@@ -1,19 +1,24 @@
-"""Memory peak of one trial; prints one JSON line.
+"""Memory peak and time of one trial per case; prints one JSON line per case.
 
     PYTHONPATH=src python tests/peak_memory.py IDENTITIES METHOD
+    PYTHONPATH=src python tests/peak_memory.py 158,316,632 np-mfml,sm-mfml
 
-Runs one ``run_trials`` trial (seed 0, default ``RunConfig``: 0.5 train
+Each case (an identity count and a method; comma lists give every pair, in
+order) runs ``run_trials`` trials (seed 0, default ``RunConfig``: 0.5 train
 fraction, 20 kernels, 10 folds) of METHOD on ``make_synthetic(IDENTITIES,
 noise=0.6, seed=0)`` with BLAS pinned to one thread, and prints
 
-* ``traced_mb``: the tracemalloc peak over the trial, in MB (10^6 bytes);
-* ``maxrss_mb``: the process's ``ru_maxrss`` after it, in MB;
-* ``seconds``: the trial's wall time, with tracemalloc on;
-* ``rank1_pct``: its rank-1 accuracy.
+* ``traced_mb``: the tracemalloc peak over one trial, in MB (10^6 bytes);
+* ``maxrss_mb``: the process's ``ru_maxrss`` after that trial, in MB;
+* ``seconds``: that trial's wall time, with tracemalloc on;
+* ``rank1_pct``: its rank-1 accuracy;
+* ``untraced_s``: the median wall time of 3 more trials, tracemalloc off,
+  and ``untraced_runs_s`` the 3 times.
 
 numpy reports its buffers to tracemalloc, so the traced peak counts the
-arrays live at the worst moment of the fit. Run each case in a fresh
-interpreter: ``ru_maxrss`` never falls.
+arrays live at the worst moment of the fit. ``ru_maxrss`` never falls, so
+each case runs in a fresh interpreter: with more than one case the script
+runs itself once per case.
 """
 
 import os
@@ -23,6 +28,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import json  # noqa: E402
 import resource  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
@@ -32,20 +39,27 @@ from kfmetric.config import RunConfig  # noqa: E402
 from kfmetric.evaluation import run_trials  # noqa: E402
 from kfmetric.synthetic import make_synthetic  # noqa: E402
 
+UNTRACED_RUNS = 3
 
-def measure(identities: int, method: str) -> dict:
-    ds = make_synthetic(identities, noise=0.6, seed=0)
-    cfg = RunConfig()
-    tracemalloc.start()
+
+def _trial(ds, method: str):
+    """One default trial of ``method`` on ``ds``, and its wall time in seconds."""
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = run_trials(ds, method, 1, 0, cfg)
-    seconds = time.perf_counter() - start
+        report = run_trials(ds, method, 1, 0, RunConfig())
+    return report, time.perf_counter() - start
+
+
+def measure(identities: int, method: str) -> dict:
+    ds = make_synthetic(identities, noise=0.6, seed=0)
+    tracemalloc.start()
+    report, seconds = _trial(ds, method)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     # ru_maxrss is in KiB on Linux
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    untraced = [_trial(ds, method)[1] for _ in range(UNTRACED_RUNS)]
     return {
         "identities": identities,
         "method": method,
@@ -53,10 +67,17 @@ def measure(identities: int, method: str) -> dict:
         "maxrss_mb": round(maxrss / 1e6, 1),
         "seconds": round(seconds, 2),
         "rank1_pct": round(100 * report.rank_accuracy(1), 2),
+        "untraced_s": round(statistics.median(untraced), 3),
+        "untraced_runs_s": [round(t, 3) for t in untraced],
     }
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 3:
-        raise SystemExit("usage: python tests/peak_memory.py IDENTITIES METHOD")
-    print(json.dumps(measure(int(sys.argv[1]), sys.argv[2])))
+        raise SystemExit("usage: python tests/peak_memory.py IDENTITIES[,...] METHOD[,...]")
+    cases = [(int(n), m) for n in sys.argv[1].split(",") for m in sys.argv[2].split(",")]
+    if len(cases) == 1:
+        print(json.dumps(measure(*cases[0])))
+    else:
+        for n, m in cases:
+            subprocess.run([sys.executable, __file__, str(n), m], check=True)

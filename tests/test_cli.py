@@ -1085,6 +1085,22 @@ def test_digest_hashes_every_field_but_paths_and_threads():
     assert moved == set(_OTHER_VALUES) - {"features", "out", "threads"}
 
 
+@pytest.mark.parametrize(
+    "ints, floats",
+    [
+        ({"width_hi": 10}, {"width_hi": 10.0}),
+        ({"width_lo": 1, "width_hi": 3}, {"width_lo": 1.0, "width_hi": 3.0}),
+        ({"eps": 1}, {"eps": 1.0}),
+        ({"tau_grid": (0, 1)}, {"tau_grid": (0.0, 1.0)}),
+        ({"tau_grid": [0, 1]}, {"tau_grid": (0.0, 1.0)}),
+    ],
+    ids=["width_hi", "widths", "eps", "tau_grid", "tau_grid-list"],
+)
+def test_digest_hashes_each_real_as_a_float(ints, floats):
+    # a real given as an int runs as its float does, so it gets the same digest
+    assert RunConfig(**ints).digest() == RunConfig(**floats).digest()
+
+
 @pytest.mark.parametrize("missing", [False, True], ids=["unset", "missing-file"])
 def test_feature_file_checked_before_out_is_made(tmp_path, capsys, missing):
     features = tmp_path / "nope.csv"
@@ -1130,6 +1146,25 @@ def test_flag_parses_as_config_file(fixture_csv, tmp_path_factory, key, text):
     from_flag = _run_config([*base, f"{_FLAGS[key]}={text}"])
     from_file = _run_config([*base, "--config", path])
     assert repr(from_flag) == repr(from_file)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["synth", "--identities", "10", "--out=--"], "--out"),
+        (["synth", "--identities=--", "--out", "{tmp}/s.csv"], "--identities"),
+        (["evaluate", "--features", "{csv}", "--method", "euclidean", "--trials", "1",
+          "--out", "{tmp}/o", "--model=--"], "--model"),
+    ],
+    ids=["synth-out", "synth-identities", "evaluate-model"],
+)
+def test_non_run_flag_without_a_value_exits_2(fixture_csv, tmp_path, capsys, argv, flag):
+    # argparse hands `--flag=--` over as [] without calling the flag's parser; a
+    # flag that is not a run setting has no config text to parse it as
+    argv = [a.format(tmp=tmp_path, csv=fixture_csv) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: argument {flag}: expected one argument\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_no_distractors_flag_is_config_false(fixture_csv, tmp_path):

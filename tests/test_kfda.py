@@ -392,18 +392,23 @@ class TestTrain:
         owner = model.A if model.A.base is None else model.A.base
         assert model.A.shape == (12, 2) and owner.nbytes == model.A.nbytes
 
-    @pytest.mark.parametrize("kind, bound", [("kernel", 3.0), ("np", 5.5), ("sm", 5.5)])
+    @pytest.mark.parametrize(
+        "kind, bound", [("kernel", 3.0), ("np", 4.5), ("np5", 4.5), ("sm", 5.5)]
+    )
     def test_peak_memory_in_gram_units(self, kind, bound):
         # the fit frees each n x n buffer once read: the traced peak of train at
         # n = 600, in units of one n x n float64 matrix, was 5.3 (kernel), 7.3 (np)
-        # and 6.3 (sm) while every stage's buffers lived to the end of the fit
+        # and 6.3 (sm) while every stage's buffers lived to the end of the fit, and
+        # np at 5.05 (N = 3) and 7.05 (N = 5) while it built all N Grams before
+        # summing them; summed as they are built, np peaks at 4.17 for any N
         ds = make_synthetic(300, noise=0.6, seed=0)
         width = rms_width(ds, range(ds.n_samples))
-        bank = tuple(KernelSpec("rbf", w) for w in width_grid(width, 4))
+        banks = {q: tuple(KernelSpec("rbf", w) for w in width_grid(width, q)) for q in (4, 6)}
         kernel = {
             "kernel": KernelSpec("rbf", width),
-            "np": MklConfig("np", bank, weights=(0.5, 0.3, 0.2, 0.0), n_top=3),
-            "sm": MklConfig("sm", bank, pair=(1, 2), tau=0.1),
+            "np": MklConfig("np", banks[4], weights=(0.5, 0.3, 0.2, 0.0), n_top=3),
+            "np5": MklConfig("np", banks[6], weights=(0.3, 0.25, 0.2, 0.15, 0.1, 0.0), n_top=5),
+            "sm": MklConfig("sm", banks[4], pair=(1, 2), tau=0.1),
         }[kind]
         plan = _full_train_plan(ds)
         tracemalloc.start()

@@ -13,7 +13,7 @@ from kfmetric.config import RunConfig
 from kfmetric.data import Dataset, SplitPlan, index_classes, make_split
 from kfmetric.errors import InputError
 from kfmetric.evaluation import fit_for_trial, rbf_bank
-from kfmetric.kernels import KernelSpec, config_from_dict, gram, rms_width
+from kfmetric.kernels import KernelSpec, config_from_dict, gram, grams, rms_width
 from kfmetric.kfda import load_model, save_model
 from kfmetric.mkl import (
     KernelAccuracies,
@@ -362,7 +362,7 @@ class TestSelectN:
 
 
 class TestFoldPlan:
-    """One fold plan per trial: folds, fold class indexes and pool Grams built once."""
+    """One fold plan per trial: folds, fold class indexes and pool distances built once."""
 
     @pytest.fixture
     def trial(self, monkeypatch):
@@ -405,11 +405,11 @@ class TestFoldPlan:
     DISTANCES = {"kfda": (1, 0), "np-mfml": (2, 0), "sm-mfml": (2, 1)}
 
     @pytest.mark.parametrize(
-        "method, fitted, loaded", [("kfda", 1, 0), ("np-mfml", 22, 0), ("sm-mfml", 22, 2)]
+        "method, fitted, loaded", [("kfda", 1, 0), ("np-mfml", 2, 0), ("sm-mfml", 2, 2)]
     )
     def test_each_base_gram_is_built_once(self, trial, tmp_path, method, fitted, loaded):
-        # 20 pool Grams for CV, then train builds the chosen N=2 or sm pair once;
-        # loading builds only the Grams fold reads: sm's pair
+        # CV keeps the pool's distances, no pool Gram, then train builds the chosen
+        # N=2 or sm pair once; loading builds only the Grams fold reads: sm's pair
         ds, split, calls = trial
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -429,7 +429,7 @@ class TestFoldPlan:
         bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
         plan = cv_kernel_accuracies(ds, split, bank, cfg.folds, cfg.eps)
         [(_, used)] = calls["_make_folds"]
-        assert len(calls["squared_distances"]) == 1  # one for all 20 pool Grams
+        assert len(calls["squared_distances"]) == 1  # the pool's, for all 20 bank kernels
         calls["solve_kfda"].clear()
         calls["grams"].clear()
         calls["squared_distances"].clear()
@@ -438,7 +438,7 @@ class TestFoldPlan:
             build_config("np", plan, n_grid=[1, 2, 3])
         # one stacked solve per used fold, of the N = 2 and N = 3 candidates only
         assert [sol.A.shape[0] for sol in calls["solve_kfda"]] == [2] * len(used)
-        # the search reuses the bank's pool Grams
+        # the search reuses the pool's distances
         assert calls["grams"] == [] and calls["squared_distances"] == []
 
     @pytest.mark.parametrize(
@@ -464,7 +464,8 @@ class TestFoldPlan:
 
     def test_a_stack_holds_only_the_cuts_it_reads(self, trial, monkeypatch):
         # one config per stack: through each solve only the cuts of the specs the
-        # stack reads are alive, and the sm tau pass cuts its pair once per fold
+        # stack reads are alive, and the sm tau pass cuts its pair once per fold;
+        # a stack's rbf cuts are the planes of one rbf_blocks stack
         ds, split, calls = trial
         cfg = RunConfig()
         bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
@@ -472,18 +473,19 @@ class TestFoldPlan:
         [(_, used)] = calls["_make_folds"]
         monkeypatch.setattr(mkl, "_STACK_BYTES", 0)
         cuts, live = [], []
-        cut, solve = mkl._Fold.cut, mkl.solve_kfda
+        blocks, solve = mkl.rbf_blocks, mkl.solve_kfda
 
-        def recorded_cut(fold, K):
-            out = cut(fold, K)
-            cuts.append(weakref.ref(out))
+        def recorded_blocks(sq, specs, in_place=False):
+            out = blocks(sq, specs, in_place)
+            owner = out if out.base is None else out.base  # one spec's block is built in sq
+            cuts.extend([weakref.ref(owner)] * len(out))  # one entry per spec's cut
             return out
 
         def counted_solve(*args):
             live.append(sum(ref() is not None for ref in cuts))
             return solve(*args)
 
-        monkeypatch.setattr(mkl._Fold, "cut", recorded_cut)
+        monkeypatch.setattr(mkl, "rbf_blocks", recorded_blocks)
         monkeypatch.setattr(mkl, "solve_kfda", counted_solve)
         top = (2, 3, 4)
         np_configs = [
@@ -501,6 +503,49 @@ class TestFoldPlan:
             plan.rank1(configs)
             assert live == held * len(used)
             assert len(cuts) == cut_calls * len(used)
+
+    @pytest.mark.parametrize("identities", [80, 160])
+    def test_cuts_from_the_distances_equal_cuts_of_the_pool_grams(self, identities):
+        # the pool keeps one distance matrix; each bank kernel's fold cut made from
+        # it has the bits of the cut of that kernel's own pool Gram
+        ds = make_synthetic(identities, 2, 20, noise=0.6, view_offset=30.0, seed=0)
+        split = make_split(ds, 0, 0.5)
+        cfg = RunConfig()
+        bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
+        pool_idx, used = mkl._make_folds(ds, split, cfg.folds)
+        X = ds.features[pool_idx]
+        sq = mkl.distances(X)
+        for spec, K in zip(bank, grams(bank, X)):
+            for fold in used:
+                [cut] = fold.cuts([spec], sq, {}).values()
+                assert np.array_equal(cut, fold.cut(K)), (spec, fold.number)
+                assert not cut.flags.writeable
+        # a stack of several specs gives each the same bits
+        fold = used[0]
+        stacked = fold.cuts(bank, sq, {})
+        for spec in bank:
+            assert np.array_equal(stacked[spec], fold.cuts([spec], sq, {})[spec])
+
+    def test_an_rbf_plan_holds_one_pool_matrix(self, trial):
+        ds, split, _ = trial
+        cfg = RunConfig()
+        bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
+        plan = cv_kernel_accuracies(ds, split, bank, cfg.folds, cfg.eps)
+        n = len(ds.samples_of(split.train_ids))
+        assert plan.pool == {}  # no per-spec pool Gram
+        assert plan.distances.shape == (n, n) and plan.distances.dtype == np.float64
+        [big] = [v for v in vars(plan).values() if isinstance(v, np.ndarray) and v.size >= n * n]
+        assert big is plan.distances
+
+    def test_a_mixed_bank_keeps_a_pool_gram_for_each_non_rbf_kernel(self):
+        ds = make_synthetic(30, 2, 6, noise=0.5, view_offset=5.0, seed=3)
+        split = make_split(ds, 0, 0.5)
+        bank = (KernelSpec("linear"), KernelSpec("rbf", 3.0), KernelSpec("poly2"))
+        plan = cv_kernel_accuracies(ds, split, bank, 3, 1e-7)
+        assert list(plan.pool) == [bank[0], bank[2]] and plan.distances is not None
+        linear = cv_kernel_accuracies(ds, split, bank[:1], 3, 1e-7)
+        assert plan.bank_rank1[0].tobytes() == linear.bank_rank1[0].tobytes()
+        assert linear.distances is None
 
 
 def _reference_folds(ds, train_ids, folds, seed, probe_camera, gallery_camera):
