@@ -10,9 +10,8 @@ pool's squared distances and returns as the trial's CV result: the plan scores
 the bank when it is built and holds the persisted
 :class:`~kfmetric.kernels.KernelAccuracies`. Each fold's rows are positions in
 the pool. One loop over the folds scores the candidate configurations of a
-fold in stacks: one cut of the distances and one
-:func:`~kfmetric.kernels.rbf_blocks` call for the rbf kernels a stack reads
-first, then one scatter, one Fisher-solve call, one distance and one
+fold in stacks: one cut of the distances for the rbf kernels a stack reads
+first, one scatter, one Fisher-solve call, one distance and one
 :func:`~kfmetric.metric.true_ranks` call per stack, and one stack per fold
 unless the fold is large.
 :func:`build_config` is the one N or tau search.
@@ -213,17 +212,15 @@ _STACK_BYTES = 1 << 20
 class FoldPlan:
     """One trial's CV result: its used folds, eps, the bank, the pool's distances and scores.
 
-    ``distances`` holds the CV pool's squared distances once (None for a
-    bank with no rbf kernel), computed as :func:`~kfmetric.kernels.grams`
-    computes them: one n x n matrix, not one pool Gram per bank kernel. Every
-    rbf bank kernel is an elementwise function of it, so each stack builds
-    the fold cuts it reads from one cut of it (:meth:`_Fold.cuts`), with the
-    bits of cuts of the pool Grams. ``pool`` keeps the Gram of each other
-    bank kernel (linear or poly2). So every stage of the trial (pi_r, then N
-    or tau) scores its candidates on the same folds without recomputing a
-    pool matrix: every candidate fuses bank kernels. The bank is scored when
-    the plan is built: ``bank_rank1`` is its (q, folds) rank-1 array, NaN on
-    skipped folds, and ``accuracies`` its mean per kernel.
+    ``distances`` holds the CV pool's squared distances (None for a bank with
+    no rbf kernel): one n x n matrix, not one pool Gram per rbf bank kernel,
+    from which each stack cuts the kernels it reads (:meth:`_Fold.cuts`).
+    ``pool`` keeps the Gram of each other bank kernel. So every stage of the
+    trial (pi_r, then N or tau) scores its candidates on the same folds
+    without recomputing a pool matrix: every candidate fuses bank kernels.
+    The bank is scored when the plan is built: ``bank_rank1`` is its
+    (q, folds) rank-1 array, NaN on skipped folds, and ``accuracies`` its
+    mean per kernel.
     """
 
     def __init__(
