@@ -5,8 +5,9 @@
 
 With one tree it imports ``kfmetric`` from ``TREE/src`` and, in a fresh
 temporary directory, writes two fixtures with ``synth``: its defaults (40
-identities, noise 0.05) and 80 identities at noise 0.6. For each fixture and
-seeds 0-2 it runs
+identities, noise 0.05) and 80 identities at noise 0.6, and prints
+``<fixture>/synth/stdout`` and ``<fixture>/synth/<fixture>.csv``, so the CSV
+writer is compared byte for byte. For each fixture and seeds 0-2 it runs
 
 * ``train`` for kfda, np-mfml and sm-mfml: stdout, ``model.json`` and ``train.log``;
 * ``evaluate`` for all four methods: stdout and ``cmc.csv``;
@@ -58,7 +59,8 @@ def _sha(data: bytes) -> str:
 
 
 def digests(main) -> list[str]:
-    """Run every command of RUNS in the current directory; one 'name sha256' line per output."""
+    """Run synth and every command of RUNS in the current directory; one 'name sha256' line
+    per output."""
     lines = []
 
     def run(argv) -> bytes:
@@ -75,7 +77,8 @@ def digests(main) -> list[str]:
     lines += [f"help/{command}/stdout {_sha(run([command, '--help']))}" for command in HELP]
     for fixture, flags in FIXTURES.items():
         features = f"{fixture}.csv"
-        run(["synth", "--out", features, *flags])
+        lines.append(f"{fixture}/synth/stdout {_sha(run(['synth', '--out', features, *flags]))}")
+        lines.append(f"{fixture}/synth/{features} {_sha(Path(features).read_bytes())}")
         for seed in SEEDS:
             for command, (methods, files, extra) in RUNS.items():
                 for method in methods:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfmetric import data
 from kfmetric.data import (
     Dataset,
     SplitPlan,
@@ -55,6 +58,30 @@ def test_load_rejects_malformed_value(tmp_path):
         path = write_csv(tmp_path / "f.csv", ["id,cam,f1", "a,0,1.0", "a,1,2.0", f"b,{cam},3.0"])
         with pytest.raises(InputError, match=message):
             load_features(path)
+
+
+def test_load_names_the_file_line_after_a_multi_line_field(tmp_path):
+    # the quoted id spans lines 2-3, so the bad value is on line 5 but in record 4
+    path = tmp_path / "f.csv"
+    path.write_text('id,cam,f1\n"a\nb",0,1.0\nc,1,2.0\nd,0,oops\n')
+    with pytest.raises(InputError, match="line 5: malformed feature value"):
+        load_features(path)
+    path.write_text('id,cam,f1\n"a\nb",0,1.0\nc,1,2.0\n')
+    assert load_features(path).identities == ("a\nb", "c")
+
+
+@pytest.mark.parametrize(
+    "third, fourth, message",
+    [("inf", "abc", "non-finite"), ("abc", "inf", "malformed")],
+    ids=["inf-first", "malformed-first"],
+)
+def test_load_reports_the_first_faulty_line(tmp_path, third, fourth, message):
+    path = write_csv(
+        tmp_path / "f.csv",
+        ["id,cam,f1", "a,0,1.0", f"a,1,{third}", f"b,0,{fourth}", "b,1,2.0"],
+    )
+    with pytest.raises(InputError, match=f"line 3: {message} feature value"):
+        load_features(path)
 
 
 def test_load_rejects_ragged_row(tmp_path):
@@ -133,6 +160,67 @@ def test_round_trip_full_precision(tmp_path, rng):
     np.testing.assert_array_equal(back.features, ds.features)
     assert back.identities == ds.identities
     assert back.cameras == ds.cameras
+
+
+def test_save_bytes_are_pinned(tmp_path):
+    """Floats as their shortest repr, ids quoted as CSV needs, CRLF line ends."""
+    feats = np.array([[-0.0, 5e-324, 1e-05], [1e16, 0.1, 1e300]])
+    ds = Dataset(feats, ("a,b", 'q"x'), (0, 1))
+    out = tmp_path / "pinned.csv"
+    save_features(ds, out)
+    assert out.read_bytes() == (
+        b"id,cam,f1,f2,f3\r\n"
+        b'"a,b",0,-0.0,5e-324,1e-05\r\n'
+        b'"q""x",1,1e+16,0.1,1e+300\r\n'
+    )
+    back = load_features(out)
+    assert back.features.tobytes() == feats.tobytes()
+    assert back.identities == ds.identities
+    assert back.cameras == ds.cameras
+
+
+@pytest.mark.parametrize("block_values", [3, 6, 21, 10**9])
+def test_round_trip_across_load_blocks(tmp_path, rng, monkeypatch, block_values):
+    # 7 rows of 3 features in blocks of 1 row, 2 rows (one row left over), 7 rows
+    # (one full block) and one part block
+    ds = Dataset(rng.normal(size=(7, 3)), tuple("aabbccd"), (0, 1, 0, 1, 0, 1, 0))
+    out = tmp_path / "rt.csv"
+    save_features(ds, out)
+    monkeypatch.setattr(data, "_BLOCK_VALUES", block_values)
+    back = load_features(out)
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.identities == ds.identities
+
+
+def test_load_peak_is_about_twice_the_feature_array(tmp_path, rng):
+    ids = tuple(f"p{i // 2}" for i in range(200))
+    ds = Dataset(rng.normal(size=(200, 2000)), ids, (0, 1) * 100)
+    path = tmp_path / "wide.csv"
+    save_features(ds, path)
+    tracemalloc.start()
+    try:
+        back = load_features(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * ds.features.nbytes
+    assert back.features.tobytes() == ds.features.tobytes()
+
+
+@pytest.mark.parametrize(
+    "cameras, message",
+    [((0.7, 1.2), "0.7"), ((True, False), "True"), (("0", "1"), "'0'"), ((0, True), "True"),
+     ((np.int64(0), np.uint8(1)), None)],
+    ids=["float", "bool", "str", "bool-after-int", "numpy-int"],
+)
+def test_camera_labels_are_integers_not_bools(cameras, message):
+    if message is None:
+        ds = Dataset(np.ones((2, 1)), ("a", "b"), cameras)
+        assert ds.cameras == (0, 1)
+        assert all(type(c) is int for c in ds.cameras)
+        return
+    with pytest.raises(InputError, match=f"camera labels must be integers, got {message}"):
+        Dataset(np.ones((2, 1)), ("a", "b"), cameras)
 
 
 def test_dataset_rejects_nan():
