@@ -11,6 +11,7 @@ given seed produces the same split on every platform.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -251,11 +252,27 @@ def save_features(ds: Dataset, path) -> None:
     with open_output(path, "feature file") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "cam"] + [f"f{j + 1}" for j in range(ds.dim)])
-        # csv writes a float as its repr, one row's list at a time
-        writer.writerows(
-            [ident, cam, *feats.tolist()]
+        # csv writes an int by str and a float by its repr, neither of which ever
+        # needs quoting, so only the ids go through csv, each distinct one once
+        field = _first_fields(ds.identities)
+        end = writer.dialect.lineterminator
+        fh.writelines(
+            f"{field[ident]},{cam},{','.join(map(repr, feats.tolist()))}{end}"
             for ident, cam, feats in zip(ds.identities, ds.cameras, ds.features)
         )
+
+
+def _first_fields(values) -> dict:
+    """Each distinct value as csv.writer writes it as the first of several fields of a row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    out = {}
+    for v in dict.fromkeys(values):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([v, ""])
+        out[v] = buf.getvalue()[: -len("," + writer.dialect.lineterminator)]
+    return out
 
 
 def index_classes(ds: Dataset, subset) -> ClassIndex:

@@ -173,8 +173,10 @@ class MklConfig:
             w = np.asarray(self.weights, dtype=np.float64)
             if w.shape != (q,) or not np.all(np.isfinite(w) & (w >= 0)):
                 raise InputError("np weights must be length-q, finite and non-negative")
-            if abs(float(w.sum()) - 1.0) > 1e-12:
-                raise InputError(f"np weights must sum to 1, got {w.sum()!r}")
+            with np.errstate(over="ignore"):  # an overflowing sum is reported as not 1
+                total = w.sum()
+            if abs(float(total) - 1.0) > 1e-12:
+                raise InputError(f"np weights must sum to 1, got {total!r}")
             if int(np.count_nonzero(w)) != min(self.n_top, q):
                 raise InputError(
                     f"np weights must have exactly {min(self.n_top, q)} nonzero entries"

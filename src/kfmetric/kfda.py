@@ -23,6 +23,13 @@ The solve calls LAPACK's potrf, trtrs and syevd directly, with the arguments
 scipy.linalg's cholesky, solve_triangular and eigh (on its syevd path) pass
 them, so its bits are those of the wrappers. syevd is the one symmetric
 eigensolver, for the c x c problem and for the eps == 0 range basis.
+:func:`solve_kfda` runs in two stages with the c x c eigensolve between
+them: :func:`whiten` (Q + eps I, potrf, L^-1 M and G = Y^T Y) and
+:func:`discriminants` (Y V, L^-T, unit norms and the sign fix). It runs
+syevd on G in place; cross-validation runs :meth:`Whitening.eigh` instead,
+numpy's eigh, which calls the same syevd with the same workspace, gives the
+same bits and releases the GIL, so it can run on a helper thread while the
+next stack is whitened.
 
 :func:`build_scatter` and :func:`solve_kfda` take a stack of Grams over one
 class index, numpy style: a (..., n, n) Gram gives a ScatterPair of
@@ -245,38 +252,47 @@ def _eigh(S: np.ndarray) -> np.ndarray:
     return vals
 
 
-def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolution:
-    """Leading discriminants of the regularized between/within pencil, or of a stack of pencils.
+class Whitening(NamedTuple):
+    """A pencil (or a stack) whitened by its within-class metric, from :func:`whiten`.
 
-    Solves ``P a = lambda (Q + eps I) a`` through the factor P = M M^T:
-    whiten M by the within-class metric (Y = L^-1 M for the Cholesky factor
-    L of Q + eps I, or Y = W^T M for a whitening basis W of range(Q) when
-    eps == 0), take eigenpairs (lambda, v) of the c x c matrix Y^T Y, and
-    map them back to a = L^-T Y v (or W Y v). Keeps the p largest
-    eigenpairs. Columns of A are normalized to unit Euclidean norm with the
-    largest-magnitude entry positive; ties in eigenvalue order keep the
-    underlying solver's output order. A column whose norm is zero or not
-    finite raises NumericError.
+    G holds the c x c eigenproblem Y^T Y of each pencil, and Y, with L or W,
+    what :func:`discriminants` maps its eigenvectors back by.
+    """
 
-    LAPACK runs directly: potrf factors Q + eps I (built column-major, so it
-    is factored in place), trtrs solves for Y and for A in place, and syevd,
-    with the workspace eigh queries, solves the c x c problem in place. The
-    bits equal those of scipy.linalg's cholesky, solve_triangular and eigh
-    on its syevd path, and a failed factorization raises the same
-    NumericError.
+    G: np.ndarray  # (..., c, c) Y^T Y, column-major, exactly symmetric
+    Y: np.ndarray | list  # (..., n, c) L^-1 M, column-major; with eps == 0 each W^T M
+    L: np.ndarray | None  # (..., n, n) Cholesky factors of Q + eps I; None with eps == 0
+    W: list | None  # with eps == 0, each pencil's whitening basis of range(Q)
+    p: int
 
-    A stacked pair (Q of (..., n, n), M of (..., n, c), as :func:`build_scatter`
-    makes from a stack of Grams) gives A of (..., n, p) and eigenvalues of
-    (..., p). Only the LAPACK calls (and the eps == 0 range basis) loop over
-    the stack; Q + eps I, Y^T Y, the norms and the sign fix run once on it.
-    Each pencil gets the bits a 2-D call on it gets, and the first pencil in
-    stack order that fails raises. A 2-D pair gives 2-D results.
+    def eigh(self) -> np.ndarray:
+        """Ascending eigenvalues of each matrix of G, which is overwritten by its eigenvectors.
 
-    Q and M are taken out of the pair, and with eps > 0 each is let go once
-    L or Y is filled from it. So a pair handed over unnamed, as a fit does,
-    is freed before the factorization: at most Q, L and M, then L, Y and the
-    c x c G are live. A is written into the first p columns of Y's buffer;
-    at p = c - 1 it is returned as that view, and at a smaller p as a copy.
+        numpy's eigh runs syevd with the lower triangle and the workspace it
+        queries, the call :func:`solve_kfda` makes in place, and gives its bits.
+        It releases the GIL, so another thread may run this while the caller's
+        goes on. Failure raises the NumericError of a failed solve.
+        """
+        try:
+            vals, vecs = np.linalg.eigh(self.G)
+        except np.linalg.LinAlgError as exc:
+            raise _solve_failed(exc) from None
+        self.G[...] = vecs  # the column-major layout Y V reads after syevd in place
+        return vals
+
+
+def whiten(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> Whitening:
+    """The first stage of :func:`solve_kfda`: M whitened by Q + eps I, and the c x c problem.
+
+    Checks p and eps, factors Q + eps I = L L^T by potrf (built column-major,
+    so it is factored in place), solves Y = L^-1 M by trtrs in place and
+    forms G = Y^T Y by one syrk per pencil. With eps == 0, Y = W^T M for a
+    whitening basis W of range(Q), from syevd. A pencil whose Q + eps I is
+    not positive definite raises NumericError, the first in stack order.
+
+    Q and M are taken out of the pair, and each is let go once L or Y is
+    filled from it. So a pair handed over unnamed is freed before the
+    factorization: at most Q, L and M, then L, Y and G are live.
     """
     c = sc.n_classes
     if not 1 <= p <= c - 1:
@@ -299,7 +315,7 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
         L[..., diag, diag] += eps
         Y = _column_major(M.shape)
         Y[...] = M
-        M = None
+        M = W = None
         for L_k, Y_k in zip(_each(L), _each(Y)):
             _, info = _POTRF(L_k, lower=1, overwrite_a=1, clean=1)
             if info:
@@ -311,7 +327,7 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
         # is the same matrix in the column-major order syevd overwrites in place
         G = (Y.swapaxes(-1, -2) @ Y).swapaxes(-1, -2)
     else:
-        W, Y = [], []
+        L, W, Y = None, [], []
         for Q_k, M_k in zip(_each(Q), _each(M)):
             U = np.array(Q_k, order="F")
             s = _eigh(U)
@@ -327,10 +343,27 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
                 )
             Y.append(W[-1].T @ M_k)
         G = np.stack([Yi.T @ Yi for Yi in Y]).reshape(lead + (c, c)).swapaxes(-1, -2)
+    return Whitening(G, Y, L, W, p)
+
+
+def discriminants(w: Whitening, vals: np.ndarray) -> KfdaSolution:
+    """The second stage of :func:`solve_kfda`: the discriminants from the eigenpairs of ``w.G``.
+
+    ``vals`` holds each G's ascending eigenvalues, and ``w.G`` its
+    eigenvectors, as :meth:`Whitening.eigh` or syevd in place leave them.
+    Keeps the p largest, maps them back to A = L^-T Y V (or W Y V), and
+    normalizes each column to unit norm with its largest-magnitude entry
+    positive. A column whose norm is zero or not finite raises NumericError.
+
+    A is written into the first p columns of Y's buffer, so ``w`` is used up.
+    At p = c - 1 it is returned as that view, and at a smaller p as a copy.
+    """
+    G, Y, L, W, p = w
+    c = G.shape[-1]
     # syevd returns ascending order; reverse for descending eigenvalues
-    vals = _eigh(G)[..., ::-1][..., :p]
-    V = G[..., ::-1][..., :p]  # G now holds the eigenvectors
-    if eps > 0:
+    vals = vals[..., ::-1][..., :p]
+    V = G[..., ::-1][..., :p]
+    if L is not None:
         # Y is not read after Y V, so A takes its first p columns: column-major
         # matrices as before, for trtrs to solve in place
         A = Y[..., :p]
@@ -339,7 +372,7 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
             _trsm(L_k, A_k, trans=1)
     else:
         A = np.stack([W_k @ (Y_k @ V_k) for W_k, Y_k, V_k in zip(W, Y, _each(V))])
-        A = A.reshape(lead + (n, p))
+        A = A.reshape(G.shape[:-2] + (W[0].shape[0], p))
     with np.errstate(over="ignore"):  # an overflowing norm is reported below
         norms = np.linalg.norm(A, axis=-2)
     if not (np.isfinite(norms) & (norms > 0)).all():
@@ -348,9 +381,46 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
     each = _each(A)
     peak = each[np.arange(len(each))[:, None], np.argmax(np.abs(each), axis=1), np.arange(p)]
     np.negative(each, out=each, where=(peak < 0)[:, None, :])  # flips each negative-peak column
-    if eps > 0 and p < c - 1:
+    if L is not None and p < c - 1:
         A = A.copy(order="K")  # column-major as before, without Y's other c - p columns
     return KfdaSolution(A, np.maximum(vals, 0.0))
+
+
+def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolution:
+    """Leading discriminants of the regularized between/within pencil, or of a stack of pencils.
+
+    Solves ``P a = lambda (Q + eps I) a`` through the factor P = M M^T:
+    whiten M by the within-class metric (Y = L^-1 M for the Cholesky factor
+    L of Q + eps I, or Y = W^T M for a whitening basis W of range(Q) when
+    eps == 0), take eigenpairs (lambda, v) of the c x c matrix Y^T Y, and
+    map them back to a = L^-T Y v (or W Y v). Keeps the p largest
+    eigenpairs. Columns of A are normalized to unit Euclidean norm with the
+    largest-magnitude entry positive; ties in eigenvalue order keep the
+    underlying solver's output order. A column whose norm is zero or not
+    finite raises NumericError.
+
+    It is :func:`whiten`, syevd in place on G, then :func:`discriminants`.
+    LAPACK runs directly: potrf factors Q + eps I, trtrs solves for Y and
+    for A in place, and syevd, with the workspace eigh queries, solves the
+    c x c problem in place. The bits equal those of scipy.linalg's
+    cholesky, solve_triangular and eigh on its syevd path, and a failed
+    factorization raises the same NumericError.
+
+    A stacked pair (Q of (..., n, n), M of (..., n, c), as :func:`build_scatter`
+    makes from a stack of Grams) gives A of (..., n, p) and eigenvalues of
+    (..., p). Only the LAPACK calls (and the eps == 0 range basis) loop over
+    the stack; Q + eps I, Y^T Y, the norms and the sign fix run once on it.
+    Each pencil gets the bits a 2-D call on it gets, and the first pencil in
+    stack order that fails raises. A 2-D pair gives 2-D results.
+
+    A pair handed over unnamed, as a fit does, is freed before the
+    factorization: at most Q, L and M, then L, Y and the c x c G are live.
+    """
+    # whiten frees Q and M once read only if no name here holds the pair
+    handed = [sc]
+    del sc
+    w = whiten(handed.pop(), p, eps)
+    return discriminants(w, _eigh(w.G))
 
 
 def train(

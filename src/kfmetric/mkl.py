@@ -11,9 +11,12 @@ the bank when it is built and holds the persisted
 :class:`~kfmetric.kernels.KernelAccuracies`. Each fold's rows are positions in
 the pool. One loop over the folds scores the candidate configurations of a
 fold in stacks: one cut of the distances for the rbf kernels a stack reads
-first, one scatter, one Fisher-solve call, one distance and one
+first, one scatter, one Fisher solve, one distance and one
 :func:`~kfmetric.metric.true_ranks` call per stack, and one stack per fold
-unless the fold is large.
+unless the fold is large. The Fisher solve runs in the stages of
+:mod:`~kfmetric.kfda`, pipelined: when the process may use more than one
+CPU, each stack's c x c eigensolve runs on a helper thread while the next
+stack is whitened, with the results and errors of running them in turn.
 :func:`build_config` is the one N or tau search.
 
 Each learned combination is a :class:`~kfmetric.kernels.MklConfig`:
@@ -26,9 +29,13 @@ Each learned combination is a :class:`~kfmetric.kernels.MklConfig`:
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +50,7 @@ from .kernels import (
     rbf_blocks,
     squared_distances,
 )
-from .kfda import build_scatter, solve_kfda
+from .kfda import Whitening, build_scatter, discriminants, whiten
 from .metric import true_ranks
 
 
@@ -241,23 +248,51 @@ class FoldPlan:
 
         The configs of a fold are scored in stacks of as many as fit
         _STACK_BYTES of fused n x n training Grams: every config at once on
-        small folds, one at a time on large ones. A stack cuts (:meth:`_Fold.cuts`)
-        only the kernels its configs read, keeping those of the previous
-        stack that it reads too. So through a solve a large fold holds one cut
-        in the bank pass, two in the sm tau pass and N for an np config, not
-        one per bank kernel. Each config takes its ``fold`` map over its
-        training blocks, then the stack fuses them into one (configs, n, n)
-        stack, handed unnamed to one scatter and one Fisher solve call, which
-        free each n x n buffer once read. Each config then embeds the held-out
-        rows through its map as a trained model serves them, and one distance
-        and one ranking call score the stack. Skipped folds stay NaN.
+        small folds, one at a time on large ones. Each (fold, stack) unit is
+        whitened (:meth:`_whitened`), eigensolved, then finished
+        (:meth:`_finish`): discriminants, held-out embedding and ranking.
+        The units run as a depth-1 pipeline: while one unit's c x c
+        eigensolve runs on a helper thread (:func:`_eigensolves`), the next
+        unit is whitened on this one, and only then is the first finished.
+        So besides the unit being whitened, one unit is in flight, holding
+        its held-out cut rows, its L, Y and G, and sm's training pair. The
+        results and the first error raised are those of running the units
+        one after another: a unit is finished before an error from
+        whitening the next one is raised. Skipped folds stay NaN.
         """
         rank1 = np.full((len(kernels), self.folds), np.nan)
-        # a stack's outputs (A, the blocks, the embeddings) are replaced, not freed,
-        # by the next stack's: freed in bulk before the next stack allocates, the
-        # allocator hands their pages back and each stack faults them in again
+        units = self._whitened(kernels)
+        with _eigensolves() as submit:
+            flight = None  # the unit whose eigensolve runs while the next is whitened
+            while True:
+                try:
+                    unit, failed = next(units, None), None
+                except Exception as exc:
+                    unit, failed = None, exc
+                job = None if unit is None else submit(unit.w.eigh)
+                if flight is not None:
+                    self._finish(*flight, rank1)
+                if failed is not None:
+                    raise failed
+                if unit is None:
+                    return rank1
+                flight = unit, job
+
+    def _whitened(self, kernels):
+        """Yield each (fold, stack) unit of :meth:`rank1`, whitened, in fold then stack order.
+
+        A stack cuts (:meth:`_Fold.cuts`) only the kernels its configs read,
+        keeping those of the previous stack that it reads too. So through a
+        solve a large fold holds one cut in the bank pass, two in the sm tau
+        pass and N for an np config, not one per bank kernel. Each config
+        takes its ``fold`` map over its training blocks, then the stack
+        fuses them into one (configs, n, n) stack, handed unnamed to one
+        scatter and one :func:`~kfmetric.kfda.whiten` call, which free each
+        n x n buffer once read. The unit keeps copies of the held-out rows of
+        its cuts, so a cut no later stack reads is freed.
+        """
         for fold in self.used:
-            a, b = fold.bounds
+            a = fold.bounds[0]
             step = max(1, _STACK_BYTES // (8 * fold.idx.n_total**2))
             cuts = {}
             for start in range(0, len(kernels), step):
@@ -269,21 +304,68 @@ class FoldPlan:
                 cuts.update(fold.cuts(new, self.distances, self.pool))
                 base = [[cuts[s][:a] for s in k.specs] for k in configs]  # training blocks
                 maps = [k.fold(Ks) for k, Ks in zip(configs, base)]
-                A = solve_kfda(
+                w = whiten(
                     build_scatter(np.stack([k.fuse(Ks) for k, Ks in zip(configs, base)]), fold.idx),
                     fold.idx.n_classes - 1,
                     self.eps,
-                ).A
-                terms = [tuple(zip(k.specs, m(A_c))) for k, m, A_c in zip(configs, maps, A)]
-                # embed_batch's rule over the fold's training rows: sum_t k_t(Y, X) A_t
-                Yp, Yg = (
-                    np.stack([sum(cuts[s][i:j] @ A_t for s, A_t in t) for t in terms])
-                    for i, j in ((a, b), (b, None))
                 )
-                # a probe without a match ranks 0, so it counts as a miss
-                ranks = true_ranks(squared_distances(Yp, Yg), fold.probe_ids, fold.gallery_ids)
-                rank1[part, fold.number] = np.count_nonzero(ranks == 1, axis=-1) / ranks.shape[-1]
-        return rank1
+                held = {s: cuts[s][a:].copy() for s in specs}
+                yield _Unit(fold, part, configs, maps, held, w)
+
+    @staticmethod
+    def _finish(unit: _Unit, eigh, rank1: np.ndarray) -> None:
+        """Score a whitened unit, its eigenvalues from ``eigh()``, into its cells of ``rank1``."""
+        fold = unit.fold
+        A = discriminants(unit.w, eigh()).A
+        terms = [tuple(zip(k.specs, m(A_c))) for k, m, A_c in zip(unit.configs, unit.maps, A)]
+        # embed_batch's rule over the fold's training rows: sum_t k_t(Y, X) A_t
+        a, b = fold.bounds
+        Yp, Yg = (
+            np.stack([sum(unit.held[s][i:j] @ A_t for s, A_t in t) for t in terms])
+            for i, j in ((0, b - a), (b - a, None))
+        )
+        # a probe without a match ranks 0, so it counts as a miss
+        ranks = true_ranks(squared_distances(Yp, Yg), fold.probe_ids, fold.gallery_ids)
+        rank1[unit.part, fold.number] = np.count_nonzero(ranks == 1, axis=-1) / ranks.shape[-1]
+
+
+class _Unit(NamedTuple):
+    """One stack of configs on one fold, whitened, as :meth:`FoldPlan._whitened` yields it."""
+
+    fold: _Fold
+    part: slice  # the configs' rows of the rank-1 array
+    configs: list
+    maps: list  # each config's fold map
+    held: dict  # spec -> the held-out (probe, then gallery) rows of its cut
+    w: Whitening
+
+
+def _cpus_usable() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _eigensolves():
+    """A ``submit(fn)`` that starts ``fn`` and returns a call that waits for its result.
+
+    With more than one usable CPU, ``fn`` runs on one helper thread, which
+    ends when the context exits; on one CPU it runs when its result is
+    asked for. ``fn`` is a unit's :meth:`~kfmetric.kfda.Whitening.eigh`:
+    numpy's eigh releases the GIL, and it calls no function of this package
+    that a tracer of public calls could see from the helper thread.
+    """
+    if _cpus_usable() < 2:
+        yield lambda fn: fn
+        return
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kfmetric-eigh")
+    try:
+        yield lambda fn: pool.submit(fn).result
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _mean_rank1(rank1: np.ndarray) -> np.ndarray:

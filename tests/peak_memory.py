@@ -13,7 +13,10 @@ noise=0.6, seed=0)`` with BLAS pinned to one thread, and prints
 * ``seconds``: that trial's wall time, with tracemalloc on;
 * ``rank1_pct``: its rank-1 accuracy;
 * ``untraced_s``: the median wall time of 3 more trials, tracemalloc off,
-  and ``untraced_runs_s`` the 3 times.
+  and ``untraced_runs_s`` the 3 times;
+* ``cpus_usable``: how many CPUs the process may run on. With more than
+  one, each cross-validation eigensolve runs on a helper thread while the
+  next stack is whitened, so the trial times depend on it.
 
 numpy reports its buffers to tracemalloc, so the traced peak counts the
 arrays live at the worst moment of the fit. ``ru_maxrss`` never falls, so
@@ -37,6 +40,7 @@ import warnings  # noqa: E402
 
 from kfmetric.config import RunConfig  # noqa: E402
 from kfmetric.evaluation import run_trials  # noqa: E402
+from kfmetric.mkl import _cpus_usable  # noqa: E402
 from kfmetric.synthetic import make_synthetic  # noqa: E402
 
 UNTRACED_RUNS = 3
@@ -69,6 +73,7 @@ def measure(identities: int, method: str) -> dict:
         "rank1_pct": round(100 * report.rank_accuracy(1), 2),
         "untraced_s": round(statistics.median(untraced), 3),
         "untraced_runs_s": [round(t, 3) for t in untraced],
+        "cpus_usable": _cpus_usable(),
     }
 
 

@@ -867,10 +867,16 @@ def _nan_weight(cfg):
     cfg["weights"][cfg["weights"].index(max(cfg["weights"]))] = float("nan")
 
 
+def _overflowing_weights(cfg):
+    # finite weights whose sum overflows
+    cfg["weights"] = [1e308 if w else 0.0 for w in cfg["weights"]]
+
+
 @pytest.mark.parametrize(
     "method, corrupt, message",
-    [("sm-mfml", _nan_tau, "tau must be finite"), ("np-mfml", _nan_weight, "finite")],
-    ids=["sm-tau-nan", "np-weight-nan"],
+    [("sm-mfml", _nan_tau, "tau must be finite"), ("np-mfml", _nan_weight, "finite"),
+     ("np-mfml", _overflowing_weights, "np weights must sum to 1, got np.float64(inf)")],
+    ids=["sm-tau-nan", "np-weight-nan", "np-weight-sum-overflows"],
 )
 def test_non_finite_mkl_model_exit_2(mkl_model_paths, fixture_csv, tmp_path, method, corrupt,
                                      message):
@@ -881,7 +887,7 @@ def test_non_finite_mkl_model_exit_2(mkl_model_paths, fixture_csv, tmp_path, met
     proc = run_cli("evaluate", "--features", fixture_csv, "--out", tmp_path / "ev", "--model", bad)
     assert proc.returncode == 2, proc.stdout
     assert message in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 # each draw mixes values a run accepts with nan, inf, 0, negatives and out-of-range ones

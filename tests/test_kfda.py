@@ -9,14 +9,17 @@ import scipy.linalg
 from kfmetric.data import Dataset, SplitPlan, index_classes, make_split
 from kfmetric.errors import InputError, NumericError
 from kfmetric.kernels import KernelSpec, gram, rms_width, squared_distances, width_grid
+from kfmetric import kfda
 from kfmetric.kfda import (
     RANGE_RTOL,
     ScatterPair,
     build_scatter,
+    discriminants,
     load_model,
     save_model,
     solve_kfda,
     train,
+    whiten,
 )
 from kfmetric.metric import embed_batch
 from kfmetric.mkl import MklConfig
@@ -292,6 +295,41 @@ class TestDirectLapack:
         sc = ScatterPair(Q=-np.eye(4), M=np.ones((4, 3)))
         with pytest.raises(NumericError, match="generalized eigensolver failed"):
             solve_kfda(sc, p=2)
+
+    @pytest.mark.parametrize("n_ids", [36, 72, 300])
+    def test_numpy_eigh_gives_the_bits_of_syevd_in_place(self, n_ids):
+        # c = n_ids: a protocol fold's c, twice that, and a 600-sample training pencil
+        ds = make_synthetic(n_ids, 2, 20, noise=0.6, view_offset=30.0, seed=n_ids)
+        subset = range(ds.n_samples)
+        width = rms_width(ds, subset)
+        K = np.stack([gram(KernelSpec("rbf", width * m), ds.features) for m in (0.5, 1.0, 4.0)])
+        idx = index_classes(ds, subset)
+        threaded, direct = (whiten(build_scatter(K, idx), n_ids - 1) for _ in range(2))
+        vals = threaded.eigh()
+        assert np.array_equal(vals, kfda._eigh(direct.G))
+        assert np.array_equal(threaded.G, direct.G)  # the eigenvectors
+        assert threaded.G.strides == direct.G.strides
+
+    @pytest.mark.parametrize("eps", [1e-7, 0.0])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_solve_is_whiten_then_discriminants(self, eps, p):
+        K, idx = _stacked_grams(CLASS_SIZES["two-view"], 3)
+        w = whiten(build_scatter(K, idx), p, eps)
+        A, vals = discriminants(w, w.eigh())
+        want = solve_kfda(build_scatter(K, idx), p, eps)
+        assert np.array_equal(A, want.A) and np.array_equal(vals, want.eigvals)
+        assert A.strides == want.A.strides
+
+    def test_a_failed_numpy_eigh_is_a_failed_solve(self, monkeypatch):
+        K, idx = _stacked_grams(CLASS_SIZES["two-view"], 2)
+        w = whiten(build_scatter(K, idx), 2)
+
+        def fails(G):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        with pytest.raises(NumericError, match="^generalized eigensolver failed: Eigenvalues did"):
+            w.eigh()
 
     def test_overflowing_coefficient_norm_raises(self):
         # Q = 0 and eps = 1e-300 scale the entries of A to about 1e200: finite,

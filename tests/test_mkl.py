@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import warnings
 import weakref
 from fractions import Fraction
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 from kfmetric import mkl
 from kfmetric.config import RunConfig
 from kfmetric.data import Dataset, SplitPlan, index_classes, make_split
-from kfmetric.errors import InputError
+from kfmetric.errors import InputError, NumericError
 from kfmetric.evaluation import fit_for_trial, rbf_bank
 from kfmetric.kernels import KernelSpec, config_from_dict, gram, grams, rms_width
-from kfmetric.kfda import load_model, save_model
+from kfmetric.kfda import Whitening, load_model, save_model
 from kfmetric.mkl import (
     KernelAccuracies,
     MklConfig,
@@ -216,7 +217,7 @@ def _forbid_fold_solves(monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("a single-value grid ran a fold solve")
 
-    monkeypatch.setattr("kfmetric.mkl.solve_kfda", solve)
+    monkeypatch.setattr("kfmetric.mkl.whiten", solve)
 
 
 class TestSelectTau:
@@ -369,10 +370,10 @@ class TestFoldPlan:
         from kfmetric import kernels, kfda
 
         ds = make_synthetic(80, 2, 20, noise=0.6, view_offset=30.0, seed=0)
-        calls = {"_make_folds": [], "index_classes": [], "solve_kfda": [],
+        calls = {"_make_folds": [], "index_classes": [], "whiten": [],
                  "squared_distances": [], "grams": []}
         for module, name in ((mkl, "_make_folds"), (mkl, "index_classes"),
-                             (kfda, "index_classes"), (mkl, "solve_kfda"),
+                             (kfda, "index_classes"), (mkl, "whiten"),
                              (kernels, "squared_distances")):
             fn = getattr(module, name)
 
@@ -430,14 +431,14 @@ class TestFoldPlan:
         plan = cv_kernel_accuracies(ds, split, bank, cfg.folds, cfg.eps)
         [(_, used)] = calls["_make_folds"]
         assert len(calls["squared_distances"]) == 1  # the pool's, for all 20 bank kernels
-        calls["solve_kfda"].clear()
+        calls["whiten"].clear()
         calls["grams"].clear()
         calls["squared_distances"].clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             build_config("np", plan, n_grid=[1, 2, 3])
         # one stacked solve per used fold, of the N = 2 and N = 3 candidates only
-        assert [sol.A.shape[0] for sol in calls["solve_kfda"]] == [2] * len(used)
+        assert [w.G.shape[0] for w in calls["whiten"]] == [2] * len(used)
         # the search reuses the pool's distances
         assert calls["grams"] == [] and calls["squared_distances"] == []
 
@@ -453,19 +454,22 @@ class TestFoldPlan:
         bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
         plan = cv_kernel_accuracies(ds, split, bank, cfg.folds, cfg.eps)
         [(_, used)] = calls["_make_folds"]
-        assert [sol.A.shape[0] for sol in calls["solve_kfda"]] == [20] * len(used)
+        assert [w.G.shape[0] for w in calls["whiten"]] == [20] * len(used)
         [n] = {fold.idx.n_total for fold in used}
         monkeypatch.setattr(mkl, "_STACK_BYTES", grams_per_stack * 8 * n * n)
-        calls["solve_kfda"].clear()
+        calls["whiten"].clear()
         rank1 = plan.rank1(bank)
-        assert [sol.A.shape[0] for sol in calls["solve_kfda"]] == sizes * len(used)
+        assert [w.G.shape[0] for w in calls["whiten"]] == sizes * len(used)
         assert np.array_equal(rank1, plan.bank_rank1, equal_nan=True)
 
 
     def test_a_stack_holds_only_the_cuts_it_reads(self, trial, monkeypatch):
-        # one config per stack: through each solve only the cuts of the specs the
+        # one config per stack: through each whitening only the cuts of the specs the
         # stack reads are alive, and the sm tau pass cuts its pair once per fold;
-        # a stack's rbf cuts are the planes of one rbf_blocks stack
+        # a stack's rbf cuts are the planes of one rbf_blocks stack. The unit in
+        # flight keeps copies of its held-out rows, not its cuts, but sm's fold map
+        # holds its training pair: the last unit of a fold, in flight while the next
+        # fold's first stack is whitened, keeps its fold's pair cut alive
         ds, split, calls = trial
         cfg = RunConfig()
         bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
@@ -473,7 +477,7 @@ class TestFoldPlan:
         [(_, used)] = calls["_make_folds"]
         monkeypatch.setattr(mkl, "_STACK_BYTES", 0)
         cuts, live = [], []
-        blocks, solve = mkl.rbf_blocks, mkl.solve_kfda
+        blocks, whiten = mkl.rbf_blocks, mkl.whiten
 
         def recorded_blocks(sq, specs, in_place=False):
             out = blocks(sq, specs, in_place)
@@ -481,27 +485,28 @@ class TestFoldPlan:
             cuts.extend([weakref.ref(owner)] * len(out))  # one entry per spec's cut
             return out
 
-        def counted_solve(*args):
+        def counted_whiten(*args):
             live.append(sum(ref() is not None for ref in cuts))
-            return solve(*args)
+            return whiten(*args)
 
         monkeypatch.setattr(mkl, "rbf_blocks", recorded_blocks)
-        monkeypatch.setattr(mkl, "solve_kfda", counted_solve)
+        monkeypatch.setattr(mkl, "whiten", counted_whiten)
         top = (2, 3, 4)
         np_configs = [
             MklConfig("np", bank, weights=(1 / N,) * N + (0.0,) * (len(bank) - N), n_top=N)
             for N in top
         ]
         sm_configs = [MklConfig("sm", bank, pair=(5, 9), tau=t) for t in (0.0, 0.1, 1.0)]
-        for configs, held, cut_calls in (
-            (bank, [1] * len(bank), len(bank)),
-            (np_configs, list(top), max(top)),
-            (sm_configs, [2] * len(sm_configs), 2),
+        for configs, held, carried, cut_calls in (
+            (bank, [1] * len(bank), 0, len(bank)),
+            (np_configs, list(top), 0, max(top)),
+            (sm_configs, [2] * len(sm_configs), 2, 2),
         ):
             cuts.clear()
             live.clear()
             plan.rank1(configs)
-            assert live == held * len(used)
+            later = [held[0] + carried] + held[1:]  # a fold's stacks after the first fold
+            assert live == held + later * (len(used) - 1)
             assert len(cuts) == cut_calls * len(used)
 
     @pytest.mark.parametrize("identities", [80, 160])
@@ -546,6 +551,98 @@ class TestFoldPlan:
         linear = cv_kernel_accuracies(ds, split, bank[:1], 3, 1e-7)
         assert plan.bank_rank1[0].tobytes() == linear.bank_rank1[0].tobytes()
         assert linear.distances is None
+
+
+@pytest.fixture(scope="module")
+def pipeline_plan():
+    ds = make_synthetic(80, 2, 20, noise=0.6, view_offset=30.0, seed=0)
+    split = make_split(ds, 0, 0.5)
+    cfg = RunConfig()
+    bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
+    plan = cv_kernel_accuracies(ds, split, bank, cfg.folds, cfg.eps)
+    configs = {
+        "bank": bank,
+        "np": [MklConfig("np", bank, weights=(0.5, 0.5) + (0.0,) * 18, n_top=2)],
+        "sm": [MklConfig("sm", bank, pair=(5, 9), tau=t) for t in (0.0, 0.1)],
+    }
+    return plan, configs
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(mkl, "_cpus_usable", lambda: n)
+
+
+class TestPipeline:
+    """Each unit's eigensolve overlaps the next unit's whitening, with serial results."""
+
+    @pytest.mark.parametrize("kind", ["bank", "np", "sm"])
+    @pytest.mark.parametrize("budget", [None, 0], ids=["one-stack", "one-config-per-stack"])
+    def test_helper_and_inline_paths_agree(self, pipeline_plan, monkeypatch, kind, budget):
+        plan, configs = pipeline_plan
+        if budget is not None:
+            monkeypatch.setattr(mkl, "_STACK_BYTES", budget)
+        eigh, threads = Whitening.eigh, []
+
+        def recorded(w):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return eigh(w)
+
+        monkeypatch.setattr(Whitening, "eigh", recorded)
+        rank1 = {}
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            before = threading.active_count()
+            rank1[cpus] = plan.rank1(configs[kind])
+            assert threading.active_count() == before
+        assert rank1[1].tobytes() == rank1[2].tobytes()
+        if kind == "bank":
+            assert rank1[1].tobytes() == plan.bank_rank1.tobytes()
+        # inline on one CPU, then every eigensolve on the helper thread
+        units = len(threads) // 2
+        assert threads == [True] * units + [False] * units
+
+    # (stage that fails, unit it fails on) pairs; units count from 0 in run order, and
+    # the serial order raises the first failure of: whiten 0, eigh 0, finish 0, whiten 1 ...
+    FAULTS = {
+        "whiten-2": ([("whiten", 2)], "whiten 2"),
+        "eigh-1": ([("eigh", 1)], "eigh 1"),
+        "finish-1": ([("discriminants", 1)], "discriminants 1"),
+        "eigh-1-then-whiten-2": ([("eigh", 1), ("whiten", 2)], "eigh 1"),
+        "finish-1-then-whiten-2": ([("discriminants", 1), ("whiten", 2)], "discriminants 1"),
+        "whiten-0": ([("whiten", 0)], "whiten 0"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_first_error_is_the_serial_one(self, pipeline_plan, monkeypatch, fault, cpus):
+        plan, configs = pipeline_plan
+        monkeypatch.setattr(mkl, "_STACK_BYTES", 0)  # 20 units a fold
+        faults, message = self.FAULTS[fault]
+        calls = {"whiten": 0, "eigh": 0, "discriminants": 0}
+        originals = {"whiten": mkl.whiten, "discriminants": mkl.discriminants}
+        eigh = Whitening.eigh
+
+        def stage(name, run):
+            def poisoned(*args):
+                unit = calls[name]
+                calls[name] += 1
+                if (name, unit) in faults:
+                    raise NumericError(f"{name} {unit}")
+                return run(*args)
+
+            return poisoned
+
+        for name, fn in originals.items():
+            monkeypatch.setattr(mkl, name, stage(name, fn))
+        monkeypatch.setattr(Whitening, "eigh", stage("eigh", eigh))
+        _cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            plan.rank1(configs["bank"])
+        assert threading.active_count() == before
+        # every unit before the failing one was finished
+        failed = int(message.split()[-1])
+        assert calls["discriminants"] == failed + (message.startswith("discriminants"))
 
 
 def _reference_folds(ds, train_ids, folds, seed, probe_camera, gallery_camera):
@@ -672,6 +769,8 @@ class TestMklConfig:
         bank = self._bank()
         with pytest.raises(InputError, match="sum to 1"):
             MklConfig("np", bank, weights=(0.5, 0.2, 0.0), n_top=2)
+        with pytest.raises(InputError, match="sum to 1, got np.float64\\(inf\\)"):
+            MklConfig("np", bank, weights=(1e308, 1e308, 0.0), n_top=2)  # the sum overflows
         with pytest.raises(InputError, match="non-negative"):
             MklConfig("np", bank, weights=(-0.2, 1.2, 0.0), n_top=2)
         with pytest.raises(InputError, match="nonzero"):
