@@ -221,7 +221,12 @@ class MklConfig:
             return sum(b * K for b, K in zip(beta, grams))
         Ki, Kj = grams
         D = Ki - Kj
-        out = 0.5 * (Ki + Kj) + self.tau * (D @ D)
+        sq = D @ D
+        del D  # besides the pair, at most two n x n buffers live at once
+        sq *= self.tau
+        out = 0.5 * (Ki + Kj)
+        out += sq
+        del sq
         out = 0.5 * (out + out.T)
         if not np.isfinite(out).all():
             raise NumericError("kernel matrix contains non-finite entries")
@@ -234,15 +239,17 @@ class MklConfig:
         kernel 0.5 (C_i + C_j) + tau (C_i - C_j) D, with D = K_i - K_j over X,
         applied to A splits into C_i (A/2 + tau D A) + C_j (A/2 - tau D A).
         ``grams`` yields the Gram of each spec over X, as for :meth:`fuse`. Only
-        sm reads it, here, and its map holds the pair; np's holds no Gram. So a
-        caller takes the map before its solve and keeps no other base Gram.
+        sm reads it, here: its map holds D, an array of its own, and no Gram;
+        np's holds nothing. So once it has the map a caller keeps no base Gram
+        for it.
         """
         if self.variant == "np":
             return lambda A: tuple(b * A for b in self.weights if b != 0.0)
         Ki, Kj = grams
+        D = Ki - Kj
 
         def blocks(A):
-            tDA = self.tau * ((Ki - Kj) @ A)
+            tDA = self.tau * (D @ A)
             return (0.5 * A + tDA, 0.5 * A - tDA)
 
         return blocks

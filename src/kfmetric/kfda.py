@@ -27,9 +27,11 @@ eigensolver, for the c x c problem and for the eps == 0 range basis.
 them: :func:`whiten` (Q + eps I, potrf, L^-1 M and G = Y^T Y) and
 :func:`discriminants` (Y V, L^-T, unit norms and the sign fix). It runs
 syevd on G in place; cross-validation runs :meth:`Whitening.eigh` instead,
-numpy's eigh, which calls the same syevd with the same workspace, gives the
-same bits and releases the GIL, so it can run on a helper thread while the
-next stack is whitened.
+numpy's eigh, which calls syevd with the same arguments and workspace and
+releases the GIL, so it can run on a helper thread while the next stack is
+whitened. numpy and scipy bundle separate LAPACK builds, so the two give the
+same bits where those builds agree, which a test checks for the installed
+pair.
 
 :func:`build_scatter` and :func:`solve_kfda` take a stack of Grams over one
 class index, numpy style: a (..., n, n) Gram gives a ScatterPair of
@@ -265,13 +267,22 @@ class Whitening(NamedTuple):
     W: list | None  # with eps == 0, each pencil's whitening basis of range(Q)
     p: int
 
-    def eigh(self) -> np.ndarray:
+    def syevd(self) -> np.ndarray:
         """Ascending eigenvalues of each matrix of G, which is overwritten by its eigenvectors.
 
+        scipy's LAPACK syevd in place, the call :func:`solve_kfda` makes. It
+        holds the GIL.
+        """
+        return _eigh(self.G)
+
+    def eigh(self) -> np.ndarray:
+        """:meth:`syevd` through numpy's eigh, which releases the GIL.
+
         numpy's eigh runs syevd with the lower triangle and the workspace it
-        queries, the call :func:`solve_kfda` makes in place, and gives its bits.
-        It releases the GIL, so another thread may run this while the caller's
-        goes on. Failure raises the NumericError of a failed solve.
+        queries, as :meth:`syevd` does through scipy, and gives its bits where
+        numpy's and scipy's LAPACK builds agree (a test checks the installed
+        pair). Another thread may run this while the caller's goes on.
+        Failure raises the NumericError of a failed solve.
         """
         try:
             vals, vecs = np.linalg.eigh(self.G)
@@ -420,7 +431,7 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
     handed = [sc]
     del sc
     w = whiten(handed.pop(), p, eps)
-    return discriminants(w, _eigh(w.G))
+    return discriminants(w, w.syevd())
 
 
 def train(
@@ -439,7 +450,8 @@ def train(
     rest as they are built, so np sums its N Grams without holding them all.
     The fused Gram and the scatter pair are handed on unnamed, so
     :func:`build_scatter` and :func:`solve_kfda` free each n x n buffer once
-    read. From the scatter on, besides sm's pair, at most about 2.5 n x n
+    read. From the scatter on, besides sm's D = K_i - K_j, which its map
+    holds in place of the pair, at most about 2.5 n x n
     float64 buffers are live (K, the contrasts and the class sums, then Q, L
     and M). Combining the base Grams peaks higher: at about 4 for np at any
     N, and 5 for sm.

@@ -14,9 +14,10 @@ fold in stacks: one cut of the distances for the rbf kernels a stack reads
 first, one scatter, one Fisher solve, one distance and one
 :func:`~kfmetric.metric.true_ranks` call per stack, and one stack per fold
 unless the fold is large. The Fisher solve runs in the stages of
-:mod:`~kfmetric.kfda`, pipelined: when the process may use more than one
-CPU, each stack's c x c eigensolve runs on a helper thread while the next
-stack is whitened, with the results and errors of running them in turn.
+:mod:`~kfmetric.kfda`, pipelined when the process may use more than one
+CPU and BLAS runs one thread: each stack's c x c eigensolve runs on a helper
+thread while the next stack is whitened, with the results and errors of
+running them in turn.
 :func:`build_config` is the one N or tau search.
 
 Each learned combination is a :class:`~kfmetric.kernels.MklConfig`:
@@ -251,14 +252,20 @@ class FoldPlan:
         small folds, one at a time on large ones. Each (fold, stack) unit is
         whitened (:meth:`_whitened`), eigensolved, then finished
         (:meth:`_finish`): discriminants, held-out embedding and ranking.
-        The units run as a depth-1 pipeline: while one unit's c x c
-        eigensolve runs on a helper thread (:func:`_eigensolves`), the next
-        unit is whitened on this one, and only then is the first finished.
-        So besides the unit being whitened, one unit is in flight, holding
-        its held-out cut rows, its L, Y and G, and sm's training pair. The
-        results and the first error raised are those of running the units
-        one after another: a unit is finished before an error from
-        whitening the next one is raised. Skipped folds stay NaN.
+        The units run as a depth-1 pipeline: unit k's c x c eigensolve is
+        started (:func:`_eigensolves`), unit k - 1 is finished, and unit k + 1
+        is whitened before unit k is finished. With one BLAS thread and more
+        than one usable CPU the eigensolve runs on a helper thread, so it
+        overlaps the next whitening; otherwise it runs when unit k is
+        finished. So besides the unit being whitened, one unit is in flight,
+        holding copies of its held-out cut rows, its L, Y and G, and each sm
+        config's D = K_i - K_j over the training rows, but no cut; keeping it
+        until the next unit is built also spares the allocator handing its
+        pages back and faulting them in again (a loop that finished each
+        unit before whitening the next ran 3% slower). The results and the
+        first error raised are those of running the units one after another:
+        a unit is finished before an error from whitening the next one is
+        raised. Skipped folds stay NaN.
         """
         rank1 = np.full((len(kernels), self.folds), np.nan)
         units = self._whitened(kernels)
@@ -269,7 +276,7 @@ class FoldPlan:
                     unit, failed = next(units, None), None
                 except Exception as exc:
                     unit, failed = None, exc
-                job = None if unit is None else submit(unit.w.eigh)
+                job = None if unit is None else submit(unit.w)
                 if flight is not None:
                     self._finish(*flight, rank1)
                 if failed is not None:
@@ -284,33 +291,40 @@ class FoldPlan:
         A stack cuts (:meth:`_Fold.cuts`) only the kernels its configs read,
         keeping those of the previous stack that it reads too. So through a
         solve a large fold holds one cut in the bank pass, two in the sm tau
-        pass and N for an np config, not one per bank kernel. Each config
-        takes its ``fold`` map over its training blocks, then the stack
-        fuses them into one (configs, n, n) stack, handed unnamed to one
-        scatter and one :func:`~kfmetric.kfda.whiten` call, which free each
-        n x n buffer once read. The unit keeps copies of the held-out rows of
-        its cuts, so a cut no later stack reads is freed.
+        pass and N for an np config, not one per bank kernel.
         """
         for fold in self.used:
-            a = fold.bounds[0]
             step = max(1, _STACK_BYTES // (8 * fold.idx.n_total**2))
             cuts = {}
             for start in range(0, len(kernels), step):
                 part = slice(start, start + step)
-                configs = kernels[part]
-                specs = dict.fromkeys(s for k in configs for s in k.specs)
+                specs = dict.fromkeys(s for k in kernels[part] for s in k.specs)
                 cuts = {s: B for s, B in cuts.items() if s in specs}  # the previous stack's
                 new = [s for s in specs if s not in cuts]
                 cuts.update(fold.cuts(new, self.distances, self.pool))
-                base = [[cuts[s][:a] for s in k.specs] for k in configs]  # training blocks
-                maps = [k.fold(Ks) for k, Ks in zip(configs, base)]
-                w = whiten(
-                    build_scatter(np.stack([k.fuse(Ks) for k, Ks in zip(configs, base)]), fold.idx),
-                    fold.idx.n_classes - 1,
-                    self.eps,
-                )
-                held = {s: cuts[s][a:].copy() for s in specs}
-                yield _Unit(fold, part, configs, maps, held, w)
+                yield self._unit(fold, part, kernels[part], cuts)
+
+    def _unit(self, fold: _Fold, part: slice, configs, cuts: dict) -> _Unit:
+        """One stack of configs on one fold, whitened, from the cuts of the specs it reads.
+
+        The stack fuses its configs' training blocks into one (configs, n, n)
+        stack, handed unnamed to one scatter and one
+        :func:`~kfmetric.kfda.whiten` call, which free each n x n buffer once
+        read; then each config takes its ``fold`` map (sm's holds its own
+        D = K_i - K_j, no cut). The unit keeps copies of the held-out rows of
+        the cuts, so it holds no cut, and a cut no later stack reads is freed
+        while the unit is in flight.
+        """
+        a = fold.bounds[0]
+        base = [[cuts[s][:a] for s in k.specs] for k in configs]  # training blocks
+        w = whiten(
+            build_scatter(np.stack([k.fuse(Ks) for k, Ks in zip(configs, base)]), fold.idx),
+            fold.idx.n_classes - 1,
+            self.eps,
+        )
+        maps = [k.fold(Ks) for k, Ks in zip(configs, base)]
+        held = {s: B[a:].copy() for s, B in cuts.items()}  # cuts holds the stack's specs
+        return _Unit(fold, part, configs, maps, held, w)
 
     @staticmethod
     def _finish(unit: _Unit, eigh, rank1: np.ndarray) -> None:
@@ -348,22 +362,49 @@ def _cpus_usable() -> int:
         return os.cpu_count() or 1
 
 
+# OpenBLAS, which numpy's and scipy's wheels each bundle, takes its thread
+# count from the first of these set to a positive number when it loads, and
+# otherwise runs one thread per CPU
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _one_blas_thread() -> bool:
+    """Whether BLAS runs one thread, by the variables OpenBLAS reads."""
+    for var in _BLAS_THREADS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1
+    return False
+
+
 @contextlib.contextmanager
 def _eigensolves():
-    """A ``submit(fn)`` that starts ``fn`` and returns a call that waits for its result.
+    """A ``submit(w)`` that starts the eigensolve of a unit's Whitening and returns a call
+    that waits for its eigenvalues.
 
-    With more than one usable CPU, ``fn`` runs on one helper thread, which
-    ends when the context exits; on one CPU it runs when its result is
-    asked for. ``fn`` is a unit's :meth:`~kfmetric.kfda.Whitening.eigh`:
-    numpy's eigh releases the GIL, and it calls no function of this package
-    that a tracer of public calls could see from the helper thread.
+    With one BLAS thread the eigensolve is :meth:`~kfmetric.kfda.Whitening.eigh`,
+    numpy's eigh, which solves a stack in one call. It runs on one helper
+    thread when more than one CPU is usable, else when its result is asked
+    for. numpy's eigh releases the GIL, and it calls no function of this
+    package that a tracer of public calls could see from the helper, which
+    ends when the context exits. With BLAS threads unset, numpy's and
+    scipy's BLAS pools each take every CPU and contend: on 2 CPUs numpy's
+    eigh made a protocol-sized trial 4-5 times slower run in turn and about
+    11 times slower on the helper. So the eigensolve is then
+    :meth:`~kfmetric.kfda.Whitening.syevd`, scipy's, run when asked for.
     """
+    if not _one_blas_thread():
+        yield lambda w: w.syevd
+        return
     if _cpus_usable() < 2:
-        yield lambda fn: fn
+        yield lambda w: w.eigh
         return
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kfmetric-eigh")
     try:
-        yield lambda fn: pool.submit(fn).result
+        yield lambda w: pool.submit(w.eigh).result
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

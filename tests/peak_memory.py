@@ -14,9 +14,10 @@ noise=0.6, seed=0)`` with BLAS pinned to one thread, and prints
 * ``rank1_pct``: its rank-1 accuracy;
 * ``untraced_s``: the median wall time of 3 more trials, tracemalloc off,
   and ``untraced_runs_s`` the 3 times;
-* ``cpus_usable``: how many CPUs the process may run on. With more than
-  one, each cross-validation eigensolve runs on a helper thread while the
-  next stack is whitened, so the trial times depend on it.
+* ``cpus_usable``: how many CPUs the process may run on. With one BLAS
+  thread, as here, and more than one CPU, cross-validation runs each
+  eigensolve on a helper thread while the next stack is whitened, so the
+  trial times depend on it.
 
 numpy reports its buffers to tracemalloc, so the traced peak counts the
 arrays live at the worst moment of the fit. ``ru_maxrss`` never falls, so

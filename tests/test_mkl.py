@@ -467,9 +467,9 @@ class TestFoldPlan:
         # one config per stack: through each whitening only the cuts of the specs the
         # stack reads are alive, and the sm tau pass cuts its pair once per fold;
         # a stack's rbf cuts are the planes of one rbf_blocks stack. The unit in
-        # flight keeps copies of its held-out rows, not its cuts, but sm's fold map
-        # holds its training pair: the last unit of a fold, in flight while the next
-        # fold's first stack is whitened, keeps its fold's pair cut alive
+        # flight keeps copies of its held-out rows and sm's map its own D, not its
+        # cuts, so the last unit of a fold, in flight while the next fold's first
+        # stack is whitened, keeps none of its fold's cuts alive
         ds, split, calls = trial
         cfg = RunConfig()
         bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
@@ -497,16 +497,15 @@ class TestFoldPlan:
             for N in top
         ]
         sm_configs = [MklConfig("sm", bank, pair=(5, 9), tau=t) for t in (0.0, 0.1, 1.0)]
-        for configs, held, carried, cut_calls in (
-            (bank, [1] * len(bank), 0, len(bank)),
-            (np_configs, list(top), 0, max(top)),
-            (sm_configs, [2] * len(sm_configs), 2, 2),
+        for configs, held, cut_calls in (
+            (bank, [1] * len(bank), len(bank)),
+            (np_configs, list(top), max(top)),
+            (sm_configs, [2] * len(sm_configs), 2),
         ):
             cuts.clear()
             live.clear()
             plan.rank1(configs)
-            later = [held[0] + carried] + held[1:]  # a fold's stacks after the first fold
-            assert live == held + later * (len(used) - 1)
+            assert live == held * len(used)
             assert len(cuts) == cut_calls * len(used)
 
     @pytest.mark.parametrize("identities", [80, 160])
@@ -568,8 +567,18 @@ def pipeline_plan():
     return plan, configs
 
 
-def _cpus(monkeypatch, n):
-    monkeypatch.setattr(mkl, "_cpus_usable", lambda: n)
+# how rank1 eigensolves: (one BLAS thread, usable CPUs) -> (method, on the main thread)
+MODES = {
+    "blas-threads": ((False, 2), ("syevd", True)),
+    "one-cpu": ((True, 1), ("eigh", True)),
+    "helper": ((True, 2), ("eigh", False)),
+}
+
+
+def _mode(monkeypatch, mode):
+    (one_blas, cpus), _ = MODES[mode]
+    monkeypatch.setattr(mkl, "_one_blas_thread", lambda: one_blas)
+    monkeypatch.setattr(mkl, "_cpus_usable", lambda: cpus)
 
 
 class TestPipeline:
@@ -577,29 +586,61 @@ class TestPipeline:
 
     @pytest.mark.parametrize("kind", ["bank", "np", "sm"])
     @pytest.mark.parametrize("budget", [None, 0], ids=["one-stack", "one-config-per-stack"])
-    def test_helper_and_inline_paths_agree(self, pipeline_plan, monkeypatch, kind, budget):
+    def test_every_mode_gives_the_serial_rank1(self, pipeline_plan, monkeypatch, kind, budget):
         plan, configs = pipeline_plan
         if budget is not None:
             monkeypatch.setattr(mkl, "_STACK_BYTES", budget)
-        eigh, threads = Whitening.eigh, []
+        steps = []
 
-        def recorded(w):
-            threads.append(threading.current_thread() is threading.main_thread())
-            return eigh(w)
+        def recorded(name, fn):
+            def step(*args):
+                steps.append((name, threading.current_thread() is threading.main_thread()))
+                return fn(*args)
 
-        monkeypatch.setattr(Whitening, "eigh", recorded)
-        rank1 = {}
-        for cpus in (1, 2):
-            _cpus(monkeypatch, cpus)
+            return step
+
+        for name in ("eigh", "syevd"):
+            monkeypatch.setattr(Whitening, name, recorded(name, getattr(Whitening, name)))
+        for name in ("whiten", "discriminants"):
+            monkeypatch.setattr(mkl, name, recorded(name, getattr(mkl, name)))
+        rank1, order = {}, {}
+        for mode, (_, solve) in MODES.items():
+            _mode(monkeypatch, mode)
             before = threading.active_count()
-            rank1[cpus] = plan.rank1(configs[kind])
+            rank1[mode] = plan.rank1(configs[kind])
             assert threading.active_count() == before
-        assert rank1[1].tobytes() == rank1[2].tobytes()
+            order[mode] = [name for name, _ in steps if name in ("whiten", "discriminants")]
+            solves = [step for step in steps if step[0] in ("eigh", "syevd")]
+            assert solves == [solve] * (len(order[mode]) // 2)
+            steps.clear()
+        assert rank1["one-cpu"].tobytes() == rank1["helper"].tobytes()
+        assert rank1["blas-threads"].tobytes() == rank1["helper"].tobytes()
         if kind == "bank":
-            assert rank1[1].tobytes() == plan.bank_rank1.tobytes()
-        # inline on one CPU, then every eigensolve on the helper thread
-        units = len(threads) // 2
-        assert threads == [True] * units + [False] * units
+            assert rank1["helper"].tobytes() == plan.bank_rank1.tobytes()
+        # every mode finishes each unit once the next is whitened
+        units = len(order["helper"]) // 2
+        for mode in MODES:
+            assert order[mode] == (
+                ["whiten"] + ["whiten", "discriminants"] * (units - 1) + ["discriminants"]
+            )
+
+    @pytest.mark.parametrize(
+        "env, one",
+        [
+            ({}, False),  # BLAS runs a thread per CPU
+            ({"OPENBLAS_NUM_THREADS": "1"}, True),
+            ({"OMP_NUM_THREADS": "1"}, True),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+            ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, True),  # 0 is unset
+            ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "4"}, False),
+        ],
+    )
+    def test_one_blas_thread_follows_openblas(self, monkeypatch, env, one):
+        for var in mkl._BLAS_THREADS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert mkl._one_blas_thread() is one
 
     # (stage that fails, unit it fails on) pairs; units count from 0 in run order, and
     # the serial order raises the first failure of: whiten 0, eigh 0, finish 0, whiten 1 ...
@@ -613,8 +654,8 @@ class TestPipeline:
     }
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_the_first_error_is_the_serial_one(self, pipeline_plan, monkeypatch, fault, cpus):
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_the_first_error_is_the_serial_one(self, pipeline_plan, monkeypatch, fault, mode):
         plan, configs = pipeline_plan
         monkeypatch.setattr(mkl, "_STACK_BYTES", 0)  # 20 units a fold
         faults, message = self.FAULTS[fault]
@@ -635,7 +676,8 @@ class TestPipeline:
         for name, fn in originals.items():
             monkeypatch.setattr(mkl, name, stage(name, fn))
         monkeypatch.setattr(Whitening, "eigh", stage("eigh", eigh))
-        _cpus(monkeypatch, cpus)
+        monkeypatch.setattr(Whitening, "syevd", stage("eigh", Whitening.syevd))
+        _mode(monkeypatch, mode)
         before = threading.active_count()
         with pytest.raises(NumericError, match=f"^{message}$"):
             plan.rank1(configs["bank"])
