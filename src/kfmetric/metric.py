@@ -11,34 +11,102 @@ samples; lower means closer. Scores stay squared since ranking is
 monotone-invariant. :func:`score_matrix` scores every probe against every
 gallery sample at once, and is the one scorer.
 
+A model of two or more terms may overlap its embedding products: under the
+rule of :func:`~kfmetric.threads.helper` (one BLAS thread, two or more
+usable CPUs), and when one term's product K_t A_t reaches _HELPER_MACS
+multiply-adds, each even-numbered term's product runs on a helper thread
+while the next term's block is built and multiplied here. The products are
+added in term order, as a serial sum adds them, and with one BLAS thread a
+GEMM gives the same bits on any thread, so the embedding's bits do not
+depend on whether the helper ran.
+
 :func:`true_ranks`, the one ranking routine, ranks those scores for
 evaluation trials and CV folds alike.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
+from . import threads
 from .errors import InputError, NumericError
 from .kernels import grams, squared_distances
 from .kfda import KfdaModel
 
+# the fewest multiply-adds (rows x basis x discriminants) of one term's
+# product for which embedding hands products to a helper thread: a
+# 900-row gallery against a 600-sample basis and 299 discriminants (161M)
+# overlaps, a 10-probe batch there (1.8M) or a protocol-sized model does not,
+# so they start no thread
+_HELPER_MACS = 1 << 24
+
 
 def embed_batch(model: KfdaModel, Y) -> np.ndarray:
-    """Embed sample rows of Y; returns an (m, p) coordinate matrix."""
+    """Embed sample rows of Y; returns an (m, p) coordinate matrix.
+
+    The coordinates are ``sum_t k_t(Y, X) A_t`` over the model's terms, each
+    product added in term order. Every term's block comes from one distance
+    matrix. Run in turn, each block is dropped before the next is built. With
+    two or more terms, a product of at least _HELPER_MACS multiply-adds and
+    a helper under :func:`~kfmetric.threads.helper`'s rule, each
+    even-numbered term's product runs on the helper while the next term's
+    block is built and multiplied on this thread: at most one product is in
+    flight, so the embedding holds one block and one product more. The
+    helper runs only numpy's matmul, and ends before this returns or raises.
+    The bits, and the first error raised, are those of running in turn.
+    """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     d = model.train_basis.shape[1]
     if Y.shape[1] != d:
         raise InputError(f"sample dimension {Y.shape[1]} != training dimension {d}")
-    coefs = iter(A_t for _, A_t in model.terms)
-    # every term's kernel over (Y, X) comes from one distance matrix; the sum
-    # starts as the first block's product, and each block is dropped before
-    # the next is built
+    coefs = [A_t for _, A_t in model.terms]
     blocks = grams([spec for spec, _ in model.terms], Y, model.train_basis)
-    total = next(blocks) @ next(coefs)
-    for K in blocks:
-        total += K @ next(coefs)
+    big = len(coefs) > 1 and Y.shape[0] * coefs[0].size >= _HELPER_MACS
+    with threads.helper("kfmetric-matmul") if big else contextlib.nullcontext() as start:
+        return _serial(blocks, coefs) if start is None else _overlapped(blocks, coefs, start)
+
+
+def _serial(blocks, coefs) -> np.ndarray:
+    """The sum of each block's product with its coefficients, in turn."""
+    # the sum starts as the first block's product, and each block is dropped
+    # before the next is built
+    total = next(blocks) @ coefs[0]
+    for K, A_t in zip(blocks, coefs[1:]):
+        total += K @ A_t
         del K
+    return total
+
+
+def _overlapped(blocks, coefs, start) -> np.ndarray:
+    """:func:`_serial`'s sum, each even-numbered term's product run by ``start``.
+
+    ``start(np.matmul, K, A_t)`` runs the product on the helper; the next
+    term's block is built and multiplied meanwhile, then the two products are
+    added in term order. A last term with no next one runs here.
+    """
+    total, flight = None, None  # flight waits for the product on the helper
+    try:
+        for t, A_t in enumerate(coefs):
+            K = next(blocks)
+            if flight is None and t + 1 < len(coefs):
+                flight = start(np.matmul, K, A_t)
+                del K  # the helper holds it until its product is done
+                continue
+            product = K @ A_t
+            del K
+            if flight is not None:
+                earlier, flight = flight(), None
+                if total is None:
+                    total = earlier
+                else:
+                    total += earlier
+            total += product
+    except Exception:
+        if flight is not None:
+            flight()  # run in turn, the product in flight came first: its error is raised first
+        raise
     return total
 
 

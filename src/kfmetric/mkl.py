@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import threads
 from .config import DEFAULT_TAU_GRID, default_n_grid
 from .data import ClassIndex, Dataset, SplitPlan, index_classes, open_output
 from .errors import InputError
@@ -289,19 +288,24 @@ class FoldPlan:
         """Yield each (fold, stack) unit of :meth:`rank1`, whitened, in fold then stack order.
 
         A stack cuts (:meth:`_Fold.cuts`) only the kernels its configs read,
-        keeping those of the previous stack that it reads too. So through a
-        solve a large fold holds one cut in the bank pass, two in the sm tau
-        pass and N for an np config, not one per bank kernel.
+        keeping those of the previous stack on its fold that it reads too. So
+        through a solve a large fold holds one cut in the bank pass, two in
+        the sm tau pass and N for an np config, not one per bank kernel. The
+        previous stack's other cuts are freed once the new ones are built:
+        freed before, the allocator handed their pages back and faulted them
+        in again for the new cuts, and a one-CPU protocol op ran about 4%
+        slower.
         """
+        cuts = {}
         for fold in self.used:
             step = max(1, _STACK_BYTES // (8 * fold.idx.n_total**2))
-            cuts = {}
             for start in range(0, len(kernels), step):
                 part = slice(start, start + step)
                 specs = dict.fromkeys(s for k in kernels[part] for s in k.specs)
-                cuts = {s: B for s, B in cuts.items() if s in specs}  # the previous stack's
-                new = [s for s in specs if s not in cuts]
-                cuts.update(fold.cuts(new, self.distances, self.pool))
+                # the previous stack's cuts this one reads: none on a new fold
+                kept = {s: B for s, B in cuts.items() if start and s in specs}
+                new = [s for s in specs if s not in kept]
+                cuts = kept | fold.cuts(new, self.distances, self.pool)
                 yield self._unit(fold, part, kernels[part], cuts)
 
     def _unit(self, fold: _Fold, part: slice, configs, cuts: dict) -> _Unit:
@@ -354,59 +358,27 @@ class _Unit(NamedTuple):
     w: Whitening
 
 
-def _cpus_usable() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# OpenBLAS, which numpy's and scipy's wheels each bundle, takes its thread
-# count from the first of these set to a positive number when it loads, and
-# otherwise runs one thread per CPU
-_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _one_blas_thread() -> bool:
-    """Whether BLAS runs one thread, by the variables OpenBLAS reads."""
-    for var in _BLAS_THREADS:
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads == 1
-    return False
-
-
 @contextlib.contextmanager
 def _eigensolves():
     """A ``submit(w)`` that starts the eigensolve of a unit's Whitening and returns a call
     that waits for its eigenvalues.
 
     With one BLAS thread the eigensolve is :meth:`~kfmetric.kfda.Whitening.eigh`,
-    numpy's eigh, which solves a stack in one call. It runs on one helper
-    thread when more than one CPU is usable, else when its result is asked
-    for. numpy's eigh releases the GIL, and it calls no function of this
-    package that a tracer of public calls could see from the helper, which
-    ends when the context exits. With BLAS threads unset, numpy's and
+    numpy's eigh, which solves a stack in one call. It runs on the helper of
+    :func:`~kfmetric.threads.helper` when there is one (two or more usable
+    CPUs), else when its result is asked for. numpy's eigh releases the GIL,
+    and it calls no function of this package that a tracer of public calls
+    could see from the helper. With BLAS threads unset, numpy's and
     scipy's BLAS pools each take every CPU and contend: on 2 CPUs numpy's
     eigh made a protocol-sized trial 4-5 times slower run in turn and about
     11 times slower on the helper. So the eigensolve is then
     :meth:`~kfmetric.kfda.Whitening.syevd`, scipy's, run when asked for.
     """
-    if not _one_blas_thread():
+    if not threads._one_blas_thread():
         yield lambda w: w.syevd
         return
-    if _cpus_usable() < 2:
-        yield lambda w: w.eigh
-        return
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kfmetric-eigh")
-    try:
-        yield lambda w: pool.submit(w.eigh).result
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    with threads.helper("kfmetric-eigh") as start:
+        yield (lambda w: w.eigh) if start is None else (lambda w: start(w.eigh))
 
 
 def _mean_rank1(rank1: np.ndarray) -> np.ndarray:

@@ -22,7 +22,11 @@ noise=0.6, seed=0)`` with BLAS pinned to one thread, and prints
 numpy reports its buffers to tracemalloc, so the traced peak counts the
 arrays live at the worst moment of the fit. ``ru_maxrss`` never falls, so
 each case runs in a fresh interpreter: with more than one case the script
-runs itself once per case.
+runs itself once per case. There each case's line also holds ``cmc_pct``,
+its rank-1/5/10/20 accuracy in percent (the ranks its gallery reaches), and
+after the cases one line per method and pair of successive sizes gives the
+log-log slopes of ``untraced_s`` and of ``traced_mb`` between them: the
+growth exponents of time and of peak memory in the identity count.
 """
 
 import os
@@ -31,6 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import json  # noqa: E402
+import math  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -41,10 +46,11 @@ import warnings  # noqa: E402
 
 from kfmetric.config import RunConfig  # noqa: E402
 from kfmetric.evaluation import run_trials  # noqa: E402
-from kfmetric.mkl import _cpus_usable  # noqa: E402
+from kfmetric.threads import _cpus_usable  # noqa: E402
 from kfmetric.synthetic import make_synthetic  # noqa: E402
 
 UNTRACED_RUNS = 3
+CMC_RANKS = (1, 5, 10, 20)
 
 
 def _trial(ds, method: str):
@@ -56,7 +62,7 @@ def _trial(ds, method: str):
     return report, time.perf_counter() - start
 
 
-def measure(identities: int, method: str) -> dict:
+def measure(identities: int, method: str, cmc: bool = False) -> dict:
     ds = make_synthetic(identities, noise=0.6, seed=0)
     tracemalloc.start()
     report, seconds = _trial(ds, method)
@@ -65,7 +71,7 @@ def measure(identities: int, method: str) -> dict:
     # ru_maxrss is in KiB on Linux
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     untraced = [_trial(ds, method)[1] for _ in range(UNTRACED_RUNS)]
-    return {
+    out = {
         "identities": identities,
         "method": method,
         "traced_mb": round(peak / 1e6, 1),
@@ -76,14 +82,44 @@ def measure(identities: int, method: str) -> dict:
         "untraced_runs_s": [round(t, 3) for t in untraced],
         "cpus_usable": _cpus_usable(),
     }
+    if cmc:
+        out["cmc_pct"] = {
+            str(k): round(100 * report.rank_accuracy(k), 2) for k in CMC_RANKS if k in report.ranks
+        }
+    return out
+
+
+def slopes(results: list) -> list:
+    """Per method, the log-log slopes of time and traced peak between successive sizes."""
+    out = []
+    for method in dict.fromkeys(r["method"] for r in results):
+        sizes = sorted((r for r in results if r["method"] == method), key=lambda r: r["identities"])
+        for a, b in zip(sizes, sizes[1:]):
+            step = math.log(b["identities"] / a["identities"])
+            out.append({
+                "method": method,
+                "identities": [a["identities"], b["identities"]],
+                # a figure that rounds to 0 has no slope
+                **{f"{key}_slope": round(math.log(b[key] / a[key]) / step, 2)
+                   if a[key] > 0 and b[key] > 0 else None
+                   for key in ("untraced_s", "traced_mb")},
+            })
+    return out
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
+    # a third argument, "cmc", is how the script runs itself for one case of several
+    if len(sys.argv) not in (3, 4) or sys.argv[3:] not in ([], ["cmc"]):
         raise SystemExit("usage: python tests/peak_memory.py IDENTITIES[,...] METHOD[,...]")
     cases = [(int(n), m) for n in sys.argv[1].split(",") for m in sys.argv[2].split(",")]
     if len(cases) == 1:
-        print(json.dumps(measure(*cases[0])))
+        print(json.dumps(measure(*cases[0], cmc=len(sys.argv) == 4)))
     else:
+        results = []
         for n, m in cases:
-            subprocess.run([sys.executable, __file__, str(n), m], check=True)
+            line = subprocess.run([sys.executable, __file__, str(n), m, "cmc"], check=True,
+                                  stdout=subprocess.PIPE, text=True).stdout
+            print(line, end="", flush=True)
+            results.append(json.loads(line))
+        for row in slopes(results):
+            print(json.dumps(row))

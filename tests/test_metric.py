@@ -1,8 +1,12 @@
+import contextlib
+import threading
+
 import numpy as np
 import pytest
 
+from kfmetric import kernels, metric, threads
 from kfmetric.data import Dataset, SplitPlan, index_classes
-from kfmetric.errors import InputError
+from kfmetric.errors import InputError, NumericError
 from kfmetric.kernels import KernelSpec, gram, squared_distances
 from kfmetric.kfda import DEFAULT_EPS, _with_kernel, build_scatter, solve_kfda, train
 from kfmetric.mkl import MklConfig
@@ -158,6 +162,171 @@ class TestEmbed:
         rng = np.random.default_rng(8)
         Y = rng.normal(size=(model.n_train, 3))
         assert embed_batch(model, Y).shape == (model.n_train, model.p)
+
+
+# how embed_batch runs a model of several terms: (one BLAS thread, usable CPUs) -> helper used
+MODES = {
+    "blas-threads": ((False, 2), False),
+    "one-cpu": ((True, 1), False),
+    "helper": ((True, 2), True),
+}
+
+
+def _mode(monkeypatch, mode):
+    (one_blas, cpus), _ = MODES[mode]
+    monkeypatch.setattr(threads, "_one_blas_thread", lambda: one_blas)
+    monkeypatch.setattr(threads, "_cpus_usable", lambda: cpus)
+
+
+def _watched_helper(monkeypatch, log, product=np.matmul):
+    """Make threads.helper's start count what it runs in ``log``; the helper runs ``product``.
+
+    ``log`` gains "started" (products handed over), "in_flight" (started, not
+    yet waited for; a start asserts it is 0) and "on_main" (per product run,
+    whether it ran on the main thread).
+    """
+    helper = threads.helper
+    log.update(started=0, in_flight=0, on_main=[])
+
+    @contextlib.contextmanager
+    def watched(name):
+        with helper(name) as start:
+            if start is None:
+                yield None
+                return
+
+            def counted(fn, *args):
+                assert fn is np.matmul and log["in_flight"] == 0
+                log["started"] += 1
+                log["in_flight"] += 1
+
+                def run(*args):
+                    log["on_main"].append(threading.current_thread() is threading.main_thread())
+                    return product(*args)
+
+                wait = start(run, *args)
+
+                def done():
+                    log["in_flight"] -= 1
+                    return wait()
+
+                return done
+
+            yield counted
+
+    monkeypatch.setattr(threads, "helper", watched)
+
+
+def _main_thread_steps(monkeypatch, steps):
+    """Record in ``steps``, per call of grams' blocks, rbf_blocks and squared_distances,
+    whether it ran on the main thread."""
+    def recorded(name, fn):
+        def step(*args, **kwargs):
+            steps.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+
+        return step
+
+    grams = kernels.grams
+
+    def blocks(*args):
+        for K in grams(*args):
+            steps.append(("grams", threading.current_thread() is threading.main_thread()))
+            yield K
+
+    monkeypatch.setattr(metric, "grams", blocks)
+    for name in ("rbf_blocks", "squared_distances"):
+        monkeypatch.setattr(kernels, name, recorded(name, getattr(kernels, name)))
+    monkeypatch.setattr(metric, "squared_distances", recorded("squared_distances",
+                                                              metric.squared_distances))
+
+
+@pytest.fixture(scope="module")
+def overlap_models():
+    """A kfda, an np N = 3 and an sm model, and probes and gallery to serve them."""
+    ds, plan = small_problem(n_ids=6, per_id=3, seed=4)
+    rng = np.random.default_rng(6)
+    P, G = rng.normal(size=(5, 3)) * 2.0, rng.normal(size=(9, 3)) * 2.0
+    configs = {
+        "kfda": BANK4[2],
+        "np-3": MklConfig("np", BANK4, weights=(0.5, 0.0, 0.3, 0.2), n_top=3),
+        "sm": MklConfig("sm", BANK4, pair=(3, 1), tau=0.3),
+    }
+    return {name: train(ds, plan, k) for name, k in configs.items()}, P, G
+
+
+class TestOverlap:
+    """A model's per-term products overlap on a helper thread, with the serial bits."""
+
+    @pytest.mark.parametrize("name", ["kfda", "np-3", "sm"])
+    def test_every_mode_gives_the_serial_bits(self, overlap_models, monkeypatch, name):
+        models, P, G = overlap_models
+        model = models[name]
+        monkeypatch.setattr(metric, "_HELPER_MACS", 0)  # every product may go to the helper
+        log, steps = {}, []
+        _watched_helper(monkeypatch, log)
+        _main_thread_steps(monkeypatch, steps)
+        embedded, scores = {}, {}
+        for mode, (_, helped) in MODES.items():
+            _mode(monkeypatch, mode)
+            before = threading.active_count()
+            embedded[mode] = embed_batch(model, G)
+            assert threading.active_count() == before
+            scores[mode] = score_matrix(model, P, G)
+            assert threading.active_count() == before
+            # the even-numbered terms with a next term, for each of three embeddings
+            assert log["started"] == (3 * (len(model.terms) // 2) if helped else 0)
+            assert log["on_main"] == [False] * log["started"] and log["in_flight"] == 0
+            log.update(started=0, on_main=[])
+        for mode in MODES:
+            assert embedded[mode].tobytes() == embedded["blas-threads"].tobytes()
+            assert scores[mode].tobytes() == scores["blas-threads"].tobytes()
+        assert {name for name, _ in steps} == {"grams", "rbf_blocks", "squared_distances"}
+        assert all(main for _, main in steps)
+
+    def test_a_small_product_starts_no_thread(self, overlap_models, monkeypatch):
+        models, _, G = overlap_models
+        log = {}
+        _watched_helper(monkeypatch, log)
+        _mode(monkeypatch, "helper")
+        embed_batch(models["np-3"], G)
+        assert log["started"] == 0
+
+    @pytest.mark.parametrize("failing, message", [
+        ("block", "block 1"),
+        ("product", "product 0"),  # run in turn, the first product comes before the block
+    ])
+    def test_the_first_error_is_the_serial_one(self, overlap_models, monkeypatch, failing, message):
+        models, _, G = overlap_models
+        monkeypatch.setattr(metric, "_HELPER_MACS", 0)
+        _mode(monkeypatch, "helper")
+        started, release = threading.Event(), threading.Event()
+
+        def product(K, A):
+            started.set()
+            release.wait(10)
+            if failing == "product":
+                raise NumericError("product 0")
+            return np.matmul(K, A)
+
+        log = {}
+        _watched_helper(monkeypatch, log, product)
+        grams = kernels.grams
+
+        def poisoned(*args):
+            blocks = grams(*args)
+            yield next(blocks)
+            # the first product is in flight while the second block fails
+            assert started.wait(10) and not release.is_set() and log["in_flight"] == 1
+            release.set()
+            raise NumericError("block 1")
+
+        monkeypatch.setattr(metric, "grams", poisoned)
+        before = threading.active_count()
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            embed_batch(models["sm"], G)
+        assert threading.active_count() == before
+        assert log["on_main"] == [False]
 
 
 def pair_score(model, y, z) -> float:

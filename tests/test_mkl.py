@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfmetric import mkl
+from kfmetric import mkl, threads
 from kfmetric.config import RunConfig
 from kfmetric.data import Dataset, SplitPlan, index_classes, make_split
 from kfmetric.errors import InputError, NumericError
@@ -577,8 +577,8 @@ MODES = {
 
 def _mode(monkeypatch, mode):
     (one_blas, cpus), _ = MODES[mode]
-    monkeypatch.setattr(mkl, "_one_blas_thread", lambda: one_blas)
-    monkeypatch.setattr(mkl, "_cpus_usable", lambda: cpus)
+    monkeypatch.setattr(threads, "_one_blas_thread", lambda: one_blas)
+    monkeypatch.setattr(threads, "_cpus_usable", lambda: cpus)
 
 
 class TestPipeline:
@@ -636,11 +636,11 @@ class TestPipeline:
         ],
     )
     def test_one_blas_thread_follows_openblas(self, monkeypatch, env, one):
-        for var in mkl._BLAS_THREADS:
+        for var in threads._BLAS_THREADS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert mkl._one_blas_thread() is one
+        assert threads._one_blas_thread() is one
 
     # (stage that fails, unit it fails on) pairs; units count from 0 in run order, and
     # the serial order raises the first failure of: whiten 0, eigh 0, finish 0, whiten 1 ...

@@ -8,8 +8,8 @@ import kfmetric
 from kfmetric import data, evaluation, kernels, kfda, metric, mkl
 
 # each module imports only modules before it; the package root and __main__ are entry points
-LAYERS = ("errors", "config", "data", "synthetic", "kernels", "kfda", "metric", "mkl",
-          "evaluation", "cli", "__main__", "__init__")
+LAYERS = ("errors", "threads", "config", "data", "synthetic", "kernels", "kfda", "metric",
+          "mkl", "evaluation", "cli", "__main__", "__init__")
 
 
 def test_every_export_resolves():
