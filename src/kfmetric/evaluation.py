@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
+from . import threads
 from .config import RunConfig, _is_int
 from .data import Dataset, SplitPlan, eligible_identities, make_split, open_output
 from .errors import InputError, NumericError
@@ -125,7 +126,8 @@ def _trials(ds: Dataset, cfg: RunConfig, score) -> list:
     Trial t splits with seed cfg.base_seed + t and fits cfg.method (RunConfig has
     checked it and cfg.trials) by :func:`fit_for_trial`; an InputError or NumericError
     raised in trial t names it, and any other exception passes through as it is. With
-    cfg.threads > 1 the trials run on a thread pool.
+    cfg.threads > 1 the trials run on a thread pool with no more workers than cfg.threads,
+    the trials or the usable CPUs.
     """
 
     def one(t: int):
@@ -135,8 +137,9 @@ def _trials(ds: Dataset, cfg: RunConfig, score) -> list:
         except (InputError, NumericError) as exc:
             raise type(exc)(f"trial {t}: {exc}") from exc
 
-    if cfg.threads > 1 and cfg.trials > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    workers = min(cfg.threads, cfg.trials, threads._cpus_usable())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, range(cfg.trials)))
     return [one(t) for t in range(cfg.trials)]
 

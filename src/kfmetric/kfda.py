@@ -21,17 +21,18 @@ singular whenever n > rank, so M is whitened over the numerical range of Q.
 
 The solve calls LAPACK's potrf, trtrs and syevd directly, with the arguments
 scipy.linalg's cholesky, solve_triangular and eigh (on its syevd path) pass
-them, so its bits are those of the wrappers. syevd is the one symmetric
-eigensolver, for the c x c problem and for the eps == 0 range basis.
+them, so its bits are those of the wrappers. syevd solves the c x c
+problem and gives the eps == 0 range basis.
 :func:`solve_kfda` runs in two stages with the c x c eigensolve between
 them: :func:`whiten` (Q + eps I, potrf, L^-1 M and G = Y^T Y) and
-:func:`discriminants` (Y V, L^-T, unit norms and the sign fix). It runs
-syevd on G in place; cross-validation runs :meth:`Whitening.eigh` instead,
-numpy's eigh, which calls syevd with the same arguments and workspace and
-releases the GIL, so it can run on a helper thread while the next stack is
-whitened. numpy and scipy bundle separate LAPACK builds, so the two give the
-same bits where those builds agree, which a test checks for the installed
-pair.
+:func:`discriminants` (Y V, L^-T, unit norms and the sign fix). One rule
+picks the eigensolver: scipy's syevd (:meth:`Whitening.syevd`) on the main
+thread, numpy's eigh (:meth:`Whitening.eigh`) only on a helper thread.
+numpy's eigh calls syevd with the same arguments and workspace and releases
+the GIL, so cross-validation runs it on its helper while the next stack is
+whitened. numpy and scipy bundle separate LAPACK builds, so the two give
+the same bits where those builds agree, which a test checks for the
+installed pair.
 
 :func:`build_scatter` and :func:`solve_kfda` take a stack of Grams over one
 class index, numpy style: a (..., n, n) Gram gives a ScatterPair of
@@ -270,8 +271,8 @@ class Whitening(NamedTuple):
     def syevd(self) -> np.ndarray:
         """Ascending eigenvalues of each matrix of G, which is overwritten by its eigenvectors.
 
-        scipy's LAPACK syevd in place, the call :func:`solve_kfda` makes. It
-        holds the GIL.
+        scipy's LAPACK syevd in place, the call :func:`solve_kfda` makes, and
+        the eigensolver of every solve on the main thread. It holds the GIL.
         """
         return _eigh(self.G)
 
@@ -281,7 +282,8 @@ class Whitening(NamedTuple):
         numpy's eigh runs syevd with the lower triangle and the workspace it
         queries, as :meth:`syevd` does through scipy, and gives its bits where
         numpy's and scipy's LAPACK builds agree (a test checks the installed
-        pair). Another thread may run this while the caller's goes on.
+        pair). It is the eigensolver only of a helper thread, which runs it
+        while the caller's thread goes on; the main thread runs :meth:`syevd`.
         Failure raises the NumericError of a failed solve.
         """
         try:

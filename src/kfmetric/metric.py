@@ -55,7 +55,8 @@ def embed_batch(model: KfdaModel, Y) -> np.ndarray:
     block is built and multiplied on this thread: at most one product is in
     flight, so the embedding holds one block and one product more. The
     helper runs only numpy's matmul, and ends before this returns or raises.
-    The bits, and the first error raised, are those of running in turn.
+    One loop (:func:`_sum`) runs both ways, so the bits, and the first error
+    raised, are those of running in turn.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     d = model.train_basis.shape[1]
@@ -65,32 +66,23 @@ def embed_batch(model: KfdaModel, Y) -> np.ndarray:
     blocks = grams([spec for spec, _ in model.terms], Y, model.train_basis)
     big = len(coefs) > 1 and Y.shape[0] * coefs[0].size >= _HELPER_MACS
     with threads.helper("kfmetric-matmul") if big else contextlib.nullcontext() as start:
-        return _serial(blocks, coefs) if start is None else _overlapped(blocks, coefs, start)
+        return _sum(blocks, coefs, start)
 
 
-def _serial(blocks, coefs) -> np.ndarray:
-    """The sum of each block's product with its coefficients, in turn."""
-    # the sum starts as the first block's product, and each block is dropped
-    # before the next is built
-    total = next(blocks) @ coefs[0]
-    for K, A_t in zip(blocks, coefs[1:]):
-        total += K @ A_t
-        del K
-    return total
+def _sum(blocks, coefs, start) -> np.ndarray:
+    """The sum of each block's product with its coefficients, added in term order.
 
-
-def _overlapped(blocks, coefs, start) -> np.ndarray:
-    """:func:`_serial`'s sum, each even-numbered term's product run by ``start``.
-
-    ``start(np.matmul, K, A_t)`` runs the product on the helper; the next
-    term's block is built and multiplied meanwhile, then the two products are
-    added in term order. A last term with no next one runs here.
+    Given a ``start``, ``start(np.matmul, K, A_t)`` runs each even-numbered
+    term's product on the helper while the next term's block is built and
+    multiplied here; a last term with no next one runs here. With ``start``
+    None every product runs here, in turn, and each block and product is
+    dropped once read, before the next block is built.
     """
     total, flight = None, None  # flight waits for the product on the helper
     try:
         for t, A_t in enumerate(coefs):
             K = next(blocks)
-            if flight is None and t + 1 < len(coefs):
+            if start is not None and flight is None and t + 1 < len(coefs):
                 flight = start(np.matmul, K, A_t)
                 del K  # the helper holds it until its product is done
                 continue
@@ -98,11 +90,10 @@ def _overlapped(blocks, coefs, start) -> np.ndarray:
             del K
             if flight is not None:
                 earlier, flight = flight(), None
-                if total is None:
-                    total = earlier
-                else:
-                    total += earlier
-            total += product
+                total = earlier if total is None else np.add(total, earlier, out=total)
+                del earlier
+            total = product if total is None else np.add(total, product, out=total)
+            del product
     except Exception:
         if flight is not None:
             flight()  # run in turn, the product in flight came first: its error is raised first

@@ -14,10 +14,11 @@ fold in stacks: one cut of the distances for the rbf kernels a stack reads
 first, one scatter, one Fisher solve, one distance and one
 :func:`~kfmetric.metric.true_ranks` call per stack, and one stack per fold
 unless the fold is large. The Fisher solve runs in the stages of
-:mod:`~kfmetric.kfda`, pipelined when the process may use more than one
-CPU and BLAS runs one thread: each stack's c x c eigensolve runs on a helper
-thread while the next stack is whitened, with the results and errors of
-running them in turn.
+:mod:`~kfmetric.kfda`, pipelined under the rule of
+:func:`~kfmetric.threads.helper`: each stack's c x c eigensolve runs on the
+helper, by numpy's eigh, while the next stack is whitened; without a helper
+it is scipy's syevd on the main thread, as in :func:`~kfmetric.kfda.solve_kfda`.
+Either way the results and errors are those of running the stacks in turn.
 :func:`build_config` is the one N or tau search.
 
 Each learned combination is a :class:`~kfmetric.kernels.MklConfig`:
@@ -30,7 +31,6 @@ Each learned combination is a :class:`~kfmetric.kernels.MklConfig`:
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import warnings
 from dataclasses import dataclass
@@ -209,10 +209,10 @@ def _make_folds(ds: Dataset, plan: SplitPlan, folds: int):
 
 
 # the most fused training Grams (C n^2 float64) one stacked scatter and solve
-# call takes: all 20 bank kernels of an n = 72 fold (0.8 MB) share one call,
-# while an n = 284 fold solves one config per call: a 20-config stack there
-# (13 MB per n x n stack, about 2.5 such stacks live at once through the
-# scatter and solve) ran slower than single calls
+# call takes: all bank kernels of a small fold share one call, while a large
+# fold solves one config per call, since about 2.5 n x n stacks live at once
+# through the scatter and solve, and a stack of large ones ran slower than
+# single calls
 _STACK_BYTES = 1 << 20
 
 
@@ -251,31 +251,35 @@ class FoldPlan:
         small folds, one at a time on large ones. Each (fold, stack) unit is
         whitened (:meth:`_whitened`), eigensolved, then finished
         (:meth:`_finish`): discriminants, held-out embedding and ranking.
-        The units run as a depth-1 pipeline: unit k's c x c eigensolve is
-        started (:func:`_eigensolves`), unit k - 1 is finished, and unit k + 1
-        is whitened before unit k is finished. With one BLAS thread and more
-        than one usable CPU the eigensolve runs on a helper thread, so it
-        overlaps the next whitening; otherwise it runs when unit k is
-        finished. So besides the unit being whitened, one unit is in flight,
-        holding copies of its held-out cut rows, its L, Y and G, and each sm
-        config's D = K_i - K_j over the training rows, but no cut; keeping it
-        until the next unit is built also spares the allocator handing its
-        pages back and faulting them in again (a loop that finished each
-        unit before whitening the next ran 3% slower). The results and the
-        first error raised are those of running the units one after another:
-        a unit is finished before an error from whitening the next one is
-        raised. Skipped folds stay NaN.
+        The units run as a depth-1 pipeline, one loop with or without a
+        helper: unit k's c x c eigensolve is started, unit k - 1 is finished,
+        and unit k + 1 is whitened before unit k is finished. When
+        :func:`~kfmetric.threads.helper` yields a helper, the eigensolve is
+        :meth:`~kfmetric.kfda.Whitening.eigh`, numpy's eigh, which releases
+        the GIL, run on the helper, so it overlaps the next whitening; numpy's
+        eigh calls no function of this package that a tracer of public calls
+        could see from the helper. Without one it is
+        :meth:`~kfmetric.kfda.Whitening.syevd`, scipy's, run on this thread
+        when unit k is finished. So besides the unit being whitened, one unit
+        is in flight, holding copies of its held-out cut rows, its L, Y and G,
+        and each sm config's D = K_i - K_j over the training rows, but no cut;
+        keeping it until the next unit is built also spares the allocator
+        handing its pages back and faulting them in again. The results and
+        the first error raised are those of running the units one after
+        another: a unit is finished before an error from whitening the next
+        one is raised. Skipped folds stay NaN.
         """
         rank1 = np.full((len(kernels), self.folds), np.nan)
         units = self._whitened(kernels)
-        with _eigensolves() as submit:
+        with threads.helper("kfmetric-eigh") as start:
             flight = None  # the unit whose eigensolve runs while the next is whitened
             while True:
                 try:
                     unit, failed = next(units, None), None
                 except Exception as exc:
                     unit, failed = None, exc
-                job = None if unit is None else submit(unit.w)
+                if unit is not None:  # started before the unit in flight is finished
+                    job = unit.w.syevd if start is None else start(unit.w.eigh)
                 if flight is not None:
                     self._finish(*flight, rank1)
                 if failed is not None:
@@ -292,9 +296,8 @@ class FoldPlan:
         through a solve a large fold holds one cut in the bank pass, two in
         the sm tau pass and N for an np config, not one per bank kernel. The
         previous stack's other cuts are freed once the new ones are built:
-        freed before, the allocator handed their pages back and faulted them
-        in again for the new cuts, and a one-CPU protocol op ran about 4%
-        slower.
+        freed before, the allocator hands their pages back and faults them in
+        again for the new cuts.
         """
         cuts = {}
         for fold in self.used:
@@ -356,29 +359,6 @@ class _Unit(NamedTuple):
     maps: list  # each config's fold map
     held: dict  # spec -> the held-out (probe, then gallery) rows of its cut
     w: Whitening
-
-
-@contextlib.contextmanager
-def _eigensolves():
-    """A ``submit(w)`` that starts the eigensolve of a unit's Whitening and returns a call
-    that waits for its eigenvalues.
-
-    With one BLAS thread the eigensolve is :meth:`~kfmetric.kfda.Whitening.eigh`,
-    numpy's eigh, which solves a stack in one call. It runs on the helper of
-    :func:`~kfmetric.threads.helper` when there is one (two or more usable
-    CPUs), else when its result is asked for. numpy's eigh releases the GIL,
-    and it calls no function of this package that a tracer of public calls
-    could see from the helper. With BLAS threads unset, numpy's and
-    scipy's BLAS pools each take every CPU and contend: on 2 CPUs numpy's
-    eigh made a protocol-sized trial 4-5 times slower run in turn and about
-    11 times slower on the helper. So the eigensolve is then
-    :meth:`~kfmetric.kfda.Whitening.syevd`, scipy's, run when asked for.
-    """
-    if not threads._one_blas_thread():
-        yield lambda w: w.syevd
-        return
-    with threads.helper("kfmetric-eigh") as start:
-        yield (lambda w: w.eigh) if start is None else (lambda w: start(w.eigh))
 
 
 def _mean_rank1(rank1: np.ndarray) -> np.ndarray:

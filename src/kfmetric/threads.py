@@ -4,10 +4,14 @@ Two stages overlap work on a helper thread: cross-validation's c x c
 eigensolves (:mod:`kfmetric.mkl`) and a multi-kernel model's per-term
 embedding products (:mod:`kfmetric.metric`). Both follow one rule: the
 helper runs only when BLAS runs one thread and the process may use two or
-more CPUs (:func:`helper`). With one BLAS thread a GEMM or an eigensolve
-gives the same bits on any thread, so overlapping moves no result. With
-BLAS threads unset, OpenBLAS runs a pool of one thread per CPU, which a
-helper would contend with, and on one CPU there is nothing to overlap.
+more CPUs (:func:`helper`), and :func:`helper` is the one reader of that
+rule: each stage runs one loop, which hands a step to the helper when it
+yields one and runs the step itself otherwise. With one BLAS thread a GEMM
+or an eigensolve gives the same bits on any thread, so overlapping moves no
+result. With BLAS threads unset, OpenBLAS runs a pool of one thread per
+CPU, which a helper would contend with, and on one CPU there is nothing to
+overlap. The eigensolver follows the thread: scipy's syevd on the main
+thread, numpy's eigh, which releases the GIL, only on the helper.
 """
 
 from __future__ import annotations

@@ -516,6 +516,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert f"error: cannot open config file {missing}" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("command, callee", [("synth", "make_synthetic"),
+                                                 ("cv", "cv_for_trial")])
+    def test_out_of_memory_exit_2(self, fixture_csv, tmp_path, capsys, monkeypatch, command,
+                                  callee):
+        # the message numpy gives when it cannot allocate; nothing is allocated for real
+        message = "Unable to allocate 7.28 PiB for an array with shape (1000000000000, 1000)"
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, callee, exhausted)
+        argv = [command, "--out", str(tmp_path / "x")]
+        if command == "cv":
+            argv += ["--features", str(fixture_csv)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: not enough memory: {message}\n" and captured.out == ""
+
     def test_one_identity_in_both_cameras_exit_2(self, fixture_csv, tmp_path, capsys):
         # every other identity keeps only its camera-0 sample: one identity has both cameras
         ds = load_features(fixture_csv)

@@ -251,6 +251,29 @@ class TestRunTrials:
             run_trials(separable_ds, "kfda", 1, 0, QUIET)
         assert info.value is exc
 
+    @pytest.mark.parametrize(
+        "threads, cpus, workers",
+        [(64, 2, 2), (8, 16, 3), (2, 16, 2), (4, 1, None)],  # None: the trials run in turn
+    )
+    def test_the_trial_pool_is_bounded_by_the_trials_and_cpus(
+        self, separable_ds, monkeypatch, threads, cpus, workers
+    ):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from kfmetric import evaluation, threads as thread_rule
+
+        pools = []
+
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", Recorded)
+        monkeypatch.setattr(thread_rule, "_cpus_usable", lambda: cpus)
+        run_trials(separable_ds, "euclidean", 3, 0, dataclasses.replace(QUIET, threads=threads))
+        assert pools == ([] if workers is None else [workers])
+
     def test_threaded_matches_serial(self, tmp_path):
         # 80 identities at noise 0.6: rank-1 is well below 100% here, so a
         # thread-dependent ranking would show in the CMC bytes

@@ -1,5 +1,6 @@
 import contextlib
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from kfmetric.mkl import MklConfig
 from kfmetric.metric import embed_batch, euclidean_score_matrix, score_matrix
 
 from oracles import poly2_map
+from test_threads import MODES, use_mode
 
 
 def small_problem(n_ids=4, per_id=3, d=3, seed=0):
@@ -164,20 +166,6 @@ class TestEmbed:
         assert embed_batch(model, Y).shape == (model.n_train, model.p)
 
 
-# how embed_batch runs a model of several terms: (one BLAS thread, usable CPUs) -> helper used
-MODES = {
-    "blas-threads": ((False, 2), False),
-    "one-cpu": ((True, 1), False),
-    "helper": ((True, 2), True),
-}
-
-
-def _mode(monkeypatch, mode):
-    (one_blas, cpus), _ = MODES[mode]
-    monkeypatch.setattr(threads, "_one_blas_thread", lambda: one_blas)
-    monkeypatch.setattr(threads, "_cpus_usable", lambda: cpus)
-
-
 def _watched_helper(monkeypatch, log, product=np.matmul):
     """Make threads.helper's start count what it runs in ``log``; the helper runs ``product``.
 
@@ -268,7 +256,7 @@ class TestOverlap:
         _main_thread_steps(monkeypatch, steps)
         embedded, scores = {}, {}
         for mode, (_, helped) in MODES.items():
-            _mode(monkeypatch, mode)
+            use_mode(monkeypatch, mode)
             before = threading.active_count()
             embedded[mode] = embed_batch(model, G)
             assert threading.active_count() == before
@@ -288,9 +276,27 @@ class TestOverlap:
         models, _, G = overlap_models
         log = {}
         _watched_helper(monkeypatch, log)
-        _mode(monkeypatch, "helper")
+        use_mode(monkeypatch, "helper")
         embed_batch(models["np-3"], G)
         assert log["started"] == 0
+
+    @pytest.mark.parametrize("mode", ["blas-threads", "one-cpu"])
+    def test_without_a_helper_one_block_lives_at_a_time(self, overlap_models, monkeypatch, mode):
+        models, _, G = overlap_models
+        monkeypatch.setattr(metric, "_HELPER_MACS", 0)
+        use_mode(monkeypatch, mode)
+        grams, refs, held = kernels.grams, [], []
+
+        def watched(*args):
+            for K in grams(*args):
+                held.append(sum(r() is not None for r in refs))  # earlier blocks still alive
+                refs.append(weakref.ref(K))
+                yield K
+                del K
+
+        monkeypatch.setattr(metric, "grams", watched)
+        embed_batch(models["np-3"], G)
+        assert held == [0, 0, 0]
 
     @pytest.mark.parametrize("failing, message", [
         ("block", "block 1"),
@@ -299,7 +305,7 @@ class TestOverlap:
     def test_the_first_error_is_the_serial_one(self, overlap_models, monkeypatch, failing, message):
         models, _, G = overlap_models
         monkeypatch.setattr(metric, "_HELPER_MACS", 0)
-        _mode(monkeypatch, "helper")
+        use_mode(monkeypatch, "helper")
         started, release = threading.Event(), threading.Event()
 
         def product(K, A):

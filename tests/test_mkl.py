@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfmetric import mkl, threads
+from kfmetric import mkl
 from kfmetric.config import RunConfig
 from kfmetric.data import Dataset, SplitPlan, index_classes, make_split
 from kfmetric.errors import InputError, NumericError
@@ -28,6 +28,7 @@ from kfmetric.mkl import (
 from kfmetric.synthetic import make_synthetic
 
 from oracles import cv_fold_groups, cv_rank1_oracle
+from test_threads import MODES, use_mode
 
 
 class TestNpWeights:
@@ -567,20 +568,6 @@ def pipeline_plan():
     return plan, configs
 
 
-# how rank1 eigensolves: (one BLAS thread, usable CPUs) -> (method, on the main thread)
-MODES = {
-    "blas-threads": ((False, 2), ("syevd", True)),
-    "one-cpu": ((True, 1), ("eigh", True)),
-    "helper": ((True, 2), ("eigh", False)),
-}
-
-
-def _mode(monkeypatch, mode):
-    (one_blas, cpus), _ = MODES[mode]
-    monkeypatch.setattr(threads, "_one_blas_thread", lambda: one_blas)
-    monkeypatch.setattr(threads, "_cpus_usable", lambda: cpus)
-
-
 class TestPipeline:
     """Each unit's eigensolve overlaps the next unit's whitening, with serial results."""
 
@@ -604,8 +591,10 @@ class TestPipeline:
         for name in ("whiten", "discriminants"):
             monkeypatch.setattr(mkl, name, recorded(name, getattr(mkl, name)))
         rank1, order = {}, {}
-        for mode, (_, solve) in MODES.items():
-            _mode(monkeypatch, mode)
+        for mode, (_, helped) in MODES.items():
+            use_mode(monkeypatch, mode)
+            # numpy's eigh on the helper, scipy's syevd on the main thread
+            solve = ("eigh", False) if helped else ("syevd", True)
             before = threading.active_count()
             rank1[mode] = plan.rank1(configs[kind])
             assert threading.active_count() == before
@@ -623,24 +612,6 @@ class TestPipeline:
             assert order[mode] == (
                 ["whiten"] + ["whiten", "discriminants"] * (units - 1) + ["discriminants"]
             )
-
-    @pytest.mark.parametrize(
-        "env, one",
-        [
-            ({}, False),  # BLAS runs a thread per CPU
-            ({"OPENBLAS_NUM_THREADS": "1"}, True),
-            ({"OMP_NUM_THREADS": "1"}, True),
-            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-            ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, True),  # 0 is unset
-            ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "4"}, False),
-        ],
-    )
-    def test_one_blas_thread_follows_openblas(self, monkeypatch, env, one):
-        for var in threads._BLAS_THREADS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        assert threads._one_blas_thread() is one
 
     # (stage that fails, unit it fails on) pairs; units count from 0 in run order, and
     # the serial order raises the first failure of: whiten 0, eigh 0, finish 0, whiten 1 ...
@@ -677,7 +648,7 @@ class TestPipeline:
             monkeypatch.setattr(mkl, name, stage(name, fn))
         monkeypatch.setattr(Whitening, "eigh", stage("eigh", eigh))
         monkeypatch.setattr(Whitening, "syevd", stage("eigh", Whitening.syevd))
-        _mode(monkeypatch, mode)
+        use_mode(monkeypatch, mode)
         before = threading.active_count()
         with pytest.raises(NumericError, match=f"^{message}$"):
             plan.rank1(configs["bank"])
