@@ -22,7 +22,11 @@ singular whenever n > rank, so M is whitened over the numerical range of Q.
 The solve calls LAPACK's potrf, trtrs and syevd directly, with the arguments
 scipy.linalg's cholesky, solve_triangular and eigh (on its syevd path) pass
 them, so its bits are those of the wrappers. syevd solves the c x c
-problem and gives the eps == 0 range basis.
+problem and gives the eps == 0 range basis. potrf and syevd are scipy's
+f2py wrappers, which hold the GIL. trtrs is the same LAPACK routine, called
+by ctypes through the C function scipy.linalg.cython_lapack exports, which
+releases the GIL.
+
 :func:`solve_kfda` runs in two stages with the c x c eigensolve between
 them: :func:`whiten` (Q + eps I, potrf, L^-1 M and G = Y^T Y) and
 :func:`discriminants` (Y V, L^-T, unit norms and the sign fix). One rule
@@ -33,6 +37,14 @@ the GIL, so cross-validation runs it on its helper while the next stack is
 whitened. numpy and scipy bundle separate LAPACK builds, so the two give
 the same bits where those builds agree, which a test checks for the
 installed pair.
+
+A large solve is the third stage that overlaps work on a helper thread
+(:mod:`kfmetric.threads`). trtrs solves each right-hand column on its own,
+so when one triangular solve reaches :data:`~kfmetric.threads.HELPER_MACS`
+multiply-adds and the thread rule allows a helper, :func:`solve_kfda` has
+the helper solve the left half of each matrix's columns while the main
+thread solves the right half, with the bits of one call. Cross-validation
+splits no solve: its helper runs the eigensolves.
 
 :func:`build_scatter` and :func:`solve_kfda` take a stack of Grams over one
 class index, numpy style: a (..., n, n) Gram gives a ScatterPair of
@@ -51,15 +63,20 @@ cross-validation do, holds about 2.5 n x n buffers at most from the scatter on.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_lapack
 
+from . import threads
 from .data import ClassIndex, Dataset, SplitPlan, index_classes, open_output
 from .errors import InputError, NumericError
 from .kernels import config_from_dict, grams
@@ -204,9 +221,41 @@ def build_scatter(K, idx: ClassIndex) -> ScatterPair:
 # the arguments scipy.linalg's cholesky, solve_triangular and eigh (on its
 # syevd path) pass it, so the results are those wrappers' bits without their
 # per-call checks.
-_POTRF, _TRTRS, _SYEVD, _SYEVD_LWORK = scipy.linalg.get_lapack_funcs(
-    ("potrf", "trtrs", "syevd", "syevd_lwork"), dtype=np.float64
+_POTRF, _SYEVD, _SYEVD_LWORK = scipy.linalg.get_lapack_funcs(
+    ("potrf", "syevd", "syevd_lwork"), dtype=np.float64
 )
+
+
+def _lapack_function(name: str, signature: str):
+    """The C function scipy.linalg.cython_lapack exports as ``name``, as a ctypes function.
+
+    A capsule's name is the function's C signature, scipy's double typedef
+    spelled ``d`` here; one other than ``signature`` (a LAPACK with 64-bit
+    integers, say) raises ImportError rather than being called. Every
+    argument is a pointer, declared and passed as an address. A ctypes call
+    releases the GIL while it runs.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    tag = _CAPSULE_NAME(capsule)
+    found = re.sub(r"__pyx_t_\w*?cython_lapack_d\b", "d", tag.decode())
+    if found != signature:
+        raise ImportError(f"scipy's LAPACK {name} is {found!r}, expected {signature!r}")
+    argtypes = (ctypes.c_void_p,) * signature.count("*")
+    return ctypes.CFUNCTYPE(None, *argtypes)(_CAPSULE_POINTER(capsule, tag))
+
+
+_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+# the dtrtrs scipy's trtrs wrapper runs: uplo, trans, diag, n, nrhs, a, lda, b, ldb, info
+_DTRTRS = _lapack_function(
+    "dtrtrs", "void (char *, char *, char *, int *, int *, d *, int *, d *, int *, int *)"
+)
+# the option letters dtrtrs reads, in buffers that live as long as the module
+_LETTERS = {letter: ctypes.c_char(letter) for letter in (b"L", b"N", b"T")}
 
 
 def _solve_failed(reason) -> NumericError:
@@ -229,11 +278,92 @@ def _each(X: np.ndarray) -> np.ndarray:
     return X.reshape((-1,) + X.shape[-2:])
 
 
-def _trsm(L: np.ndarray, B: np.ndarray, trans: int) -> None:
-    """Overwrite a column-major B by L^-1 B (trans 0) or L^-T B (trans 1), L from potrf."""
-    _, info = _TRTRS(L, B, lower=1, trans=trans, unitdiag=0, overwrite_b=1)
-    if info:
+def _leading_dimension(X: np.ndarray) -> int:
+    """LAPACK's leading dimension of each matrix of a (k, rows, cols) stack of column-major doubles.
+
+    Anything else raises ValueError before a pointer to it is passed on. A
+    one-column matrix's column stride is not its leading dimension, so it
+    gets rows.
+    """
+    rows, cols = X.shape[-2:]
+    step, rest = divmod(X.strides[-1], 8)
+    if X.dtype != np.float64 or (rows > 1 and X.strides[-2] != 8):
+        raise ValueError(f"trtrs needs column-major float64 matrices, got {X.dtype} {X.strides}")
+    if cols == 1:
+        return max(1, rows)
+    if rest or step < max(1, rows):
+        raise ValueError(f"trtrs needs a leading dimension of at least {rows}, got {X.strides}")
+    return step
+
+
+class _Trtrs:
+    """LAPACK dtrtrs on columns lo:hi of each matrix of a stack, its arguments built once.
+
+    L and B are (k, n, n) and (k, n, c) stacks of column-major doubles, L_i
+    lower triangular with a non-unit diagonal (potrf's factor). Calling it
+    on i overwrites those columns of B_i by L_i^-1 B_i (trans 0) or
+    L_i^-T B_i (trans 1), and returns LAPACK's info. dtrtrs solves each
+    column on its own, so a part of B's columns gets the bits one call on
+    all of them gives. The call releases the GIL, and each instance keeps its
+    own integers and info, so two instances may run at once on parts that do
+    not overlap.
+    """
+
+    def __init__(self, L: np.ndarray, B: np.ndarray, trans: int, lo: int, hi: int):
+        k, n, c = B.shape
+        if L.shape != (k, n, n) or not 0 <= lo < hi <= c or not B.flags.writeable:
+            raise ValueError(f"trtrs cannot solve columns {lo}:{hi} of {B.shape} by {L.shape}")
+        lda, ldb = _leading_dimension(L), _leading_dimension(B)
+        a, b = L.ctypes.data, B.ctypes.data + 8 * ldb * lo
+        self.info = ctypes.c_int()
+        self._ints = [ctypes.c_int(v) for v in (n, hi - lo, lda, ldb)]
+        letters = (_LETTERS[x] for x in (b"L", b"T" if trans else b"N", b"N"))
+        uplo, op, diag, n, nrhs, lda, ldb, info = map(
+            ctypes.addressof, (*letters, *self._ints, self.info)
+        )
+        self._calls = [
+            (uplo, op, diag, n, nrhs, a + i * L.strides[0], lda, b + i * B.strides[0], ldb, info)
+            for i in range(k)
+        ]
+        self._arrays = L, B  # the buffers the addresses point into live as long as the calls
+
+    def __call__(self, i: int) -> int:
+        _DTRTRS(*self._calls[i])
+        return self.info.value
+
+
+def _trsm_failed(info: int) -> None:
+    """Raise the NumericError of a trtrs call that returned ``info``, if it failed."""
+    if info > 0:
         raise _solve_failed(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise _solve_failed(f"trtrs got a bad argument {-info}")
+
+
+def _trsm(L: np.ndarray, B: np.ndarray, trans: int, start=None):
+    """A call on i that overwrites matrix i of a column-major stack B by L_i^-1 B_i or L_i^-T B_i.
+
+    trans 0 solves by L_i and trans 1 by its transpose, for each L_i from
+    potrf; the arguments are built once for the stack. Given a helper's
+    ``start``, and at least 4 columns, the helper solves the left half of
+    B_i's columns while this thread solves the right half; the halves get
+    the bits of one call (:class:`_Trtrs`). The helper's info is read first,
+    so a failed solve raises the NumericError one call raises.
+    """
+    L, B = _each(L), _each(B)
+    c = B.shape[-1]
+    if start is None or c < 4:
+        whole = _Trtrs(L, B, trans, 0, c)
+        return lambda i: _trsm_failed(whole(i))
+    left, right = _Trtrs(L, B, trans, 0, c // 2), _Trtrs(L, B, trans, c // 2, c)
+
+    def split(i: int) -> None:
+        wait = start(left, i)
+        info = right(i)
+        _trsm_failed(wait())
+        _trsm_failed(info)
+
+    return split
 
 
 def _eigh(S: np.ndarray) -> np.ndarray:
@@ -294,7 +424,7 @@ class Whitening(NamedTuple):
         return vals
 
 
-def whiten(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> Whitening:
+def whiten(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS, start=None) -> Whitening:
     """The first stage of :func:`solve_kfda`: M whitened by Q + eps I, and the c x c problem.
 
     Checks p and eps, factors Q + eps I = L L^T by potrf (built column-major,
@@ -302,6 +432,9 @@ def whiten(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> Whitening:
     forms G = Y^T Y by one syrk per pencil. With eps == 0, Y = W^T M for a
     whitening basis W of range(Q), from syevd. A pencil whose Q + eps I is
     not positive definite raises NumericError, the first in stack order.
+    Given a helper's ``start`` (:func:`~kfmetric.threads.helper`), the
+    helper solves the left half of each Y's columns while this thread
+    solves the right half, with the same bits and errors.
 
     Q and M are taken out of the pair, and each is let go once L or Y is
     filled from it. So a pair handed over unnamed is freed before the
@@ -329,13 +462,14 @@ def whiten(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> Whitening:
         Y = _column_major(M.shape)
         Y[...] = M
         M = W = None
-        for L_k, Y_k in zip(_each(L), _each(Y)):
+        solve = _trsm(L, Y, 0, start)
+        for k, L_k in enumerate(_each(L)):
             _, info = _POTRF(L_k, lower=1, overwrite_a=1, clean=1)
             if info:
                 raise _solve_failed(
                     f"{info}-th leading minor of the array is not positive definite"
                 )
-            _trsm(L_k, Y_k, trans=0)
+            solve(k)
         # Y^T Y is one exactly symmetric syrk result per pencil, so its transpose
         # is the same matrix in the column-major order syevd overwrites in place
         G = (Y.swapaxes(-1, -2) @ Y).swapaxes(-1, -2)
@@ -359,7 +493,7 @@ def whiten(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> Whitening:
     return Whitening(G, Y, L, W, p)
 
 
-def discriminants(w: Whitening, vals: np.ndarray) -> KfdaSolution:
+def discriminants(w: Whitening, vals: np.ndarray, start=None) -> KfdaSolution:
     """The second stage of :func:`solve_kfda`: the discriminants from the eigenpairs of ``w.G``.
 
     ``vals`` holds each G's ascending eigenvalues, and ``w.G`` its
@@ -367,6 +501,8 @@ def discriminants(w: Whitening, vals: np.ndarray) -> KfdaSolution:
     Keeps the p largest, maps them back to A = L^-T Y V (or W Y V), and
     normalizes each column to unit norm with its largest-magnitude entry
     positive. A column whose norm is zero or not finite raises NumericError.
+    Given a helper's ``start``, L^-T is split between the helper and this
+    thread as in :func:`whiten`.
 
     A is written into the first p columns of Y's buffer, so ``w`` is used up.
     At p = c - 1 it is returned as that view, and at a smaller p as a copy.
@@ -381,8 +517,9 @@ def discriminants(w: Whitening, vals: np.ndarray) -> KfdaSolution:
         # matrices as before, for trtrs to solve in place
         A = Y[..., :p]
         A[...] = Y @ V
-        for L_k, A_k in zip(_each(L), _each(A)):
-            _trsm(L_k, A_k, trans=1)
+        solve = _trsm(L, A, 1, start)
+        for k in range(len(_each(A))):
+            solve(k)
     else:
         A = np.stack([W_k @ (Y_k @ V_k) for W_k, Y_k, V_k in zip(W, Y, _each(V))])
         A = A.reshape(G.shape[:-2] + (W[0].shape[0], p))
@@ -417,7 +554,12 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
     for A in place, and syevd, with the workspace eigh queries, solves the
     c x c problem in place. The bits equal those of scipy.linalg's
     cholesky, solve_triangular and eigh on its syevd path, and a failed
-    factorization raises the same NumericError.
+    factorization raises the same NumericError. When L^-1 M takes at least
+    :data:`~kfmetric.threads.HELPER_MACS` multiply-adds (about n^2 c / 2)
+    and :func:`~kfmetric.threads.helper` yields a helper, each triangular
+    solve is split by columns between the helper and this thread; the
+    helper runs only the trtrs binding, and ends before this returns or
+    raises.
 
     A stacked pair (Q of (..., n, n), M of (..., n, c), as :func:`build_scatter`
     makes from a stack of Grams) gives A of (..., n, p) and eigenvalues of
@@ -432,8 +574,11 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
     # whiten frees Q and M once read only if no name here holds the pair
     handed = [sc]
     del sc
-    w = whiten(handed.pop(), p, eps)
-    return discriminants(w, w.syevd())
+    n, c = handed[0].M.shape[-2:]
+    big = n * n * c // 2 >= threads.HELPER_MACS  # the multiply-adds of L^-1 M
+    with threads.helper("kfmetric-trsm") if big else contextlib.nullcontext() as start:
+        w = whiten(handed.pop(), p, eps, start)
+        return discriminants(w, w.syevd(), start)
 
 
 def train(

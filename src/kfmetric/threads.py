@@ -1,17 +1,20 @@
 """When a helper thread may run next to the main one, and the helper itself.
 
-Two stages overlap work on a helper thread: cross-validation's c x c
-eigensolves (:mod:`kfmetric.mkl`) and a multi-kernel model's per-term
-embedding products (:mod:`kfmetric.metric`). Both follow one rule: the
-helper runs only when BLAS runs one thread and the process may use two or
-more CPUs (:func:`helper`), and :func:`helper` is the one reader of that
-rule: each stage runs one loop, which hands a step to the helper when it
-yields one and runs the step itself otherwise. With one BLAS thread a GEMM
-or an eigensolve gives the same bits on any thread, so overlapping moves no
-result. With BLAS threads unset, OpenBLAS runs a pool of one thread per
-CPU, which a helper would contend with, and on one CPU there is nothing to
-overlap. The eigensolver follows the thread: scipy's syevd on the main
-thread, numpy's eigh, which releases the GIL, only on the helper.
+Three stages overlap work on a helper thread: cross-validation's c x c
+eigensolves (:mod:`kfmetric.mkl`), a multi-kernel model's per-term
+embedding products (:mod:`kfmetric.metric`) and the triangular solves of a
+large Fisher solve (:mod:`kfmetric.kfda`). All follow one rule: the helper
+runs only when BLAS runs one thread and the process may use two or more
+CPUs (:func:`helper`), and :func:`helper` is the one reader of that rule:
+each stage runs one loop, which hands a step to the helper when it yields
+one and runs the step itself otherwise. With one BLAS thread a GEMM, a
+triangular solve or an eigensolve gives the same bits on any thread, so
+overlapping moves no result. With BLAS threads unset, OpenBLAS runs a pool
+of one thread per CPU, which a helper would contend with, and on one CPU
+there is nothing to overlap. The eigensolver follows the thread: scipy's
+syevd on the main thread, numpy's eigh, which releases the GIL, only on
+the helper. The embedding and the Fisher solve also read one size rule,
+:data:`HELPER_MACS`, so a small product or solve starts no thread.
 """
 
 from __future__ import annotations
@@ -19,6 +22,17 @@ from __future__ import annotations
 import contextlib
 import os
 from concurrent.futures import ThreadPoolExecutor
+
+
+# the fewest multiply-adds of one step for which a stage hands work to a
+# helper thread. Embedding counts one term's product (rows x basis x
+# discriminants): a 900-row gallery against a 600-sample basis and 299
+# discriminants (161M) overlaps, a 10-probe batch there (1.8M) or a
+# protocol-sized model does not. The Fisher solve counts one triangular
+# solve (about n^2 c / 2): a 600-sample training pencil of 300 classes
+# (54M) splits, a protocol-sized one (n = 80, c = 40: 0.1M) does not. Below
+# it, no thread starts
+HELPER_MACS = 1 << 24
 
 
 def _cpus_usable() -> int:

@@ -1,15 +1,20 @@
+import contextlib
+import ctypes
 import hashlib
 import json
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from kfmetric.config import RunConfig
 from kfmetric.data import Dataset, SplitPlan, index_classes, make_split
 from kfmetric.errors import InputError, NumericError
+from kfmetric.evaluation import rbf_bank
 from kfmetric.kernels import KernelSpec, gram, rms_width, squared_distances, width_grid
-from kfmetric import kfda
+from kfmetric import kfda, threads
 from kfmetric.kfda import (
     RANGE_RTOL,
     ScatterPair,
@@ -22,10 +27,11 @@ from kfmetric.kfda import (
     whiten,
 )
 from kfmetric.metric import embed_batch
-from kfmetric.mkl import MklConfig
+from kfmetric.mkl import MklConfig, cv_kernel_accuracies
 from kfmetric.synthetic import make_synthetic
 
 from oracles import input_space_fda_projection, naive_scatter
+from test_threads import MODES, _helpers, use_mode
 
 
 def labeled_gram(n, labels, seed=0, width=1.5):
@@ -278,18 +284,68 @@ def _scipy_wrapper_solve(sc, p, eps):
     return A, np.maximum(vals[::-1][:p], 0.0)
 
 
+def _watched_helpers(monkeypatch):
+    """Record, per helper asked of :func:`threads.helper`, its name and whether one started."""
+    asked, helper = [], threads.helper
+
+    @contextlib.contextmanager
+    def watched(name):
+        with helper(name) as start:
+            asked.append((name, start is not None))
+            yield start
+
+    monkeypatch.setattr(threads, "helper", watched)
+    return asked
+
+
+def _recorded_trtrs(monkeypatch, fail=None):
+    """Record each dtrtrs call's column count and whether it ran on the main thread.
+
+    ``fail`` is an optional (on_main_thread, info): each call on that thread
+    then reports that info after solving.
+    """
+    calls, dtrtrs = [], kfda._DTRTRS
+
+    def recorded(*args):  # the addresses of uplo, trans, diag, n, nrhs, a, lda, b, ldb, info
+        main = threading.current_thread() is threading.main_thread()
+        calls.append((ctypes.c_int.from_address(args[4]).value, main))
+        dtrtrs(*args)
+        if fail is not None and fail[0] == main:
+            ctypes.c_int.from_address(args[9]).value = fail[1]
+
+    monkeypatch.setattr(kfda, "_DTRTRS", recorded)
+    return calls
+
+
+def _pencil(n_ids):
+    """The scatter pair of an rbf Gram at the rms width: n = 2 n_ids, c = n_ids."""
+    ds = make_synthetic(n_ids, 2, 20, noise=0.6, view_offset=30.0, seed=n_ids)
+    subset = range(ds.n_samples)
+    K = gram(KernelSpec("rbf", rms_width(ds, subset)), ds.features)
+    return build_scatter(K, index_classes(ds, subset))
+
+
 class TestDirectLapack:
+    @pytest.mark.parametrize("mode", sorted(MODES))
     @pytest.mark.parametrize("n_ids", [36, 300])  # n = 72, c = 36 (a CV fold) and n = 600
-    def test_bits_match_the_scipy_wrappers(self, n_ids):
-        ds = make_synthetic(n_ids, 2, 20, noise=0.6, view_offset=30.0, seed=n_ids)
-        subset = range(ds.n_samples)
-        K = gram(KernelSpec("rbf", rms_width(ds, subset)), ds.features)
-        sc = build_scatter(K, index_classes(ds, subset))
+    def test_bits_match_the_scipy_wrappers(self, monkeypatch, n_ids, mode):
+        sc = _pencil(n_ids)
+        use_mode(monkeypatch, mode)
+        asked, calls = _watched_helpers(monkeypatch), _recorded_trtrs(monkeypatch)
         for eps in (1e-7, 1e-3):
             model = solve_kfda(sc, n_ids - 1, eps)
             A, vals = _scipy_wrapper_solve(sc, n_ids - 1, eps)
             assert np.array_equal(model.A, A)
             assert np.array_equal(model.eigvals, vals)
+        # only the 600-sample solves reach the size rule; only a helper splits them
+        split = n_ids == 300 and MODES[mode][1]
+        assert asked == ([("kfmetric-trsm", split)] * 2 if n_ids == 300 else [])
+        # L^-1 M on c columns, then L^-T on c - 1; the helper takes the left halves
+        def parts(k):
+            return [(k // 2, False), (k - k // 2, True)] if split else [(k, True)]
+
+        want = parts(n_ids) + parts(n_ids - 1)
+        assert sorted(calls) == sorted(want * 2)
 
     def test_indefinite_within_scatter_raises(self):
         sc = ScatterPair(Q=-np.eye(4), M=np.ones((4, 3)))
@@ -338,6 +394,119 @@ class TestDirectLapack:
         sc = ScatterPair(Q=np.zeros((6, 6)), M=M - M.mean(axis=1, keepdims=True))
         with pytest.raises(NumericError, match="zero or non-finite eigenvector"):
             solve_kfda(sc, p=2, eps=1e-300)
+
+
+def _triangular_system(n, c, seed=0):
+    """A column-major potrf factor L of a well-conditioned n x n matrix, and an n x c B."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, n))
+    L = scipy.linalg.cholesky(X @ X.T + n * np.eye(n), lower=True)
+    return np.asfortranarray(L), np.asfortranarray(rng.normal(size=(n, c)))
+
+
+class TestSplitSolve:
+    """A large solve's triangular solves split by columns between a helper and this thread."""
+
+    @pytest.mark.parametrize("trans", [0, 1])
+    @pytest.mark.parametrize("c", [1, 3, 4, 301])  # 301 splits as 150 + 151
+    def test_halves_give_the_bits_of_one_call(self, monkeypatch, c, trans):
+        L, B = _triangular_system(320, c)
+        want = scipy.linalg.solve_triangular(L, B, lower=True, trans=trans, check_finite=False)
+        one = B.copy(order="F")
+        kfda._trsm(L, one, trans)(0)
+        use_mode(monkeypatch, "helper")
+        calls = _recorded_trtrs(monkeypatch)
+        with threads.helper("kfmetric-trsm") as start:
+            split = B.copy(order="F")
+            kfda._trsm(L, split, trans, start)(0)
+        assert np.array_equal(one, want) and np.array_equal(split, want)
+        # each half has at least 2 columns, so fewer than 4 run in one call here
+        assert sorted(calls) == ([(c, True)] if c < 4 else [(c // 2, False), (c - c // 2, True)])
+
+    @pytest.mark.parametrize("p", [1, 3, 4, 59])
+    def test_a_split_solve_matches_the_wrappers_at_every_p(self, monkeypatch, p):
+        # L^-T on p columns: at p = 1 one column, whose stride is not its leading
+        # dimension; at 3 one call; at 4 and 59 halves of 2 + 2 and 29 + 30
+        sc = _pencil(60)
+        monkeypatch.setattr(threads, "HELPER_MACS", 0)  # every solve may split
+        use_mode(monkeypatch, "helper")
+        asked = _watched_helpers(monkeypatch)
+        model = solve_kfda(sc, p)
+        A, vals = _scipy_wrapper_solve(sc, p, kfda.DEFAULT_EPS)
+        assert asked == [("kfmetric-trsm", True)]
+        assert np.array_equal(model.A, A) and np.array_equal(model.eigvals, vals)
+
+    def test_repeated_split_solves_give_the_same_bits(self, monkeypatch):
+        sc = _pencil(100)
+        serial = solve_kfda(sc, 99)
+        monkeypatch.setattr(threads, "HELPER_MACS", 0)
+        use_mode(monkeypatch, "helper")
+        for _ in range(20):
+            model = solve_kfda(sc, 99)
+            assert model.A.tobytes() == serial.A.tobytes()
+            assert model.eigvals.tobytes() == serial.eigvals.tobytes()
+            assert _helpers("kfmetric-trsm") == []
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_a_singular_factor_raises_the_serial_error(self, monkeypatch, mode):
+        L, B = _triangular_system(40, 9)
+        L[5, 5] = 0.0  # trtrs reports info 6 for the whole call and for either half
+        use_mode(monkeypatch, mode)
+        with threads.helper("kfmetric-trsm") as start:
+            with pytest.raises(NumericError, match="resolution failed at diagonal 5$"):
+                kfda._trsm(L, B, 0, start)(0)
+        assert _helpers("kfmetric-trsm") == []
+
+    @pytest.mark.parametrize("failing", ["helper", "main"])
+    @pytest.mark.parametrize("info, message", [
+        (7, "singular matrix: resolution failed at diagonal 6$"),
+        (-9, "trtrs got a bad argument 9$"),
+    ])
+    def test_a_failed_half_raises_what_one_call_raises(self, monkeypatch, failing, info, message):
+        sc = _pencil(60)
+        monkeypatch.setattr(threads, "HELPER_MACS", 0)
+        fail = _recorded_trtrs(monkeypatch, fail=(True, info))  # the serial call fails
+        use_mode(monkeypatch, "one-cpu")
+        with pytest.raises(NumericError, match=message):
+            solve_kfda(sc, 59)
+        monkeypatch.undo()
+        monkeypatch.setattr(threads, "HELPER_MACS", 0)
+        calls = _recorded_trtrs(monkeypatch, fail=(failing == "main", info))
+        use_mode(monkeypatch, "helper")
+        with pytest.raises(NumericError, match=message):
+            solve_kfda(sc, 59)
+        # L^-1 M failed, on both threads; no thread outlives the failed solve
+        assert sorted(calls) == [(30, False), (30, True)] and fail == [(60, True)]
+        assert _helpers("kfmetric-trsm") == []
+
+    def test_cross_validation_splits_no_solve(self, monkeypatch):
+        ds = make_synthetic(40, 2, 20, noise=0.6, view_offset=30.0, seed=0)
+        split = make_split(ds, 0, 0.5)
+        cfg = RunConfig()
+        bank = rbf_bank(ds, sorted(ds.samples_of(split.train_ids)), cfg)
+        monkeypatch.setattr(threads, "HELPER_MACS", 0)
+        use_mode(monkeypatch, "helper")
+        asked, calls = _watched_helpers(monkeypatch), _recorded_trtrs(monkeypatch)
+        cv_kernel_accuracies(ds, split, bank, cfg.folds, cfg.eps)
+        assert {name for name, _ in asked} == {"kfmetric-eigh"}
+        assert calls and all(main for _, main in calls)
+        assert _helpers("kfmetric-trsm") == []
+
+    def test_the_binding_checks_its_c_signature(self):
+        with pytest.raises(ImportError, match=r"expected 'void \(long \*\)'"):
+            kfda._lapack_function("dtrtrs", "void (long *)")
+
+    @pytest.mark.parametrize("layout", ["row-major", "float32", "short-leading-dimension"])
+    def test_a_bad_layout_is_refused_before_the_call(self, layout):
+        L, B = _triangular_system(8, 4)
+        B = {
+            "row-major": np.ascontiguousarray(B),
+            "float32": B.astype(np.float32, order="F"),
+            # 8 rows whose columns start 4 entries apart
+            "short-leading-dimension": np.lib.stride_tricks.as_strided(B, (8, 4), (8, 32)),
+        }[layout]
+        with pytest.raises(ValueError, match="trtrs needs"):
+            kfda._Trtrs(L[None], B[None], 0, 0, 4)
 
 
 def _two_view_dataset(n_ids, d, seed, spread=4.0, noise=0.5):

@@ -250,7 +250,7 @@ class TestOverlap:
     def test_every_mode_gives_the_serial_bits(self, overlap_models, monkeypatch, name):
         models, P, G = overlap_models
         model = models[name]
-        monkeypatch.setattr(metric, "_HELPER_MACS", 0)  # every product may go to the helper
+        monkeypatch.setattr(threads, "HELPER_MACS", 0)  # every product may go to the helper
         log, steps = {}, []
         _watched_helper(monkeypatch, log)
         _main_thread_steps(monkeypatch, steps)
@@ -283,7 +283,7 @@ class TestOverlap:
     @pytest.mark.parametrize("mode", ["blas-threads", "one-cpu"])
     def test_without_a_helper_one_block_lives_at_a_time(self, overlap_models, monkeypatch, mode):
         models, _, G = overlap_models
-        monkeypatch.setattr(metric, "_HELPER_MACS", 0)
+        monkeypatch.setattr(threads, "HELPER_MACS", 0)
         use_mode(monkeypatch, mode)
         grams, refs, held = kernels.grams, [], []
 
@@ -304,7 +304,7 @@ class TestOverlap:
     ])
     def test_the_first_error_is_the_serial_one(self, overlap_models, monkeypatch, failing, message):
         models, _, G = overlap_models
-        monkeypatch.setattr(metric, "_HELPER_MACS", 0)
+        monkeypatch.setattr(threads, "HELPER_MACS", 0)
         use_mode(monkeypatch, "helper")
         started, release = threading.Event(), threading.Event()
 
