@@ -234,29 +234,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True, help="output CSV path")
     p_synth.set_defaults(func=cmd_synth)
 
-    # run flags left out of argv stay out of the namespace, so the config file keeps them
-    run = {"argument_default": argparse.SUPPRESS}
-    p_train = sub.add_parser("train", help="train and persist a model", **run)
-    _add_run_flags(p_train)
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("evaluate", help="run trials and write the CMC table", **run)
-    _add_run_flags(p_eval)
-    p_eval.add_argument("--model", help="evaluate a persisted model instead of retraining")
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_cv = sub.add_parser("cv", help="per-kernel cross-validated accuracies", **run)
-    _add_run_flags(p_cv)
-    p_cv.set_defaults(func=cmd_cv)
-
-    p_sweep = sub.add_parser("sweep", help="rank-1 accuracy vs subspace dimension", **run)
-    _add_run_flags(p_sweep)
-    p_sweep.add_argument(
+    for command, func, summary in (
+        ("train", cmd_train, "train and persist a model"),
+        ("evaluate", cmd_evaluate, "run trials and write the CMC table"),
+        ("cv", cmd_cv, "per-kernel cross-validated accuracies"),
+        ("sweep", cmd_sweep, "rank-1 accuracy vs subspace dimension"),
+    ):
+        # run flags left out of argv stay out of the namespace, so the config file keeps them
+        run = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
+        _add_run_flags(run)
+        run.set_defaults(func=func)
+    evaluate, sweep = sub.choices["evaluate"], sub.choices["sweep"]
+    evaluate.add_argument("--model", help="evaluate a persisted model instead of retraining")
+    sweep.add_argument(
         "--p-values", dest="p_values", type=_parsed_as("p_values", PARSERS["n_grid"]),
         required=True, help="comma-separated subspace dimensions",
     )
-    p_sweep.set_defaults(func=cmd_sweep)
-
     return parser
 
 

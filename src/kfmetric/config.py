@@ -1,7 +1,8 @@
 """Run configuration: defaults, key=value config files, and config digests.
 
 Each setting is declared once, on its ``RunConfig`` field (``_setting``): its default,
-text parser, flag and digest membership; ``PARSERS``, ``digest`` and ``cli`` read the fields.
+text parser, flag, digest membership, kind and lower bound; ``PARSERS``, ``digest``,
+``cli`` and the checks read the fields.
 A ``RunConfig`` checks its values when built, ``dataclasses.replace`` too. The digest skips
 ``features``, ``out`` and ``threads`` (file locations and the worker count), so golden
 digests stay valid across machines.
@@ -53,10 +54,16 @@ def _grid(kind):
     return lambda v: tuple(kind(x) for x in v.split(",") if x.strip())
 
 
-def _setting(default, parse, flag=None, hashed=True, **flag_args):
+# a setting's kind: the check of its value and what the check asks for
+_KINDS = {"count": (_is_int, "an integer"), "real": (_is_real, "a number")}
+
+
+def _setting(default, parse, flag=None, hashed=True, kind=None, low=None, **flag_args):
     """A RunConfig field: its default, text parser, flag (``--<name with dashes>`` unless
-    ``flag`` names it) with argparse's ``flag_args``, and whether the digest hashes it."""
-    meta = {"parse": parse, "flag": flag, "hashed": hashed, "flag_args": flag_args}
+    ``flag`` names it) with argparse's ``flag_args``, whether the digest hashes it, its
+    kind ("count" or "real"; a None default is also allowed) and its lower bound ``low``."""
+    meta = {"parse": parse, "flag": flag, "hashed": hashed, "flag_args": flag_args,
+            "kind": kind, "low": low}
     return field(default=default, metadata=meta)
 
 
@@ -75,34 +82,32 @@ class RunConfig:
     out: str = _setting("out", str, hashed=False, help="output directory")
     base_seed: int = _setting(0, int, flag="--seed", metavar="SEED",
                               help="base seed for all randomness")
-    trials: int = _setting(10, int)
-    train_fraction: float = _setting(0.5, float)
-    eps: float = _setting(1e-7, float, help="diagonal regularizer")
+    trials: int = _setting(10, int, kind="count", low=1)
+    train_fraction: float = _setting(0.5, float, kind="real")
+    eps: float = _setting(1e-7, float, kind="real", help="diagonal regularizer")
     p: int | None = _setting(None, lambda v: None if v.lower() == "full" else int(v),
-                             help="subspace dimension or 'full'")  # None = all c-1 discriminants
-    q: int = _setting(20, int, help="number of bank kernels")
-    width_lo: float = _setting(0.1, float)
-    width_hi: float = _setting(10.0, float)
-    folds: int = _setting(10, int, help="cross-validation folds")
+                             kind="count", help="subspace dimension or 'full'")  # None = all c-1
+    q: int = _setting(20, int, kind="count", low=1, help="number of bank kernels")
+    width_lo: float = _setting(0.1, float, kind="real")
+    width_hi: float = _setting(10.0, float, kind="real")
+    folds: int = _setting(10, int, kind="count", low=2, help="cross-validation folds")
     n_grid: tuple[int, ...] | None = _setting(None, _grid(int))  # None = 1..min(5, q-1)
     tau_grid: tuple[float, ...] = _setting(DEFAULT_TAU_GRID, _grid(float))
-    threads: int = _setting(1, int, hashed=False)
+    threads: int = _setting(1, int, hashed=False, kind="count", low=1)
     include_distractors: bool = _setting(
         True, lambda v: _BOOLS[v.strip().lower()], flag="--no-distractors",
         action="store_false", help="keep gallery-only identities out of the gallery",
     )
 
     def __post_init__(self) -> None:
-        counts = {"trials": self.trials, "q": self.q, "folds": self.folds, "threads": self.threads}
-        if self.p is not None:
-            counts["p"] = self.p
-        for name, value in counts.items():
-            if not _is_int(value):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-        for name in _REALS:
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise InputError(f"{name} must be a number, got {value!r}")
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.metadata["kind"]
+            if kind and not ((value is None and f.default is None) or _KINDS[kind][0](value)):
+                raise InputError(f"{f.name} must be {_KINDS[kind][1]}, got {value!r}")
+        for f in fields(self):
+            value, low = getattr(self, f.name), f.metadata["low"]
+            if low is not None and value < low:
+                raise InputError(f"{f.name} must be >= {low}, got {value}")
         if self.n_grid is not None and not isinstance(self.n_grid, (tuple, list)):
             raise InputError(f"n_grid must be a tuple of integers, got {self.n_grid!r}")
         if self.n_grid is not None and not all(_is_int(N) for N in self.n_grid):
@@ -118,10 +123,6 @@ class RunConfig:
             raise InputError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise InputError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.trials < 1:
-            raise InputError(f"trials must be >= 1, got {self.trials}")
-        if self.q < 1:
-            raise InputError(f"q must be >= 1, got {self.q}")
         if not 0.0 < self.width_lo < self.width_hi < math.inf:
             raise InputError(
                 f"need 0 < width_lo < width_hi < inf, got {self.width_lo}, {self.width_hi}"
@@ -130,10 +131,6 @@ class RunConfig:
             raise InputError(f"eps must be positive and finite, got {self.eps}")
         if self.p is not None and self.p < 1:
             raise InputError(f"p must be >= 1 or 'full', got {self.p}")
-        if self.folds < 2:
-            raise InputError(f"folds must be >= 2, got {self.folds}")
-        if self.threads < 1:
-            raise InputError(f"threads must be >= 1, got {self.threads}")
         if self.n_grid is not None and any(N < 1 for N in self.n_grid):
             raise InputError("every N in n_grid must be >= 1")
         if not all(0 <= t < math.inf for t in self.tau_grid):
@@ -152,7 +149,7 @@ class RunConfig:
 
 
 # the real-valued fields; tau_grid holds reals too
-_REALS = ("train_fraction", "width_lo", "width_hi", "eps")
+_REALS = tuple(f.name for f in fields(RunConfig) if f.metadata["kind"] == "real")
 
 # every field's text form, as config files and command-line flags give it
 PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}

@@ -39,9 +39,11 @@ the same bits where those builds agree, which a test checks for the
 installed pair.
 
 A large solve is the third stage that overlaps work on a helper thread
-(:mod:`kfmetric.threads`). trtrs solves each right-hand column on its own,
-so when one triangular solve reaches :data:`~kfmetric.threads.HELPER_MACS`
-multiply-adds and the thread rule allows a helper, :func:`solve_kfda` has
+(:mod:`kfmetric.threads`). Its step is one triangular solve, L^-1 M, of
+about n^2 c / 2 multiply-adds: a 600-sample training pencil of 300 classes
+(54M) reaches the size rule of :func:`~kfmetric.threads.helper`, a
+protocol-sized one (n = 80, c = 40: 0.1M) does not. trtrs solves each
+right-hand column on its own, so given a helper, :func:`solve_kfda` has
 the helper solve the left half of each matrix's columns while the main
 thread solves the right half, with the bits of one call. Cross-validation
 splits no solve: its helper runs the eigensolves.
@@ -63,7 +65,6 @@ cross-validation do, holds about 2.5 n x n buffers at most from the scatter on.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import itertools
 import json
@@ -554,12 +555,11 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
     for A in place, and syevd, with the workspace eigh queries, solves the
     c x c problem in place. The bits equal those of scipy.linalg's
     cholesky, solve_triangular and eigh on its syevd path, and a failed
-    factorization raises the same NumericError. When L^-1 M takes at least
-    :data:`~kfmetric.threads.HELPER_MACS` multiply-adds (about n^2 c / 2)
-    and :func:`~kfmetric.threads.helper` yields a helper, each triangular
-    solve is split by columns between the helper and this thread; the
-    helper runs only the trtrs binding, and ends before this returns or
-    raises.
+    factorization raises the same NumericError. When
+    :func:`~kfmetric.threads.helper`, asked with the n^2 c / 2
+    multiply-adds of L^-1 M, yields a helper, each triangular solve is
+    split by columns between the helper and this thread; the helper runs
+    only the trtrs binding, and ends before this returns or raises.
 
     A stacked pair (Q of (..., n, n), M of (..., n, c), as :func:`build_scatter`
     makes from a stack of Grams) gives A of (..., n, p) and eigenvalues of
@@ -575,8 +575,7 @@ def solve_kfda(sc: ScatterPair, p: int, eps: float = DEFAULT_EPS) -> KfdaSolutio
     handed = [sc]
     del sc
     n, c = handed[0].M.shape[-2:]
-    big = n * n * c // 2 >= threads.HELPER_MACS  # the multiply-adds of L^-1 M
-    with threads.helper("kfmetric-trsm") if big else contextlib.nullcontext() as start:
+    with threads.helper("kfmetric-trsm", n * n * c // 2) as start:  # the multiply-adds of L^-1 M
         w = whiten(handed.pop(), p, eps, start)
         return discriminants(w, w.syevd(), start)
 

@@ -12,23 +12,22 @@ monotone-invariant. :func:`score_matrix` scores every probe against every
 gallery sample at once, and is the one scorer.
 
 A model of two or more terms may overlap its embedding products, one of
-the three stages that use a helper thread (:mod:`kfmetric.threads`): under
-the rule of :func:`~kfmetric.threads.helper` (one BLAS thread, two or more
-usable CPUs), and when one term's product K_t A_t reaches
-:data:`~kfmetric.threads.HELPER_MACS` multiply-adds, each even-numbered
-term's product runs on a helper thread while the next term's block is
-built and multiplied here. The products are added in term order, as a
-serial sum adds them, and with one BLAS thread a GEMM gives the same bits
-on any thread, so the embedding's bits do not depend on whether the helper
-ran.
+the three stages that use a helper thread (:mod:`kfmetric.threads`). Its
+step is one term's product K_t A_t, of rows x basis x discriminants
+multiply-adds: a 900-row gallery against a 600-sample basis and 299
+discriminants (161M) reaches the size rule of
+:func:`~kfmetric.threads.helper`, a 10-probe batch there (1.8M) or a
+protocol-sized model does not. Given a helper, each even-numbered term's
+product runs on it while the next term's block is built and multiplied
+here. The products are added in term order, as a serial sum adds them,
+and with one BLAS thread a GEMM gives the same bits on any thread, so the
+embedding's bits do not depend on whether the helper ran.
 
 :func:`true_ranks`, the one ranking routine, ranks those scores for
 evaluation trials and CV folds alike.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 
@@ -44,13 +43,12 @@ def embed_batch(model: KfdaModel, Y) -> np.ndarray:
     The coordinates are ``sum_t k_t(Y, X) A_t`` over the model's terms, each
     product added in term order. Every term's block comes from one distance
     matrix. Run in turn, each block is dropped before the next is built. With
-    two or more terms, a product of at least
-    :data:`~kfmetric.threads.HELPER_MACS` multiply-adds and a helper under
-    :func:`~kfmetric.threads.helper`'s rule, each even-numbered term's
-    product runs on the helper while the next term's block is built and
-    multiplied on this thread: at most one product is in
-    flight, so the embedding holds one block and one product more. The
-    helper runs only numpy's matmul, and ends before this returns or raises.
+    two or more terms and a helper from :func:`~kfmetric.threads.helper`,
+    asked with one term's product size, each even-numbered term's product
+    runs on the helper while the next term's block is built and multiplied
+    on this thread: at most one product is in flight, so the embedding
+    holds one block and one product more. The helper runs only numpy's
+    matmul, and ends before this returns or raises.
     One loop (:func:`_sum`) runs both ways, so the bits, and the first error
     raised, are those of running in turn.
     """
@@ -60,8 +58,8 @@ def embed_batch(model: KfdaModel, Y) -> np.ndarray:
         raise InputError(f"sample dimension {Y.shape[1]} != training dimension {d}")
     coefs = [A_t for _, A_t in model.terms]
     blocks = grams([spec for spec, _ in model.terms], Y, model.train_basis)
-    big = len(coefs) > 1 and Y.shape[0] * coefs[0].size >= threads.HELPER_MACS
-    with threads.helper("kfmetric-matmul") if big else contextlib.nullcontext() as start:
+    macs = Y.shape[0] * coefs[0].size if len(coefs) > 1 else 0  # a lone term has no overlap
+    with threads.helper("kfmetric-matmul", macs) as start:
         return _sum(blocks, coefs, start)
 
 

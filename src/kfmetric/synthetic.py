@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .config import _check_seed, _is_int, _is_real
 from .data import Dataset
 from .errors import InputError
 
@@ -25,7 +26,14 @@ def make_synthetic(
     view_offset: float = 30.0,
     seed: int = 0,
 ) -> Dataset:
-    """Two-view (or multi-view) Gaussian identity data with a camera offset."""
+    """Two-view (or multi-view) Gaussian identity data with a camera offset.
+
+    Counts, the seed and reals are checked as :class:`~kfmetric.config.RunConfig`
+    checks its own; a bool is none of them.
+    """
+    for name, value in (("identities", identities), ("views", views), ("dim", dim)):
+        if not _is_int(value):
+            raise InputError(f"{name} must be an integer, got {value!r}")
     if identities < 2:
         raise InputError(f"need at least 2 identities, got {identities}")
     if views < 2:
@@ -33,10 +41,11 @@ def make_synthetic(
     if dim < 1:
         raise InputError(f"need dim >= 1, got {dim}")
     for name, value in (("noise", noise), ("view_offset", view_offset)):
+        if not _is_real(value):
+            raise InputError(f"{name} must be a number, got {value!r}")
         if not 0 <= value < math.inf:
             raise InputError(f"{name} must be finite and non-negative, got {value}")
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(identities, dim))
     offsets = np.zeros((views, dim))

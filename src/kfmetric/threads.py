@@ -13,8 +13,9 @@ overlapping moves no result. With BLAS threads unset, OpenBLAS runs a pool
 of one thread per CPU, which a helper would contend with, and on one CPU
 there is nothing to overlap. The eigensolver follows the thread: scipy's
 syevd on the main thread, numpy's eigh, which releases the GIL, only on
-the helper. The embedding and the Fisher solve also read one size rule,
-:data:`HELPER_MACS`, so a small product or solve starts no thread.
+the helper. A stage may also give the size of one step, and :func:`helper`
+then applies the size rule, :data:`HELPER_MACS`, too: a small product or
+solve starts no thread.
 """
 
 from __future__ import annotations
@@ -24,14 +25,9 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 
-# the fewest multiply-adds of one step for which a stage hands work to a
-# helper thread. Embedding counts one term's product (rows x basis x
-# discriminants): a 900-row gallery against a 600-sample basis and 299
-# discriminants (161M) overlaps, a 10-probe batch there (1.8M) or a
-# protocol-sized model does not. The Fisher solve counts one triangular
-# solve (about n^2 c / 2): a 600-sample training pencil of 300 classes
-# (54M) splits, a protocol-sized one (n = 80, c = 40: 0.1M) does not. Below
-# it, no thread starts
+# the fewest multiply-adds of one step for which a stage that gives its
+# step size is granted a helper thread (:func:`helper`); below it, no
+# thread starts
 HELPER_MACS = 1 << 24
 
 
@@ -62,16 +58,18 @@ def _one_blas_thread() -> bool:
 
 
 @contextlib.contextmanager
-def helper(name: str):
-    """One helper thread for the context, if the rule allows one, else None.
+def helper(name: str, macs: int | None = None):
+    """One helper thread for the context, if the rules allow one, else None.
 
-    With one BLAS thread and two or more usable CPUs, yields a
+    With one BLAS thread, two or more usable CPUs and a step of at least
+    :data:`HELPER_MACS` multiply-adds (``macs``; None is any size), yields a
     ``start(fn, *args)`` that runs ``fn(*args)`` on the helper and returns a
     call that waits for its result. The helper is named ``name``; it ends
     when the context exits, returns or raises, once the call it runs is
     done, and calls not yet started are dropped.
     """
-    if not (_one_blas_thread() and _cpus_usable() >= 2):
+    small = macs is not None and macs < HELPER_MACS
+    if small or not (_one_blas_thread() and _cpus_usable() >= 2):
         yield None
         return
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix=name)

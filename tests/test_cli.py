@@ -22,6 +22,7 @@ from kfmetric.data import Dataset, load_features, make_split, save_features
 from kfmetric.errors import InputError, NumericError
 from kfmetric.kernels import MAX_RBF_WIDTH, rms_width
 from kfmetric.kfda import load_model
+from kfmetric.synthetic import make_synthetic
 
 # digest of (method=np-mfml, trials=2, base_seed=0, q=6, folds=4, defaults
 # elsewhere), frozen from the first verified run; paths are excluded from
@@ -507,6 +508,32 @@ class TestExitCodes:
         assert main(["synth", flag, value, "--out", str(tmp_path / "f.csv")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [({"identities": 3.0}, "identities must be an integer, got 3.0"),
+         ({"views": True}, "views must be an integer, got True"),
+         ({"dim": 2.0}, "dim must be an integer, got 2.0"),
+         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+         ({"seed": True}, "seed must be an integer, got True"),
+         ({"seed": -1}, "seed must be non-negative, got -1"),
+         ({"noise": True}, "noise must be a number, got True"),
+         ({"view_offset": "30"}, "view_offset must be a number, got '30'")],
+        ids=["identities-float", "views-bool", "dim-float", "seed-float", "seed-bool",
+             "seed-negative", "noise-bool", "view-offset-string"],
+    )
+    def test_bad_synth_value_is_an_input_error(self, bad, message):
+        # the library call checks counts, the seed and reals as RunConfig does
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            make_synthetic(**{"identities": 3, **bad})
+
+    def test_numpy_scalars_draw_what_python_numbers_draw(self):
+        want = make_synthetic(3, views=2, dim=4, noise=0.5, view_offset=2.0, seed=7)
+        got = make_synthetic(np.int64(3), views=np.int32(2), dim=np.int64(4),
+                             noise=np.float64(0.5), view_offset=np.float32(2.0),
+                             seed=np.uint8(7))
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.identities == want.identities and got.cameras == want.cameras
 
     def test_missing_config_file_exit_2(self, fixture_csv, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
@@ -1090,6 +1117,30 @@ def test_run_config_checks_each_value_when_built(field, bad, message):
         RunConfig(**{field: bad})
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         replace(RunConfig(), **{field: bad})
+
+
+def test_each_field_declares_its_kind_and_lower_bound():
+    declared = {f.name: (f.metadata["kind"], f.metadata["low"]) for f in fields(RunConfig)
+                if f.metadata["kind"]}
+    assert declared == {
+        "trials": ("count", 1), "q": ("count", 1), "folds": ("count", 2),
+        "threads": ("count", 1), "p": ("count", None), "train_fraction": ("real", None),
+        "eps": ("real", None), "width_lo": ("real", None), "width_hi": ("real", None),
+    }
+
+
+@pytest.mark.parametrize("f", [f for f in fields(RunConfig) if f.metadata["kind"]],
+                         ids=lambda f: f.name)
+def test_each_field_is_checked_as_it_declares(f):
+    # driven by the declarations, so a field added later is covered by its own
+    kind, low = f.metadata["kind"], f.metadata["low"]
+    bad = {"count": [(1.5, "must be an integer, got 1.5"), (True, "must be an integer, got True")],
+           "real": [("x", "must be a number, got 'x'")]}[kind]
+    if low is not None:
+        bad.append((low - 1, f"must be >= {low}, got {low - 1}"))
+    for value, message in bad:
+        with pytest.raises(InputError, match=f"^{re.escape(f'{f.name} {message}')}$"):
+            RunConfig(**{f.name: value})
 
 
 # a valid value other than the default, for every RunConfig field

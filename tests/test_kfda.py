@@ -289,8 +289,8 @@ def _watched_helpers(monkeypatch):
     asked, helper = [], threads.helper
 
     @contextlib.contextmanager
-    def watched(name):
-        with helper(name) as start:
+    def watched(name, macs=None):
+        with helper(name, macs) as start:
             asked.append((name, start is not None))
             yield start
 
@@ -337,9 +337,10 @@ class TestDirectLapack:
             A, vals = _scipy_wrapper_solve(sc, n_ids - 1, eps)
             assert np.array_equal(model.A, A)
             assert np.array_equal(model.eigvals, vals)
-        # only the 600-sample solves reach the size rule; only a helper splits them
+        # every solve asks; only the 600-sample ones reach the size rule, and only a helper
+        # splits them
         split = n_ids == 300 and MODES[mode][1]
-        assert asked == ([("kfmetric-trsm", split)] * 2 if n_ids == 300 else [])
+        assert asked == [("kfmetric-trsm", split)] * 2
         # L^-1 M on c columns, then L^-T on c - 1; the helper takes the left halves
         def parts(k):
             return [(k // 2, False), (k - k // 2, True)] if split else [(k, True)]

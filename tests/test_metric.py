@@ -177,8 +177,8 @@ def _watched_helper(monkeypatch, log, product=np.matmul):
     log.update(started=0, in_flight=0, on_main=[])
 
     @contextlib.contextmanager
-    def watched(name):
-        with helper(name) as start:
+    def watched(name, macs=None):
+        with helper(name, macs) as start:
             if start is None:
                 yield None
                 return

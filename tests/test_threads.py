@@ -1,4 +1,4 @@
-"""The thread rule of :mod:`kfmetric.threads`, which both overlapped stages follow."""
+"""The thread and size rules of :mod:`kfmetric.threads`, which the overlapped stages follow."""
 
 import threading
 
@@ -83,3 +83,19 @@ def test_the_helper_is_gone_after_the_body_raises(monkeypatch):
             assert _helpers("kfmetric-test")
             raise ValueError("body")
     assert _helpers("kfmetric-test") == [] and ran == []
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_a_step_below_the_size_rule_gets_no_helper(monkeypatch, mode):
+    use_mode(monkeypatch, mode)
+    before = threading.active_count()
+    with threads.helper("kfmetric-test", threads.HELPER_MACS - 1) as start:
+        assert start is None and threading.active_count() == before
+
+
+@pytest.mark.parametrize("macs", [threads.HELPER_MACS, None], ids=["at-the-rule", "any-size"])
+def test_a_step_at_the_size_rule_or_of_any_size_gets_a_helper(monkeypatch, macs):
+    use_mode(monkeypatch, "helper")
+    with threads.helper("kfmetric-test", macs) as start:
+        assert start(threading.current_thread)().name.startswith("kfmetric-test")
+    assert _helpers("kfmetric-test") == []
