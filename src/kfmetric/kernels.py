@@ -13,10 +13,17 @@ A Gram is a plain read-only float64 ndarray, checked finite when it is built.
 from one squared-distance matrix. :func:`distances` gives that matrix, and
 :func:`rbf_blocks` is the one rule that turns distances into rbf blocks, so a
 caller that keeps only the distances (the CV fold plan) gets the Grams' bits.
+Given a helper's ``start`` (:func:`~kfmetric.threads.helper`), which an
+embedding passes, :func:`grams`, :func:`squared_distances` and
+:func:`rbf_blocks` split their elementwise passes and checks by rows: the
+helper runs a private row-range function over the first half of the rows
+and the caller's thread over the second (:func:`_by_rows`). The GEMMs and
+row norms stay whole, so the bits are those of one pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -32,7 +39,7 @@ KERNEL_KINDS = ("rbf", "linear", "poly2")
 MAX_RBF_WIDTH = math.sqrt(sys.float_info.max / 2.0)
 
 
-def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def squared_distances(X: np.ndarray, Y: np.ndarray, start=None) -> np.ndarray:
     """Pairwise squared Euclidean distances between the rows of X and Y, clipped at zero.
 
     Each entry is max((|x|^2 + |y|^2) - 2 <x, y>, 0), evaluated in that
@@ -44,16 +51,53 @@ def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     matrix is exactly symmetric: X X^T runs as one syrk and the norm sum
     commutes. Rows large enough to overflow give inf or NaN entries without
     a numpy warning; the callers check the result (:func:`grams`,
-    ``true_ranks``).
+    ``true_ranks``). Given a helper's ``start``
+    (:func:`~kfmetric.threads.helper`), the GEMM and the row norms stay
+    whole, and the passes after them are split by rows (:func:`_by_rows`).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     with np.errstate(over="ignore", invalid="ignore"):
         cross = X @ Y.swapaxes(-1, -2)
-        cross *= 2.0
-        sq = np.sum(X * X, axis=-1)[..., :, None] + np.sum(Y * Y, axis=-1)[..., None, :]
-        sq -= cross
-        return np.maximum(sq, 0.0, out=sq)
+        norms = np.sum(X * X, axis=-1)[..., :, None], np.sum(Y * Y, axis=-1)[..., None, :]
+    sq = np.empty_like(cross)
+    _by_rows(functools.partial(_distance_rows, cross, *norms, sq), sq.shape[-2], start)
+    return sq
+
+
+def _distance_rows(cross, x_norms, y_norms, sq, lo: int, hi: int) -> None:
+    """Rows [lo, hi) of :func:`squared_distances`' matrix, written to ``sq``."""
+    rows = np.s_[..., lo:hi, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy's error state is per thread
+        cross[rows] *= 2.0
+        out = np.add(x_norms[..., lo:hi, :], y_norms, out=sq[rows])
+        out -= cross[rows]
+        np.maximum(out, 0.0, out=out)
+
+
+def _by_rows(fn, n: int, start) -> tuple:
+    """What ``fn(lo, hi)`` returns over the rows [0, n), per call.
+
+    Given a helper's ``start``, the helper takes the first half of the rows
+    and this thread the second; with None one call takes them all. Each
+    entry gets the same operations either way, so the bits do not depend on
+    the split. The helper's call is waited for before this returns or
+    raises, and its error, if any, is raised first: its rows come first.
+    """
+    if start is None:
+        return (fn(0, n),)
+    first = start(fn, 0, n // 2)
+    try:
+        second = fn(n // 2, n)
+    except Exception:
+        first()
+        raise
+    return first(), second
+
+
+def _finite_rows(K, lo: int, hi: int) -> bool:
+    """Whether rows [lo, hi) of ``K`` are finite."""
+    return bool(np.isfinite(K[..., lo:hi, :]).all())
 
 
 @dataclass(frozen=True)
@@ -311,14 +355,17 @@ def config_from_dict(doc: dict, source) -> KernelSpec | MklConfig:
     raise InputError(f"{source}: unknown kernel config type {kind!r}")
 
 
-def grams(specs, rows: np.ndarray, cols: np.ndarray | None = None):
+def grams(specs, rows: np.ndarray, cols: np.ndarray | None = None, start=None):
     """Yield the Gram of each spec over one (rows, cols) pair, in order.
 
     Entry (u, v) of each block is k(rows[u], cols[v]). Every rbf block is
     evaluated from one squared-distance matrix (:func:`distances`), computed
     when the first block is taken and freed after the last rbf block. Blocks
     are produced one at a time, so a caller that drops each block before
-    taking the next holds only one.
+    taking the next holds only one. Given a helper's ``start``
+    (:func:`~kfmetric.threads.helper`), the distances' and each rbf block's
+    elementwise passes are split by rows between the helper and this thread
+    (:func:`squared_distances`, :func:`rbf_blocks`), with the same bits.
 
     When cols is omitted each block is a square Gram over one basis, exactly
     symmetric as computed (rows @ rows.T runs as one syrk, and each entry's
@@ -328,10 +375,10 @@ def grams(specs, rows: np.ndarray, cols: np.ndarray | None = None):
     rows, cols, same = _pair(rows, cols)
     specs = list(specs)
     last_rbf = max((t for t, s in enumerate(specs) if s.kind == "rbf"), default=-1)
-    sq = _distances(rows, cols, same) if last_rbf >= 0 else None
+    sq = _distances(rows, cols, same, start) if last_rbf >= 0 else None
     for t, spec in enumerate(specs):
         # no later block reads the distances: the last rbf block is built in their buffer
-        block = _block(spec, rows, cols, sq, in_place=t == last_rbf)
+        block = _block(spec, rows, cols, sq, t == last_rbf, start)
         if t == last_rbf:
             sq = None
         yield block
@@ -345,26 +392,36 @@ def distances(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     pinned to 0 when cols is omitted, so :func:`rbf_blocks` of them, or of a
     take of their entries, gives the bits of the rbf Grams.
     """
-    sq = _distances(*_pair(rows, cols))
+    sq = _distances(*_pair(rows, cols), None)
     sq.setflags(write=False)
     return sq
 
 
-def rbf_blocks(sq: np.ndarray, specs, in_place: bool = False) -> np.ndarray:
+def rbf_blocks(sq: np.ndarray, specs, in_place: bool = False, start=None) -> np.ndarray:
     """The rbf block of each spec over squared distances ``sq``, finite and read-only.
 
     The result stacks them: its shape is (len(specs), *sq.shape). Entry
     exp(sq / -(2 w^2)) is taken by one broadcast divide, which is bit-identical
     to -sq / (2 w^2), then one exp in place, checked finite once. With
     ``in_place`` and one spec, the block overwrites ``sq`` instead of taking a
-    new buffer.
+    new buffer. Given a helper's ``start``, the divide, the exp and the check
+    are split by rows (:func:`_by_rows`).
     """
     scale = np.array([-(2.0 * s.width**2) for s in specs]).reshape((-1,) + (1,) * sq.ndim)
+    K = sq[None] if in_place and len(scale) == 1 else np.empty(scale.shape[:1] + sq.shape)
+    finite = _by_rows(functools.partial(_rbf_rows, sq, scale, K), sq.shape[-2], start)
+    return _finished(K, all(finite))
+
+
+def _rbf_rows(sq, scale, K, lo: int, hi: int) -> bool:
+    """Rows [lo, hi) of :func:`rbf_blocks`' stack, written to ``K``; whether they are finite."""
+    rows = np.s_[..., lo:hi, :]
     # a tiny width's overflow (exp gives 0) or 0 / 0 warns nowhere: the check reports NaN
+    # (numpy's error state is per thread, so each half sets its own)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        K = np.divide(sq, scale, out=sq[None] if in_place and len(scale) == 1 else None)
-        np.exp(K, out=K)
-    return _finished(K)
+        out = np.divide(sq[rows], scale, out=K[rows])
+        np.exp(out, out=out)
+    return _finite_rows(K, lo, hi)
 
 
 def _pair(rows, cols):
@@ -385,31 +442,36 @@ def _pair(rows, cols):
     return rows, cols, same
 
 
-def _distances(rows, cols, same: bool) -> np.ndarray:
-    """The pair's squared distances, checked finite; the diagonal is pinned to 0 when ``same``."""
-    sq = squared_distances(rows, cols)
+def _distances(rows, cols, same: bool, start) -> np.ndarray:
+    """The pair's squared distances, checked finite; the diagonal is pinned to 0 when ``same``.
+
+    Given a helper's ``start``, the check is split by rows as the distances are.
+    """
+    sq = squared_distances(rows, cols, start)
     # an overflowed distance would give an all-zero, finite rbf block
-    if not np.isfinite(sq).all():
+    if not all(_by_rows(functools.partial(_finite_rows, sq), len(sq), start)):
         raise NumericError("squared distances contain non-finite entries")
     if same:
         np.fill_diagonal(sq, 0.0)
     return sq
 
 
-def _block(spec: KernelSpec, rows, cols, sq, in_place: bool) -> np.ndarray:
+def _block(spec: KernelSpec, rows, cols, sq, in_place: bool, start) -> np.ndarray:
     """One spec's kernel block, finite and read-only.
 
     rbf reads the pair's distances ``sq``, and with ``in_place`` overwrites
-    them with the block instead of taking a new buffer.
+    them with the block instead of taking a new buffer; its passes are split
+    by rows given a helper's ``start``.
     """
     if spec.kind == "rbf":
-        return rbf_blocks(sq, (spec,), in_place)[0]
-    return _finished(rows @ cols.T if spec.kind == "linear" else (rows @ cols.T + 1.0) ** 2)
+        return rbf_blocks(sq, (spec,), in_place, start)[0]
+    K = rows @ cols.T if spec.kind == "linear" else (rows @ cols.T + 1.0) ** 2
+    return _finished(K, np.isfinite(K).all())
 
 
-def _finished(K: np.ndarray) -> np.ndarray:
-    """``K`` checked finite and made read-only."""
-    if not np.isfinite(K).all():
+def _finished(K: np.ndarray, finite: bool) -> np.ndarray:
+    """``K``, whose entries are ``finite`` by its builder's check, made read-only."""
+    if not finite:
         raise NumericError("kernel matrix contains non-finite entries")
     K.setflags(write=False)
     return K

@@ -11,17 +11,20 @@ samples; lower means closer. Scores stay squared since ranking is
 monotone-invariant. :func:`score_matrix` scores every probe against every
 gallery sample at once, and is the one scorer.
 
-A model of two or more terms may overlap its embedding products, one of
+A model of two or more terms may build its embedding on two CPUs, one of
 the three stages that use a helper thread (:mod:`kfmetric.threads`). Its
 step is one term's product K_t A_t, of rows x basis x discriminants
 multiply-adds: a 900-row gallery against a 600-sample basis and 299
 discriminants (161M) reaches the size rule of
 :func:`~kfmetric.threads.helper`, a 10-probe batch there (1.8M) or a
-protocol-sized model does not. Given a helper, each even-numbered term's
-product runs on it while the next term's block is built and multiplied
-here. The products are added in term order, as a serial sum adds them,
-and with one BLAS thread a GEMM gives the same bits on any thread, so the
-embedding's bits do not depend on whether the helper ran.
+protocol-sized model does not. Given a helper, the distances' and each
+block's elementwise passes are split by rows between it and the main
+thread, and the terms go in pairs: the first product of a pair runs on the
+helper while the second runs here. The products are added in term order,
+as a serial sum adds them; each entry of a pass gets the same operations
+whatever rows it is given, and with one BLAS thread a GEMM gives the same
+bits on any thread, so the embedding's bits do not depend on whether the
+helper ran.
 
 :func:`true_ranks`, the one ranking routine, ranks those scores for
 evaluation trials and CV folds alike.
@@ -44,55 +47,69 @@ def embed_batch(model: KfdaModel, Y) -> np.ndarray:
     product added in term order. Every term's block comes from one distance
     matrix. Run in turn, each block is dropped before the next is built. With
     two or more terms and a helper from :func:`~kfmetric.threads.helper`,
-    asked with one term's product size, each even-numbered term's product
-    runs on the helper while the next term's block is built and multiplied
-    on this thread: at most one product is in flight, so the embedding
-    holds one block and one product more. The helper runs only numpy's
-    matmul, and ends before this returns or raises.
-    One loop (:func:`_sum`) runs both ways, so the bits, and the first error
-    raised, are those of running in turn.
+    asked with one term's product size, the distances' and each block's
+    elementwise passes are split by rows between the helper and this thread
+    (:func:`~kfmetric.kernels.grams`), and the terms are taken two at a time:
+    both blocks of a pair are built, the first product runs on the helper
+    and the second here. So the embedding holds two blocks and two products
+    besides the distances. The helper runs only private closures of
+    :mod:`kfmetric.kernels` and numpy's matmul, and ends before this returns
+    or raises. One loop (:func:`_sum`) runs both ways, so the bits, and the
+    first error raised, are those of running in turn.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     d = model.train_basis.shape[1]
     if Y.shape[1] != d:
         raise InputError(f"sample dimension {Y.shape[1]} != training dimension {d}")
     coefs = [A_t for _, A_t in model.terms]
-    blocks = grams([spec for spec, _ in model.terms], Y, model.train_basis)
     macs = Y.shape[0] * coefs[0].size if len(coefs) > 1 else 0  # a lone term has no overlap
-    with threads.helper("kfmetric-matmul", macs) as start:
+    with threads.helper("kfmetric-embed", macs) as start:
+        blocks = grams([spec for spec, _ in model.terms], Y, model.train_basis, start)
         return _sum(blocks, coefs, start)
 
 
 def _sum(blocks, coefs, start) -> np.ndarray:
     """The sum of each block's product with its coefficients, added in term order.
 
-    Given a ``start``, ``start(np.matmul, K, A_t)`` runs each even-numbered
-    term's product on the helper while the next term's block is built and
-    multiplied here; a last term with no next one runs here. With ``start``
-    None every product runs here, in turn, and each block and product is
-    dropped once read, before the next block is built.
+    With ``start`` None every product runs here, in turn, and each block and
+    product is dropped once read, before the next block is built. Given a
+    ``start``, the terms go two at a time (:func:`_pair_products`); a last
+    term with no pair runs here.
     """
-    total, flight = None, None  # flight waits for the product on the helper
-    try:
-        for t, A_t in enumerate(coefs):
-            K = next(blocks)
-            if start is not None and flight is None and t + 1 < len(coefs):
-                flight = start(np.matmul, K, A_t)
-                del K  # the helper holds it until its product is done
-                continue
-            product = K @ A_t
-            del K
-            if flight is not None:
-                earlier, flight = flight(), None
-                total = earlier if total is None else np.add(total, earlier, out=total)
-                del earlier
+    total, t = None, 0
+    while t < len(coefs):
+        if start is not None and t + 1 < len(coefs):
+            products = _pair_products(blocks, coefs[t], coefs[t + 1], start)
+        else:
+            products = (next(blocks) @ coefs[t],)
+        t += len(products)
+        for product in products:
             total = product if total is None else np.add(total, product, out=total)
-            del product
-    except Exception:
-        if flight is not None:
-            flight()  # run in turn, the product in flight came first: its error is raised first
-        raise
+        del products, product  # both are dropped before the next pair's blocks are built
     return total
+
+
+def _pair_products(blocks, A, B, start) -> tuple:
+    """The products of two terms' next blocks with ``A`` and ``B``: the first on the helper.
+
+    Both blocks are built before either product starts. Run in turn, the
+    first product comes before the second block and the second product, so
+    its error, if any, is raised first.
+    """
+    K = next(blocks)
+    try:
+        K_next = next(blocks)
+    except Exception:
+        start(np.matmul, K, A)()  # the first product's error comes before the block's
+        raise
+    first = start(np.matmul, K, A)
+    del K  # the helper holds it until its product is done
+    try:
+        second = K_next @ B
+    except Exception:
+        first()
+        raise
+    return first(), second
 
 
 def score_matrix(model: KfdaModel, probes, gallery) -> np.ndarray:

@@ -1,21 +1,26 @@
 """When a helper thread may run next to the main one, and the helper itself.
 
 Three stages overlap work on a helper thread: cross-validation's c x c
-eigensolves (:mod:`kfmetric.mkl`), a multi-kernel model's per-term
-embedding products (:mod:`kfmetric.metric`) and the triangular solves of a
-large Fisher solve (:mod:`kfmetric.kfda`). All follow one rule: the helper
-runs only when BLAS runs one thread and the process may use two or more
-CPUs (:func:`helper`), and :func:`helper` is the one reader of that rule:
-each stage runs one loop, which hands a step to the helper when it yields
-one and runs the step itself otherwise. With one BLAS thread a GEMM, a
-triangular solve or an eigensolve gives the same bits on any thread, so
-overlapping moves no result. With BLAS threads unset, OpenBLAS runs a pool
-of one thread per CPU, which a helper would contend with, and on one CPU
-there is nothing to overlap. The eigensolver follows the thread: scipy's
-syevd on the main thread, numpy's eigh, which releases the GIL, only on
-the helper. A stage may also give the size of one step, and :func:`helper`
-then applies the size rule, :data:`HELPER_MACS`, too: a small product or
-solve starts no thread.
+eigensolves (:mod:`kfmetric.mkl`), a multi-kernel model's embedding
+(:mod:`kfmetric.metric`), whose helper takes the first half of the rows of
+each elementwise pass that builds the distances and the kernel blocks
+(:mod:`kfmetric.kernels`) and the first product of each pair of terms,
+and the triangular solves of a large Fisher solve (:mod:`kfmetric.kfda`).
+All follow one rule: the helper runs only when BLAS runs one thread and
+the process may use two or more CPUs (:func:`helper`), and :func:`helper`
+is the one reader of that rule: each stage runs one loop, which hands a
+step to the helper when it yields one and runs the step itself otherwise.
+With one BLAS thread a GEMM, a triangular solve or an eigensolve gives the
+same bits on any thread, and an elementwise pass gives each entry the same
+bits whatever rows it is given, so overlapping moves no result. No helper
+runs a public function of a package module, so a tracer of those sees
+every call on the main thread. With BLAS threads unset, OpenBLAS runs a
+pool of one thread per CPU, which a helper would contend with, and on one
+CPU there is nothing to overlap. The eigensolver follows the thread:
+scipy's syevd on the main thread, numpy's eigh, which releases the GIL,
+only on the helper. A stage may also give the size of one step, and
+:func:`helper` then applies the size rule, :data:`HELPER_MACS`, too: a
+small product or solve starts no thread.
 """
 
 from __future__ import annotations

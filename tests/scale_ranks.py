@@ -1,8 +1,8 @@
 """Per-probe rank digests at the benchmark's scale; prints them as one JSON object.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/scale_ranks.py WORKDIR
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/scale_ranks.py WORKDIR [--one-cpu]
 
-Each digest is the sha256 of one ``score_plan`` outcome, written
+Each rank digest is the sha256 of one ``score_plan`` outcome, written
 ``"<gallery size>:<rank>,<rank>,..."`` as for the 80-identity digests of
 test_evaluation.py:
 
@@ -13,23 +13,36 @@ test_evaluation.py:
   1200-identity noise-0.6 fixture, the pair (18, 19) of the 20-kernel bank
   and tau 0.01, saved to WORKDIR/model.json and served from it.
 
+``sm_query_gallery`` is the sha256 of the bytes of that model's embedding
+of the 900-row held-out gallery, one ``embed_batch`` call: with one BLAS
+thread and two usable CPUs its kernel blocks and products are built on a
+helper thread too (kfmetric.threads). ``--one-cpu`` pins this process to
+its first usable CPU before numpy loads, so no helper runs.
+
 The BLAS thread count is read once, when numpy loads, so the test runs this
 in a fresh interpreter per setting.
 """
 
-import hashlib
-import json
+import os
 import sys
-import warnings
-from pathlib import Path
 
-from kfmetric import evaluation
-from kfmetric.config import RunConfig
-from kfmetric.data import make_split
-from kfmetric.kernels import KernelSpec, rms_width, width_grid
-from kfmetric.kfda import load_model, save_model, train
-from kfmetric.mkl import MklConfig
-from kfmetric.synthetic import make_synthetic
+if "--one-cpu" in sys.argv[1:]:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from kfmetric import evaluation  # noqa: E402
+from kfmetric.config import RunConfig  # noqa: E402
+from kfmetric.data import make_split  # noqa: E402
+from kfmetric.kernels import KernelSpec, rms_width, width_grid  # noqa: E402
+from kfmetric.kfda import load_model, save_model, train  # noqa: E402
+from kfmetric.metric import embed_batch  # noqa: E402
+from kfmetric.mkl import MklConfig  # noqa: E402
+from kfmetric.synthetic import make_synthetic  # noqa: E402
 
 
 def main(workdir: Path) -> dict:
@@ -63,10 +76,17 @@ def main(workdir: Path) -> dict:
     model, _ = load_model(path)
     evaluation.evaluate_model(ds, model, plan, RunConfig(train_fraction=0.25))
     out["sm_query"] = digest()
+    gallery = ds.features[ds.samples_of(plan.test_ids, plan.gallery_camera)]
+    out["sm_query_gallery"] = hashlib.sha256(embed_batch(model, gallery).tobytes()).hexdigest()
     return out
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workdir", type=Path)
+    parser.add_argument("--one-cpu", action="store_true",
+                        help="run on the first usable CPU only (pinned before numpy loads)")
+    args = parser.parse_args()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        print(json.dumps(main(Path(sys.argv[1]))))
+        print(json.dumps(main(args.workdir)))

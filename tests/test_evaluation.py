@@ -551,29 +551,46 @@ def test_three_view_cv_scores_are_locked(monkeypatch, method):
 
 # The same lock at the benchmark's scale (see scale_ranks.py for the two runs),
 # with BLAS pinned to 1 and to 2 threads: at 1200 identities one kfda rank
-# moves with the BLAS thread count, so each setting has its own digest
+# moves with the BLAS thread count, so each setting has its own digest; so
+# does the held-out gallery's embedding, whose GEMM bits follow it
 SCALE_DIGESTS = {
     1: {
         "kfda_large": "a13aa6c318a239940f1f7a7b8ae3d934391e85cbb92b90e6eac455cacc4a5ab0",
         "sm_query": "9c7740a2a75142ba81379442f16f82c80c867ce4d778db22fc361f9c99f0333d",
+        "sm_query_gallery": "d740f103fa3e255a432a66087f90de3d8caadf714ae0ce9471b2ea7def2f5eb3",
     },
     2: {
         "kfda_large": "11229ff6155b58b7b149f2693f80caca1d2032eb103ff8d68595cb1d7b4407a3",
         "sm_query": "9c7740a2a75142ba81379442f16f82c80c867ce4d778db22fc361f9c99f0333d",
+        "sm_query_gallery": "3a2e4f1b2a8aebe1241354ecbb867c7efad5b97db9bbcab8ce96d56be45118ea",
     },
 }
+
+
+def _scale_ranks(workdir, threads, *flags) -> dict:
+    """What scale_ranks.py prints, run in a fresh interpreter with BLAS on ``threads`` threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads))
+    src = str(Path(kfmetric.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = Path(__file__).with_name("scale_ranks.py")
+    run = subprocess.run([sys.executable, str(script), str(workdir), *flags], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
 
 
 @pytest.mark.parametrize("threads", sorted(SCALE_DIGESTS))
 def test_rank_decisions_at_scale_are_locked(tmp_path, threads):
     if threads > len(os.sched_getaffinity(0)):
         pytest.skip(f"BLAS runs fewer than {threads} threads on this machine")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
-               MKL_NUM_THREADS=str(threads))
-    src = str(Path(kfmetric.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    script = Path(__file__).with_name("scale_ranks.py")
-    run = subprocess.run([sys.executable, str(script), str(tmp_path)], env=env,
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout) == SCALE_DIGESTS[threads]
+    assert _scale_ranks(tmp_path, threads) == SCALE_DIGESTS[threads]
+
+
+def test_the_helper_leaves_the_scale_outputs_unchanged(tmp_path):
+    # with one BLAS thread and two CPUs the gallery's 900 x 600 x 299 products
+    # reach the size rule, so its kernel blocks and products use the helper
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable CPU: no helper runs either way")
+    helped = _scale_ranks(tmp_path, 1)
+    assert _scale_ranks(tmp_path, 1, "--one-cpu") == helped

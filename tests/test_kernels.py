@@ -1,5 +1,8 @@
+import contextlib
 import math
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -243,6 +246,20 @@ _specs = st.lists(
 )
 
 
+@contextlib.contextmanager
+def _helper():
+    """A ``start`` like threads.helper's, on a thread of its own, and the list of the
+    threads its calls ran on ("helper" or "main")."""
+    ran = []
+
+    def run(fn, *args):
+        ran.append("main" if threading.current_thread() is threading.main_thread() else "helper")
+        return fn(*args)
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="kfmetric-test") as pool:
+        yield (lambda fn, *args: pool.submit(run, fn, *args).result), ran
+
+
 class TestGrams:
     """One distance matrix per (rows, cols) pair feeds every rbf block, bit for bit."""
 
@@ -283,6 +300,20 @@ class TestGrams:
             next(grams([KernelSpec("linear")], np.ones((2, 3)), np.ones((2, 4))))
         with pytest.raises(InputError, match="empty"):
             next(grams([KernelSpec("rbf", 1.0)], np.empty((0, 3))))
+
+    @given(specs=_specs, square=st.booleans(), seed=st.integers(0, 2**16),
+           n=st.integers(1, 9), m=st.integers(1, 9), d=st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_split_with_a_helper_give_the_same_bits(self, specs, square, seed, n, m, d):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 30.0])
+        cols = None if square else rng.normal(size=(m, d))
+        with _helper() as (start, ran):
+            split = list(grams(specs, rows, cols, start))
+        assert ran == ["helper"] * len(ran)
+        assert (len(ran) > 0) is any(s.kind == "rbf" for s in specs)
+        for K, whole in zip(split, grams(specs, rows, cols), strict=True):
+            assert K.tobytes() == whole.tobytes() and not K.flags.writeable
 
     @pytest.mark.parametrize("square", [True, False])
     def test_blocks_are_read_only_arrays(self, square):
@@ -477,6 +508,27 @@ class TestPsdProperties:
 
 
 class TestNonFiniteValidation:
+    # numpy's error state is per thread: the helper's half of each pass sets its own,
+    # and an unsilenced one would fail here, since pytest turns RuntimeWarning into an error
+    def test_overflowing_distances_raise_on_both_threads_without_a_warning(self):
+        # <x, y> = 1e308 doubles past the largest float, and |x|^2 + |y|^2 overflows
+        # too, so inf - inf leaves NaN in every row of both halves
+        X = np.full((8, 1), 1e154)
+        with _helper() as (start, ran), pytest.raises(
+                NumericError, match="^squared distances contain non-finite entries$"):
+            next(grams([KernelSpec("rbf", 1.0)], X, X[:5], start))
+        assert ran == ["helper", "helper"]  # the distances, then their check
+
+    def test_an_underflowing_width_raises_on_both_threads_without_a_warning(self):
+        # 2 w^2 underflows to 0: every diagonal entry divides 0 by -0.0 (NaN) and
+        # every other one a positive distance (-inf), in both halves
+        X = np.random.default_rng(2).normal(size=(8, 3))
+        with _helper() as (start, ran), pytest.raises(
+                NumericError, match="^kernel matrix contains non-finite entries$"):
+            next(grams([KernelSpec("rbf", 1e-170)], X, None, start))
+        assert ran == ["helper"] * 3  # the distances, their check and the block
+
+
     def test_nonfinite_rejected(self):
         # <x, x> = 1e400 overflows; inf - inf leaves a NaN squared distance
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite"):

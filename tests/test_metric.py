@@ -169,12 +169,14 @@ class TestEmbed:
 def _watched_helper(monkeypatch, log, product=np.matmul):
     """Make threads.helper's start count what it runs in ``log``; the helper runs ``product``.
 
-    ``log`` gains "started" (products handed over), "in_flight" (started, not
-    yet waited for; a start asserts it is 0) and "on_main" (per product run,
+    ``log`` gains "started" (products handed over), "row_passes" (row ranges
+    of the distances' and blocks' passes handed over, each a private
+    function of kfmetric.kernels), "in_flight" (calls started, not yet
+    waited for; a start asserts it is 0) and "on_main" (per product run,
     whether it ran on the main thread).
     """
     helper = threads.helper
-    log.update(started=0, in_flight=0, on_main=[])
+    log.update(started=0, row_passes=0, in_flight=0, on_main=[])
 
     @contextlib.contextmanager
     def watched(name, macs=None):
@@ -184,14 +186,20 @@ def _watched_helper(monkeypatch, log, product=np.matmul):
                 return
 
             def counted(fn, *args):
-                assert fn is np.matmul and log["in_flight"] == 0
-                log["started"] += 1
+                assert log["in_flight"] == 0
                 log["in_flight"] += 1
+                if fn is np.matmul:
+                    log["started"] += 1
 
-                def run(*args):
-                    log["on_main"].append(threading.current_thread() is threading.main_thread())
-                    return product(*args)
-
+                    def run(*args):
+                        log["on_main"].append(
+                            threading.current_thread() is threading.main_thread())
+                        return product(*args)
+                else:  # a row pass: kernels._by_rows hands over a private function
+                    assert fn.func.__module__ == "kfmetric.kernels"
+                    assert fn.func.__name__.startswith("_")
+                    log["row_passes"] += 1
+                    run = fn
                 wait = start(run, *args)
 
                 def done():
@@ -265,7 +273,8 @@ class TestOverlap:
             # the even-numbered terms with a next term, for each of three embeddings
             assert log["started"] == (3 * (len(model.terms) // 2) if helped else 0)
             assert log["on_main"] == [False] * log["started"] and log["in_flight"] == 0
-            log.update(started=0, on_main=[])
+            assert (log["row_passes"] > 0) is helped
+            log.update(started=0, row_passes=0, on_main=[])
         for mode in MODES:
             assert embedded[mode].tobytes() == embedded["blas-threads"].tobytes()
             assert scores[mode].tobytes() == scores["blas-threads"].tobytes()
@@ -298,6 +307,27 @@ class TestOverlap:
         embed_batch(models["np-3"], G)
         assert held == [0, 0, 0]
 
+    def test_with_a_helper_two_blocks_live_at_a_time(self, monkeypatch):
+        ds, plan = small_problem(n_ids=6, per_id=3, seed=4)
+        bank = BANK4 + (KernelSpec("rbf", 3.0),)
+        model = train(ds, plan, MklConfig("np", bank, weights=(0.2,) * 5, n_top=5))
+        G = np.random.default_rng(6).normal(size=(9, 3)) * 2.0
+        serial = embed_batch(model, G)
+        monkeypatch.setattr(threads, "HELPER_MACS", 0)
+        use_mode(monkeypatch, "helper")
+        grams, refs, held = kernels.grams, [], []
+
+        def watched(*args):
+            for K in grams(*args):
+                held.append(sum(r() is not None for r in refs))  # earlier blocks still alive
+                refs.append(weakref.ref(K))
+                yield K
+                del K
+
+        monkeypatch.setattr(metric, "grams", watched)
+        assert embed_batch(model, G).tobytes() == serial.tobytes()
+        assert len(model.terms) == 5 and held == [0, 1, 0, 1, 0]  # in pairs, the fifth alone
+
     @pytest.mark.parametrize("failing, message", [
         ("block", "block 1"),
         ("product", "product 0"),  # run in turn, the first product comes before the block
@@ -306,11 +336,8 @@ class TestOverlap:
         models, _, G = overlap_models
         monkeypatch.setattr(threads, "HELPER_MACS", 0)
         use_mode(monkeypatch, "helper")
-        started, release = threading.Event(), threading.Event()
 
         def product(K, A):
-            started.set()
-            release.wait(10)
             if failing == "product":
                 raise NumericError("product 0")
             return np.matmul(K, A)
@@ -322,9 +349,8 @@ class TestOverlap:
         def poisoned(*args):
             blocks = grams(*args)
             yield next(blocks)
-            # the first product is in flight while the second block fails
-            assert started.wait(10) and not release.is_set() and log["in_flight"] == 1
-            release.set()
+            # both blocks of a pair are built before either product starts
+            assert log["started"] == 0 and log["in_flight"] == 0
             raise NumericError("block 1")
 
         monkeypatch.setattr(metric, "grams", poisoned)

@@ -1,11 +1,18 @@
 import ast
+import contextlib
+import functools
 import inspect
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
 import kfmetric
-from kfmetric import data, evaluation, kernels, kfda, metric, mkl
+from kfmetric import data, evaluation, kernels, kfda, metric, mkl, threads
+from kfmetric.synthetic import make_synthetic
+
+from test_threads import use_mode
 
 # each module imports only modules before it; the package root and __main__ are entry points
 LAYERS = ("errors", "threads", "config", "data", "synthetic", "kernels", "kfda", "metric",
@@ -105,3 +112,68 @@ def test_imports_follow_the_layer_order():
             if LAYERS.index(target) >= LAYERS.index(name):
                 wrong.append(f"{name}:{node.lineno} imports {target}, which is not below it")
     assert wrong == []
+
+
+# the layers whose public functions perfbench's tracer spans; it keeps one stack
+# of open spans, so it reads every traced call as made on the main thread
+TRACED = (data, kernels, kfda, metric, mkl, evaluation)
+
+
+def _record_public_calls(monkeypatch, calls):
+    """Append (name, on the main thread) to ``calls`` at each call of a public function of
+    TRACED, patched at every import site in the package, as perfbench patches them."""
+    def recorded(name, fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            calls.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+
+        return call
+
+    public = {
+        id(fn): (fn, recorded(f"{module.__name__}.{attr}", fn))
+        for module in TRACED
+        for attr, fn in vars(module).items()
+        if not attr.startswith("_") and inspect.isfunction(fn) and fn.__module__ == module.__name__
+    }
+    for name, module in list(sys.modules.items()):
+        if name == "kfmetric" or name.startswith("kfmetric."):
+            for attr, value in list(vars(module).items()):
+                hit = public.get(id(value))
+                if hit is not None and hit[0] is value:
+                    monkeypatch.setattr(module, attr, hit[1])
+
+
+def test_no_public_function_runs_on_a_helper(monkeypatch):
+    calls, granted, helper = [], set(), threads.helper
+
+    @contextlib.contextmanager
+    def watched(name, macs=None):
+        with helper(name, macs) as start:
+            if start is not None:
+                granted.add(name)
+            yield start
+
+    monkeypatch.setattr(threads, "helper", watched)
+    _record_public_calls(monkeypatch, calls)
+    use_mode(monkeypatch, "helper")
+    cfg = kfmetric.RunConfig(threads=1)
+    ds = make_synthetic(48, 2, 12, noise=0.3, view_offset=25.0, seed=4)
+    for method in ("np-mfml", "sm-mfml"):  # each CV stack's eigensolve runs on the helper
+        evaluation.run_trials(ds, method, 1, 0, cfg)
+    # a 600-sample Fisher solve splits its triangular solves
+    big = make_synthetic(300, 2, 20, noise=0.6, view_offset=30.0, seed=300)
+    rows = range(big.n_samples)
+    K = kernels.gram(kernels.KernelSpec("rbf", kernels.rms_width(big, rows)), big.features)
+    kfda.solve_kfda(kfda.build_scatter(K, data.index_classes(big, rows)), 299)
+    # an sm model's embedding builds its kernel blocks and products on the helper
+    monkeypatch.setattr(threads, "HELPER_MACS", 0)
+    plan = data.make_split(ds, 0, 0.5)
+    bank = tuple(kernels.KernelSpec("rbf", w) for w in (2.0, 8.0))
+    model = kfda.train(ds, plan, mkl.MklConfig("sm", bank, pair=(1, 0), tau=0.5))
+    metric.embed_batch(model, ds.features)
+    assert granted == {"kfmetric-eigh", "kfmetric-trsm", "kfmetric-embed"}
+    names = {name for name, _ in calls}
+    assert {"kfmetric.evaluation.run_trials", "kfmetric.kfda.solve_kfda",
+            "kfmetric.kernels.rbf_blocks", "kfmetric.metric.embed_batch"} <= names
+    assert [name for name, main in calls if not main] == []
